@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dejavuzz/internal/gen"
@@ -302,8 +303,13 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 		attack = "Meltdown"
 	}
 
-	// Step 3.1: transient-window constant-time execution analysis.
+	// One census of the primary run serves both analyses: the timing
+	// verdict names the FPU from it, and encode sanitisation diffs it
+	// against the rerun's.
 	pair := p2.Run.Pair
+	s.census = pair.A.CensusInto(s.census[:0])
+
+	// Step 3.1: transient-window constant-time execution analysis.
 	wsA := pair.A.Trace.WindowSince(cst.WindowLo, cst.WindowHi, p2.Run.RTA.TransientStart())
 	wsB := pair.B.Trace.WindowSince(cst.WindowLo, cst.WindowHi, p2.Run.RTB.TransientStart())
 	durA := wsA.LastCycle - wsA.FirstCycle
@@ -315,32 +321,33 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 			AttackType: attack,
 			Window:     cst.Seed.Trigger,
 			Scenario:   gen.ScenarioName(cst.Seed),
-			Components: timingComponents(pair.A),
+			Components: timingComponents(pair.A, s.census),
 			BugLabels:  bugLabels(pair.A),
 			Seed:       cst.Seed,
 		}
 		return res, nil
 	}
 
-	// Capture the primary run's census, sinks and witnesses before the
-	// sanitisation rerun (the rerun shares the shard's context; a dedicated
-	// slot keeps pair.A itself intact, but capturing first keeps the data
-	// flow one-directional).
-	full := censusMap(pair.A.Census())
+	// Capture the primary run's sinks and witnesses before the sanitisation
+	// rerun (the rerun shares the shard's context; a dedicated slot keeps
+	// pair.A itself intact, but capturing first keeps the data flow
+	// one-directional).
 	sinks := pair.A.Sinks()
 	labels := bugLabels(pair.A)
 
 	// Encode sanitisation: rerun with the encode block nopped out and diff
-	// the per-module taint censuses to isolate encode-block taints.
+	// the per-module taint censuses to isolate encode-block taints. Every
+	// census lists the same modules in the same order, so the two compare
+	// position by position.
 	if err := s.gen.SanitizedInto(&s.st3, cst); err != nil {
 		return nil, err
 	}
 	sanRun := s.ctx.RunDiffSan(s.st3.BuildScheduleInto(&s.sched, p1.Keep), s.f.runOpts(uarch.IFTDiff, false))
 	res.Sims++
-	base := censusMap(sanRun.Pair.A.Census())
-	for m, n := range full {
-		if n > base[m] {
-			res.EncodedModules = append(res.EncodedModules, m)
+	s.sanCensus = sanRun.Pair.A.CensusInto(s.sanCensus[:0])
+	for i, m := range s.census {
+		if m.Tainted > s.sanCensus[i].Tainted {
+			res.EncodedModules = append(res.EncodedModules, m.Module)
 		}
 	}
 	sort.Strings(res.EncodedModules)
@@ -349,14 +356,10 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 	}
 
 	// Step 3.2: tainted-sink liveness analysis.
-	encoded := map[string]bool{}
-	for _, m := range res.EncodedModules {
-		encoded[m] = true
-	}
 	var liveComponents []string
 	anyDead := false
 	for _, snk := range sinks {
-		if !encoded[snk.Module] {
+		if !slices.Contains(res.EncodedModules, snk.Module) {
 			continue
 		}
 		if !s.f.opts.UseLiveness || snk.Live {
@@ -382,17 +385,9 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 	return res, nil
 }
 
-func censusMap(census []uarch.ModuleTaint) map[string]int {
-	out := make(map[string]int, len(census))
-	for _, m := range census {
-		out[m.Module] = m.Tainted
-	}
-	return out
-}
-
 // timingComponents heuristically names the contended units for a timing
-// finding from the core's bug witnesses and census.
-func timingComponents(c *uarch.Core) []string {
+// finding from the core's bug witnesses and its census.
+func timingComponents(c *uarch.Core, census []uarch.ModuleTaint) []string {
 	var out []string
 	if c.BugWitness["spectre-reload"] > 0 {
 		out = append(out, "lsu")
@@ -400,7 +395,7 @@ func timingComponents(c *uarch.Core) []string {
 	if c.BugWitness["spectre-refetch-miss"] > 0 {
 		out = append(out, "icache")
 	}
-	for _, m := range c.Census() {
+	for _, m := range census {
 		if m.Module == "fpu" && m.Tainted > 0 {
 			out = append(out, "fpu")
 		}
@@ -422,15 +417,9 @@ func bugLabels(c *uarch.Core) []string {
 	return out
 }
 
+// dedup returns a sorted copy of in without repeats.
 func dedup(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
+	out := slices.Clone(in)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }

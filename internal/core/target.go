@@ -178,6 +178,10 @@ type uarchShard struct {
 	st2   gen.Stimulus     // Phase-2 completed-window buffer
 	st3   gen.Stimulus     // Phase-3 sanitised buffer
 	keep  []bool           // reusable training-reduction mask
+
+	// Reusable Phase-3 census buffers: the primary run's and the
+	// sanitisation rerun's A-instance censuses.
+	census, sanCensus []uarch.ModuleTaint
 }
 
 // newUarchShard builds a shard pipeline for the fuzzer's options. Builds are

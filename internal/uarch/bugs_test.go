@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"reflect"
 	"testing"
 
 	"dejavuzz/internal/isa"
@@ -159,18 +160,25 @@ func TestDiffPairConstantTimeHolds(t *testing.T) {
 	}
 }
 
+// TestCensusModulesComplete pins the census modules and their order:
+// coverage points and checkpoints key on the names, and Phase 3 compares
+// two censuses position by position.
 func TestCensusModulesComplete(t *testing.T) {
-	sp := testSpace(t, mem.PermRead, mem.FaultAccess)
-	c := NewCore(XiangShanConfig(), sp, IFTOff)
-	mods := map[string]bool{}
-	for _, m := range c.Census() {
-		mods[m.Module] = true
-	}
-	for _, want := range []string{"frontend", "rob", "regfile", "lsu", "dcache",
+	want := []string{"frontend", "rob", "regfile", "lsu", "dcache",
 		"icache", "lfb", "dtlb", "itlb", "l2tlb", "bht", "btb", "faubtb",
-		"indbtb", "ras", "loop", "fpu"} {
-		if !mods[want] {
-			t.Errorf("census missing module %q", want)
+		"indbtb", "ras", "loop", "fpu"}
+	if len(want) != numCensusModules {
+		t.Fatalf("numCensusModules = %d, want %d", numCensusModules, len(want))
+	}
+	for _, cfg := range []Config{BOOMConfig(), XiangShanConfig()} {
+		sp := testSpace(t, mem.PermRead, mem.FaultAccess)
+		c := NewCore(cfg, sp, IFTOff)
+		var got []string
+		for _, m := range c.Census() {
+			got = append(got, m.Module)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s census modules:\n got %v\nwant %v", cfg.Name, got, want)
 		}
 	}
 }

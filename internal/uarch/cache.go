@@ -37,6 +37,11 @@ type Cache struct {
 	dataT [][][]uint64
 	tagT  [][]uint64 // control taint: which line's *presence* is secret-dependent
 
+	// lineBits holds each line's tainted-bit total (tag plus data shadows),
+	// indexed set*Ways+way; census counts the lines (see census.go).
+	lineBits []int
+	census   taintCount
+
 	mshrs []mshr
 	lfb   []lfbEntry
 
@@ -60,6 +65,7 @@ func NewCache(name string, cfg CacheConfig, space *mem.Space) *Cache {
 	c.data = make([][][]uint64, cfg.Sets)
 	c.dataT = make([][][]uint64, cfg.Sets)
 	c.tagT = make([][]uint64, cfg.Sets)
+	c.lineBits = make([]int, cfg.Sets*cfg.Ways)
 	for s := 0; s < cfg.Sets; s++ {
 		c.tags[s] = make([]uint64, cfg.Ways)
 		c.valid[s] = make([]bool, cfg.Ways)
@@ -105,6 +111,8 @@ func (c *Cache) Reset() {
 			}
 		}
 	}
+	clear(c.lineBits)
+	c.census = taintCount{}
 	for i := range c.mshrs {
 		c.mshrs[i] = mshr{}
 	}
@@ -129,6 +137,17 @@ func (c *Cache) setOf(addr uint64) int {
 func (c *Cache) tagOf(addr uint64) uint64 {
 	return addr / uint64(c.cfg.LineBytes) / uint64(c.cfg.Sets)
 }
+
+// setLineBits records a new tainted-bit total for the line at (set, way),
+// keeping the census exact.
+func (c *Cache) setLineBits(set, way, n int) {
+	i := set*c.cfg.Ways + way
+	c.census.move(c.lineBits[i], n)
+	c.lineBits[i] = n
+}
+
+// lineBitsAt is the line's tainted-bit total.
+func (c *Cache) lineBitsAt(set, way int) int { return c.lineBits[set*c.cfg.Ways+way] }
 
 // AccessResult reports the outcome of a cache access.
 type AccessResult struct {
@@ -236,13 +255,16 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 	c.tagT[set][way] = 0
 	c.touch(set, way)
 	words := c.cfg.LineBytes / 8
+	lineBits := 0
 	for i := 0; i < words; i++ {
 		v, t := c.space.Read64(line + uint64(i*8))
 		c.data[set][way][i] = v
 		c.dataT[set][way][i] = t
 		c.lfb[mi].data[i] = v
 		c.lfb[mi].taint[i] = t
+		lineBits += bits.OnesCount64(t)
 	}
+	c.setLineBits(set, way, lineBits)
 	c.lfb[mi].addr = line
 	c.lfb[mi].used = true
 	return AccessResult{Latency: lat, Hit: false, Set: set, Way: way}
@@ -252,6 +274,7 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 // control-taint fabric when a tainted address selected the fill).
 func (c *Cache) TaintTag(set, way int) {
 	if set < len(c.tagT) && way < len(c.tagT[set]) {
+		c.setLineBits(set, way, c.lineBitsAt(set, way)-bits.OnesCount64(c.tagT[set][way])+64)
 		c.tagT[set][way] = ^uint64(0)
 	}
 }
@@ -271,6 +294,7 @@ func (c *Cache) Write64(addr uint64, v, t uint64) {
 	set := c.setOf(addr)
 	if w := c.findWay(set, c.tagOf(addr)); w >= 0 {
 		idx := int(addr%uint64(c.cfg.LineBytes)) / 8
+		c.setLineBits(set, w, c.lineBitsAt(set, w)-bits.OnesCount64(c.dataT[set][w][idx])+bits.OnesCount64(t))
 		c.data[set][w][idx] = v
 		c.dataT[set][w][idx] = t
 	}
@@ -289,6 +313,8 @@ func (c *Cache) FlushAll() {
 			}
 		}
 	}
+	clear(c.lineBits)
+	c.census = taintCount{}
 }
 
 // MSHRLive reports whether any MSHR tracking the LFB slot i is still valid.
@@ -296,24 +322,9 @@ func (c *Cache) MSHRLive(i int, cycle int) bool {
 	return c.mshrs[i].valid && cycle < c.mshrs[i].readyAt
 }
 
-// Census counts tainted state elements and bits: cache lines (tag or data
-// taint) and LFB slots.
-func (c *Cache) Census() (tainted, bitCount int) {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			elemBits := 0
-			elemBits += bits.OnesCount64(c.tagT[s][w])
-			for _, t := range c.dataT[s][w] {
-				elemBits += bits.OnesCount64(t)
-			}
-			if elemBits > 0 {
-				tainted++
-				bitCount += elemBits
-			}
-		}
-	}
-	return tainted, bitCount
-}
+// Census reports the cache lines holding tag or data taint and their
+// tainted bits. LFB slots are counted separately by LFBCensus.
+func (c *Cache) Census() (tainted, bitCount int) { return c.census.elems, c.census.bits }
 
 // LFBCensus counts tainted line-fill-buffer slots; live reports only those
 // whose MSHR is still valid (the liveness-annotated view).

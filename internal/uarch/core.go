@@ -165,6 +165,10 @@ type Core struct {
 	ldqFree int
 	stqFree int
 
+	// Census counters of the core-owned shadows (see census.go): RoB
+	// entries, architectural registers and load/store-queue slots.
+	robCensus, regCensus, lsuCensus taintCount
+
 	ICache *Cache
 	DCache *Cache
 	ITLB   *TLB
@@ -270,6 +274,7 @@ func (c *Core) Reset(cfg Config, space *mem.Space, mode IFTMode) {
 	}
 	c.ldqFree = cfg.LDQEntries
 	c.stqFree = cfg.STQEntries
+	c.robCensus, c.regCensus, c.lsuCensus = taintCount{}, taintCount{}, taintCount{}
 
 	if c.ICache == nil || !c.ICache.Reusable(cfg.ICache, space) {
 		c.ICache = NewCache("icache", cfg.ICache, space)
@@ -375,6 +380,7 @@ func (c *Core) Restart(entry uint64) {
 	}
 	c.ldqFree = c.Cfg.LDQEntries
 	c.stqFree = c.Cfg.STQEntries
+	c.lsuCensus = taintCount{}
 	c.trapPendingAt = -1
 	c.fetchHeld = false
 	c.Halted = false
@@ -775,16 +781,41 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 // a secret-dependent rollback taints every RoB entry field and the frontend.
 func (c *Core) sprayROBTaint() {
 	for i := range c.rob {
-		c.rob[i].taint = ^uint64(0)
-		c.rob[i].addrTaint = ^uint64(0)
+		e := &c.rob[i]
+		c.setROBShadow(e, &e.taint, ^uint64(0))
+		c.setROBShadow(e, &e.addrTaint, ^uint64(0))
 	}
 	c.pcTaint = ^uint64(0)
 	for i := range c.ldq {
-		c.ldq[i].taint = ^uint64(0)
+		c.setQueueTaint(&c.ldq[i], ^uint64(0))
 	}
 	for i := range c.stq {
-		c.stq[i].taint = ^uint64(0)
+		c.setQueueTaint(&c.stq[i], ^uint64(0))
 	}
+}
+
+// shadowBits is the entry's tainted-bit count: its data, address and
+// store-data shadows together form one rob census element.
+func (e *robEntry) shadowBits() int {
+	return bits.OnesCount64(e.taint) + bits.OnesCount64(e.addrTaint) + bits.OnesCount64(e.stDataT)
+}
+
+// setROBShadow stores t into one of e's census-counted shadows (taint,
+// addrTaint or stDataT), keeping the rob census exact.
+func (c *Core) setROBShadow(e *robEntry, shadow *uint64, t uint64) {
+	if *shadow == t {
+		return
+	}
+	before := e.shadowBits()
+	*shadow = t
+	c.robCensus.move(before, e.shadowBits())
+}
+
+// setQueueTaint stores a load/store-queue slot's taint, keeping the lsu
+// census exact.
+func (c *Core) setQueueTaint(q *queueEntry, t uint64) {
+	c.lsuCensus.set(q.taint, t)
+	q.taint = t
 }
 
 // squashYounger flushes all entries strictly younger than keepSeq.
@@ -1010,23 +1041,22 @@ func (c *Core) executeSimple(e *robEntry, v1, t1, v2, t2 uint64, lat int) {
 	}
 	gm.Exec(in)
 
+	var taint uint64
 	switch in.Op.Class() {
 	case isa.ClassBranch:
 		e.actTaken = gm.PC != e.pc+4
 		e.actTarget = e.pc + uint64(in.Imm)
-		e.taint = cmpTaint(t1, t2)
+		taint = cmpTaint(t1, t2)
 		e.targetT = 0
 	case isa.ClassJump:
 		e.actTaken = true
 		e.actTarget = e.pc + uint64(in.Imm)
 		e.val = e.pc + 4
-		e.taint = 0
 	case isa.ClassJumpReg:
 		e.actTaken = true
 		e.actTarget = (v1 + uint64(in.Imm)) &^ 1
 		e.targetT = addTaint(t1, 0)
 		e.val = e.pc + 4
-		e.taint = 0
 	default:
 		if e.fpDest {
 			e.val = gm.F[in.Rd]
@@ -1035,8 +1065,9 @@ func (c *Core) executeSimple(e *robEntry, v1, t1, v2, t2 uint64, lat int) {
 		} else {
 			e.val = 0
 		}
-		e.taint = dataTaint(in, v1, v2, t1, t2)
+		taint = dataTaint(in, v1, v2, t1, t2)
 	}
+	c.setROBShadow(e, &e.taint, taint)
 }
 
 // executeLoad models address generation, translation, permission checks,
@@ -1047,10 +1078,10 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 	e.state = stExecuting
 	addr := v1 + uint64(in.Imm)
 	e.addr = addr
-	e.addrTaint = addTaint(t1, 0)
+	c.setROBShadow(e, &e.addrTaint, addTaint(t1, 0))
 	e.addrKnown = true
 	if e.ldqIdx >= 0 {
-		c.ldq[e.ldqIdx].taint = e.addrTaint
+		c.setQueueTaint(&c.ldq[e.ldqIdx], e.addrTaint)
 	}
 	size := in.Op.MemSize()
 	lat := 1
@@ -1087,10 +1118,12 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 			res := c.DCache.Access(dataAddr, c.Cycle)
 			lat += res.Latency
 			v, t := c.readMemData(dataAddr, size, in)
-			e.val, e.taint = v, t
+			e.val = v
+			c.setROBShadow(e, &e.taint, t)
 			c.applyAddrCtl(e, dataAddr, res)
 		} else {
-			e.val, e.taint = 0, 0
+			e.val = 0
+			c.setROBShadow(e, &e.taint, 0)
 		}
 		e.doneAt = c.Cycle + lat
 		c.chargeLoadWB(e)
@@ -1099,7 +1132,8 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 
 	// Store-to-load forwarding and memory-disambiguation speculation.
 	if fwd, fv, ft, unknown := c.forwardFromStores(e, dataAddr, size); fwd {
-		e.val, e.taint = fv, ft
+		e.val = fv
+		c.setROBShadow(e, &e.taint, ft)
 		// A younger unknown store between the match and the load keeps the
 		// load speculative with respect to memory ordering.
 		e.memSpeculative = unknown
@@ -1115,7 +1149,8 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 	res := c.DCache.Access(dataAddr, c.Cycle)
 	lat += res.Latency
 	v, t := c.readMemData(dataAddr, size, in)
-	e.val, e.taint = v, t
+	e.val = v
+	c.setROBShadow(e, &e.taint, t)
 	c.applyAddrCtl(e, dataAddr, res)
 	e.doneAt = c.Cycle + lat
 	c.chargeLoadWB(e)
@@ -1181,7 +1216,7 @@ func (c *Core) applyAddrCtl(e *robEntry, dataAddr uint64, res AccessResult) {
 		c.DCache.TaintTag(res.Set, res.Way)
 		c.DTLB.TaintPage(dataAddr)
 		if eRef.valid && eRef.seq == seq {
-			eRef.taint = ^uint64(0)
+			c.setROBShadow(eRef, &eRef.taint, ^uint64(0))
 		}
 	})
 }
@@ -1218,11 +1253,12 @@ func (c *Core) executeStore(e *robEntry, v1, t1, v2, t2 uint64) {
 	e.state = stExecuting
 	addr := v1 + uint64(in.Imm)
 	e.addr = addr
-	e.addrTaint = addTaint(t1, 0)
+	c.setROBShadow(e, &e.addrTaint, addTaint(t1, 0))
 	e.addrKnown = true
-	e.stData, e.stDataT = v2, t2
+	e.stData = v2
+	c.setROBShadow(e, &e.stDataT, t2)
 	if e.stqIdx >= 0 {
-		c.stq[e.stqIdx].taint = e.addrTaint | t2
+		c.setQueueTaint(&c.stq[e.stqIdx], e.addrTaint|t2)
 	}
 	size := in.Op.MemSize()
 	e.doneAt = c.Cycle + 1
@@ -1322,6 +1358,7 @@ func (c *Core) dispatchStage() {
 			// stale control taint folds into the new contents (Policy 2).
 			inherit = e.taint | e.addrTaint
 		}
+		c.robCensus.move(e.shadowBits(), bits.OnesCount64(inherit))
 		*e = robEntry{
 			valid: true, seq: c.seqNext, pc: fe.pc, inst: in,
 			state: stDispatched, ldqIdx: -1, stqIdx: -1,
@@ -1552,34 +1589,37 @@ func (c *Core) predictTarget(pc uint64) (uint64, bool) {
 	return c.btb.Predict(pc)
 }
 
-// freeLDQ releases a load-queue slot; CellIFT shadow taint persists.
+// freeLDQ releases a load-queue slot.
 func (c *Core) freeLDQ(i int) {
-	t := c.ldq[i].taint
-	c.ldq[i] = queueEntry{}
-	if c.Mode == IFTCellIFT {
-		c.ldq[i].taint = t
-	}
+	c.releaseSlot(&c.ldq[i])
 	c.ldqFree++
 }
 
-// freeSTQ releases a store-queue slot; CellIFT shadow taint persists.
+// freeSTQ releases a store-queue slot.
 func (c *Core) freeSTQ(i int) {
-	t := c.stq[i].taint
-	c.stq[i] = queueEntry{}
-	if c.Mode == IFTCellIFT {
-		c.stq[i].taint = t
-	}
+	c.releaseSlot(&c.stq[i])
 	c.stqFree++
+}
+
+// releaseSlot invalidates a load/store-queue slot; CellIFT shadow taint
+// persists.
+func (c *Core) releaseSlot(q *queueEntry) {
+	q.valid = false
+	if c.Mode != IFTCellIFT {
+		c.setQueueTaint(q, 0)
+	}
 }
 
 // writeArch retires a value into the architectural register file.
 func (c *Core) writeArch(rd int, fp bool, v, t uint64) {
 	if fp {
+		c.regCensus.set(c.archFT[rd], t)
 		c.archF[rd] = v
 		c.archFT[rd] = t
 		return
 	}
 	if rd != 0 {
+		c.regCensus.set(c.archXT[rd], t)
 		c.archX[rd] = v
 		c.archXT[rd] = t
 	}
@@ -1600,123 +1640,6 @@ func (c *Core) Run(maxCycles int) int {
 		}
 	}
 	return c.Cycle - start
-}
-
-// --- census -----------------------------------------------------------------
-
-// ModuleTaint is one module's taint census entry.
-type ModuleTaint struct {
-	Module  string
-	Tainted int
-	Bits    int
-}
-
-// Census reports per-module tainted element and bit counts across the whole
-// microarchitecture (the coverage substrate and the Figure 6 series).
-func (c *Core) Census() []ModuleTaint { return c.CensusInto(nil) }
-
-// CensusInto is Census appending into a caller-provided buffer — the
-// per-cycle taint-tracing path reuses one scratch slice instead of
-// allocating a census every cycle.
-func (c *Core) CensusInto(out []ModuleTaint) []ModuleTaint {
-	add := func(name string, tainted, bitCount int) {
-		out = append(out, ModuleTaint{Module: name, Tainted: tainted, Bits: bitCount})
-	}
-
-	// Frontend: pc + fetch buffer.
-	fb := 0
-	if c.pcTaint != 0 {
-		fb++
-	}
-	add("frontend", fb, bits.OnesCount64(c.pcTaint))
-
-	// ROB.
-	// The RoB census covers the raw shadow state: squashed entries retain
-	// their taint registers exactly as a shadow circuit would.
-	rt, rb := 0, 0
-	for i := range c.rob {
-		b := bits.OnesCount64(c.rob[i].taint) + bits.OnesCount64(c.rob[i].addrTaint) +
-			bits.OnesCount64(c.rob[i].stDataT)
-		if b > 0 {
-			rt++
-			rb += b
-		}
-	}
-	add("rob", rt, rb)
-
-	// Register files.
-	xt, xb := 0, 0
-	for i := range c.archXT {
-		if c.archXT[i] != 0 {
-			xt++
-			xb += bits.OnesCount64(c.archXT[i])
-		}
-	}
-	for i := range c.archFT {
-		if c.archFT[i] != 0 {
-			xt++
-			xb += bits.OnesCount64(c.archFT[i])
-		}
-	}
-	add("regfile", xt, xb)
-
-	lt, lb := 0, 0
-	for i := range c.ldq {
-		if c.ldq[i].taint != 0 {
-			lt++
-			lb += bits.OnesCount64(c.ldq[i].taint)
-		}
-	}
-	for i := range c.stq {
-		if c.stq[i].taint != 0 {
-			lt++
-			lb += bits.OnesCount64(c.stq[i].taint)
-		}
-	}
-	add("lsu", lt, lb)
-
-	dt, db := c.DCache.Census()
-	add("dcache", dt, db)
-	it, ib := c.ICache.Census()
-	add("icache", it, ib)
-	lf, _ := c.DCache.LFBCensus(c.Cycle)
-	add("lfb", lf, lf*64)
-
-	tt, tb := c.DTLB.Census()
-	add("dtlb", tt, tb)
-	tt, tb = c.ITLB.Census()
-	add("itlb", tt, tb)
-	tt, tb = c.L2TLB.Census()
-	add("l2tlb", tt, tb)
-
-	tt, tb = c.bht.Census()
-	add("bht", tt, tb)
-	tt, tb = c.btb.Census()
-	add("btb", tt, tb)
-	tt, tb = c.faubtb.Census()
-	add("faubtb", tt, tb)
-	tt, tb = c.ind.Census()
-	add("indbtb", tt, tb)
-	tt, tb = c.ras.Census()
-	add("ras", tt, tb)
-	tt, tb = c.loop.Census()
-	add("loop", tt, tb)
-
-	ft := 0
-	if c.fpuLatchTaint != 0 {
-		ft = 1
-	}
-	add("fpu", ft, bits.OnesCount64(c.fpuLatchTaint))
-	return out
-}
-
-// TaintSum totals tainted bits across all modules.
-func (c *Core) TaintSum() int {
-	sum := 0
-	for _, m := range c.Census() {
-		sum += m.Bits
-	}
-	return sum
 }
 
 // Sink is a tainted microarchitectural location considered as a potential

@@ -1,11 +1,10 @@
 package uarch
 
-import "math/bits"
-
 // BHT is a table of 2-bit saturating counters indexed by PC.
 type BHT struct {
 	counters []uint8
 	taint    []uint64
+	census   taintCount
 }
 
 // NewBHT builds a branch history table initialised strongly-not-taken, so a
@@ -21,6 +20,7 @@ func (b *BHT) Reset() {
 		b.counters[i] = 0
 		b.taint[i] = 0
 	}
+	b.census = taintCount{}
 }
 
 func (b *BHT) index(pc uint64) int { return int(pc>>2) % len(b.counters) }
@@ -38,11 +38,12 @@ func (b *BHT) Update(pc uint64, taken bool, taint uint64) {
 	} else if b.counters[i] > 0 {
 		b.counters[i]--
 	}
+	b.census.set(b.taint[i], b.taint[i]|taint)
 	b.taint[i] |= taint
 }
 
-// Census counts tainted entries/bits.
-func (b *BHT) Census() (tainted, bitCount int) { return censusU64(b.taint) }
+// Census reports the tainted counters and their tainted bits.
+func (b *BHT) Census() (tainted, bitCount int) { return b.census.elems, b.census.bits }
 
 // btbEntry maps a branch PC to its last-seen target.
 type btbEntry struct {
@@ -63,6 +64,7 @@ type BTB struct {
 	Name    string
 	entries []btbEntry
 	minConf int
+	census  taintCount
 }
 
 // NewBTB builds a branch target buffer that predicts after one training.
@@ -90,6 +92,7 @@ func (b *BTB) Reset() {
 	for i := range b.entries {
 		b.entries[i] = btbEntry{}
 	}
+	b.census = taintCount{}
 }
 
 func (b *BTB) index(pc uint64) int { return int(pc>>2) % len(b.entries) }
@@ -114,22 +117,14 @@ func (b *BTB) Update(pc, target uint64, taint uint64) {
 	e.valid = true
 	e.tag = pc
 	e.target = target
-	e.taint |= taint
 	if taint != 0 {
+		b.census.set(e.taint, ^uint64(0))
 		e.taint = ^uint64(0)
 	}
 }
 
-// Census counts tainted entries/bits.
-func (b *BTB) Census() (tainted, bitCount int) {
-	for i := range b.entries {
-		if b.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(b.entries[i].taint)
-		}
-	}
-	return tainted, bitCount
-}
+// Census reports the tainted entries and their tainted bits.
+func (b *BTB) Census() (tainted, bitCount int) { return b.census.elems, b.census.bits }
 
 // RAS is the return address stack. Snapshotting granularity models the two
 // recovery schemes the paper contrasts: full restore (XiangShan) versus
@@ -138,6 +133,8 @@ type RAS struct {
 	stack []uint64
 	taint []uint64
 	tos   int // index of next free slot; top entry is stack[tos-1]
+
+	census taintCount
 
 	// snap memoises the last Snapshot between mutations: the frontend
 	// snapshots per fetched instruction but the stack only changes on
@@ -158,6 +155,7 @@ func (r *RAS) Reset() {
 		r.stack[i] = 0
 		r.taint[i] = 0
 	}
+	r.census = taintCount{}
 	r.tos = 0
 	r.snapValid = false
 	r.snap = RASSnapshot{}
@@ -170,8 +168,7 @@ func (r *RAS) wrap(i int) int {
 
 // Push records a call's return address.
 func (r *RAS) Push(addr, taint uint64) {
-	r.stack[r.wrap(r.tos)] = addr
-	r.taint[r.wrap(r.tos)] = taint
+	r.setSlot(r.wrap(r.tos), addr, taint)
 	r.tos++
 	r.snapValid = false
 }
@@ -213,17 +210,24 @@ func (r *RAS) Restore(s RASSnapshot, buggyTopOnly bool) {
 	if buggyTopOnly {
 		r.tos = s.TOS
 		top := r.wrap(r.tos - 1)
-		r.stack[top] = s.Stack[top]
-		r.taint[top] = s.Taint[top]
+		r.setSlot(top, s.Stack[top], s.Taint[top])
 		return
 	}
 	r.tos = s.TOS
-	copy(r.stack, s.Stack)
-	copy(r.taint, s.Taint)
+	for i := range r.stack {
+		r.setSlot(i, s.Stack[i], s.Taint[i])
+	}
 }
 
-// Census counts tainted entries/bits.
-func (r *RAS) Census() (tainted, bitCount int) { return censusU64(r.taint) }
+// setSlot writes one stack slot, keeping the census exact.
+func (r *RAS) setSlot(i int, addr, taint uint64) {
+	r.census.set(r.taint[i], taint)
+	r.stack[i] = addr
+	r.taint[i] = taint
+}
+
+// Census reports the tainted slots and their tainted bits.
+func (r *RAS) Census() (tainted, bitCount int) { return r.census.elems, r.census.bits }
 
 // loopEntry tracks a loop branch's trip behaviour.
 type loopEntry struct {
@@ -240,6 +244,7 @@ type loopEntry struct {
 type LoopPredictor struct {
 	entries []loopEntry
 	tripMax int
+	census  taintCount
 }
 
 // NewLoopPredictor builds a loop predictor.
@@ -258,6 +263,7 @@ func (l *LoopPredictor) Reset() {
 	for i := range l.entries {
 		l.entries[i] = loopEntry{}
 	}
+	l.census = taintCount{}
 }
 
 func (l *LoopPredictor) index(pc uint64) int { return int(pc>>2) % len(l.entries) }
@@ -276,10 +282,12 @@ func (l *LoopPredictor) Predict(pc uint64) (override, taken bool) {
 // Update trains on a resolved direction.
 func (l *LoopPredictor) Update(pc uint64, taken bool, taint uint64) {
 	e := &l.entries[l.index(pc)]
+	old := e.taint
 	if !e.valid || e.tag != pc {
 		*e = loopEntry{valid: true, tag: pc}
 	}
 	e.taint |= taint
+	l.census.set(old, e.taint)
 	if taken {
 		e.streak++
 		if e.streak > l.tripMax && !e.trained {
@@ -296,23 +304,5 @@ func (l *LoopPredictor) Update(pc uint64, taken bool, taint uint64) {
 	}
 }
 
-// Census counts tainted entries/bits.
-func (l *LoopPredictor) Census() (tainted, bitCount int) {
-	for i := range l.entries {
-		if l.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(l.entries[i].taint)
-		}
-	}
-	return tainted, bitCount
-}
-
-func censusU64(ts []uint64) (tainted, bitCount int) {
-	for _, t := range ts {
-		if t != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(t)
-		}
-	}
-	return tainted, bitCount
-}
+// Census reports the tainted entries and their tainted bits.
+func (l *LoopPredictor) Census() (tainted, bitCount int) { return l.census.elems, l.census.bits }

@@ -1,7 +1,5 @@
 package uarch
 
-import "math/bits"
-
 // tlbEntry caches one page translation. The model uses identity mapping, so
 // the interesting state is *which* pages are cached (a timing channel) and
 // the taint on the entry (a secret-indexed page walk).
@@ -18,6 +16,7 @@ type TLB struct {
 	cfg     TLBConfig
 	entries []tlbEntry
 	next    *TLB // next level (L2); nil means page walk
+	census  taintCount
 
 	Accesses int
 	Misses   int
@@ -31,9 +30,7 @@ func NewTLB(name string, cfg TLBConfig, next *TLB) *TLB {
 // Reset returns the TLB to its construction-time state in place (entries
 // and statistics zeroed; the next-level link is untouched).
 func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = tlbEntry{}
-	}
+	t.FlushAll()
 	t.Accesses = 0
 	t.Misses = 0
 }
@@ -83,6 +80,7 @@ func (t *TLB) fill(vpn, taint uint64) {
 			victim = i
 		}
 	}
+	t.census.set(t.entries[victim].taint, taint)
 	t.entries[victim] = tlbEntry{valid: true, vpn: vpn, taint: taint}
 	t.touch(victim)
 }
@@ -93,6 +91,7 @@ func (t *TLB) TaintPage(addr uint64) {
 	vpn := t.vpn(addr)
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].vpn == vpn {
+			t.census.set(t.entries[i].taint, ^uint64(0))
 			t.entries[i].taint = ^uint64(0)
 		}
 	}
@@ -106,15 +105,8 @@ func (t *TLB) FlushAll() {
 	for i := range t.entries {
 		t.entries[i] = tlbEntry{}
 	}
+	t.census = taintCount{}
 }
 
-// Census counts tainted entries and bits.
-func (t *TLB) Census() (tainted, bitCount int) {
-	for i := range t.entries {
-		if t.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(t.entries[i].taint)
-		}
-	}
-	return tainted, bitCount
-}
+// Census reports the tainted entries and their tainted bits.
+func (t *TLB) Census() (tainted, bitCount int) { return t.census.elems, t.census.bits }
