@@ -70,9 +70,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if ck.state.Options.Target == "" {
 		return nil, fmt.Errorf("dejavuzz: %s is not a session checkpoint (no target)", path)
 	}
-	// Upgrade legacy (version-2, EMA-era) snapshots in place: the bandit
-	// posterior is seeded from the checkpointed per-family statistics.
-	// Unknown versions — including pre-scheduler v1 — are refused here.
+	// Only the current engine-state version is accepted; older or newer
+	// snapshots are refused here, naming the version.
 	if err := ck.state.Migrate(); err != nil {
 		return nil, fmt.Errorf("dejavuzz: checkpoint %s: %w", path, err)
 	}

@@ -5,7 +5,7 @@
 //
 //	dejavuzz [-target boom|xiangshan|isasim] [-n iterations] [-seed N]
 //	         [-workers N] [-shards N] [-variant derived|random]
-//	         [-scenarios fam1,fam2,...] [-scheduler ucb|ema]
+//	         [-scenarios fam1,fam2,...]
 //	         [-no-feedback] [-no-liveness] [-no-reduction] [-bugless]
 //	         [-checkpoint state.json] [-progress] [-v]
 //
@@ -17,10 +17,7 @@
 // checkpoint. -list-targets prints the target registry; -list-scenarios
 // prints the scenario-family catalog; -scenarios restricts a campaign to
 // the named families (a determinism-relevant option: resuming a checkpoint
-// under a different set fails with an option-mismatch error). -scheduler
-// selects the scenario-scheduling policy — ucb (the default no-starvation
-// bandit) or ema (the legacy decaying policy, kept for A/B comparison) —
-// and is determinism-relevant the same way.
+// under a different set fails with an option-mismatch error).
 //
 // Matrix mode runs a grid of campaigns (cores × variants × ablations ×
 // seeds) over a shared worker pool with optional whole-campaign
@@ -30,7 +27,7 @@
 //	         [-n iterations] [-workers N] [-checkpoint state.json] [-progress]
 //
 // The single-campaign flags remain meaningful in matrix mode: -seed,
-// -target, -variant, -shards, -scheduler and the -no-*/-bugless ablation
+// -target, -variant, -shards, -scenarios and the -no-*/-bugless ablation
 // flags supply the base options, which matrix dimensions override per axis
 // when present.
 package main
@@ -62,14 +59,12 @@ func main() { os.Exit(realMain()) }
 // checkpoint flow and error exits.
 func realMain() int {
 	target := flag.String("target", "", "design under test (see -list-targets; default boom)")
-	coreName := flag.String("core", "", "deprecated alias of -target (boom or xiangshan)")
 	n := flag.Int("n", 200, "fuzzing iterations")
 	seed := flag.Int64("seed", 1, "campaign RNG seed")
 	workers := flag.Int("workers", 1, "parallel simulation workers (wall-time only; never changes results)")
 	shards := flag.Int("shards", 0, "deterministic logical shards (0 = default 8; changes stimulus streams)")
 	variant := flag.String("variant", "derived", "training strategy: derived (DejaVuzz) or random (DejaVuzz*)")
 	scenarios := flag.String("scenarios", "", "comma-separated scenario families to fuzz (see -list-scenarios; default all)")
-	scheduler := flag.String("scheduler", "", "scenario-scheduling policy: ucb (default) or ema (legacy)")
 	noFeedback := flag.Bool("no-feedback", false, "disable taint-coverage feedback (DejaVuzz-)")
 	noLiveness := flag.Bool("no-liveness", false, "disable tainted-sink liveness analysis")
 	noReduction := flag.Bool("no-reduction", false, "disable training reduction")
@@ -131,7 +126,11 @@ func realMain() int {
 		return 0
 	}
 
-	targetName, err := resolveTarget(*target, *coreName)
+	targetName := *target
+	if targetName == "" {
+		targetName = dejavuzz.DefaultTarget
+	}
+	tgt, err := dejavuzz.LookupTarget(targetName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -146,10 +145,6 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if err := core.ValidateSchedulerPolicy(*scheduler); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 
 	// Ctrl-C cancels the session/matrix at the next merge barrier, where a
 	// resumable checkpoint is saved.
@@ -157,11 +152,6 @@ func realMain() int {
 	defer stop()
 
 	if *matrix != "" {
-		tgt, err := dejavuzz.LookupTarget(targetName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
 		base := core.DefaultOptionsFor(tgt)
 		base.Seed = *seed
 		base.Iterations = *n
@@ -174,12 +164,11 @@ func realMain() int {
 		base.UseReduction = !*noReduction
 		base.Bugless = *bugless
 		base.Scenarios = scenarioSet
-		base.Scheduler = *scheduler
 		return runMatrix(ctx, *matrix, base, *workers, *checkpoint, *progress)
 	}
 
 	if *repro != "" {
-		return runRepro(targetName, *target != "" || *coreName != "", *repro, *bugless)
+		return runRepro(targetName, *target != "", *repro, *bugless)
 	}
 
 	opts := []dejavuzz.Option{
@@ -197,9 +186,6 @@ func realMain() int {
 	}
 	if len(scenarioSet) > 0 {
 		opts = append(opts, dejavuzz.WithScenarios(scenarioSet...))
-	}
-	if *scheduler != "" {
-		opts = append(opts, dejavuzz.WithScheduler(*scheduler))
 	}
 	if *checkpoint != "" {
 		opts = append(opts, dejavuzz.WithCheckpointFile(*checkpoint))
@@ -265,7 +251,7 @@ func realMain() int {
 		fmt.Printf("  [%d] %v\n      repro-seed: %s%s\n", i+1, &fi, core.EncodeSeed(fi.Seed), hint)
 	}
 	if len(rep.Findings) > 0 {
-		fmt.Printf("first finding after ~%v\n", rep.FirstBug.Round(1e6))
+		fmt.Printf("first finding at iteration %d\n", rep.Findings[0].Iteration)
 	}
 	return 0
 }
@@ -361,30 +347,6 @@ func runRepro(targetName string, explicit bool, reproJSON string, bugless bool) 
 	return 0
 }
 
-// resolveTarget folds the deprecated -core spelling into the -target
-// namespace.
-func resolveTarget(target, coreName string) (string, error) {
-	if target != "" && coreName != "" {
-		return "", fmt.Errorf("use either -target or the deprecated -core, not both")
-	}
-	if coreName != "" {
-		switch strings.ToLower(coreName) {
-		case "boom":
-			return "boom", nil
-		case "xiangshan", "xs":
-			return "xiangshan", nil
-		}
-		return "", fmt.Errorf("unknown core %q", coreName)
-	}
-	if target == "" {
-		return dejavuzz.DefaultTarget, nil
-	}
-	if _, err := dejavuzz.LookupTarget(target); err != nil {
-		return "", err
-	}
-	return target, nil
-}
-
 // parseScenarios splits and validates the -scenarios list against the
 // registry, so a typo fails up front with the registered names.
 func parseScenarios(list string) ([]string, error) {
@@ -436,13 +398,10 @@ func parseMatrix(spec string, base core.Options) (campaign.Matrix, error) {
 			}
 			switch strings.TrimSpace(key) {
 			case "cores":
-				name, err := resolveTarget("", v)
-				if err != nil {
-					return m, fmt.Errorf("matrix: %w", err)
-				}
-				tgt, err := dejavuzz.LookupTarget(name)
-				if err != nil {
-					return m, fmt.Errorf("matrix: %w", err)
+				// The cores axis names the built-in uarch targets only.
+				tgt, err := dejavuzz.LookupTarget(v)
+				if err != nil || core.BuiltinTargetName(tgt.Kind()) != v {
+					return m, fmt.Errorf("matrix: unknown core %q (want boom or xiangshan)", v)
 				}
 				m.Cores = append(m.Cores, tgt.Kind())
 			case "variants":

@@ -116,7 +116,7 @@ func ScenarioCatalogTable() string { return scenario.CatalogTable() }
 type Target = core.Target
 
 // DefaultTarget is the target New uses when callers have no preference.
-const DefaultTarget = "boom"
+const DefaultTarget = core.DefaultTarget
 
 // RegisterTarget adds a target to the registry. It panics on an empty name
 // or a duplicate registration.

@@ -39,13 +39,11 @@ func midCampaignCheckpoint(t *testing.T, c *Campaign, stopDone int) *Checkpoint 
 }
 
 // reportFingerprint canonicalises a report for byte-identity comparison:
-// the wall-clock fields (Duration, FirstBug) are zeroed and everything else
-// is serialised.
+// the wall-clock Duration is zeroed and everything else is serialised.
 func reportFingerprint(t *testing.T, rep *Report) []byte {
 	t.Helper()
 	r := *rep
 	r.Duration = 0
-	r.FirstBug = 0
 	b, err := json.Marshal(&r)
 	if err != nil {
 		t.Fatal(err)
@@ -420,80 +418,6 @@ func TestSessionOnISATarget(t *testing.T) {
 	}
 	if rep.Options.Target != "isasim" {
 		t.Errorf("report target %q", rep.Options.Target)
-	}
-}
-
-// --- deprecated Config shim ------------------------------------------------
-
-func TestConfigShimDefaults(t *testing.T) {
-	f := NewFromConfig(Config{Core: BOOM, Iterations: 10, Seed: 5})
-	rep := f.Run()
-	if len(rep.Iters) != 10 {
-		t.Fatalf("iterations = %d, want 10", len(rep.Iters))
-	}
-	if f.Coverage() != rep.Coverage {
-		t.Errorf("facade coverage %d != report coverage %d", f.Coverage(), rep.Coverage)
-	}
-	// Unset fields keep the historical defaults.
-	if rep.Options.Seed != 5 || rep.Options.Shards != 8 {
-		t.Errorf("shim defaults drifted: %+v", rep.Options)
-	}
-	if got := NewFromConfig(Config{Core: BOOM, Iterations: 1}).Run().Options.Seed; got != 1 {
-		t.Errorf("unset seed = %d, want historical default 1", got)
-	}
-}
-
-// TestConfigShimExplicitZeros pins the zero-value fix: SeedSet and
-// IterationsSet distinguish "unset" from explicit zero, which the original
-// shim could not express.
-func TestConfigShimExplicitZeros(t *testing.T) {
-	rep := NewFromConfig(Config{Core: BOOM, SeedSet: true, Iterations: 4}).Run()
-	if rep.Options.Seed != 0 {
-		t.Errorf("SeedSet: campaign ran with seed %d, want 0", rep.Options.Seed)
-	}
-	dry := NewFromConfig(Config{Core: BOOM, IterationsSet: true, Seed: 3}).Run()
-	if len(dry.Iters) != 0 {
-		t.Errorf("IterationsSet dry run executed %d iterations", len(dry.Iters))
-	}
-	if dry.Coverage != 0 || len(dry.Findings) != 0 {
-		t.Errorf("dry run produced results: coverage=%d findings=%d", dry.Coverage, len(dry.Findings))
-	}
-}
-
-func TestConfigShimVariantsAndAblations(t *testing.T) {
-	for _, cfg := range []Config{
-		{Core: XiangShan, Iterations: 4, Seed: 2},
-		{Core: BOOM, Iterations: 4, Seed: 3, Variant: RandomTraining},
-		{Core: BOOM, Iterations: 4, Seed: 4, DisableCoverageFeedback: true},
-		{Core: BOOM, Iterations: 4, Seed: 5, DisableLiveness: true, DisableReduction: true},
-		{Core: BOOM, Iterations: 4, Seed: 6, Bugless: true},
-	} {
-		rep := NewFromConfig(cfg).Run()
-		if len(rep.Iters) != cfg.Iterations {
-			t.Errorf("%+v: ran %d iterations", cfg, len(rep.Iters))
-		}
-	}
-}
-
-func TestConfigShimWorkers(t *testing.T) {
-	f := NewFromConfig(Config{Core: BOOM, Iterations: 12, Seed: 9, Workers: 4})
-	rep := f.Run()
-	if len(rep.Iters) != 12 {
-		t.Fatalf("iterations = %d, want 12", len(rep.Iters))
-	}
-}
-
-// TestShimMatchesOptionsAPI pins the shim's translation: the same campaign
-// expressed both ways produces identical reports.
-func TestShimMatchesOptionsAPI(t *testing.T) {
-	shim := NewFromConfig(Config{Core: XiangShan, Seed: 11, Iterations: 16, Shards: 4}).Run()
-	c, err := New("xiangshan", WithSeed(11), WithIterations(16), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern := c.Run()
-	if !bytes.Equal(reportFingerprint(t, shim), reportFingerprint(t, modern)) {
-		t.Error("Config shim and functional options produce different reports")
 	}
 }
 

@@ -7,8 +7,7 @@
 // that derive per-shard streams from the campaign seed.
 //
 // Wall-clock reads alone are waivable, because the engine deliberately
-// measures Duration and FirstBug (both documented as excluded from
-// byte-identity):
+// measures Report.Duration (documented as excluded from byte-identity):
 //
 //	//dvz:wallclock <justification>
 //

@@ -9,12 +9,10 @@ import (
 	"dejavuzz/internal/core"
 )
 
-// checkpointVersion guards against format drift between PRs. Version 3
-// marks the bandit-scheduler engine: the default scheduling policy changed
-// from EMA-with-floor to UCB, so results cached by an EMA-era run no longer
-// correspond to the campaigns today's identical-looking specs would
-// produce, and must not be served from cache. (Version 2 was the
-// EMA-scheduler era.)
+// checkpointVersion guards against format drift. Version 3 marks the
+// bandit-scheduler engine: results cached under any other version need not
+// match what today's identical-looking specs produce, so they are refused
+// rather than served from cache.
 const checkpointVersion = 3
 
 // checkpoint is the on-disk resume state: finished campaign reports keyed by

@@ -51,7 +51,8 @@ func AblationByName(name string) (Ablation, error) {
 
 // Matrix describes a campaign grid: cores × variants × ablations × seeds.
 // Empty dimensions collapse to the Base options' value (one cell on that
-// axis).
+// axis); without a Cores axis that is the Base target, whose Kind() names
+// the cell.
 type Matrix struct {
 	// Prefix namespaces spec names (and so checkpoint keys), letting several
 	// matrices share one checkpoint file without key collisions.
@@ -73,7 +74,7 @@ type Matrix struct {
 func (m Matrix) Expand() []Spec {
 	cores := m.Cores
 	if len(cores) == 0 {
-		cores = []uarch.CoreKind{m.Base.Core}
+		cores = []uarch.CoreKind{targetKind(m.Base)}
 	}
 	variants := m.Variants
 	if len(variants) == 0 {
@@ -97,7 +98,6 @@ func (m Matrix) Expand() []Spec {
 					if opts.Iterations == 0 {
 						opts.Iterations = core.DefaultOptions(kind).Iterations
 					}
-					opts.Core = kind
 					if len(m.Cores) > 0 {
 						// An explicit Cores axis selects the built-in uarch
 						// targets; without one the Base target (which may be
@@ -129,4 +129,15 @@ func (m Matrix) Expand() []Spec {
 		}
 	}
 	return out
+}
+
+// targetKind returns the core kind of the options' target. An unregistered
+// name yields KindBOOM: the cell is then labelled by the name, and
+// NewFuzzer refuses it when the cell runs.
+func targetKind(o core.Options) uarch.CoreKind {
+	t, err := core.LookupTarget(o.Normalized().Target)
+	if err != nil {
+		return uarch.KindBOOM
+	}
+	return t.Kind()
 }

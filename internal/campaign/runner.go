@@ -84,7 +84,7 @@ func (r *Runner) RunContext(ctx context.Context, specs []Spec) ([]Result, error)
 				progress.Logf("[%s] skipped: %v", spec.Name, ctx.Err())
 				return
 			}
-			progress.Logf("[%s] start: %d iterations on %v", spec.Name, spec.Opts.Iterations, spec.Opts.Core)
+			progress.Logf("[%s] start: %d iterations on %s", spec.Name, spec.Opts.Iterations, spec.Opts.Normalized().Target)
 			opts := spec.Opts
 			prev := opts.OnEpoch
 			opts.OnEpoch = func(done, total, coverage int) {

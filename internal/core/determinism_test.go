@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/uarch"
 )
 
@@ -127,10 +130,12 @@ func TestCampaignCancelResumeDeterministic(t *testing.T) {
 	}
 }
 
-// TestResumeStateValidation checks NewFuzzerFromState rejects snapshots
-// that cannot have come from the supplied options.
-func TestResumeStateValidation(t *testing.T) {
+// midCampaignSnapshot stops a 32-iteration, single-worker campaign at its
+// iteration-16 barrier and returns the snapshot.
+func midCampaignSnapshot(t *testing.T) *EngineState {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	opts := campaignOpts(1, 32)
 	opts.OnBarrier = func(b *Barrier) {
 		if b.Done == 16 {
@@ -138,10 +143,16 @@ func TestResumeStateValidation(t *testing.T) {
 		}
 	}
 	_, state := NewFuzzer(opts).RunContext(ctx)
-	cancel()
 	if state == nil {
 		t.Fatal("no snapshot produced")
 	}
+	return state
+}
+
+// TestResumeStateValidation checks NewFuzzerFromState rejects snapshots
+// that cannot have come from the supplied options.
+func TestResumeStateValidation(t *testing.T) {
+	state := midCampaignSnapshot(t)
 	mismatched := campaignOpts(1, 32)
 	mismatched.Seed = 999
 	if _, err := NewFuzzerFromState(state, mismatched); err == nil {
@@ -151,10 +162,58 @@ func TestResumeStateValidation(t *testing.T) {
 	if _, err := NewFuzzerFromState(state, workersOnly); err != nil {
 		t.Errorf("rejected workers-only difference: %v", err)
 	}
-	bad := *state
-	bad.Version = EngineStateVersion + 1
-	if _, err := NewFuzzerFromState(&bad, campaignOpts(1, 32)); err == nil {
-		t.Error("accepted snapshot with wrong version")
+	// Every engine-state version but the current one is refused, naming the
+	// version: 2 carried the retired EMA scheduler's weights (version 1 has
+	// its own test below).
+	for _, v := range []int{2, EngineStateVersion + 1} {
+		bad := *state
+		bad.Version = v
+		if _, err := NewFuzzerFromState(&bad, campaignOpts(1, 32)); err == nil {
+			t.Errorf("accepted snapshot with version %d", v)
+		} else if want := fmt.Sprintf("version %d", v); !strings.Contains(err.Error(), want) {
+			t.Errorf("version-%d refusal does not name the version: %v", v, err)
+		}
+	}
+	// A negative scheduler count is refused, naming the family.
+	neg := *state
+	neg.SchedState = append([]scenario.FamilyState(nil), state.SchedState...)
+	neg.SchedState[1].Picks = -2
+	if _, err := NewFuzzerFromState(&neg, campaignOpts(1, 32)); err == nil {
+		t.Error("accepted snapshot with a negative scheduler pick count")
+	} else if !strings.Contains(err.Error(), neg.SchedState[1].Name) {
+		t.Errorf("negative-count refusal does not name the family: %v", err)
+	}
+}
+
+// TestEngineStateV1Refused pins that pre-scheduler checkpoints are refused:
+// they predate per-family scheduling, so no posterior can be restored and
+// byte-identical resume is impossible.
+func TestEngineStateV1Refused(t *testing.T) {
+	v1 := *midCampaignSnapshot(t)
+	v1.Version = 1
+	if _, err := NewFuzzerFromState(&v1, campaignOpts(1, 32)); err == nil {
+		t.Fatal("version-1 engine state was accepted")
+	} else if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 refusal does not name the version: %v", err)
+	}
+}
+
+// TestResumeSchedulerMismatchFails: a snapshot whose options name the
+// retired "ema" policy cannot resume under the UCB default. The refusal
+// comes from the option-mismatch check and names the scheduler field with
+// both policies.
+func TestResumeSchedulerMismatchFails(t *testing.T) {
+	ema := *midCampaignSnapshot(t)
+	ema.Options.Scheduler = "ema"
+	if _, err := NewFuzzerFromState(&ema, campaignOpts(1, 32)); err == nil {
+		t.Fatal("accepted snapshot under the ema scheduler")
+	} else {
+		if !strings.Contains(err.Error(), "scheduler") {
+			t.Fatalf("mismatch error does not name the scheduler option: %v", err)
+		}
+		if !strings.Contains(err.Error(), "ema") || !strings.Contains(err.Error(), "ucb") {
+			t.Fatalf("mismatch error does not show both policies: %v", err)
+		}
 	}
 }
 

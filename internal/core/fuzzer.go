@@ -23,10 +23,9 @@ const corpusCap = 256
 // Options configures a fuzzing campaign.
 type Options struct {
 	// Target selects the registered design under test by name. Empty means
-	// the built-in uarch target for Core ("boom" or "xiangshan") — the
-	// legacy selection path; Normalized canonicalises it.
+	// DefaultTarget; Normalized canonicalises it. The target's Kind()
+	// supplies the core personality.
 	Target string
-	Core   uarch.CoreKind
 	Seed   int64
 	// Iterations is the campaign length. Zero is a valid (empty) campaign;
 	// callers wanting the engine default should use DefaultOptions.
@@ -55,13 +54,11 @@ type Options struct {
 	// streams, is serialised into checkpoints, and a resume with a
 	// different set fails with an option-mismatch error.
 	Scenarios []string
-	// Scheduler selects the scenario-scheduling policy: "ucb" (the default —
-	// a deterministic UCB1 bandit that tries every enabled family before
-	// exploiting any and never starves one) or "ema" (the legacy
-	// EMA-with-floor, kept for A/B comparison; it can starve families).
-	// Like Scenarios it is determinism-relevant: it reshapes the stimulus
-	// streams, is serialised into checkpoints, and a resume under a
-	// different policy fails with an option-mismatch error.
+	// Scheduler names the scenario-scheduling policy. The only policy is
+	// "ucb", a deterministic UCB1 bandit that tries every enabled family
+	// before exploiting any and never starves one; empty selects it. It is
+	// serialised into checkpoints, so a checkpoint naming any other policy
+	// fails the option-mismatch check on resume.
 	Scheduler string
 	// Variant selects derived (DejaVuzz) or random (DejaVuzz*) training.
 	Variant gen.Variant
@@ -142,7 +139,7 @@ func (o Options) Normalized() Options {
 		o.Iterations = 0
 	}
 	if o.Target == "" {
-		o.Target = BuiltinTargetName(o.Core)
+		o.Target = DefaultTarget
 	}
 	o.Scenarios = normalizeScenarios(o.Scenarios)
 	if o.Scheduler == "" {
@@ -185,13 +182,6 @@ func ValidateScenarios(names []string) error {
 		}
 	}
 	return nil
-}
-
-// ValidateSchedulerPolicy checks a scheduler policy name against the known
-// policies; empty is valid and selects the default.
-func ValidateSchedulerPolicy(name string) error {
-	_, err := scenario.ParsePolicy(name)
-	return err
 }
 
 // ValidateWarmStart checks a warm-start seed set and frontier prior
@@ -260,7 +250,6 @@ func (o Options) DiffFrom(other Options) []string {
 		}
 	}
 	add("target", a.Target, b.Target)
-	add("core", a.Core, b.Core)
 	add("seed", a.Seed, b.Seed)
 	add("iterations", a.Iterations, b.Iterations)
 	add("shards", a.Shards, b.Shards)
@@ -339,7 +328,6 @@ func frontierPriorDigest(prior []scenario.Prior) string {
 func DefaultOptions(core uarch.CoreKind) Options {
 	return Options{
 		Target:              BuiltinTargetName(core),
-		Core:                core,
 		Seed:                1,
 		Iterations:          100,
 		Workers:             1,
@@ -399,15 +387,14 @@ type ScenarioStat struct {
 	// Findings counts the family's reported findings.
 	Findings int `json:"findings"`
 	// Weight is the scheduler's sampling weight after the latest barrier:
-	// MeanYield+ExplorationBonus under the UCB policy, the EMA value under
-	// the legacy policy.
+	// MeanYield+ExplorationBonus.
 	Weight float64 `json:"weight"`
 	// MeanYield is the family's posterior mean yield per pick — cumulative
 	// points plus bonused findings over cumulative picks (0 while untried).
 	MeanYield float64 `json:"mean_yield"`
 	// ExplorationBonus is the bandit's optimism term: it grows for families
 	// the campaign has not looked at recently, which is what guarantees no
-	// family starves. Zero under the legacy EMA policy.
+	// family starves.
 	ExplorationBonus float64 `json:"exploration_bonus"`
 	// FirstFindingIter is the iteration of the family's first finding
 	// (-1 when it has none yet) — the time-to-first-finding probe.
@@ -423,8 +410,7 @@ type Report struct {
 	Coverage  int
 	Sims      int
 	Duration  time.Duration
-	FirstBug  time.Duration // time to first finding (0 if none)
-	DeadSinks int           // findings suppressed by liveness analysis
+	DeadSinks int // findings suppressed by liveness analysis
 }
 
 // CoverageHistory returns cumulative coverage per iteration (Figure 7 series).
@@ -455,12 +441,10 @@ type ShardState struct {
 	WarmConsumed int `json:"warm_consumed,omitempty"`
 }
 
-// EngineStateVersion guards the checkpoint format against drift between
-// PRs. Version 3 replaced the EMA scheduler's bare weight vector with the
-// bandit posterior (per-family cumulative picks/points/findings plus
-// weight); version-2 checkpoints migrate on load (see Migrate). Version-1
-// checkpoints predate the scheduler and cannot resume byte-identically, so
-// they are refused.
+// EngineStateVersion guards the checkpoint format against drift. Version 3
+// carries the bandit scheduler's posterior (per-family cumulative
+// picks/points/findings plus weight) in SchedState; any other version is
+// refused (see Migrate).
 const EngineStateVersion = 3
 
 // EngineState is a resumable mid-campaign snapshot, taken at a merge
@@ -490,48 +474,18 @@ type EngineState struct {
 	// findings) and sampling weight. It is determinism-relevant: the next
 	// epoch's family picks depend on it, so resume must restore it exactly.
 	SchedState []scenario.FamilyState `json:"sched_state,omitempty"`
-	// SchedWeights is the version-2 weight vector, decoded only so Migrate
-	// can seed the posterior from a legacy checkpoint; version-3 snapshots
-	// never write it.
-	SchedWeights []scenario.Weight `json:"sched_weights,omitempty"`
 	// Scenarios are the cumulative per-family statistics.
 	Scenarios []ScenarioStat `json:"scenario_stats"`
 }
 
-// Migrate upgrades a decoded engine state to the current version in place.
-// A version-2 checkpoint (the EMA-scheduler era) carried only a per-family
-// weight vector; the bandit posterior is seeded from the checkpointed
-// ScenarioStat picks/points/findings, joined with the legacy weights, so
-// the resumed scheduler starts from everything the checkpoint knew. Legacy
-// checkpoints name no scheduler policy, so they resume under the campaign's
-// policy — the UCB default unless the caller says otherwise — which applies
-// the starvation fix to in-flight campaigns. Version 1 predates scenario
-// scheduling entirely and is refused, as before.
+// Migrate checks a decoded engine state's version: any version but
+// EngineStateVersion is refused with an error naming it, since only the
+// current format resumes byte-identically.
 func (st *EngineState) Migrate() error {
-	switch st.Version {
-	case EngineStateVersion:
-		return nil
-	case 2:
-		stats := make(map[string]ScenarioStat, len(st.Scenarios))
-		for _, cs := range st.Scenarios {
-			stats[cs.Name] = cs
-		}
-		st.SchedState = make([]scenario.FamilyState, 0, len(st.SchedWeights))
-		for _, w := range st.SchedWeights {
-			cs := stats[w.Name]
-			st.SchedState = append(st.SchedState, scenario.FamilyState{
-				Name:     w.Name,
-				Picks:    cs.Picks,
-				Points:   cs.Points,
-				Findings: cs.Findings,
-				Weight:   w.Weight,
-			})
-		}
-		st.SchedWeights = nil
-		st.Version = EngineStateVersion
-		return nil
+	if st.Version != EngineStateVersion {
+		return fmt.Errorf("core: engine state version %d, want %d", st.Version, EngineStateVersion)
 	}
-	return fmt.Errorf("core: engine state version %d, want %d", st.Version, EngineStateVersion)
+	return nil
 }
 
 // HarvestedSeed is one corpus-worthy stimulus surfaced at a merge
@@ -584,6 +538,7 @@ func (b *Barrier) Snapshot() *EngineState { return b.snapshot() }
 // Fuzzer is the DejaVuzz fuzzing manager.
 type Fuzzer struct {
 	opts     Options
+	kind     uarch.CoreKind // the target's core personality
 	cfg      uarch.Config
 	gen      *gen.Generator
 	coverage *Coverage
@@ -610,9 +565,9 @@ type Fuzzer struct {
 	started    bool
 }
 
-// NewFuzzer builds a fuzzer for the options. The options' Target (or, when
-// empty, Core) must name a registered target; an unknown name panics —
-// validate with LookupTarget first when the name is user-supplied.
+// NewFuzzer builds a fuzzer for the options. The options' Target (empty
+// means DefaultTarget) must name a registered target; an unknown name
+// panics — validate with LookupTarget first when the name is user-supplied.
 func NewFuzzer(opts Options) *Fuzzer {
 	opts = opts.Normalized()
 	t, err := LookupTarget(opts.Target)
@@ -622,8 +577,7 @@ func NewFuzzer(opts Options) *Fuzzer {
 	if err := ValidateScenarios(opts.Scenarios); err != nil {
 		panic(fmt.Sprintf("core: NewFuzzer: %v", err))
 	}
-	opts.Core = t.Kind()
-	cfg := uarch.ConfigFor(opts.Core)
+	cfg := uarch.ConfigFor(t.Kind())
 	if opts.Bugless {
 		cfg.Bugs = uarch.BugSet{}
 	}
@@ -647,6 +601,7 @@ func NewFuzzer(opts Options) *Fuzzer {
 	}
 	f := &Fuzzer{
 		opts:     opts,
+		kind:     t.Kind(),
 		cfg:      cfg,
 		gen:      gen.New(opts.Seed),
 		coverage: NewCoverage(),
@@ -702,9 +657,6 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil engine state")
 	}
-	// Legacy snapshots upgrade in place (v2's weight vector becomes a seeded
-	// bandit posterior); unknown versions — including the pre-scheduler v1 —
-	// are refused here.
 	if err := st.Migrate(); err != nil {
 		return nil, err
 	}
@@ -755,8 +707,8 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		s.warmNext = st.Shards[i].WarmConsumed
 	}
 	// Restore the scheduler exactly as it was at the barrier: the next
-	// epoch's family picks depend on its posterior (UCB) or weights (EMA),
-	// so a lossy restore would silently break byte-identical resume.
+	// epoch's family picks depend on its posterior, so a lossy restore
+	// would silently break byte-identical resume.
 	policy, err := scenario.ParsePolicy(norm.Scheduler)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -899,7 +851,7 @@ func (s *shard) nextSeed() gen.Seed {
 	// Fresh seeds draw their family through the campaign's coverage-adaptive
 	// scheduler (read-only during the epoch; the shard's own RNG supplies
 	// the randomness, so streams stay worker-independent).
-	sd := s.gen.ScheduledSeed(s.f.opts.Core, s.f.sched)
+	sd := s.gen.ScheduledSeed(s.f.kind, s.f.sched)
 	sd.Variant = s.f.opts.Variant
 	return sd
 }
@@ -961,7 +913,7 @@ func (s *shard) runIteration(iter int) IterStat {
 // Run executes the campaign and returns its report. Reports are
 // deterministic in (Seed, Iterations, Shards, MergeEvery): the same options
 // yield byte-identical Findings, Iters and Coverage whether Workers is 1 or
-// 16 (only Duration and the wall-clock FirstBug estimate vary).
+// 16 (only the wall-clock Duration varies).
 //
 // A Fuzzer executes at most one campaign: since it carries the campaign's
 // cross-epoch state (for barrier snapshots and resume), a second
@@ -983,7 +935,7 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		panic("core: Fuzzer.Run called twice (a Fuzzer executes at most one campaign; build a fresh one)")
 	}
 	f.started = true
-	start := time.Now() //dvz:wallclock Report.Duration/FirstBug are measurement-only and documented as excluded from byte-identity
+	start := time.Now() //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
 	n := f.opts.Iterations
 	mergeEvery := f.opts.MergeEvery
 	numShards := f.opts.Shards
@@ -1135,7 +1087,6 @@ func (f *Fuzzer) finalize(start time.Time) *Report {
 	// recorded when that epoch's deltas were absorbed.
 	cum := 0
 	epoch := 0
-	firstBug := time.Duration(0)
 	for i := 0; i < n; i++ {
 		cum += f.iters[i].NewPoints
 		if epoch < len(f.marks) {
@@ -1149,11 +1100,6 @@ func (f *Fuzzer) finalize(start time.Time) *Report {
 		}
 		f.iters[i].Coverage = cum
 		rep.Sims += f.iters[i].Sims
-		if f.iters[i].Finding && firstBug == 0 {
-			// Approximate time-to-first-bug by proportion of wall time.
-			//dvz:wallclock Report.FirstBug is measurement-only and documented as excluded from byte-identity
-			firstBug = time.Duration(float64(time.Since(start)) * float64(i+1) / float64(n))
-		}
 	}
 	rep.Findings = append(rep.Findings, f.findings...)
 	sort.Slice(rep.Findings, func(i, j int) bool {
@@ -1164,6 +1110,5 @@ func (f *Fuzzer) finalize(start time.Time) *Report {
 	rep.Scenarios = f.scenarioStats()
 	rep.Coverage = f.coverage.Count()
 	rep.Duration = time.Since(start) //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
-	rep.FirstBug = firstBug
 	return rep
 }

@@ -21,7 +21,7 @@ func (s TrainStats) Triggerable() bool { return s.Successes > 0 }
 func (f *Fuzzer) MeasureTraining(trigger gen.TriggerType, variant gen.Variant, attempts int) TrainStats {
 	st := TrainStats{}
 	for i := 0; i < attempts; i++ {
-		seed := f.gen.SeedFor(f.opts.Core, trigger, variant)
+		seed := f.gen.SeedFor(f.kind, trigger, variant)
 		p1, err := f.Phase1(seed)
 		if err != nil {
 			continue
@@ -41,7 +41,7 @@ func (f *Fuzzer) MeasureTraining(trigger gen.TriggerType, variant gen.Variant, a
 // NewSeedFor exposes deterministic seed construction for experiment
 // harnesses and examples.
 func (f *Fuzzer) NewSeedFor(trigger gen.TriggerType, variant gen.Variant) gen.Seed {
-	return f.gen.SeedFor(f.opts.Core, trigger, variant)
+	return f.gen.SeedFor(f.kind, trigger, variant)
 }
 
 // Generator exposes the underlying stimulus generator.

@@ -48,7 +48,7 @@ func TestPhase1TriggersAllWindowTypes(t *testing.T) {
 func TestPhase1RandomVariantAsymmetry(t *testing.T) {
 	triggeredJalr := false
 	f := NewFuzzer(Options{
-		Core: uarch.KindXiangShan, Seed: 7, Iterations: 1, Workers: 1,
+		Target: "xiangshan", Seed: 7, Iterations: 1, Workers: 1,
 		MaxCycles: 20000, Variant: gen.VariantRandom,
 		UseCoverageFeedback: true, UseLiveness: true, UseReduction: true,
 	})

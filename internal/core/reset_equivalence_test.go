@@ -10,7 +10,7 @@ import (
 // TestCampaignResetEquivalence is the acceptance test for the per-shard
 // execution contexts: a campaign whose shards reuse long-lived contexts
 // (Reset between iterations) must produce a report byte-identical — modulo
-// the wall-clock Duration/FirstBug fields, which the fingerprint excludes —
+// the wall-clock Duration field, which the fingerprint excludes —
 // to one whose simulations construct all DUT state from scratch, across
 // both built-in uarch targets and both worker counts. Run under -race in CI,
 // this also exercises the no-shared-state claim of the shard contexts.
@@ -22,7 +22,6 @@ func TestCampaignResetEquivalence(t *testing.T) {
 				iterations = 24
 			}
 			fresh := campaignOpts(1, iterations)
-			fresh.Core = kind
 			fresh.Target = BuiltinTargetName(kind)
 			fresh.FreshContexts = true
 			want := fingerprint(NewFuzzer(fresh).Run())
@@ -32,7 +31,6 @@ func TestCampaignResetEquivalence(t *testing.T) {
 
 			for _, workers := range []int{1, 8} {
 				reuse := campaignOpts(workers, iterations)
-				reuse.Core = kind
 				reuse.Target = BuiltinTargetName(kind)
 				got := fingerprint(NewFuzzer(reuse).Run())
 				if !reflect.DeepEqual(want, got) {

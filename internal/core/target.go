@@ -120,8 +120,11 @@ func Targets() []string {
 	return out
 }
 
-// BuiltinTargetName maps a core kind onto its built-in uarch target name —
-// the legacy Options.Core selection path.
+// DefaultTarget is the target an empty Options.Target selects.
+const DefaultTarget = "boom"
+
+// BuiltinTargetName maps a core kind onto its built-in uarch target name
+// (DefaultOptions and repro-seed replay select targets this way).
 func BuiltinTargetName(k uarch.CoreKind) string {
 	if k == uarch.KindXiangShan {
 		return "xiangshan"

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
@@ -38,10 +37,12 @@ type Table5Row struct {
 
 // Table5Result is the bug-hunt outcome per core.
 type Table5Result struct {
-	Core     uarch.CoreKind
-	Rows     map[string]*Table5Row // by attack type
-	FirstBug time.Duration
-	Findings int
+	Core uarch.CoreKind
+	Rows map[string]*Table5Row // by attack type
+	// FirstFinding is the campaign iteration of the first finding (-1 if
+	// none).
+	FirstFinding int
+	Findings     int
 }
 
 // Table5 runs full DejaVuzz campaigns on both (bug-enabled) cores and
@@ -76,7 +77,10 @@ func Table5(w io.Writer, iterations int, seed int64, opts ...Option) ([]Table5Re
 			continue // interrupted before this core's campaign finished
 		}
 
-		res := Table5Result{Core: kind, Rows: map[string]*Table5Row{}, FirstBug: rep.FirstBug}
+		res := Table5Result{Core: kind, Rows: map[string]*Table5Row{}, FirstFinding: -1}
+		if len(rep.Findings) > 0 {
+			res.FirstFinding = rep.Findings[0].Iteration
+		}
 		for _, f := range rep.Findings {
 			res.Findings++
 			row := res.Rows[f.AttackType]
@@ -101,7 +105,7 @@ func Table5(w io.Writer, iterations int, seed int64, opts ...Option) ([]Table5Re
 
 	fmt.Fprintln(w, "Table 5: Summary of discovered transient execution bugs")
 	for _, r := range out {
-		fmt.Fprintf(w, "\n[%v] findings=%d first-bug=%v\n", r.Core, r.Findings, r.FirstBug.Round(time.Millisecond))
+		fmt.Fprintf(w, "\n[%v] findings=%d first-finding-iter=%d\n", r.Core, r.Findings, r.FirstFinding)
 		var attacks []string
 		for a := range r.Rows {
 			attacks = append(attacks, a)

@@ -236,7 +236,7 @@ func All() []Scenario {
 
 // ByTrigger returns the canonical family for a legacy trigger class — the
 // compatibility seam for TriggerType-era callers (seeds without a family
-// name, SpecDoctor's per-trigger generator, triage of pre-scenario stores).
+// name, SpecDoctor's per-trigger generator).
 // Lock-free, like Lookup.
 func ByTrigger(t TriggerType) Scenario {
 	s, ok := reg.Load().canonical[t]
@@ -244,16 +244,4 @@ func ByTrigger(t TriggerType) Scenario {
 		panic(fmt.Sprintf("scenario: no canonical family for trigger %v", t))
 	}
 	return s
-}
-
-// ByWindowName resolves the canonical family whose legacy trigger class
-// renders as the given display string (TriggerType.String values) — the
-// migration path for stores that predate scenario-aware signatures.
-func ByWindowName(window string) (Scenario, bool) {
-	for _, t := range AllTriggerTypes() {
-		if t.String() == window {
-			return ByTrigger(t), true
-		}
-	}
-	return nil, false
 }

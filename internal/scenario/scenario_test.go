@@ -64,11 +64,6 @@ func TestCanonicalCoversAllTriggers(t *testing.T) {
 			t.Errorf("family %q canonical for two triggers", fam.Name())
 		}
 		seen[fam.Name()] = true
-		// The display-name migration mapping must round-trip.
-		byWin, ok := scenario.ByWindowName(tr.String())
-		if !ok || byWin.Name() != fam.Name() {
-			t.Errorf("ByWindowName(%q) = %v, want %q", tr.String(), byWin, fam.Name())
-		}
 	}
 }
 
@@ -134,10 +129,11 @@ func TestEveryFamilyBuildsQuick(t *testing.T) {
 }
 
 func TestSchedulerPickDistributionFollowsYield(t *testing.T) {
-	// Exercised under both policies: a family that keeps yielding must end
-	// up over-sampled relative to dry ones, and no family may hit zero.
-	for _, policy := range []scenario.Policy{scenario.PolicyUCB, scenario.PolicyEMA} {
-		t.Run(string(policy), func(t *testing.T) {
+	// A family that keeps yielding must end up over-sampled relative to dry
+	// ones, and no family may hit zero.
+	for _, sp := range policySpellings {
+		policy := sp.policy
+		t.Run(sp.name, func(t *testing.T) {
 			fams := []string{"a", "b", "c"}
 			sch, err := scenario.NewScheduler(fams, policy)
 			if err != nil {
@@ -162,7 +158,7 @@ func TestSchedulerPickDistributionFollowsYield(t *testing.T) {
 			if counts["b"] <= counts["a"] || counts["b"] <= counts["c"] {
 				t.Fatalf("pick distribution ignores weights: %v", counts)
 			}
-			// Exploration (UCB bonus / EMA floor) keeps the dry families alive.
+			// The exploration bonus keeps the dry families alive.
 			if counts["a"] == 0 || counts["c"] == 0 {
 				t.Fatalf("exploration starved a family: %v", counts)
 			}
@@ -171,8 +167,9 @@ func TestSchedulerPickDistributionFollowsYield(t *testing.T) {
 }
 
 func TestSchedulerStateRoundTrip(t *testing.T) {
-	for _, policy := range []scenario.Policy{scenario.PolicyUCB, scenario.PolicyEMA} {
-		t.Run(string(policy), func(t *testing.T) {
+	for _, sp := range policySpellings {
+		policy := sp.policy
+		t.Run(sp.name, func(t *testing.T) {
 			fams := []string{"x", "y"}
 			sch, err := scenario.NewScheduler(fams, policy)
 			if err != nil {
@@ -196,6 +193,22 @@ func TestSchedulerStateRoundTrip(t *testing.T) {
 			// A different family set must be refused (the checkpoint-safety seam).
 			if _, err := scenario.NewSchedulerFromState([]string{"x"}, policy, sch.State()); err == nil {
 				t.Fatal("state restore accepted a mismatched family set")
+			}
+			// A negative count must be refused, naming the family: a negative
+			// pick count would otherwise read as untried and take every
+			// forced-exploration pick.
+			for _, corrupt := range []func(*scenario.FamilyState){
+				func(fs *scenario.FamilyState) { fs.Picks = -2 },
+				func(fs *scenario.FamilyState) { fs.Points = -1 },
+				func(fs *scenario.FamilyState) { fs.Findings = -1 },
+			} {
+				st := sch.State()
+				corrupt(&st[1])
+				if _, err := scenario.NewSchedulerFromState(fams, policy, st); err == nil {
+					t.Fatalf("state restore accepted negative counts %+v", st[1])
+				} else if !strings.Contains(err.Error(), `"y"`) {
+					t.Fatalf("negative-count refusal does not name the family: %v", err)
+				}
 			}
 		})
 	}

@@ -10,21 +10,12 @@ import (
 // Policy names the scenario-scheduling algorithm a campaign uses.
 type Policy string
 
-const (
-	// PolicyUCB is the default: a deterministic UCB1 bandit over each
-	// family's cumulative yield per pick. Every enabled family is tried
-	// before any is exploited, a family's score never decays without new
-	// evidence about it, and the optimism bonus grows for rarely-picked
-	// families — so no family ever starves.
-	PolicyUCB Policy = "ucb"
-	// PolicyEMA is the legacy exponential-moving-average policy with an
-	// exploration floor, kept reachable behind -scheduler=ema so the fix is
-	// A/B-able. It has a starvation bug: families unpicked in an epoch decay
-	// toward the floor despite zero new evidence about them, so an unlucky
-	// first epoch is permanent (the BENCH_campaign.json run that motivated
-	// PolicyUCB left two families at 0 picks in 128 iterations).
-	PolicyEMA Policy = "ema"
-)
+// PolicyUCB is the scheduling policy: a deterministic UCB1 bandit over
+// each family's cumulative yield per pick. Every enabled family is tried
+// before any is exploited, a family's score never decays without new
+// evidence about it, and the optimism bonus grows for rarely-picked
+// families — so no family ever starves.
+const PolicyUCB Policy = "ucb"
 
 // DefaultPolicy is the policy campaigns use when none is named.
 const DefaultPolicy = PolicyUCB
@@ -36,14 +27,11 @@ func ParsePolicy(name string) (Policy, error) {
 		return DefaultPolicy, nil
 	case string(PolicyUCB):
 		return PolicyUCB, nil
-	case string(PolicyEMA):
-		return PolicyEMA, nil
 	}
-	return "", fmt.Errorf("scenario: unknown scheduler policy %q (want %q or %q)", name, PolicyUCB, PolicyEMA)
+	return "", fmt.Errorf("scenario: unknown scheduler policy %q (want %q)", name, PolicyUCB)
 }
 
-// Scheduler yield-signal constants, shared by both policies, plus the
-// EMA-policy weight-update constants.
+// Scheduler yield-signal and exploration constants.
 const (
 	// findingBonus converts one finding into equivalent coverage points for
 	// the yield signal (findings are the scarcer, higher-value event).
@@ -54,15 +42,6 @@ const (
 	// mean yield (the reward-range normalisation UCB1's [0,1] analysis
 	// assumes).
 	ucbExploration = 2.0
-	// schedAlpha is the EMA retention: how much of the previous weight
-	// survives one barrier update (PolicyEMA only).
-	schedAlpha = 0.5
-	// minWeight is the exploration floor every EMA weight is clamped to, as
-	// a fraction of the uniform weight 1.0.
-	minWeight = 0.25
-	// maxWeight bounds runaway EMA winners so a hot family cannot crowd the
-	// rest out within a few barriers.
-	maxWeight = 16.0
 )
 
 // Yield is one family's observed outcome over an epoch: how often it was
@@ -71,15 +50,6 @@ type Yield struct {
 	Picks    int
 	Points   int
 	Findings int
-}
-
-// Weight is the version-2 engine-checkpoint serialisation unit — one
-// (family, sampling weight) pair. Current checkpoints serialise FamilyState
-// instead; Weight survives only so legacy checkpoints can be decoded and
-// migrated.
-type Weight struct {
-	Name   string  `json:"name"`
-	Weight float64 `json:"weight"`
 }
 
 // Prior is one family's warm-start evidence: cross-campaign frontier
@@ -108,10 +78,9 @@ const priorPickCap = 16
 // FamilyState is one family's cumulative scheduler posterior — picks,
 // coverage points and findings since campaign start — plus its current
 // sampling weight. It is the serialisation unit of the scheduler state
-// (version-3 engine checkpoints embed it). Under PolicyUCB the weight is a
-// pure function of the posterior and is recomputed on restore; under
-// PolicyEMA the weight itself is the state and the posterior only feeds
-// reporting.
+// (version-3 engine checkpoints embed it). The weight is a pure function of
+// the posterior: checkpoints carry it for readers, and restore recomputes
+// it.
 type FamilyState struct {
 	Name     string  `json:"name"`
 	Picks    int     `json:"picks"`
@@ -127,10 +96,9 @@ type FamilyState struct {
 // with the epoch's merged per-family yield, in fixed order, so the
 // scheduling trajectory is a pure function of the campaign's deterministic
 // history — worker-count independence and cancel+resume byte-identity carry
-// over for either policy.
+// over.
 type Scheduler struct {
-	policy Policy
-	names  []string // sorted
+	names []string // sorted
 
 	// Cumulative posterior, parallel to names: total picks, coverage points
 	// and findings per family since campaign start. Never decays — absence
@@ -141,20 +109,18 @@ type Scheduler struct {
 	total    int // sum of picks
 
 	// weights is the sampling vector Pick draws from: UCB scores (mean
-	// yield + exploration bonus, recomputed from the posterior at every
-	// Update) or EMA weights (updated in place with decay and floor).
+	// yield + exploration bonus), recomputed from the posterior at every
+	// Update.
 	weights []float64
 	// means/bonuses decompose each family's score for reporting: posterior
-	// mean yield per pick and the optimism term. Under PolicyEMA bonuses
-	// are zero and means are informational only.
+	// mean yield per pick and the optimism term.
 	means   []float64
 	bonuses []float64
-	// untried indexes families with zero cumulative picks. Under PolicyUCB,
-	// Pick draws exclusively (and uniformly) from it while it is non-empty,
-	// so every enabled family is tried before any is exploited; each merge
-	// barrier removes the families the epoch reached, so in the worst case
-	// full coverage takes families×(picks per epoch) iterations. PolicyEMA
-	// leaves it empty (preserving the legacy sampling exactly).
+	// untried indexes families with zero cumulative picks. Pick draws
+	// exclusively (and uniformly) from it while it is non-empty, so every
+	// enabled family is tried before any is exploited; each merge barrier
+	// removes the families the epoch reached, so in the worst case full
+	// coverage takes families×(picks per epoch) iterations.
 	untried []int
 }
 
@@ -164,8 +130,7 @@ type Scheduler struct {
 // and previously panicked inside Pick instead of failing at construction.
 // Names are sorted internally; registration or option order never matters.
 func NewScheduler(families []string, policy Policy) (*Scheduler, error) {
-	pol, err := ParsePolicy(string(policy))
-	if err != nil {
+	if _, err := ParsePolicy(string(policy)); err != nil {
 		return nil, err
 	}
 	if len(families) == 0 {
@@ -179,7 +144,6 @@ func NewScheduler(families []string, policy Policy) (*Scheduler, error) {
 		}
 	}
 	s := &Scheduler{
-		policy:   pol,
 		names:    names,
 		picks:    make([]int, len(names)),
 		points:   make([]int, len(names)),
@@ -187,9 +151,6 @@ func NewScheduler(families []string, policy Policy) (*Scheduler, error) {
 		weights:  make([]float64, len(names)),
 		means:    make([]float64, len(names)),
 		bonuses:  make([]float64, len(names)),
-	}
-	for i := range s.weights {
-		s.weights[i] = 1.0
 	}
 	s.refresh()
 	return s, nil
@@ -242,10 +203,11 @@ func NewSchedulerWithPrior(families []string, policy Policy, prior []Prior) (*Sc
 }
 
 // NewSchedulerFromState restores a scheduler from checkpointed per-family
-// state. The state must cover exactly the given families. Under PolicyUCB
-// the weights are recomputed from the restored posterior (they are a pure
-// function of it, so resume is byte-identical by construction); under
-// PolicyEMA the stored weights are the state and are kept as-is.
+// state. The state must cover exactly the given families, with no negative
+// count: a negative pick count would read as untried and hand the family
+// every forced-exploration pick. The weights are recomputed from the
+// restored posterior (they are a pure function of it, so resume is
+// byte-identical by construction).
 func NewSchedulerFromState(families []string, policy Policy, st []FamilyState) (*Scheduler, error) {
 	s, err := NewScheduler(families, policy)
 	if err != nil {
@@ -264,25 +226,24 @@ func NewSchedulerFromState(families []string, policy Policy, st []FamilyState) (
 		if !ok {
 			return nil, fmt.Errorf("scenario: checkpoint carries no scheduler state for family %q", n)
 		}
+		if fs.Picks < 0 || fs.Points < 0 || fs.Findings < 0 {
+			return nil, fmt.Errorf("scenario: checkpoint scheduler state for family %q has negative counts (picks %d, points %d, findings %d)",
+				n, fs.Picks, fs.Points, fs.Findings)
+		}
 		s.picks[i], s.points[i], s.findings[i] = fs.Picks, fs.Points, fs.Findings
-		s.weights[i] = fs.Weight
 		s.total += fs.Picks
 	}
 	s.refresh()
 	return s, nil
 }
 
-// Policy returns the scheduler's policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Names returns the scheduler's families, sorted.
 func (s *Scheduler) Names() []string { return append([]string(nil), s.names...) }
 
 // Pick draws one family name using the caller's RNG (each campaign shard
-// passes its own deterministic stream). Under PolicyUCB, while any family
-// has never been picked, the draw is uniform over exactly those — forced
-// exploration — and only afterwards score-proportional; under PolicyEMA it
-// is the legacy weight-proportional draw.
+// passes its own deterministic stream). While any family has never been
+// picked, the draw is uniform over exactly those — forced exploration — and
+// only afterwards score-proportional.
 func (s *Scheduler) Pick(rng *rand.Rand) string {
 	if len(s.names) == 1 {
 		return s.names[0]
@@ -313,8 +274,7 @@ func (s *Scheduler) WeightOf(name string) float64 {
 
 // Probe returns one family's current sampling weight, posterior mean yield
 // per pick, and exploration bonus (all zero if the family is not
-// scheduled). Weight is mean+bonus under PolicyUCB; under PolicyEMA the
-// bonus is zero and the weight is the EMA value.
+// scheduled). Weight is mean+bonus.
 func (s *Scheduler) Probe(name string) (weight, mean, bonus float64) {
 	for i, n := range s.names {
 		if n == name {
@@ -325,13 +285,10 @@ func (s *Scheduler) Probe(name string) (weight, mean, bonus float64) {
 }
 
 // Update folds one epoch's merged per-family yield into the cumulative
-// posterior, then refreshes the sampling weights: UCB scores recomputed
-// from the posterior, or the legacy EMA decay-toward-floor. A family absent
-// from the epoch's yield keeps its posterior untouched under PolicyUCB —
-// no evidence, no change (its score can only grow, via the bonus) — which
-// is exactly the decay-on-no-evidence starvation bug PolicyEMA retains for
-// comparison. Update must only be called at merge barriers (no Pick
-// concurrently).
+// posterior, then recomputes the UCB scores from it. A family absent from
+// the epoch's yield keeps its posterior untouched — no evidence, no change
+// (its score can only grow, via the bonus), so it cannot starve. Update
+// must only be called at merge barriers (no Pick concurrently).
 func (s *Scheduler) Update(yield map[string]Yield) {
 	for i, n := range s.names {
 		y := yield[n]
@@ -339,27 +296,13 @@ func (s *Scheduler) Update(yield map[string]Yield) {
 		s.points[i] += y.Points
 		s.findings[i] += y.Findings
 		s.total += y.Picks
-		if s.policy == PolicyEMA {
-			rate := 0.0
-			if y.Picks > 0 {
-				rate = (float64(y.Points) + findingBonus*float64(y.Findings)) / float64(y.Picks)
-			}
-			w := schedAlpha*s.weights[i] + (1-schedAlpha)*rate
-			if w < minWeight {
-				w = minWeight
-			}
-			if w > maxWeight {
-				w = maxWeight
-			}
-			s.weights[i] = w
-		}
 	}
 	s.refresh()
 }
 
 // refresh derives means, bonuses, UCB weights and the untried set from the
 // cumulative posterior. It is a pure function of the posterior, which is
-// what makes checkpoint restore byte-identical under PolicyUCB.
+// what makes checkpoint restore byte-identical.
 func (s *Scheduler) refresh() {
 	scale := 1.0
 	for i := range s.names {
@@ -371,14 +314,6 @@ func (s *Scheduler) refresh() {
 		if s.means[i] > scale {
 			scale = s.means[i]
 		}
-	}
-	if s.policy == PolicyEMA {
-		// EMA owns its weight vector (updated in Update); the posterior only
-		// feeds the reported means.
-		for i := range s.bonuses {
-			s.bonuses[i] = 0
-		}
-		return
 	}
 	logN := math.Log(float64(s.total) + 1)
 	s.untried = s.untried[:0]

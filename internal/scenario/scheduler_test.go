@@ -10,7 +10,18 @@ import (
 // The scheduler property suite. The engine contract being checked: Pick is
 // read-only during an epoch (drawing from the caller's RNG against frozen
 // weights), Update runs once per merge barrier with the epoch's merged
-// yield, and under PolicyUCB no enabled family can starve.
+// yield, and no enabled family can starve.
+
+// policySpellings are the two accepted names of the scheduling policy:
+// empty (the default) and "ucb". The table-driven tests run under both, so
+// the default spelling can never drift from the named policy.
+var policySpellings = []struct {
+	name   string
+	policy scenario.Policy
+}{
+	{"default", ""},
+	{"ucb", scenario.PolicyUCB},
+}
 
 func TestNewSchedulerRejectsEmptyFamilySet(t *testing.T) {
 	// Regression: the old constructor accepted an empty set and Pick then
@@ -18,7 +29,7 @@ func TestNewSchedulerRejectsEmptyFamilySet(t *testing.T) {
 	if _, err := scenario.NewScheduler(nil, scenario.PolicyUCB); err == nil {
 		t.Fatal("NewScheduler accepted a nil family set")
 	}
-	if _, err := scenario.NewScheduler([]string{}, scenario.PolicyEMA); err == nil {
+	if _, err := scenario.NewScheduler([]string{}, scenario.PolicyUCB); err == nil {
 		t.Fatal("NewScheduler accepted an empty family set")
 	}
 }
@@ -40,7 +51,7 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"", scenario.DefaultPolicy, true},
 		{"ucb", scenario.PolicyUCB, true},
-		{"ema", scenario.PolicyEMA, true},
+		{"ema", "", false},
 		{"UCB", "", false},
 		{"greedy", "", false},
 	}
@@ -155,8 +166,7 @@ func TestUCBRegretSanity(t *testing.T) {
 
 // TestUCBNeverDecaysWithoutEvidence pins the fix itself: a family that goes
 // unpicked for many consecutive barriers must never lose weight — absence
-// of picks is absence of evidence. (Under the legacy EMA its weight would
-// halve per barrier down to the floor; see the EMA characterisation test.)
+// of picks is absence of evidence.
 func TestUCBNeverDecaysWithoutEvidence(t *testing.T) {
 	sch, err := scenario.NewScheduler([]string{"busy", "idle"}, scenario.PolicyUCB)
 	if err != nil {
@@ -180,40 +190,13 @@ func TestUCBNeverDecaysWithoutEvidence(t *testing.T) {
 	}
 }
 
-// TestEMADecaysToFloorWithoutEvidence characterises the legacy starvation
-// bug the bandit fixes, so the A/B comparison stays honest: under
-// PolicyEMA an unpicked family halves per barrier down to the exploration
-// floor despite zero evidence about it.
-func TestEMADecaysToFloorWithoutEvidence(t *testing.T) {
-	sch, err := scenario.NewScheduler([]string{"busy", "idle"}, scenario.PolicyEMA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := sch.WeightOf("idle"); w != 1.0 {
-		t.Fatalf("EMA start weight = %v, want 1.0", w)
-	}
-	sch.Update(map[string]scenario.Yield{"busy": {Picks: 4, Points: 32}})
-	if w := sch.WeightOf("idle"); w != 0.5 {
-		t.Fatalf("EMA weight after one dry barrier = %v, want 0.5", w)
-	}
-	sch.Update(map[string]scenario.Yield{"busy": {Picks: 4, Points: 32}})
-	if w := sch.WeightOf("idle"); w != 0.25 {
-		t.Fatalf("EMA weight after two dry barriers = %v, want the 0.25 floor", w)
-	}
-	// And it stays pinned there: the floor keeps it barely alive, which is
-	// the behaviour that starved two families in 128-iteration campaigns.
-	sch.Update(map[string]scenario.Yield{"busy": {Picks: 4, Points: 32}})
-	if w := sch.WeightOf("idle"); w != 0.25 {
-		t.Fatalf("EMA floor not sticky: %v", w)
-	}
-}
-
 // TestSchedulerDeterministicPickStream pins that two schedulers fed the
 // same yields and the same RNG streams produce identical pick sequences —
 // the unit-level face of the engine's worker-count determinism.
 func TestSchedulerDeterministicPickStream(t *testing.T) {
-	for _, policy := range []scenario.Policy{scenario.PolicyUCB, scenario.PolicyEMA} {
-		t.Run(string(policy), func(t *testing.T) {
+	for _, sp := range policySpellings {
+		policy := sp.policy
+		t.Run(sp.name, func(t *testing.T) {
 			fams := []string{"a", "b", "c", "d", "e"}
 			perPick := map[string]int{"b": 12, "d": 3}
 			s1, err := scenario.NewScheduler(fams, policy)

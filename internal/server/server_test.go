@@ -84,13 +84,12 @@ func getReport(t *testing.T, base, id string) *dejavuzz.Report {
 	return decodeBody[*dejavuzz.Report](t, resp, http.StatusOK)
 }
 
-// reportJSON canonicalises a report for byte comparison, zeroing the two
-// wall-clock fields resume legitimately changes.
+// reportJSON canonicalises a report for byte comparison, zeroing the
+// wall-clock Duration resume legitimately changes.
 func reportJSON(t *testing.T, rep *dejavuzz.Report) string {
 	t.Helper()
 	cp := *rep
 	cp.Duration = 0
-	cp.FirstBug = 0
 	data, err := json.Marshal(&cp)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestServerTriageDedupAcrossSeeds(t *testing.T) {
 // criteria name: two campaigns on different targets run concurrently over
 // HTTP; Shutdown checkpoints both at their next merge barrier; a second
 // server over the same state directory resumes them automatically, and
-// both finish with reports byte-identical (modulo Duration/FirstBug) to
+// both finish with reports byte-identical (modulo Duration) to
 // uninterrupted in-process runs.
 func TestServerShutdownResume(t *testing.T) {
 	// Campaign lengths balance two wall-clock constraints: long enough that

@@ -9,20 +9,13 @@ import (
 
 	"dejavuzz/internal/atomicfile"
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/corpus"
-	"dejavuzz/internal/scenario"
 )
 
 // StoreVersion guards the findings-store file format against drift.
-// Version 2 added the scenario family to bug signatures; version-1 stores
-// load through a migration shim (see migrateV1Locked) that derives each
-// cluster's family from its window class, so pre-scenario findings.json
-// files keep loading — and keep deduplicating against new findings of the
-// canonical families — without re-triage.
+// Version 2 added the scenario family to bug signatures. Open accepts only
+// this version: a pre-scenario version-1 store is refused, as is any bug
+// without its corpus_entry provenance.
 const StoreVersion = 2
-
-// storeVersionV1 is the pre-scenario format Open still accepts.
-const storeVersionV1 = 1
 
 // Store is the persistent triaged-findings store: raw findings go in,
 // deduplicated bug clusters come out, and every mutation is atomically
@@ -55,7 +48,7 @@ type bugFile struct {
 
 // Open loads the store at path, creating an empty one if the file does not
 // exist yet. An empty path yields a purely in-memory store (Add never
-// touches disk) — the form cmd/dvz-bench uses.
+// touches disk).
 func Open(path string) (*Store, error) {
 	s := &Store{path: path, bugs: make(map[Signature]*Bug)}
 	if path == "" {
@@ -72,7 +65,7 @@ func Open(path string) (*Store, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("triage: parse store %s: %w", path, err)
 	}
-	if f.Version != StoreVersion && f.Version != storeVersionV1 {
+	if f.Version != StoreVersion {
 		return nil, fmt.Errorf("triage: store %s has version %d, want %d", path, f.Version, StoreVersion)
 	}
 	s.raw = f.Raw
@@ -83,39 +76,12 @@ func Open(path string) (*Store, error) {
 			b.occurrences[k] = true
 		}
 		b.Count = len(b.occurrences)
-		if f.Version == storeVersionV1 {
-			if err := migrateV1(&b); err != nil {
-				return nil, fmt.Errorf("triage: store %s: %w", path, err)
-			}
-		}
 		if b.CorpusEntry == "" {
-			// Stores written before the corpus-provenance field: the ID is a
-			// pure content hash of (target, example seed), so backfilling at
-			// load is exact.
-			b.CorpusEntry = corpus.EntryID(b.Target, b.Example.Seed)
+			return nil, fmt.Errorf("triage: store %s: bug %q has an empty corpus_entry", path, b.Signature)
 		}
 		s.bugs[b.Signature] = &b
 	}
 	return s, nil
-}
-
-// migrateV1 upgrades one pre-scenario bug cluster in place: the scenario
-// family is derived from the window class (every v1 finding came from a
-// canonical family, so the mapping is exact), the Example finding is
-// annotated, and the signature is recomputed in the v2 shape — identical to
-// what Compute would now produce for a rediscovery of the same bug, so old
-// clusters keep absorbing new occurrences.
-func migrateV1(b *Bug) error {
-	fam, ok := scenario.ByWindowName(b.Window)
-	if !ok {
-		return fmt.Errorf("v1 bug %q has unknown window class %q", b.Signature, b.Window)
-	}
-	b.Scenario = fam.Name()
-	if b.Example.Scenario == "" {
-		b.Example.Scenario = fam.Name()
-	}
-	b.Signature = Compute(b.Target, &b.Example)
-	return nil
 }
 
 // Add triages one batch of raw findings from a campaign, deduplicating them

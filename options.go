@@ -9,9 +9,9 @@ type settings struct {
 	ckptPath string
 }
 
-// Option configures a campaign built by New. Options are explicit, so the
-// zero-value ambiguity of the deprecated Config struct does not arise:
-// WithSeed(0) means seed zero and WithIterations(0) means an empty dry run.
+// Option configures a campaign built by New. Options are explicit, so a
+// zero value is never mistaken for "unset": WithSeed(0) means seed zero and
+// WithIterations(0) means an empty dry run.
 type Option func(*settings)
 
 // WithSeed sets the campaign RNG seed (default 1). Zero is a valid seed.
@@ -54,29 +54,6 @@ func WithMergeEvery(n int) Option {
 // checkpoint under a different set fails with an option-mismatch error.
 func WithScenarios(names ...string) Option {
 	return func(s *settings) { s.opts.Scenarios = append([]string(nil), names...) }
-}
-
-// Scheduler policy names for WithScheduler and the wire "scheduler" key.
-const (
-	// SchedulerUCB is the default scenario-scheduling policy: a
-	// deterministic UCB1 bandit over per-family yield per pick. Every
-	// enabled family is tried before any is exploited and a family's score
-	// never decays without new evidence, so no family ever starves.
-	SchedulerUCB = "ucb"
-	// SchedulerEMA is the legacy EMA-with-floor policy, kept reachable so
-	// the bandit fix is A/B-able (dvz-bench records both). It can starve
-	// families: ones unpicked in an epoch decay toward the floor despite
-	// zero new evidence about them.
-	SchedulerEMA = "ema"
-)
-
-// WithScheduler selects the scenario-scheduler policy: SchedulerUCB (the
-// default) or SchedulerEMA (legacy). The policy is validated by New and is
-// determinism-relevant: like WithScenarios it reshapes the stimulus
-// streams, is recorded in checkpoints, and resuming a checkpoint under a
-// different policy fails with an option-mismatch error naming it.
-func WithScheduler(policy string) Option {
-	return func(s *settings) { s.opts.Scheduler = policy }
 }
 
 // WithVariant selects the training strategy: Derived (DejaVuzz) or

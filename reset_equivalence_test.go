@@ -11,7 +11,7 @@ import (
 // per-shard execution-context reuse: for every registered target (the two
 // cycle-accurate uarch cores and the architectural isasim pair), a campaign
 // run with long-lived contexts must produce a report byte-identical —
-// modulo the wall-clock Duration/FirstBug fields — to a run that constructs
+// modulo the wall-clock Duration field — to a run that constructs
 // all DUT state from scratch on every simulation, at Workers=1 and
 // Workers=8. CI runs this under -race, so it also proves shard contexts
 // share no mutable state.

@@ -1,60 +1,44 @@
 package dejavuzz_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dejavuzz"
 )
 
-// benchConfigReport runs the exact BENCH_campaign.json configuration —
-// boom target, seed 42, 128 iterations, 16-iteration epochs, Workers=1 —
-// under the given scheduler policy.
-func benchConfigReport(t *testing.T, policy string) *dejavuzz.Report {
-	t.Helper()
-	c, err := dejavuzz.New(dejavuzz.DefaultTarget,
-		dejavuzz.WithSeed(42),
-		dejavuzz.WithIterations(128),
-		dejavuzz.WithMergeEvery(16),
-		dejavuzz.WithScheduler(policy),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c.Run()
-}
-
-// TestBenchCampaignNoStarvationUnderUCB is the starvation regression at the
-// committed benchmark configuration: under the default UCB policy, every
-// registered family must record at least one pick within 128 iterations.
-// This exact campaign is what BENCH_campaign.json is generated from, and
-// under the legacy EMA policy it left families at zero picks — the
-// companion test below keeps that failure mode reproducible.
+// TestBenchCampaignNoStarvationUnderUCB is the starvation regression gate
+// (CI runs it as a named step): on the boom target at 128 iterations and
+// the isasim target at 512, both at seed 42 with 16-iteration epochs, every
+// registered family must record at least one pick. A scheduler whose
+// scores decay without evidence starves families in the boom campaign;
+// the UCB bandit's forced exploration must not.
 func TestBenchCampaignNoStarvationUnderUCB(t *testing.T) {
-	rep := benchConfigReport(t, dejavuzz.SchedulerUCB)
-	if got, want := len(rep.Scenarios), len(dejavuzz.Scenarios()); got != want {
-		t.Fatalf("report has %d scenario rows, registry has %d", got, want)
-	}
-	for _, sc := range rep.Scenarios {
-		if sc.Picks == 0 {
-			t.Errorf("family %q starved: 0 picks in 128 iterations under ucb", sc.Name)
-		}
-	}
-}
-
-// TestBenchCampaignStarvesUnderEMA pins the bug the bandit fixed, so the
-// -scheduler=ema A/B baseline stays meaningful: the same campaign under
-// the legacy policy must leave at least one family unpicked. If this test
-// ever fails, the EMA starvation bug has silently disappeared and the
-// policy comparison in dvz-bench no longer demonstrates anything.
-func TestBenchCampaignStarvesUnderEMA(t *testing.T) {
-	rep := benchConfigReport(t, dejavuzz.SchedulerEMA)
-	starved := 0
-	for _, sc := range rep.Scenarios {
-		if sc.Picks == 0 {
-			starved++
-		}
-	}
-	if starved == 0 {
-		t.Fatal("no family starved under ema at the bench configuration; the regression baseline is gone")
+	for _, tc := range []struct {
+		target     string
+		iterations int
+	}{
+		{"boom", 128},
+		{"isasim", 512},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", tc.target, tc.iterations), func(t *testing.T) {
+			c, err := dejavuzz.New(tc.target,
+				dejavuzz.WithSeed(42),
+				dejavuzz.WithIterations(tc.iterations),
+				dejavuzz.WithMergeEvery(16),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := c.Run()
+			if got, want := len(rep.Scenarios), len(dejavuzz.Scenarios()); got != want {
+				t.Fatalf("report has %d scenario rows, registry has %d", got, want)
+			}
+			for _, sc := range rep.Scenarios {
+				if sc.Picks == 0 {
+					t.Errorf("family %q starved: 0 picks in %d iterations", sc.Name, tc.iterations)
+				}
+			}
+		})
 	}
 }

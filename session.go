@@ -44,9 +44,6 @@ func New(target string, opts ...Option) (*Campaign, error) {
 	if err := core.ValidateScenarios(s.opts.Scenarios); err != nil {
 		return nil, fmt.Errorf("dejavuzz: %w", err)
 	}
-	if err := core.ValidateSchedulerPolicy(s.opts.Scheduler); err != nil {
-		return nil, fmt.Errorf("dejavuzz: %w", err)
-	}
 	fams := s.opts.Scenarios
 	if len(fams) == 0 {
 		fams = scenario.Names()

@@ -91,7 +91,6 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	results := func(rep *Report) []byte {
 		r := *rep
 		r.Duration = 0
-		r.FirstBug = 0
 		r.Options = core.Options{}
 		b, err := json.Marshal(&r)
 		if err != nil {

@@ -15,9 +15,8 @@ import (
 // options New takes. The zero value selects the target's defaults for
 // everything.
 //
-// Two fields need explicit-zero markers, exactly as the deprecated Config
-// did: seed 0 is a valid seed and 0 iterations is a valid dry run, but both
-// are also the Go zero value. The JSON encoding resolves the ambiguity by
+// Two fields need explicit-zero markers: seed 0 is a valid seed and 0
+// iterations is a valid dry run, but both are also the Go zero value. The JSON encoding resolves the ambiguity by
 // key presence — MarshalJSON emits "seed"/"iterations" whenever they are
 // explicit (set marker or non-zero value) and omits them otherwise, and
 // UnmarshalJSON sets the markers from key presence — so `{"seed":0}` and
@@ -55,10 +54,6 @@ type Options struct {
 	// time, so a misspelled family is rejected at the API boundary instead
 	// of silently running a different campaign.
 	Scenarios []string
-	// Scheduler selects the scenario-scheduling policy: "ucb" (the default
-	// no-starvation bandit) or "ema" (legacy). Validated at decode time,
-	// like Scenarios, and empty means the default.
-	Scheduler string
 	// The ablation toggles, phrased so the zero value is the full fuzzer.
 	NoCoverageFeedback bool
 	NoLiveness         bool
@@ -94,7 +89,6 @@ type wireOptions struct {
 	SecretRetries      int      `json:"secret_retries,omitempty"`
 	Variant            string   `json:"variant,omitempty"`
 	Scenarios          []string `json:"scenarios,omitempty"`
-	Scheduler          string   `json:"scheduler,omitempty"`
 	NoCoverageFeedback bool     `json:"no_coverage_feedback,omitempty"`
 	NoLiveness         bool     `json:"no_liveness,omitempty"`
 	NoReduction        bool     `json:"no_reduction,omitempty"`
@@ -115,7 +109,6 @@ func (o Options) MarshalJSON() ([]byte, error) {
 		SecretRetries:      o.SecretRetries,
 		Variant:            o.Variant,
 		Scenarios:          o.Scenarios,
-		Scheduler:          o.Scheduler,
 		NoCoverageFeedback: o.NoCoverageFeedback,
 		NoLiveness:         o.NoLiveness,
 		NoReduction:        o.NoReduction,
@@ -150,9 +143,6 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 	if err := core.ValidateScenarios(w.Scenarios); err != nil {
 		return fmt.Errorf("dejavuzz: %w", err)
 	}
-	if err := core.ValidateSchedulerPolicy(w.Scheduler); err != nil {
-		return fmt.Errorf("dejavuzz: %w", err)
-	}
 	*o = Options{
 		Target:             w.Target,
 		Workers:            w.Workers,
@@ -162,7 +152,6 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 		SecretRetries:      w.SecretRetries,
 		Variant:            w.Variant,
 		Scenarios:          w.Scenarios,
-		Scheduler:          w.Scheduler,
 		NoCoverageFeedback: w.NoCoverageFeedback,
 		NoLiveness:         w.NoLiveness,
 		NoReduction:        w.NoReduction,
@@ -251,9 +240,6 @@ func (o Options) Functional() ([]Option, error) {
 	}
 	if len(o.Scenarios) > 0 {
 		opts = append(opts, WithScenarios(o.Scenarios...))
-	}
-	if o.Scheduler != "" {
-		opts = append(opts, WithScheduler(o.Scheduler))
 	}
 	if o.NoCoverageFeedback {
 		opts = append(opts, WithCoverageFeedback(false))

@@ -39,14 +39,12 @@ func TestOptionsJSONRoundTrip(t *testing.T) {
 		{"target-only", Options{Target: "isasim"}},
 		{"variant-random", Options{Variant: VariantNameRandom}},
 		{"scenario-filter", Options{Scenarios: []string{"cache-occupancy", "branch-mispredict"}}},
-		{"scheduler-ema", Options{Scheduler: SchedulerEMA}},
 		{"all-knobs", Options{
 			Target: "xiangshan", Seed: -7, SeedSet: true,
 			Iterations: 256, IterationsSet: true,
 			Workers: 4, Shards: 16, MergeEvery: 32, MaxCycles: 5000,
 			SecretRetries: 3, Variant: VariantNameRandom,
 			Scenarios:          []string{"page-fault", "stl-forward-chain"},
-			Scheduler:          SchedulerEMA,
 			NoCoverageFeedback: true, NoLiveness: true, NoReduction: true,
 			Bugless: true,
 		}},
@@ -143,18 +141,20 @@ func TestOptionsJSONBadScenario(t *testing.T) {
 	}
 }
 
-// TestOptionsJSONBadScheduler checks decode-time validation of the
-// scheduler policy: an unknown name never reaches campaign construction,
-// and both known policies (plus the empty default) decode cleanly.
+// TestOptionsJSONBadScheduler: UCB is the only scheduling policy, so the
+// wire format has no "scheduler" key. Any value, the former policy names
+// included, is refused naming the key; omitting it decodes cleanly.
 func TestOptionsJSONBadScheduler(t *testing.T) {
 	var o Options
-	if err := json.Unmarshal([]byte(`{"scheduler":"thompson"}`), &o); err == nil {
-		t.Fatal("unknown scheduler policy must fail to decode")
-	}
-	for _, ok := range []string{`{"scheduler":"ucb"}`, `{"scheduler":"ema"}`, `{}`} {
-		if err := json.Unmarshal([]byte(ok), &o); err != nil {
-			t.Fatalf("valid scheduler %s failed to decode: %v", ok, err)
+	for _, body := range []string{`{"scheduler":"thompson"}`, `{"scheduler":"ucb"}`, `{"scheduler":"ema"}`} {
+		if err := json.Unmarshal([]byte(body), &o); err == nil {
+			t.Fatalf("%s must fail to decode", body)
+		} else if !strings.Contains(err.Error(), `unknown field "scheduler"`) {
+			t.Fatalf("%s: refusal does not name the key: %v", body, err)
 		}
+	}
+	if err := json.Unmarshal([]byte(`{}`), &o); err != nil {
+		t.Fatalf("options without a scheduler failed to decode: %v", err)
 	}
 }
 
