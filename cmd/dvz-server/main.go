@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dvz-server [-addr :8471] [-state dvz-state] [-workers N] [-minimize=false]
+//	dvz-server [-addr :8471] [-state dvz-state] [-workers N]
 //
 // All state lives under the -state directory: the campaign registry,
 // per-campaign barrier checkpoints, final reports, the triaged findings
@@ -41,11 +41,10 @@ func main() {
 	addr := flag.String("addr", ":8471", "HTTP listen address")
 	state := flag.String("state", "dvz-state", "state directory (registry, checkpoints, reports, findings, corpus)")
 	workers := flag.Int("workers", runtime.NumCPU(), "shared worker budget across all campaigns")
-	minimize := flag.Bool("minimize", true, "run the background corpus minimizer (training reduction off the campaign hot path)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "dvz-server: ", log.LstdFlags)
-	srv, err := server.Open(server.Config{StateDir: *state, Workers: *workers, MinimizeCorpus: *minimize, Log: logger})
+	srv, err := server.Open(server.Config{StateDir: *state, Workers: *workers, Log: logger})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

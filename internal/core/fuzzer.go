@@ -495,9 +495,10 @@ func (st *EngineState) Migrate() error {
 // corpus service can persist interesting seeds across campaigns without
 // the engine knowing the store exists.
 type HarvestedSeed struct {
-	// Iteration is the campaign iteration that produced the observation;
-	// (campaign, iteration) is the store's idempotency key, so replaying a
-	// barrier after an unclean restart cannot double-count.
+	// Iteration is the campaign iteration that produced the observation.
+	// Barriers deliver each campaign's harvest in iteration order, so a
+	// store that keeps the highest iteration it absorbed per campaign can
+	// skip a barrier replayed after an unclean restart.
 	Iteration int      `json:"iteration"`
 	Seed      gen.Seed `json:"seed"`
 	// NewPoints is the iteration's shard-local coverage gain.
@@ -523,8 +524,9 @@ type Barrier struct {
 	// Harvest is the epoch's corpus-worthy seeds in iteration order:
 	// coverage-feedback keepers and finding producers (see HarvestedSeed).
 	// It is event payload only — not part of the resumable state — so a
-	// corpus consumer must tolerate replays, which the (campaign,
-	// iteration) idempotency key provides.
+	// corpus consumer must tolerate replays: a resumed campaign re-emits a
+	// byte-identical prefix of what it emitted before, so everything at or
+	// below the highest iteration already absorbed is a replay.
 	Harvest []HarvestedSeed
 
 	snapshot func() *EngineState

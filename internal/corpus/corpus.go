@@ -1,18 +1,23 @@
 // Package corpus is the persistent cross-campaign corpus service: it
 // harvests interesting seeds (coverage keepers and finding producers) from
 // campaign merge barriers, keys them by target and engine-compatibility
-// fingerprint, minimizes them in the background with the engine's training
-// reduction, and resolves deterministic warm-start sets for future
+// fingerprint, and resolves deterministic warm-start sets for future
 // campaigns on the same target.
 //
 // Persistence is a compacted snapshot (corpus.json, replaced atomically)
-// plus an append-only redo journal (journal.ndjson) of full post-operation
-// entry states. Every mutation appends a journal record before it is
-// acknowledged; Open replays the journal over the snapshot and folds it
-// back into a fresh snapshot. A crash mid-append leaves at most one torn
-// trailing line, which replay discards; because harvests are idempotent
-// per (campaign, iteration), replaying a suffix of already-applied records
-// never double-counts.
+// plus an append-only redo journal (journal.ndjson) holding one record per
+// harvest: the post-harvest state of every entry it touched, the entries it
+// evicted and its campaign's new watermark. Harvest appends the record
+// before it changes the store, then applies it through the same function
+// Open uses to replay the journal over the snapshot. A crash mid-append
+// leaves at most one torn trailing line, which replay discards whole; the
+// server re-drains that barrier.
+//
+// Replays are recognised by one watermark per campaign: the highest
+// iteration the store has absorbed from it. Barriers deliver a campaign's
+// harvests in iteration order, and a resumed campaign re-emits a
+// byte-identical prefix of what it delivered before, so an observation at
+// or below its campaign's watermark is exactly a replay.
 //
 // The store itself is deliberately outside the engine's determinism
 // boundary — it may observe wall-clock time and use maps freely — but
@@ -31,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 
 	"dejavuzz/internal/atomicfile"
@@ -40,12 +44,13 @@ import (
 )
 
 const (
-	// storeVersion guards the corpus.json format.
-	storeVersion = 1
+	// storeVersion guards the corpus.json format. Version 2 replaced each
+	// entry's observation keys with per-campaign watermarks.
+	storeVersion = 2
 	snapshotFile = "corpus.json"
 	journalFile  = "journal.ndjson"
-	// compactAfter bounds journal growth: once this many records accumulate
-	// the journal folds into a fresh corpus.json and truncates.
+	// compactAfter bounds journal growth: once this many harvest records
+	// accumulate the journal folds into a fresh corpus.json and truncates.
 	compactAfter = 512
 	// classCap bounds entries per (target, fingerprint) class; the worst
 	// entries (fewest findings, least coverage gain) are evicted first.
@@ -72,8 +77,7 @@ type Entry struct {
 
 	// BestPoints is the largest single-iteration coverage gain observed;
 	// Points accumulates gain across all observations. Harvests counts
-	// distinct (campaign, iteration) observations and Findings those that
-	// produced a finding.
+	// observations and Findings those that produced a finding.
 	BestPoints int `json:"best_points"`
 	Points     int `json:"points"`
 	Harvests   int `json:"harvests"`
@@ -83,19 +87,6 @@ type Entry struct {
 	// entry — the provenance link the triage store records on bugs.
 	FirstCampaign  string `json:"first_campaign"`
 	FirstIteration int    `json:"first_iteration"`
-	// Seen is the sorted set of "campaign#iteration" observation keys; it
-	// is what makes re-harvest (barrier replay after an unclean restart,
-	// journal replay on open) idempotent.
-	Seen []string `json:"seen,omitempty"`
-
-	// Minimizer output: once the background minimizer has run the engine's
-	// training reduction over the seed, TrainKept of TrainTotal trigger
-	// training packets survived. MinimizeError records a reducer failure
-	// (the entry still counts as visited so the minimizer moves on).
-	Minimized     bool   `json:"minimized,omitempty"`
-	MinimizeError string `json:"minimize_error,omitempty"`
-	TrainKept     int    `json:"train_kept,omitempty"`
-	TrainTotal    int    `json:"train_total,omitempty"`
 }
 
 // EntryID is the content hash identifying a (target, seed) pair in the
@@ -114,38 +105,41 @@ func EntryID(target string, seed gen.Seed) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// storeFile is the corpus.json serialisation: entries sorted by ID plus
-// the bounded frontier history, so a compacted store round-trips
-// byte-identically.
+// storeFile is the corpus.json serialisation: the per-campaign watermarks,
+// entries sorted by ID and the bounded frontier history, so a compacted
+// store round-trips byte-identically.
 type storeFile struct {
-	Version int        `json:"version"`
-	Entries []Entry    `json:"entries"`
-	History []Frontier `json:"history,omitempty"`
+	Version    int            `json:"version"`
+	Watermarks map[string]int `json:"watermarks"`
+	Entries    []Entry        `json:"entries"`
+	History    []Frontier     `json:"history,omitempty"`
 }
 
-// journalRec is one redo-journal line: a full post-operation entry state
-// ("put") or an eviction ("del"). Carrying the whole entry makes replay a
-// plain upsert — order is the only thing that matters.
+// journalRec is one redo-journal line: the whole effect of one harvest.
+// Put holds the post-harvest state of every entry the harvest touched, Del
+// the entries it then evicted (applied after Put), and Through the
+// campaign's new watermark. Full entry states make applying a record a
+// plain upsert.
 type journalRec struct {
-	Op    string `json:"op"`
-	ID    string `json:"id,omitempty"`
-	Entry *Entry `json:"entry,omitempty"`
+	Campaign string   `json:"campaign"`
+	Through  int      `json:"through"`
+	Put      []Entry  `json:"put,omitempty"`
+	Del      []string `json:"del,omitempty"`
 }
 
 // Store is a corpus database rooted at one directory. All methods are safe
-// for concurrent use; the background minimizer (see StartMinimizer) runs
-// the expensive reduction outside the lock.
+// for concurrent use.
 type Store struct {
 	dir string
 
-	mu         sync.Mutex
-	entries    map[string]*Entry
+	mu      sync.Mutex
+	entries map[string]*Entry
+	// watermarks maps each campaign to the highest iteration the store has
+	// absorbed from it; observations at or below it are replays.
+	watermarks map[string]int
 	history    []Frontier
 	journal    *os.File
 	journalLen int
-
-	minStop chan struct{}
-	minDone chan struct{}
 }
 
 // Open loads (or creates) the corpus store in dir: snapshot, journal
@@ -155,7 +149,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	st := &Store{dir: dir, entries: make(map[string]*Entry)}
+	st := &Store{dir: dir, entries: make(map[string]*Entry), watermarks: make(map[string]int)}
 	if err := st.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -163,7 +157,6 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.journalLen = replayed
 	if replayed > 0 {
 		if err := st.compactLocked(); err != nil {
 			return nil, err
@@ -198,6 +191,12 @@ func (st *Store) loadSnapshot() error {
 	if f.Version != storeVersion {
 		return fmt.Errorf("corpus: %s has version %d, want %d", snapshotFile, f.Version, storeVersion)
 	}
+	for c, w := range f.Watermarks {
+		if w < 0 {
+			return fmt.Errorf("corpus: %s: watermarks[%q] is %d, want >= 0", snapshotFile, c, w)
+		}
+		st.watermarks[c] = w
+	}
 	for i := range f.Entries {
 		e := f.Entries[i]
 		st.entries[e.ID] = &e
@@ -206,9 +205,13 @@ func (st *Store) loadSnapshot() error {
 	return nil
 }
 
-// replayJournal applies the redo journal over the loaded snapshot. A torn
-// final line — the only debris a crashed append can leave — is discarded;
-// an undecodable line anywhere else means real corruption and is an error.
+// replayJournal applies the redo journal over the loaded snapshot and
+// returns how many records it read. A torn final line — the only debris a
+// crashed append can leave — is discarded; an undecodable line anywhere
+// else, or a decodable record that no harvest could have written, means
+// real corruption and is an error. Records at or below their campaign's
+// snapshot watermark were folded into the snapshot by a compaction that
+// crashed before truncating the journal, and are skipped.
 func (st *Store) replayJournal() (int, error) {
 	f, err := os.Open(st.journalPath())
 	if os.IsNotExist(err) {
@@ -220,7 +223,7 @@ func (st *Store) replayJournal() (int, error) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	applied := 0
+	read := 0
 	var pendingErr error
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -236,26 +239,50 @@ func (st *Store) replayJournal() (int, error) {
 			pendingErr = fmt.Errorf("corpus: %s corrupt: %w", journalFile, err)
 			continue
 		}
-		switch rec.Op {
-		case "put":
-			if rec.Entry == nil || rec.Entry.ID == "" {
-				pendingErr = fmt.Errorf("corpus: %s corrupt: put without entry", journalFile)
-				continue
-			}
-			e := *rec.Entry
-			st.entries[e.ID] = &e
-		case "del":
-			delete(st.entries, rec.ID)
-		default:
-			pendingErr = fmt.Errorf("corpus: %s corrupt: unknown op %q", journalFile, rec.Op)
+		if err := rec.validate(); err != nil {
+			return 0, fmt.Errorf("corpus: %s corrupt: %w", journalFile, err)
+		}
+		read++
+		if w, ok := st.watermarks[rec.Campaign]; ok && rec.Through <= w {
 			continue
 		}
-		applied++
+		st.applyLocked(&rec)
 	}
 	if err := sc.Err(); err != nil {
 		return 0, fmt.Errorf("corpus: %w", err)
 	}
-	return applied, nil
+	return read, nil
+}
+
+// validate refuses a record no harvest could have written.
+func (rec *journalRec) validate() error {
+	if rec.Campaign == "" {
+		return fmt.Errorf("record has an empty campaign")
+	}
+	if rec.Through < 0 {
+		return fmt.Errorf("campaign %q: through is %d, want >= 0", rec.Campaign, rec.Through)
+	}
+	for i := range rec.Put {
+		if rec.Put[i].ID == "" {
+			return fmt.Errorf("campaign %q: put entry has an empty id", rec.Campaign)
+		}
+	}
+	return nil
+}
+
+// applyLocked folds one harvest record into the store. Harvest and journal
+// replay both go through it, so a replayed record has exactly the effect
+// the live harvest had, frontier history included.
+func (st *Store) applyLocked(rec *journalRec) {
+	for i := range rec.Put {
+		e := rec.Put[i]
+		st.entries[e.ID] = &e
+	}
+	for _, id := range rec.Del {
+		delete(st.entries, id)
+	}
+	st.watermarks[rec.Campaign] = rec.Through
+	st.recordFrontierLocked()
 }
 
 // sortedEntries returns copies of all entries, sorted by ID.
@@ -269,10 +296,11 @@ func (st *Store) sortedEntriesLocked() []Entry {
 }
 
 // compactLocked folds the current state into corpus.json atomically and
-// truncates the journal. Crash windows are safe at every point: the old
-// journal replays idempotently over either snapshot generation.
+// truncates the journal. Crash windows are safe at every point: over the
+// new snapshot, the old journal's records all fall at or below their
+// campaigns' watermarks and replay skips them.
 func (st *Store) compactLocked() error {
-	f := storeFile{Version: storeVersion, Entries: st.sortedEntriesLocked(), History: st.history}
+	f := storeFile{Version: storeVersion, Watermarks: st.watermarks, Entries: st.sortedEntriesLocked(), History: st.history}
 	data, err := json.MarshalIndent(&f, "", " ")
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
@@ -294,60 +322,64 @@ func (st *Store) compactLocked() error {
 	return nil
 }
 
-func (st *Store) appendJournalLocked(rec journalRec) error {
-	if st.journal == nil {
-		return nil // replay/compaction phase of Open
-	}
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if _, err := st.journal.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	st.journalLen++
-	if st.journalLen >= compactAfter {
-		return st.compactLocked()
-	}
-	return nil
-}
-
 // Harvest folds one barrier's worth of interesting seeds from a campaign
-// into the store and returns how many observations were new. The
-// (campaign, iteration) pair is the idempotency key: replaying a barrier —
-// resumed campaigns re-emit nothing, but an uncleanly restarted server may
-// re-drain events — never double-counts.
+// into the store and returns how many observations were new. Observations
+// at or below the campaign's watermark are replays — a barrier re-drained
+// after an unclean restart — and are skipped. The harvest becomes one
+// journal record, appended before the store changes: if the append fails,
+// Harvest returns 0 with the error and the store is as it was.
 func (st *Store) Harvest(campaign, target, fingerprint string, batch []core.HarvestedSeed) (int, error) {
-	if len(batch) == 0 {
-		return 0, nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	rec, added := st.harvestRecordLocked(campaign, target, fingerprint, batch)
+	if added == 0 {
+		return 0, nil
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return 0, fmt.Errorf("corpus: %w", err)
+	}
+	if _, err := st.journal.Write(append(line, '\n')); err != nil {
+		return 0, fmt.Errorf("corpus: %w", err)
+	}
+	st.journalLen++
+	st.applyLocked(rec)
+	if st.journalLen >= compactAfter {
+		return added, st.compactLocked()
+	}
+	return added, nil
+}
+
+// harvestRecordLocked builds the journal record for one harvest without
+// changing the store, and counts the new observations it absorbs.
+func (st *Store) harvestRecordLocked(campaign, target, fingerprint string, batch []core.HarvestedSeed) (*journalRec, int) {
+	wm, seen := st.watermarks[campaign]
+	rec := &journalRec{Campaign: campaign}
+	touched := make(map[string]*Entry)
 	added := 0
-	touched := make(map[string]bool)
 	for _, h := range batch {
+		if seen && h.Iteration <= wm {
+			continue // replayed barrier
+		}
 		id := EntryID(target, h.Seed)
-		key := campaign + "#" + strconv.Itoa(h.Iteration)
-		e := st.entries[id]
+		e := touched[id]
 		if e == nil {
-			e = &Entry{
-				ID:             id,
-				Target:         target,
-				Scenario:       gen.ScenarioName(h.Seed),
-				Fingerprint:    fingerprint,
-				Seed:           h.Seed,
-				FirstCampaign:  campaign,
-				FirstIteration: h.Iteration,
+			if cur := st.entries[id]; cur != nil {
+				cp := *cur
+				e = &cp
+			} else {
+				e = &Entry{
+					ID:             id,
+					Target:         target,
+					Scenario:       gen.ScenarioName(h.Seed),
+					Fingerprint:    fingerprint,
+					Seed:           h.Seed,
+					FirstCampaign:  campaign,
+					FirstIteration: h.Iteration,
+				}
 			}
-			st.entries[id] = e
+			touched[id] = e
 		}
-		i := sort.SearchStrings(e.Seen, key)
-		if i < len(e.Seen) && e.Seen[i] == key {
-			continue // already observed: idempotent re-harvest
-		}
-		e.Seen = append(e.Seen, "")
-		copy(e.Seen[i+1:], e.Seen[i:])
-		e.Seen[i] = key
 		e.Harvests++
 		e.Points += h.NewPoints
 		if h.NewPoints > e.BestPoints {
@@ -356,35 +388,35 @@ func (st *Store) Harvest(campaign, target, fingerprint string, batch []core.Harv
 		if h.Finding {
 			e.Findings++
 		}
-		added++
-		touched[id] = true
-	}
-	ids := make([]string, 0, len(touched))
-	for id := range touched {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		cp := *st.entries[id]
-		if err := st.appendJournalLocked(journalRec{Op: "put", Entry: &cp}); err != nil {
-			return added, err
+		if added == 0 || h.Iteration > rec.Through {
+			rec.Through = h.Iteration
 		}
+		added++
 	}
-	if err := st.evictLocked(target, fingerprint); err != nil {
-		return added, err
+	if added == 0 {
+		return nil, 0
 	}
-	if added > 0 {
-		st.recordFrontierLocked()
+	for _, e := range touched {
+		rec.Put = append(rec.Put, *e)
 	}
-	return added, nil
+	sort.Slice(rec.Put, func(i, j int) bool { return rec.Put[i].ID < rec.Put[j].ID })
+	rec.Del = st.evictionsLocked(target, fingerprint, touched)
+	return rec, added
 }
 
-// evictLocked enforces classCap for one (target, fingerprint) class,
-// evicting the lowest-evidence entries first.
-func (st *Store) evictLocked(target, fingerprint string) error {
+// evictionsLocked returns the IDs a harvest evicts to hold its (target,
+// fingerprint) class to classCap once the touched entries are in, lowest
+// evidence first.
+func (st *Store) evictionsLocked(target, fingerprint string, touched map[string]*Entry) []string {
+	inClass := func(e *Entry) bool { return e.Target == target && e.Fingerprint == fingerprint }
 	var class []*Entry
-	for _, e := range st.entries {
-		if e.Target == target && e.Fingerprint == fingerprint {
+	for id, e := range st.entries {
+		if touched[id] == nil && inClass(e) {
+			class = append(class, e)
+		}
+	}
+	for _, e := range touched {
+		if inClass(e) {
 			class = append(class, e)
 		}
 	}
@@ -392,13 +424,11 @@ func (st *Store) evictLocked(target, fingerprint string) error {
 		return nil
 	}
 	sort.Slice(class, func(i, j int) bool { return entryWorse(class[i], class[j]) })
+	var del []string
 	for _, e := range class[:len(class)-classCap] {
-		delete(st.entries, e.ID)
-		if err := st.appendJournalLocked(journalRec{Op: "del", ID: e.ID}); err != nil {
-			return err
-		}
+		del = append(del, e.ID)
 	}
-	return nil
+	return del
 }
 
 // entryWorse orders entries by ascending evidence (for eviction).
@@ -460,17 +490,8 @@ func (st *Store) Len() int {
 	return len(st.entries)
 }
 
-// Close stops the background minimizer (if running) and releases the
-// journal handle after a final compaction.
+// Close releases the journal handle after a final compaction.
 func (st *Store) Close() error {
-	st.mu.Lock()
-	stop, done := st.minStop, st.minDone
-	st.minStop, st.minDone = nil, nil
-	st.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.journal == nil {

@@ -1,10 +1,12 @@
 package corpus
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestHarvestIdempotent(t *testing.T) {
 	if added != 5 {
 		t.Fatalf("first harvest added %d, want 5", added)
 	}
-	// Replaying the exact same (campaign, iteration) batch — the unclean-
+	// Replaying the exact same batch from the same campaign — the unclean-
 	// restart re-drain case — must be a complete no-op.
 	added, err = st.Harvest("c1", "boom", "fp-test", batch)
 	if err != nil {
@@ -58,6 +60,15 @@ func TestHarvestIdempotent(t *testing.T) {
 		if e.Harvests != 1 {
 			t.Errorf("entry %s: Harvests = %d after replay, want 1", e.ID, e.Harvests)
 		}
+	}
+	// A same-campaign batch whose iterations all sit at or below the
+	// campaign's watermark is a replay too, whatever seeds it carries.
+	added, err = st.Harvest("c1", "boom", "fp-test", testBatch(3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 0 || st.Len() != 5 {
+		t.Fatalf("below-watermark batch added %d (store has %d entries), want 0 (5)", added, st.Len())
 	}
 	// The same seeds from a different campaign are new observations of the
 	// same entries, not new entries.
@@ -95,7 +106,7 @@ func TestOpenRecoversTornJournal(t *testing.T) {
 		t.Fatal("expected a non-empty journal before compaction")
 	}
 	crashDir := t.TempDir()
-	torn := append(append([]byte(nil), journal...), []byte(`{"op":"put","entry":{"id":"dead`)...)
+	torn := append(append([]byte(nil), journal...), []byte(`{"campaign":"c1","through":9,"put":[{"id":"dead`)...)
 	if err := os.WriteFile(filepath.Join(crashDir, journalFile), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +130,11 @@ func TestOpenRecoversTornJournal(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(crashDir, snapshotFile)); err != nil {
 		t.Fatalf("snapshot missing after recovery compaction: %v", err)
+	}
+	// The torn record dropped a whole harvest, not part of one: the server's
+	// re-drain of that barrier is absorbed in full.
+	if added, err := re.Harvest("c1", "boom", "fp-test", testBatch(2, 3)); err != nil || added != 2 {
+		t.Fatalf("re-drain after torn tail: added=%d err=%v, want 2", added, err)
 	}
 }
 
@@ -146,6 +162,196 @@ func TestOpenRejectsMidJournalCorruption(t *testing.T) {
 	}
 	if _, err := Open(corruptDir); err == nil {
 		t.Fatal("Open accepted a journal with mid-file corruption")
+	}
+}
+
+// TestOpenSkipsRecordsInSnapshot: a crash between a compaction's snapshot
+// write and its journal truncation leaves records whose effect the
+// snapshot already holds. Their campaigns' watermarks cover them, so Open
+// skips them and the store comes back byte-identical.
+func TestOpenSkipsRecordsInSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		if _, err := st.Harvest("c1", "boom", "fp-test", testBatch(2, 10*b)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Harvest("c2", "boom", "fp-test", testBatch(3, 10*b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replaying records already in the snapshot changed it:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestOpenRejectsUnknownVersion pins the store's one accepted format. A
+// version-1 corpus.json (per-entry "seen" keys, no watermarks) and any
+// other version are refused naming the version; a negative watermark, and
+// a journal record no harvest could have written, are refused naming the
+// field. A decodable record is never a torn append, so it is refused even
+// as the journal's last line.
+func TestOpenRejectsUnknownVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name, file, data, want string
+	}{
+		{"version-1", snapshotFile, `{"version":1,"entries":[{"id":"0011223344556677","target":"boom","seen":["c1#3"]}]}`, "version 1"},
+		{"version-99", snapshotFile, `{"version":99,"entries":[]}`, "version 99"},
+		{"negative-watermark", snapshotFile, `{"version":2,"watermarks":{"c1":-2},"entries":[]}`, "watermarks"},
+		{"empty-campaign", journalFile, `{"campaign":"","through":4,"put":[{"id":"00"}]}` + "\n", "campaign"},
+		{"no-campaign", journalFile, `{"through":4,"put":[{"id":"00"}]}` + "\n", "campaign"},
+		{"negative-through", journalFile, `{"campaign":"c1","through":-1,"put":[{"id":"00"}]}` + "\n", "through"},
+		{"put-without-id", journalFile, `{"campaign":"c1","through":4,"put":[{"target":"boom"}]}` + "\n", "id"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Errorf("%s: store loaded", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: refusal does not name %q: %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// TestReplayAboveClassCap: replaying a barrier whose harvest pushed the
+// class over its cap must not re-add the seed that harvest evicted.
+func TestReplayAboveClassCap(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	batch := testBatch(classCap+1, 0)
+	if added, err := st.Harvest("c1", "boom", "fp-test", batch); err != nil || added != classCap+1 {
+		t.Fatalf("harvest: added=%d err=%v, want %d", added, err, classCap+1)
+	}
+	if n := st.Len(); n != classCap {
+		t.Fatalf("class holds %d entries, want the cap %d", n, classCap)
+	}
+	wantList := st.List("", "")
+	wantJournal := journalSize(t, dir)
+
+	added, err := st.Harvest("c1", "boom", "fp-test", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 0 {
+		t.Fatalf("replay above the class cap added %d observations, want 0", added)
+	}
+	if n := st.Len(); n != classCap {
+		t.Fatalf("replay moved Len to %d, want %d", n, classCap)
+	}
+	if !reflect.DeepEqual(st.List("", ""), wantList) {
+		t.Fatal("replay changed the listed entries")
+	}
+	if got := journalSize(t, dir); got != wantJournal {
+		t.Fatalf("replay grew the journal from %d to %d bytes", wantJournal, got)
+	}
+}
+
+func journalSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestFailedAppendLeavesStoreUnchanged: a harvest whose journal append
+// fails must not reach the in-memory store, or /corpus would list entries
+// a restart loses.
+func TestFailedAppendLeavesStoreUnchanged(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Harvest("c1", "boom", "fp-test", testBatch(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	wantLen, wantList, wantFrontier := st.Len(), st.List("", ""), st.Frontier().ID
+
+	// Force the next append to fail.
+	if err := st.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	added, err := st.Harvest("c1", "boom", "fp-test", testBatch(3, 10))
+	if err == nil || added != 0 {
+		t.Fatalf("harvest over a failed append: added=%d err=%v, want 0 and an error", added, err)
+	}
+	if st.Len() != wantLen {
+		t.Fatalf("Len moved to %d, want %d", st.Len(), wantLen)
+	}
+	if !reflect.DeepEqual(st.List("", ""), wantList) {
+		t.Fatal("List changed after a failed append")
+	}
+	if id := st.Frontier().ID; id != wantFrontier {
+		t.Fatalf("frontier moved to %s, want %s", id, wantFrontier)
+	}
+}
+
+// TestStoreSizeBoundedByCampaigns: one campaign observing one seed at 100
+// and then at 1000 increasing iterations leaves snapshots that differ only
+// in counter digits — the store grows with campaigns, not observations.
+// Both counts are past historyCap, so the frontier history is full in both.
+func TestStoreSizeBoundedByCampaigns(t *testing.T) {
+	size := func(n int) int64 {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := gen.Seed{Scenario: "spectre-btb-v2a", Rand: 7}
+		for i := 0; i < n; i++ {
+			obs := []core.HarvestedSeed{{Iteration: 3 * i, Seed: seed, NewPoints: 1 + i%5, Finding: i%2 == 0}}
+			if _, err := st.Harvest("c1", "boom", "fp-test", obs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	small, large := size(100), size(1000)
+	if large-small >= 512 {
+		t.Fatalf("%s grew from %d to %d bytes between 100 and 1000 observations, want < 512", snapshotFile, small, large)
 	}
 }
 
@@ -177,16 +383,11 @@ func TestReopenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcurrentHarvestAndMinimize(t *testing.T) {
+func TestConcurrentHarvest(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A stub reducer keeps the race surface (store lock vs minimizer
-	// bookkeeping) without paying for real engine reductions.
-	st.StartMinimizer(func(target string, seed gen.Seed) (int, int, error) {
-		return 1, 2, nil
-	}, 0)
 
 	const campaigns, batches = 4, 8
 	var wg sync.WaitGroup
@@ -220,9 +421,6 @@ func TestConcurrentHarvestAndMinimize(t *testing.T) {
 		if e.Harvests != campaigns {
 			t.Errorf("entry %s: Harvests = %d, want %d", e.ID, e.Harvests, campaigns)
 		}
-		if e.Minimized && (e.TrainKept != 1 || e.TrainTotal != 2) {
-			t.Errorf("entry %s: minimizer recorded %d/%d, want 1/2", e.ID, e.TrainKept, e.TrainTotal)
-		}
 	}
 }
 
@@ -243,12 +441,13 @@ func TestWarmStartPureFunctionOfSnapshot(t *testing.T) {
 	if _, err := stA.Harvest("c1", "boom", "fp-test", batch); err != nil {
 		t.Fatal(err)
 	}
-	// Store B absorbs the same seeds from a different campaign in a
-	// different batch split: same content, different history.
-	if _, err := stB.Harvest("other", "boom", "fp-test", batch[5:]); err != nil {
+	// Store B absorbs the same seeds from two other campaigns in a
+	// different batch split: same content, different history. (One
+	// campaign delivering batch[:5] after batch[5:] would be a replay.)
+	if _, err := stB.Harvest("other-a", "boom", "fp-test", batch[5:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stB.Harvest("other", "boom", "fp-test", batch[:5]); err != nil {
+	if _, err := stB.Harvest("other-b", "boom", "fp-test", batch[:5]); err != nil {
 		t.Fatal(err)
 	}
 

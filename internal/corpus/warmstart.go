@@ -158,7 +158,6 @@ type FrontierFamily struct {
 	Points     int    `json:"points"`
 	BestPoints int    `json:"best_points"`
 	Findings   int    `json:"findings"`
-	Minimized  int    `json:"minimized"`
 }
 
 // Frontier is the store's current coverage frontier: per-(target, family)
@@ -187,9 +186,6 @@ func (st *Store) frontierLocked() Frontier {
 			f.BestPoints = e.BestPoints
 		}
 		f.Findings += e.Findings
-		if e.Minimized {
-			f.Minimized++
-		}
 	}
 	fr := Frontier{Entries: len(st.entries)}
 	keys := make([][2]string, 0, len(agg))
@@ -206,8 +202,8 @@ func (st *Store) frontierLocked() Frontier {
 	for _, k := range keys {
 		f := agg[k]
 		fr.Families = append(fr.Families, *f)
-		fmt.Fprintf(h, "%s\x00%s\x00%d %d %d %d %d %d\x00",
-			f.Target, f.Scenario, f.Entries, f.Harvests, f.Points, f.BestPoints, f.Findings, f.Minimized)
+		fmt.Fprintf(h, "%s\x00%s\x00%d %d %d %d %d\x00",
+			f.Target, f.Scenario, f.Entries, f.Harvests, f.Points, f.BestPoints, f.Findings)
 	}
 	fr.ID = fmt.Sprintf("fr-%016x", h.Sum64())
 	return fr
@@ -236,13 +232,12 @@ func (st *Store) recordFrontierLocked() {
 // FamilyDelta is one changed frontier row in a diff: the per-field
 // difference between the current frontier and a historical one.
 type FamilyDelta struct {
-	Target    string `json:"target"`
-	Scenario  string `json:"scenario"`
-	Entries   int    `json:"entries"`
-	Harvests  int    `json:"harvests"`
-	Points    int    `json:"points"`
-	Findings  int    `json:"findings"`
-	Minimized int    `json:"minimized"`
+	Target   string `json:"target"`
+	Scenario string `json:"scenario"`
+	Entries  int    `json:"entries"`
+	Harvests int    `json:"harvests"`
+	Points   int    `json:"points"`
+	Findings int    `json:"findings"`
 }
 
 // FrontierDiff compares the current frontier against a historical frontier
@@ -303,16 +298,14 @@ func (st *Store) Diff(since string) (FrontierDiff, error) {
 	for _, k := range ordered {
 		o, c := oldRows[k], curRows[k]
 		delta := FamilyDelta{
-			Target:    k.target,
-			Scenario:  k.scenario,
-			Entries:   c.Entries - o.Entries,
-			Harvests:  c.Harvests - o.Harvests,
-			Points:    c.Points - o.Points,
-			Findings:  c.Findings - o.Findings,
-			Minimized: c.Minimized - o.Minimized,
+			Target:   k.target,
+			Scenario: k.scenario,
+			Entries:  c.Entries - o.Entries,
+			Harvests: c.Harvests - o.Harvests,
+			Points:   c.Points - o.Points,
+			Findings: c.Findings - o.Findings,
 		}
-		if delta.Entries != 0 || delta.Harvests != 0 || delta.Points != 0 ||
-			delta.Findings != 0 || delta.Minimized != 0 {
+		if delta.Entries != 0 || delta.Harvests != 0 || delta.Points != 0 || delta.Findings != 0 {
 			d.Changed = append(d.Changed, delta)
 		}
 	}

@@ -31,7 +31,9 @@ import (
 //	GET  /corpus/frontier[?since=fr-...]    coverage frontier, or the diff
 //	                               against an earlier frontier ID
 //	GET  /scenarios                scenario-family catalog
-//	GET  /healthz                  liveness + campaign counts
+//	GET  /healthz                  liveness + campaign counts; 503
+//	                               "degraded" once a write of durable
+//	                               state has failed
 //	GET  /metrics                  Prometheus-style text metrics
 //
 // List endpoints marked paginated accept ?limit= and ?offset= over a stable
@@ -373,16 +375,23 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	}{dejavuzz.ScenarioCatalog()})
 }
 
+// handleHealthz answers 200 "ok", or 503 "degraded" once any write of
+// durable state has failed since Open (see dvz_persist_errors_total):
+// the server is live, but some state it acknowledged is not on disk.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.Snapshot()
-	writeJSON(w, http.StatusOK, struct {
+	status, code := "ok", http.StatusOK
+	if st.PersistErrors > 0 {
+		status, code = "degraded", http.StatusServiceUnavailable
+	}
+	writeJSON(w, code, struct {
 		Status        string        `json:"status"`
 		UptimeSeconds float64       `json:"uptime_seconds"`
 		WorkersBudget int           `json:"workers_budget"`
 		WorkersInUse  int           `json:"workers_in_use"`
 		Queued        int           `json:"queued"`
 		Campaigns     map[State]int `json:"campaigns"`
-	}{"ok", st.Uptime.Seconds(), st.WorkersBudget, st.WorkersInUse, st.Queued, st.ByState})
+	}{status, st.Uptime.Seconds(), st.WorkersBudget, st.WorkersInUse, st.Queued, st.ByState})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -414,4 +423,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP dvz_findings_bugs Deduplicated triaged bugs.\ndvz_findings_bugs %d\n", st.TriagedBugs)
 	fmt.Fprintf(w, "# HELP dvz_corpus_entries Persistent cross-campaign corpus entries.\ndvz_corpus_entries %d\n", st.CorpusEntries)
 	fmt.Fprintf(w, "# HELP dvz_events_dropped_total Events dropped on best-effort subscriber buffers, all sessions.\ndvz_events_dropped_total %d\n", st.DroppedEvents)
+	fmt.Fprintf(w, "# HELP dvz_persist_errors_total Failed writes of findings, corpus, registry, checkpoint autosaves and reports.\ndvz_persist_errors_total %d\n", st.PersistErrors)
 }

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dejavuzz"
@@ -136,10 +137,6 @@ type Config struct {
 	// (default 1). A campaign consumes min(its Workers option, budget)
 	// slots while running; campaigns that do not fit wait in FIFO order.
 	Workers int
-	// MinimizeCorpus starts the corpus store's background minimizer, which
-	// runs the engine's training reduction over harvested seeds one at a
-	// time, entirely off the campaign hot path.
-	MinimizeCorpus bool
 	// Log receives service logs; nil discards them.
 	Log *log.Logger
 }
@@ -152,6 +149,10 @@ type Server struct {
 	store    *triage.Store
 	corpus   *corpus.Store
 	started  time.Time
+	// persistErrors counts failed writes of durable state: findings.json,
+	// the corpus, the registry, checkpoint autosaves and reports. Any count
+	// above zero marks the server degraded on /healthz.
+	persistErrors atomic.Int64
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
@@ -190,9 +191,6 @@ func Open(cfg Config) (*Server, error) {
 	cst, err := corpus.Open(filepath.Join(cfg.StateDir, "corpus"))
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MinimizeCorpus {
-		cst.StartMinimizer(corpus.EngineReducer(), time.Second)
 	}
 	s := &Server{
 		stateDir:  cfg.StateDir,
@@ -258,7 +256,8 @@ func (s *Server) reportPath(id string) string {
 	return filepath.Join(s.stateDir, id+".report.json")
 }
 
-// persistLocked atomically rewrites campaigns.json. Callers hold s.mu.
+// persistLocked atomically rewrites campaigns.json and counts a failure
+// toward persistErrors; callers log or return the error. Callers hold s.mu.
 func (s *Server) persistLocked() error {
 	reg := registryFile{Version: registryVersion, NextID: s.nextID}
 	for _, id := range s.order {
@@ -269,9 +268,17 @@ func (s *Server) persistLocked() error {
 		return fmt.Errorf("server: encode registry: %w", err)
 	}
 	if err := atomicfile.Write(s.registryPath(), data); err != nil {
+		s.persistErrors.Add(1)
 		return fmt.Errorf("server: write registry: %w", err)
 	}
 	return nil
+}
+
+// persistFailed counts and logs a failed write of a store, checkpoint or
+// report a campaign produced.
+func (s *Server) persistFailed(id, what string, err error) {
+	s.persistErrors.Add(1)
+	s.log.Printf("campaign %s: %s: %v", id, what, err)
 }
 
 // Create registers a new campaign and queues it for admission. The options
@@ -423,45 +430,48 @@ func (s *Server) run(cs *campaign) {
 		cancel()
 	}
 
-	target := cs.rec.Target
-	seed := cs.rec.Options.EffectiveSeed()
-	fp := fingerprintFor(cs.rec.Options)
 	for ev := range sess.Events() {
-		switch ev.Kind {
-		case dejavuzz.EventEpoch:
-			// Fold the barrier's harvest into the persistent corpus first:
-			// the (campaign, iteration) idempotency key means a barrier
-			// re-drained after an unclean restart cannot double-count.
-			if len(ev.Harvest) > 0 {
-				if _, err := s.corpus.Harvest(id, target, fp, ev.Harvest); err != nil {
-					s.log.Printf("campaign %s: corpus harvest: %v", id, err)
-				}
-			}
-			s.mu.Lock()
-			cs.rec.Done, cs.rec.Total, cs.rec.Coverage = ev.Done, ev.Total, ev.Coverage
-			if err := s.persistLocked(); err != nil {
-				s.log.Printf("campaign %s: persist: %v", id, err)
-			}
-			s.mu.Unlock()
-		case dejavuzz.EventFinding:
-			// The record's raw-finding count follows the store's idempotent
-			// occurrence accounting, so a barrier replayed after an unclean
-			// restart (checkpoint older than the store) cannot inflate it.
-			added, _, err := s.store.Add(id, target, seed, *ev.Finding)
-			if err != nil {
-				s.log.Printf("campaign %s: triage store: %v", id, err)
-			}
-			s.mu.Lock()
-			cs.rec.Findings += added
-			s.mu.Unlock()
-		case dejavuzz.EventCheckpointSaved:
-			if ev.Err != nil {
-				s.log.Printf("campaign %s: checkpoint autosave: %v", id, ev.Err)
-			}
-		}
+		s.absorb(cs, ev)
 	}
 	rep, _ := sess.Wait()
 	s.finish(cs, rep, nil)
+}
+
+// absorb folds one session event into the campaign record and the
+// persistent stores. A campaign resumed from a checkpoint older than the
+// stores — after an unclean restart — re-delivers barriers they already
+// absorbed; both stores skip findings and harvests at or below the
+// campaign's watermark, so the re-drain cannot double-count.
+func (s *Server) absorb(cs *campaign, ev dejavuzz.Event) {
+	id := cs.rec.ID
+	switch ev.Kind {
+	case dejavuzz.EventEpoch:
+		if len(ev.Harvest) > 0 {
+			if _, err := s.corpus.Harvest(id, cs.rec.Target, fingerprintFor(cs.rec.Options), ev.Harvest); err != nil {
+				s.persistFailed(id, "corpus harvest", err)
+			}
+		}
+		s.mu.Lock()
+		cs.rec.Done, cs.rec.Total, cs.rec.Coverage = ev.Done, ev.Total, ev.Coverage
+		if err := s.persistLocked(); err != nil {
+			s.log.Printf("campaign %s: persist: %v", id, err)
+		}
+		s.mu.Unlock()
+	case dejavuzz.EventFinding:
+		// The record's raw-finding count follows what the store absorbed, so
+		// a re-drained barrier cannot inflate it either.
+		added, _, err := s.store.Add(id, cs.rec.Target, cs.rec.Options.EffectiveSeed(), *ev.Finding)
+		if err != nil {
+			s.persistFailed(id, "triage store", err)
+		}
+		s.mu.Lock()
+		cs.rec.Findings += added
+		s.mu.Unlock()
+	case dejavuzz.EventCheckpointSaved:
+		if ev.Err != nil {
+			s.persistFailed(id, "checkpoint autosave", ev.Err)
+		}
+	}
 }
 
 // fingerprintFor derives the corpus compatibility fingerprint a campaign's
@@ -546,7 +556,7 @@ func (s *Server) finish(cs *campaign, rep *dejavuzz.Report, launchErr error) {
 		cs.rec.Coverage = rep.Coverage
 		if saveErr != nil {
 			cs.rec.Error = fmt.Sprintf("save report: %v", saveErr)
-			s.log.Printf("campaign %s: save report: %v", id, saveErr)
+			s.persistFailed(id, "save report", saveErr)
 		}
 		// The checkpoint has served its purpose; the report supersedes it.
 		os.Remove(s.checkpointPath(id))
@@ -783,6 +793,8 @@ type Stats struct {
 	// DroppedEvents counts events dropped across all best-effort session
 	// subscriber buffers, live sessions plus finished ones.
 	DroppedEvents int64
+	// PersistErrors counts failed writes of durable state since Open.
+	PersistErrors int64
 	// Running lists per-campaign throughput for currently running
 	// campaigns, ordered by campaign ID.
 	Running []CampaignRate
@@ -821,6 +833,7 @@ func (s *Server) Snapshot() Stats {
 	sort.Slice(st.Running, func(i, j int) bool { return st.Running[i].ID < st.Running[j].ID })
 	st.RawFindings, st.TriagedBugs = s.store.Stats()
 	st.CorpusEntries = s.corpus.Len()
+	st.PersistErrors = s.persistErrors.Load()
 	return st
 }
 
@@ -861,7 +874,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.persistLocked()
 	s.mu.Unlock()
 	// All campaign goroutines have parked, so no harvest is in flight:
-	// stop the minimizer and fold the corpus journal into its snapshot.
+	// fold the corpus journal into its snapshot.
 	if cerr := s.corpus.Close(); err == nil {
 		err = cerr
 	}

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -349,6 +352,143 @@ func TestServerPauseResumeCancel(t *testing.T) {
 	for _, metric := range []string{"dvz_workers_budget 1", "dvz_campaigns{state=\"done\"} 1", "dvz_iterations_total"} {
 		if !strings.Contains(metrics.String(), metric) {
 			t.Fatalf("metrics missing %q:\n%s", metric, metrics.String())
+		}
+	}
+}
+
+// TestServerPersistFailureDegradesHealth: once a write of durable state
+// fails, /metrics counts it and /healthz answers 503 "degraded" instead of
+// "ok". A non-empty directory planted at findings.json makes every triage
+// save fail, whatever the test's privileges.
+func TestServerPersistFailureDegradesHealth(t *testing.T) {
+	state := t.TempDir()
+	srv, ts := openTestServer(t, state, 1)
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+
+	if err := os.MkdirAll(filepath.Join(state, "findings.json", "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := createCampaign(t, ts.URL, `{"options":{"target":"boom","seed":2,"iterations":48,"merge_every":8}}`)
+	fin := pollRecord(t, ts.URL, rec.ID, "done", func(r Record) bool { return r.State == StateDone })
+	rep := getReport(t, ts.URL, rec.ID)
+	if len(rep.Findings) == 0 {
+		t.Fatal("campaign produced no findings, so no triage save was attempted")
+	}
+	if fin.Findings != len(rep.Findings) {
+		t.Fatalf("record counts %d findings, report has %d", fin.Findings, len(rep.Findings))
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := decodeBody[map[string]any](t, resp, http.StatusServiceUnavailable)
+	if health["status"] != "degraded" {
+		t.Fatalf("healthz status %v, want degraded", health["status"])
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	metrics.ReadFrom(resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	failed := 0
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "dvz_persist_errors_total "); ok {
+			failed, _ = strconv.Atoi(v)
+		}
+	}
+	if failed == 0 {
+		t.Fatalf("dvz_persist_errors_total is not above 0:\n%s", metrics.String())
+	}
+}
+
+// TestRedrainIsByteIdentical: after an unclean restart a campaign resumes
+// from its latest autosave, which may be older than what the stores
+// absorbed, and re-delivers the barriers in between. A server that absorbs
+// barriers [0,k) and then [j,n), j < k, must end with the same
+// findings.json and compacted corpus.json as one that absorbed each
+// barrier once.
+func TestRedrainIsByteIdentical(t *testing.T) {
+	opts := dejavuzz.Options{Target: "boom", Seed: 1, Iterations: 256, MergeEvery: 16}
+	c, err := opts.Campaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One barrier is its finding events followed by its epoch event.
+	var barriers [][]dejavuzz.Event
+	var cur []dejavuzz.Event
+	findings := 0
+	for ev := range sess.Events() {
+		switch ev.Kind {
+		case dejavuzz.EventFinding:
+			cur = append(cur, ev)
+			findings++
+		case dejavuzz.EventEpoch:
+			barriers = append(barriers, append(cur, ev))
+			cur = nil
+		}
+	}
+	if _, err := sess.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(barriers)
+	// Resume from the first autosave after barrier 0 whose barrier carries
+	// both findings and a harvest, so the re-drain exercises both stores.
+	j := -1
+	for i := 1; i < n && j < 0; i++ {
+		if b := barriers[i]; len(b) > 1 && len(b[len(b)-1].Harvest) > 0 {
+			j = i
+		}
+	}
+	if j < 0 {
+		t.Fatal("no barrier carries both findings and a harvest")
+	}
+	k := min(j+3, n)
+
+	absorbAll := func(dir string, spans ...[2]int) Record {
+		srv, err := Open(Config{StateDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := &campaign{rec: Record{ID: "c1", Target: opts.EffectiveTarget(), Options: opts}}
+		for _, sp := range spans {
+			for _, b := range barriers[sp[0]:sp[1]] {
+				for _, ev := range b {
+					srv.absorb(cs, ev)
+				}
+			}
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.Snapshot().PersistErrors; n != 0 {
+			t.Fatalf("%d persist errors", n)
+		}
+		return cs.rec
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	recA := absorbAll(dirA, [2]int{0, n})
+	recB := absorbAll(dirB, [2]int{0, k}, [2]int{j, n})
+	if recA.Findings != findings || recB.Findings != findings {
+		t.Fatalf("records count %d and %d findings, the stream has %d", recA.Findings, recB.Findings, findings)
+	}
+	for _, name := range []string{"findings.json", filepath.Join("corpus", "corpus.json")} {
+		a, err := os.ReadFile(filepath.Join(dirA, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirB, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs after re-draining barriers [%d,%d) of %d", name, j, k, n)
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // StoreVersion guards the findings-store file format against drift.
-// Version 2 added the scenario family to bug signatures. Open accepts only
-// this version: a pre-scenario version-1 store is refused, as is any bug
-// without its corpus_entry provenance.
-const StoreVersion = 2
+// Version 2 added the scenario family to bug signatures; version 3
+// replaced each bug's occurrence keys with per-campaign watermarks. Open
+// accepts only this version.
+const StoreVersion = 3
 
 // Store is the persistent triaged-findings store: raw findings go in,
 // deduplicated bug clusters come out, and every mutation is atomically
@@ -26,31 +26,29 @@ type Store struct {
 	mu   sync.Mutex
 	path string // "" = in-memory only
 	bugs map[Signature]*Bug
-	// raw counts distinct (campaign, iteration) occurrences — every raw
-	// finding campaigns reported, duplicates across seeds/campaigns
-	// included, idempotent replays excluded.
+	// watermarks maps each campaign to the highest iteration whose finding
+	// the store has absorbed; findings at or below it are replays.
+	watermarks map[string]int
+	// raw counts every raw finding campaigns reported, duplicates across
+	// seeds/campaigns included, replays excluded.
 	raw int
 }
 
 // storeFile is the on-disk shape.
 type storeFile struct {
-	Version int `json:"version"`
-	Raw     int `json:"raw_findings"`
+	Version    int            `json:"version"`
+	Raw        int            `json:"raw_findings"`
+	Watermarks map[string]int `json:"watermarks"`
 	// Bugs are sorted by signature so saves are byte-deterministic.
-	Bugs []bugFile `json:"bugs"`
-}
-
-// bugFile is Bug plus its occurrence keys (unexported in memory).
-type bugFile struct {
-	Bug
-	Occurrences []string `json:"occurrences"`
+	Bugs []Bug `json:"bugs"`
 }
 
 // Open loads the store at path, creating an empty one if the file does not
 // exist yet. An empty path yields a purely in-memory store (Add never
-// touches disk).
+// touches disk). A store of another version, a negative watermark, a bug
+// with a count below 1 or without its corpus_entry provenance is refused.
 func Open(path string) (*Store, error) {
-	s := &Store{path: path, bugs: make(map[Signature]*Bug)}
+	s := &Store{path: path, bugs: make(map[Signature]*Bug), watermarks: make(map[string]int)}
 	if path == "" {
 		return s, nil
 	}
@@ -68,14 +66,24 @@ func Open(path string) (*Store, error) {
 	if f.Version != StoreVersion {
 		return nil, fmt.Errorf("triage: store %s has version %d, want %d", path, f.Version, StoreVersion)
 	}
+	negative := 0
+	for _, w := range f.Watermarks {
+		if w < 0 {
+			negative++
+		}
+	}
+	if negative > 0 {
+		return nil, fmt.Errorf("triage: store %s: watermarks hold %d negative iterations", path, negative)
+	}
+	if f.Watermarks != nil {
+		s.watermarks = f.Watermarks
+	}
 	s.raw = f.Raw
 	for i := range f.Bugs {
-		b := f.Bugs[i].Bug
-		b.occurrences = make(map[string]bool, len(f.Bugs[i].Occurrences))
-		for _, k := range f.Bugs[i].Occurrences {
-			b.occurrences[k] = true
+		b := f.Bugs[i]
+		if b.Count < 1 {
+			return nil, fmt.Errorf("triage: store %s: bug %q has count %d, want at least 1", path, b.Signature, b.Count)
 		}
-		b.Count = len(b.occurrences)
 		if b.CorpusEntry == "" {
 			return nil, fmt.Errorf("triage: store %s: bug %q has an empty corpus_entry", path, b.Signature)
 		}
@@ -86,13 +94,13 @@ func Open(path string) (*Store, error) {
 
 // Add triages one batch of raw findings from a campaign, deduplicating them
 // into bug clusters, and persists the store. It returns how many findings
-// were new (campaign, iteration) occurrences and how many opened a new
-// cluster (first-ever sightings). Re-adding an occurrence the store has
-// already absorbed is a complete no-op — it moves neither the raw counter
-// nor any cluster — so event replay after an unclean restart cannot
-// inflate counts; callers keeping their own raw-finding tallies should
-// likewise advance them by newOccurrences, not len(findings).
-func (s *Store) Add(campaignID, target string, campaignSeed int64, findings ...core.Finding) (newOccurrences, newBugs int, err error) {
+// it absorbed and how many opened a new cluster (first-ever sightings).
+// A finding at or below its campaign's watermark is a replay — event
+// replay after an unclean restart re-delivers a prefix of the campaign's
+// iteration-ordered findings — and is skipped without moving the raw
+// counter or any cluster; callers keeping their own raw-finding tallies
+// should likewise advance them by added, not len(findings).
+func (s *Store) Add(campaignID, target string, campaignSeed int64, findings ...core.Finding) (added, newBugs int, err error) {
 	if len(findings) == 0 {
 		return 0, 0, nil
 	}
@@ -100,6 +108,10 @@ func (s *Store) Add(campaignID, target string, campaignSeed int64, findings ...c
 	defer s.mu.Unlock()
 	for i := range findings {
 		f := &findings[i]
+		if w, ok := s.watermarks[campaignID]; ok && f.Iteration <= w {
+			continue
+		}
+		s.watermarks[campaignID] = f.Iteration
 		sig := Compute(target, f)
 		b, ok := s.bugs[sig]
 		if !ok {
@@ -107,15 +119,16 @@ func (s *Store) Add(campaignID, target string, campaignSeed int64, findings ...c
 			s.bugs[sig] = b
 			newBugs++
 		}
-		if b.record(Occurrence{Campaign: campaignID, Seed: campaignSeed, Iteration: f.Iteration}) {
-			newOccurrences++
-			s.raw++
-		}
+		b.Count++
+		b.Campaigns = insertString(b.Campaigns, campaignID)
+		b.Seeds = insertInt64(b.Seeds, campaignSeed)
+		added++
+		s.raw++
 	}
-	if newOccurrences == 0 && newBugs == 0 {
+	if added == 0 {
 		return 0, 0, nil
 	}
-	return newOccurrences, newBugs, s.saveLocked()
+	return added, newBugs, s.saveLocked()
 }
 
 // Bugs returns the triaged view: every cluster, most-seen first (ties by
@@ -126,7 +139,6 @@ func (s *Store) Bugs() []Bug {
 	out := make([]Bug, 0, len(s.bugs))
 	for _, b := range s.bugs {
 		cp := *b
-		cp.occurrences = nil // private; Count/Campaigns/Seeds summarise it
 		cp.Components = append([]string(nil), b.Components...)
 		cp.BugLabels = append([]string(nil), b.BugLabels...)
 		cp.Campaigns = append([]string(nil), b.Campaigns...)
@@ -154,14 +166,9 @@ func (s *Store) saveLocked() error {
 	if s.path == "" {
 		return nil
 	}
-	f := storeFile{Version: StoreVersion, Raw: s.raw, Bugs: make([]bugFile, 0, len(s.bugs))}
+	f := storeFile{Version: StoreVersion, Raw: s.raw, Watermarks: s.watermarks, Bugs: make([]Bug, 0, len(s.bugs))}
 	for _, b := range s.bugs {
-		occ := make([]string, 0, len(b.occurrences))
-		for k := range b.occurrences {
-			occ = append(occ, k)
-		}
-		sort.Strings(occ)
-		f.Bugs = append(f.Bugs, bugFile{Bug: *b, Occurrences: occ})
+		f.Bugs = append(f.Bugs, *b)
 	}
 	sort.Slice(f.Bugs, func(i, j int) bool { return f.Bugs[i].Signature < f.Bugs[j].Signature })
 	data, err := json.Marshal(&f)

@@ -48,11 +48,12 @@ func v1StoreJSON(t *testing.T) []byte {
 	return data
 }
 
-// v2StoreWithoutCorpusEntry writes a current-version store through Add and
-// returns its bytes with the one bug's corpus_entry removed.
-func v2StoreWithoutCorpusEntry(t *testing.T, dir string) []byte {
+// editedStore writes a current-version store through Add and returns its
+// bytes after edit has changed the decoded JSON.
+func editedStore(t *testing.T, dir string, edit func(store, bug map[string]any)) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "source.json")
+	os.Remove(path)
 	s, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func v2StoreWithoutCorpusEntry(t *testing.T, dir string) []byte {
 	if bug["corpus_entry"] == nil {
 		t.Fatal("Add wrote a bug without corpus_entry")
 	}
-	delete(bug, "corpus_entry")
+	edit(m, bug)
 	data, err = json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +83,10 @@ func v2StoreWithoutCorpusEntry(t *testing.T, dir string) []byte {
 }
 
 // TestOpenRejectsUnknownVersion pins the store's one accepted format:
-// every version but StoreVersion is refused naming the version, and a
-// current-version bug without corpus provenance is refused naming the
-// field.
+// every version but StoreVersion is refused naming the version — version 2
+// being the last one with per-bug occurrence keys — and a current-version
+// store with a negative watermark, a bug with a count below 1 or a bug
+// without corpus provenance is refused naming the field.
 func TestOpenRejectsUnknownVersion(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -94,7 +96,20 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	}{
 		{"version-99", []byte(`{"version":99,"bugs":[]}`), "version 99"},
 		{"version-1", v1StoreJSON(t), "version 1"},
-		{"empty-corpus-entry", v2StoreWithoutCorpusEntry(t, dir), "corpus_entry"},
+		{"version-2", editedStore(t, dir, func(store, bug map[string]any) {
+			store["version"] = 2
+			delete(store, "watermarks")
+			bug["occurrences"] = []string{"c1#5"}
+		}), "version 2"},
+		{"negative-watermark", editedStore(t, dir, func(store, bug map[string]any) {
+			store["watermarks"] = map[string]int{"c1": 5, "c2": -1}
+		}), "watermarks"},
+		{"count-below-1", editedStore(t, dir, func(store, bug map[string]any) {
+			bug["count"] = 0
+		}), "count"},
+		{"empty-corpus-entry", editedStore(t, dir, func(store, bug map[string]any) {
+			delete(bug, "corpus_entry")
+		}), "corpus_entry"},
 	} {
 		path := filepath.Join(dir, tc.name+".json")
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
@@ -105,5 +120,33 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: refusal does not name %q: %v", tc.name, tc.want, err)
 		}
+	}
+}
+
+// TestStoreSizeBoundedByCampaigns: one campaign rediscovering one bug at
+// 100 and then at 1000 increasing iterations leaves files that differ only
+// in counter digits — the store grows with campaigns, not occurrences.
+func TestStoreSizeBoundedByCampaigns(t *testing.T) {
+	size := func(n int) int64 {
+		path := filepath.Join(t.TempDir(), "findings.json")
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			f := finding(3*i, core.FindingEncoded, "Spectre", gen.TrigBranchMispred, []string{"dcache"}, nil, int64(i))
+			if _, _, err := s.Add("c1", "boom", 1, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	small, large := size(100), size(1000)
+	if large-small >= 512 {
+		t.Fatalf("findings.json grew from %d to %d bytes between 100 and 1000 findings, want < 512", small, large)
 	}
 }

@@ -10,14 +10,15 @@
 //
 // The Store persists the triaged view as a single JSON file via
 // internal/atomicfile, so a crash never corrupts it and a server restart
-// resumes triage exactly where it stopped. Occurrence recording is
-// idempotent per (campaign, iteration), so replaying a campaign's event
-// stream — e.g. after an unclean shutdown re-runs barriers the store
-// already absorbed — never inflates counts.
+// resumes triage exactly where it stopped. It keeps one watermark per
+// campaign, the highest iteration it has absorbed a finding from: a
+// campaign delivers at most one finding per iteration, in iteration order,
+// and a resumed campaign re-delivers a byte-identical prefix, so replaying
+// its event stream — e.g. after an unclean shutdown re-runs barriers the
+// store already absorbed — never inflates counts.
 package triage
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -49,7 +50,7 @@ type Bug struct {
 	Scenario   string    `json:"scenario"`
 	Components []string  `json:"components"`
 	BugLabels  []string  `json:"bug_labels,omitempty"`
-	// Count is the number of distinct (campaign, iteration) occurrences.
+	// Count is the number of raw findings the cluster absorbed.
 	Count int `json:"count"`
 	// Campaigns and Seeds are the sorted distinct campaign IDs and campaign
 	// seeds the bug was observed under — the cross-seed dedup evidence.
@@ -63,34 +64,6 @@ type Bug struct {
 	// GET /corpus listing. The ID is a pure content hash, so it is valid
 	// whether or not the corpus currently retains the entry.
 	CorpusEntry string `json:"corpus_entry,omitempty"`
-
-	// occurrences keys ("campaign#iteration") make recording idempotent.
-	occurrences map[string]bool
-}
-
-// Occurrence is one raw-finding observation attributed to a bug.
-type Occurrence struct {
-	Campaign  string
-	Seed      int64
-	Iteration int
-}
-
-func (o Occurrence) key() string { return fmt.Sprintf("%s#%d", o.Campaign, o.Iteration) }
-
-// record absorbs one occurrence; it reports whether it was new.
-func (b *Bug) record(o Occurrence) bool {
-	if b.occurrences == nil {
-		b.occurrences = make(map[string]bool)
-	}
-	k := o.key()
-	if b.occurrences[k] {
-		return false
-	}
-	b.occurrences[k] = true
-	b.Count = len(b.occurrences)
-	b.Campaigns = insertString(b.Campaigns, o.Campaign)
-	b.Seeds = insertInt64(b.Seeds, o.Seed)
-	return true
 }
 
 func insertString(s []string, v string) []string {

@@ -47,8 +47,8 @@ func TestSignatureStableAcrossRediscovery(t *testing.T) {
 	}
 }
 
-// TestStoreDedup: duplicates collapse into one bug with an occurrence
-// count, and re-adding the same (campaign, iteration) is idempotent.
+// TestStoreDedup: duplicates collapse into one bug with a count, and
+// re-adding a finding at or below its campaign's watermark is a no-op.
 func TestStoreDedup(t *testing.T) {
 	s, err := Open("")
 	if err != nil {
@@ -93,7 +93,7 @@ func TestStoreDedup(t *testing.T) {
 }
 
 // TestStorePersistence: a store reloaded from disk carries clusters,
-// counts and idempotency state across the restart.
+// counts and watermarks across the restart.
 func TestStorePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "findings.json")
 	s, err := Open(path)

@@ -4,6 +4,10 @@
 # triage view, SIGTERM the server mid-campaign (graceful shutdown must
 # checkpoint it at the next merge barrier), restart over the same state
 # directory, and assert the campaign resumes automatically and completes.
+# Then the unclean leg: kill -9 the server mid-way through a boom campaign,
+# restart it, and assert the triage store absorbed each finding exactly
+# once although the campaign resumed from an older autosave and re-drained
+# barriers the stores had already absorbed.
 set -euo pipefail
 
 ADDR="127.0.0.1:8471"
@@ -22,6 +26,9 @@ fail() { echo "SMOKE FAIL: $*" >&2; exit 1; }
 
 # jq-free field extraction: first "key":value (string or number) in stdin.
 field() { grep -o "\"$1\":[^,}]*" | head -n1 | sed -e "s/\"$1\"://" -e 's/"//g' -e 's/ //g'; }
+
+# Number of findings in a report read from stdin.
+count_findings() { { grep -o '"AttackType":' || true; } | wc -l | tr -d ' '; }
 
 wait_healthy() {
   for _ in $(seq 100); do
@@ -96,10 +103,57 @@ REPORT=$(curl -fs "$BASE/campaigns/$ID/report")
 # Substring match, not a grep pipe: the report is megabytes and grep -q's
 # early exit would SIGPIPE the producer under pipefail.
 [[ "$REPORT" == *'"Coverage"'* ]] || fail "report endpoint empty"
+ISA_FINDINGS=$(printf '%s' "$REPORT" | count_findings)
+
+# 4000 iterations at merge_every 16 is 250 barriers, so autosaves are
+# throttled to every 4th barrier: the kill -9 usually lands after barriers
+# the stores absorbed but the checkpoint does not cover.
+echo "== create boom campaign for the unclean-restart leg"
+CREATE=$(curl -fs -X POST "$BASE/campaigns" \
+  -d '{"name":"crash","options":{"target":"boom","seed":3,"iterations":4000,"merge_every":16}}')
+BOOM=$(echo "$CREATE" | field id)
+[ -n "$BOOM" ] || fail "create returned no id: $CREATE"
+DONE=0
+for _ in $(seq 600); do
+  DONE=$(curl -fs "$BASE/campaigns/$BOOM" | field done)
+  [ "$DONE" -ge 64 ] && break
+  sleep 0.05
+done
+[ "$DONE" -ge 64 ] || fail "boom campaign never reached 64 iterations"
+
+echo "== kill -9 mid-campaign (done=$DONE/4000)"
+kill -9 "$SRV_PID"
+wait "$SRV_PID" 2>/dev/null || true
+SRV_PID=""
+
+echo "== restart after the crash, campaign must resume and finish"
+"$BIN" -addr "$ADDR" -state "$STATE" -workers 2 &
+SRV_PID=$!
+wait_healthy
+STATE_NOW=""
+for _ in $(seq 1200); do
+  STATE_NOW=$(curl -fs "$BASE/campaigns/$BOOM" | field state)
+  [ "$STATE_NOW" = "done" ] && break
+  [ "$STATE_NOW" = "failed" ] && fail "boom campaign failed after the crash"
+  sleep 0.1
+done
+[ "$STATE_NOW" = "done" ] || fail "boom campaign did not finish after the crash (state=$STATE_NOW)"
+BOOM_FINDINGS=$(curl -fs "$BASE/campaigns/$BOOM/report" | count_findings)
+RAW=$(curl -fs "$BASE/findings?limit=0" | field raw_findings)
+WANT=$((ISA_FINDINGS + BOOM_FINDINGS))
+[ "$BOOM_FINDINGS" -gt 0 ] || fail "boom campaign reported no findings"
+[ "$RAW" = "$WANT" ] || fail "raw_findings=$RAW after the crash, reports hold $WANT findings"
+echo "   raw_findings=$RAW, one per reported finding"
 
 echo "== graceful final shutdown"
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || fail "server exited non-zero on final SIGTERM"
 SRV_PID=""
+for f in "$STATE/corpus/corpus.json" "$STATE/corpus/journal.ndjson" "$STATE/findings.json"; do
+  [ -f "$f" ] || fail "$f missing"
+  if grep -q -e '"seen"' -e '"occurrences"' "$f"; then
+    fail "$f stores per-occurrence keys"
+  fi
+done
 
 echo "SMOKE OK: campaign $ID checkpointed at $CKPT_DONE/$TOTAL and resumed to completion"
