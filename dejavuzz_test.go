@@ -358,6 +358,53 @@ func TestNewRejectsUnwritableCheckpointPath(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMalformedCorpusSeed: resuming a checkpoint whose corpus
+// holds a seed with a negative WindowLen must fail with an error naming
+// the field; the resumed campaign would otherwise panic the shard
+// goroutine that builds the seed's window.
+func TestResumeRejectsMalformedCorpusSeed(t *testing.T) {
+	mk := func() *Campaign {
+		c, err := New("boom", WithSeed(42), WithIterations(32), WithMergeEvery(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := midCampaignCheckpoint(t, mk(), 16).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	corpus, _ := doc["corpus"].([]any)
+	if len(corpus) == 0 {
+		t.Fatal("checkpoint has no corpus seed to corrupt")
+	}
+	corpus[0].(map[string]any)["WindowLen"] = -4095
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err == nil {
+		_, err = mk().Resume(context.Background(), ck)
+	}
+	if err == nil {
+		t.Fatal("resume accepted a corpus seed with a negative WindowLen")
+	}
+	if !strings.Contains(err.Error(), "WindowLen") {
+		t.Fatalf("malformed-seed refusal does not name WindowLen: %v", err)
+	}
+}
+
 func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	mk := func(seed int64) *Campaign {
 		c, err := New("boom", WithSeed(seed), WithIterations(16), WithMergeEvery(4))

@@ -185,17 +185,22 @@ func ValidateScenarios(names []string) error {
 }
 
 // ValidateWarmStart checks a warm-start seed set and frontier prior
-// against a campaign's enabled scenario families: every warm seed's family
-// and every prior row must belong to the enabled set, or the campaign's
-// statistics and scheduling would silently track families it cannot
-// sample. The warm-start resolver filters by family before building
-// options, so a violation here means caller drift, not user error.
+// against a campaign's enabled scenario families: every warm seed must be
+// well-formed (gen.Seed.Validate — a malformed one would panic the shard
+// that replays it), and every warm seed's family and every prior row must
+// belong to the enabled set, or the campaign's statistics and scheduling
+// would silently track families it cannot sample. The warm-start resolver
+// filters by family before building options, so a family violation here
+// means caller drift, not user error.
 func ValidateWarmStart(seeds []gen.Seed, prior []scenario.Prior, families []string) error {
 	enabled := make(map[string]bool, len(families))
 	for _, f := range families {
 		enabled[f] = true
 	}
 	for i, sd := range seeds {
+		if err := sd.Validate(); err != nil {
+			return fmt.Errorf("warm seed %d: %w", i, err)
+		}
 		if fam := gen.ScenarioName(sd); !enabled[fam] {
 			return fmt.Errorf("warm seed %d has scenario family %q outside the campaign's enabled set", i, fam)
 		}
@@ -688,6 +693,19 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		!(st.NextIter == norm.Iterations && wantNext > norm.Iterations) {
 		return nil, fmt.Errorf("core: engine state epoch %d inconsistent with next iteration %d (merge every %d)",
 			st.Epoch, st.NextIter, norm.MergeEvery)
+	}
+	// Corpus seeds are mutated and rebuilt, and finding seeds replayed, by
+	// the resumed campaign: refuse a malformed one here, where there is an
+	// error path, instead of letting it reach a shard.
+	for i, sd := range st.Corpus {
+		if err := sd.Validate(); err != nil {
+			return nil, fmt.Errorf("core: engine state corpus seed %d: %w", i, err)
+		}
+	}
+	for i := range st.Findings {
+		if err := st.Findings[i].Seed.Validate(); err != nil {
+			return nil, fmt.Errorf("core: engine state finding %d seed: %w", i, err)
+		}
 	}
 	f := NewFuzzer(norm)
 	f.startIter = st.NextIter

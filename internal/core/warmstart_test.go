@@ -208,13 +208,14 @@ func TestWarmConsumedValidation(t *testing.T) {
 	}
 }
 
-// TestValidateWarmStart checks the family-membership validation both ways.
+// TestValidateWarmStart checks the family-membership validation both ways,
+// and that a malformed warm seed is refused by field.
 func TestValidateWarmStart(t *testing.T) {
 	fams := scenario.Names()
 	if len(fams) < 2 {
 		t.Fatal("need at least two registered families")
 	}
-	goodSeed := gen.Seed{Scenario: fams[0]}
+	goodSeed := gen.Seed{Scenario: fams[0], TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
 	if err := ValidateWarmStart([]gen.Seed{goodSeed}, []scenario.Prior{{Name: fams[1]}}, fams); err != nil {
 		t.Fatalf("rejected a valid warm-start set: %v", err)
 	}
@@ -225,5 +226,11 @@ func TestValidateWarmStart(t *testing.T) {
 	// A prior row for a family the campaign does not run.
 	if err := ValidateWarmStart(nil, []scenario.Prior{{Name: "warp-drive"}}, fams); err == nil {
 		t.Error("accepted a frontier prior for an unregistered family")
+	}
+	// A warm seed the generator could never have drawn.
+	badSeed := goodSeed
+	badSeed.WindowLen = -4095
+	if err := ValidateWarmStart([]gen.Seed{badSeed}, nil, fams); err == nil || !strings.Contains(err.Error(), "WindowLen") {
+		t.Errorf("malformed warm seed: err=%v, want a refusal naming WindowLen", err)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -139,7 +140,18 @@ type Store struct {
 	watermarks map[string]int
 	history    []Frontier
 	journal    *os.File
-	journalLen int
+	journalLen int // records appended since the last compaction
+	// journalSize is the journal's length in bytes. A failed append
+	// truncates back to it, so a partial record never stays behind for the
+	// next append to extend into mid-file corruption.
+	journalSize int64
+	// journalErr, once set, refuses every further append until the store
+	// is reopened: an append failed and its partial record could not be
+	// truncated away.
+	journalErr error
+	// writeJournal appends one record line (os.File.Write; tests inject
+	// short writes through it).
+	writeJournal func(f *os.File, line []byte) (int, error)
 }
 
 // Open loads (or creates) the corpus store in dir: snapshot, journal
@@ -149,15 +161,18 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	st := &Store{dir: dir, entries: make(map[string]*Entry), watermarks: make(map[string]int)}
+	st := &Store{dir: dir, entries: make(map[string]*Entry), watermarks: make(map[string]int),
+		writeJournal: (*os.File).Write}
 	if err := st.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	replayed, err := st.replayJournal()
+	replayed, torn, err := st.replayJournal()
 	if err != nil {
 		return nil, err
 	}
-	if replayed > 0 {
+	// Compacting also drops a torn tail, which the next append would
+	// otherwise extend.
+	if replayed > 0 || torn {
 		if err := st.compactLocked(); err != nil {
 			return nil, err
 		}
@@ -166,7 +181,12 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	st.journal = j
+	fi, err := j.Stat()
+	if err != nil {
+		j.Close()
+		return nil, fmt.Errorf("corpus: %w", err)
+	}
+	st.journal, st.journalSize = j, fi.Size()
 	return st, nil
 }
 
@@ -206,24 +226,23 @@ func (st *Store) loadSnapshot() error {
 }
 
 // replayJournal applies the redo journal over the loaded snapshot and
-// returns how many records it read. A torn final line — the only debris a
-// crashed append can leave — is discarded; an undecodable line anywhere
+// returns how many records it read, and whether it dropped a torn final
+// line — the only debris a crashed append can leave; an undecodable line anywhere
 // else, or a decodable record that no harvest could have written, means
 // real corruption and is an error. Records at or below their campaign's
 // snapshot watermark were folded into the snapshot by a compaction that
 // crashed before truncating the journal, and are skipped.
-func (st *Store) replayJournal() (int, error) {
+func (st *Store) replayJournal() (read int, torn bool, err error) {
 	f, err := os.Open(st.journalPath())
 	if os.IsNotExist(err) {
-		return 0, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("corpus: %w", err)
+		return 0, false, fmt.Errorf("corpus: %w", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	read := 0
 	var pendingErr error
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -232,7 +251,7 @@ func (st *Store) replayJournal() (int, error) {
 		}
 		if pendingErr != nil {
 			// The bad line was not the tail: the journal is corrupt, not torn.
-			return 0, pendingErr
+			return 0, false, pendingErr
 		}
 		var rec journalRec
 		if err := json.Unmarshal(line, &rec); err != nil {
@@ -240,7 +259,7 @@ func (st *Store) replayJournal() (int, error) {
 			continue
 		}
 		if err := rec.validate(); err != nil {
-			return 0, fmt.Errorf("corpus: %s corrupt: %w", journalFile, err)
+			return 0, false, fmt.Errorf("corpus: %s corrupt: %w", journalFile, err)
 		}
 		read++
 		if w, ok := st.watermarks[rec.Campaign]; ok && rec.Through <= w {
@@ -249,9 +268,9 @@ func (st *Store) replayJournal() (int, error) {
 		st.applyLocked(&rec)
 	}
 	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("corpus: %w", err)
+		return 0, false, fmt.Errorf("corpus: %w", err)
 	}
-	return read, nil
+	return read, pendingErr != nil, nil
 }
 
 // validate refuses a record no harvest could have written.
@@ -318,7 +337,7 @@ func (st *Store) compactLocked() error {
 	} else if err := os.WriteFile(st.journalPath(), nil, 0o644); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	st.journalLen = 0
+	st.journalLen, st.journalSize = 0, 0
 	return nil
 }
 
@@ -327,10 +346,16 @@ func (st *Store) compactLocked() error {
 // at or below the campaign's watermark are replays — a barrier re-drained
 // after an unclean restart — and are skipped. The harvest becomes one
 // journal record, appended before the store changes: if the append fails,
-// Harvest returns 0 with the error and the store is as it was.
+// Harvest returns 0 with the error and the store is as it was. A partial
+// append (a full disk) is truncated away so the next harvest appends a
+// clean record; if even the truncate fails, Harvest returns both errors and
+// refuses every further harvest until the store is reopened.
 func (st *Store) Harvest(campaign, target, fingerprint string, batch []core.HarvestedSeed) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.journalErr != nil {
+		return 0, st.journalErr
+	}
 	rec, added := st.harvestRecordLocked(campaign, target, fingerprint, batch)
 	if added == 0 {
 		return 0, nil
@@ -339,9 +364,16 @@ func (st *Store) Harvest(campaign, target, fingerprint string, batch []core.Harv
 	if err != nil {
 		return 0, fmt.Errorf("corpus: %w", err)
 	}
-	if _, err := st.journal.Write(append(line, '\n')); err != nil {
+	n, err := st.writeJournal(st.journal, append(line, '\n'))
+	if err != nil {
+		if terr := st.journal.Truncate(st.journalSize); terr != nil {
+			st.journalErr = fmt.Errorf("corpus: journal append failed and its partial record could not be removed (reopen the store): %w",
+				errors.Join(err, terr))
+			return 0, st.journalErr
+		}
 		return 0, fmt.Errorf("corpus: %w", err)
 	}
+	st.journalSize += int64(n)
 	st.journalLen++
 	st.applyLocked(rec)
 	if st.journalLen >= compactAfter {

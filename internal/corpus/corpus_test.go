@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -319,6 +320,131 @@ func TestFailedAppendLeavesStoreUnchanged(t *testing.T) {
 	}
 	if id := st.Frontier().ID; id != wantFrontier {
 		t.Fatalf("frontier moved to %s, want %s", id, wantFrontier)
+	}
+}
+
+// halfWriteThen returns a journal writer that writes the first half of a
+// record and then fails, as an append to a full disk does; after is called
+// on the file before the error returns.
+func halfWriteThen(after func(*os.File)) func(*os.File, []byte) (int, error) {
+	return func(f *os.File, line []byte) (int, error) {
+		n, err := f.Write(line[:len(line)/2])
+		if err != nil {
+			return n, err
+		}
+		after(f)
+		return n, errors.New("injected: no space left on device")
+	}
+}
+
+// TestShortJournalWriteRollsBack: a harvest whose journal append writes
+// half its record and fails leaves the store unchanged, the next harvest
+// succeeds, and Open accepts the journal with both harvests in it (a
+// partial record left in place would be extended by the next append into
+// mid-file corruption).
+func TestShortJournalWriteRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Harvest("c1", "boom", "fp-test", testBatch(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	wantLen, wantList, wantFrontier := st.Len(), st.List("", ""), st.Frontier().ID
+
+	st.writeJournal = halfWriteThen(func(*os.File) {})
+	if added, err := st.Harvest("c1", "boom", "fp-test", testBatch(3, 10)); err == nil || added != 0 {
+		t.Fatalf("harvest over a short write: added=%d err=%v, want 0 and an error", added, err)
+	}
+	if st.Len() != wantLen || !reflect.DeepEqual(st.List("", ""), wantList) || st.Frontier().ID != wantFrontier {
+		t.Fatal("store changed after a short journal write")
+	}
+
+	st.writeJournal = (*os.File).Write
+	if added, err := st.Harvest("c1", "boom", "fp-test", testBatch(3, 10)); err != nil || added != 3 {
+		t.Fatalf("harvest after a rolled-back write: added=%d err=%v, want 3", added, err)
+	}
+	want := st.List("", "")
+
+	// Open a copy of the live journal (Close would compact it away).
+	journal, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(copyDir, journalFile), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(copyDir)
+	if err != nil {
+		t.Fatalf("Open after a rolled-back short write: %v", err)
+	}
+	defer re.Close()
+	if got := re.List("", ""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened entries differ:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestShortJournalWriteUnrecoverable: when the partial record cannot be
+// truncated away either, Harvest reports both errors and refuses every
+// later harvest. Reopening must drop the torn tail — even when it is the
+// journal's only line — so the next append starts a clean record.
+func TestShortJournalWriteUnrecoverable(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Harvest("c1", "boom", "fp-test", testBatch(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil { // compacts: the journal is now empty
+		t.Fatal(err)
+	}
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Closing the file after the partial write makes the truncate fail.
+	st.writeJournal = halfWriteThen(func(f *os.File) { f.Close() })
+	_, err = st.Harvest("c1", "boom", "fp-test", testBatch(3, 10))
+	if err == nil || !strings.Contains(err.Error(), "injected") || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("unrecoverable short write: err=%v, want the write and truncate errors", err)
+	}
+	st.writeJournal = (*os.File).Write
+	if added, err := st.Harvest("c2", "boom", "fp-test", testBatch(1, 20)); err == nil || added != 0 {
+		t.Fatalf("harvest after an unrecoverable write: added=%d err=%v, want a refusal", added, err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen over a torn tail: %v", err)
+	}
+	defer re.Close()
+	if added, err := re.Harvest("c1", "boom", "fp-test", testBatch(3, 10)); err != nil || added != 3 {
+		t.Fatalf("harvest after reopen: added=%d err=%v, want 3", added, err)
+	}
+	want := re.List("", "")
+	// Open a copy of the live files (Close would compact the journal away):
+	// the harvest must not have been glued onto the torn line.
+	copyDir := t.TempDir()
+	for _, name := range []string{snapshotFile, journalFile} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(copyDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := Open(copyDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if got := cp.List("", ""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("harvest after reopen lost:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
-	"sync"
 
 	"dejavuzz/internal/isa"
 	"dejavuzz/internal/scenario"
@@ -117,6 +115,42 @@ func FamilyOf(s Seed) (scenario.Scenario, error) {
 	return scenario.Lookup(s.Scenario)
 }
 
+// Validate refuses a seed no draw or mutation could have produced, naming
+// the offending field: the family must be registered (or, for a seed that
+// names none, its legacy trigger class must exist), the core and variant
+// must be known, and every knob must lie in the range drawKnobs and Mutate
+// keep it in. Seeds from outside the generator — repro JSON, checkpoints,
+// warm-start sets — pass through it before anything is built from them.
+func (s Seed) Validate() error {
+	if s.Scenario == "" {
+		if s.Trigger < 0 || s.Trigger >= NumTriggerTypes {
+			return fmt.Errorf("gen: seed Trigger %d has no scenario family", int(s.Trigger))
+		}
+	} else if _, err := scenario.Lookup(s.Scenario); err != nil {
+		return fmt.Errorf("gen: seed Scenario: %w", err)
+	}
+	if s.Core != uarch.KindBOOM && s.Core != uarch.KindXiangShan {
+		return fmt.Errorf("gen: seed Core %d is not a modelled core", int(s.Core))
+	}
+	if s.Variant != VariantDerived && s.Variant != VariantRandom {
+		return fmt.Errorf("gen: seed Variant %d is unknown", int(s.Variant))
+	}
+	for _, k := range [...]struct {
+		name      string
+		v, lo, hi int // v must lie in [lo, hi]
+	}{
+		{"TriggerOff", s.TriggerOff, 60, 109},
+		{"WindowLen", s.WindowLen, 4, 11},
+		{"EncodeOps", s.EncodeOps, 1, 4},
+		{"Encoder", s.Encoder, 0, scenario.NumEncoders()},
+	} {
+		if k.v < k.lo || k.v > k.hi {
+			return fmt.Errorf("gen: seed %s %d outside [%d, %d]", k.name, k.v, k.lo, k.hi)
+		}
+	}
+	return nil
+}
+
 // ScenarioName returns the seed's effective family name (canonical when the
 // seed predates named scenarios; the raw trigger rendering for seeds whose
 // trigger class does not exist).
@@ -132,32 +166,26 @@ func ScenarioName(s Seed) string {
 
 // Generator produces seeds and stimuli deterministically from its RNG.
 // A Generator also owns the scratch buffers stimulus construction
-// materialises assembly into, so one long-lived Generator per shard makes
-// stimulus building allocation-light; those buffers make a Generator
-// single-goroutine (campaign shards each own one).
+// materialises typed fragments into, so one long-lived Generator per shard
+// makes stimulus building allocation-light; those buffers make a Generator
+// single-goroutine (campaign shards each own one). Scratch grows on first
+// use: New allocates none.
 type Generator struct {
 	rng *rand.Rand
 
 	// scenarios is the enabled family set mutation's swap-scenario operator
 	// draws from (sorted; defaults to every registered family).
 	scenarios []string
-	// lines/setup/body are the assembly-materialisation scratch buffers
-	// reused across packet builds (valid only within one build call);
-	// trainSpecs is the recycled training-spec slice the family hooks
-	// append into.
-	lines      []string
-	setup      []string
-	body       []string
+	// items (the packet being assembled) and body (a window body, or a
+	// random training's setup and body) are scratch reused across packet
+	// builds, valid only within one build call; trainSpecs is the recycled
+	// training-spec slice the family hooks append into.
+	items      []isa.Item
+	body       []isa.Item
 	trainSpecs []scenario.Training
 	// brng is the per-stimulus derivation RNG, reseeded from Seed.Rand for
 	// every build (so builds stay pure functions of the seed).
 	brng *rand.Rand
-	// trainCache memoises derived training packets, which are pure
-	// functions of (packet name, body, trigger offset) — a campaign draws
-	// them from a small closed set, so most rebuilds are cache hits.
-	// Cached packets are shared read-only across stimuli, exactly like a
-	// rebuilt packet is shared between a stimulus and its completed copy.
-	trainCache map[string]*swapmem.Packet
 }
 
 // New returns a generator with the given RNG seed.
@@ -386,7 +414,8 @@ func (g *Generator) Mutate(s Seed) Seed {
 	return n
 }
 
-// Stimulus is a fully constructed swapMem test case.
+// Stimulus is a fully constructed swapMem test case. The zero value is an
+// empty buffer the *Into build calls fill.
 type Stimulus struct {
 	Seed Seed
 
@@ -398,9 +427,9 @@ type Stimulus struct {
 	WindowLo  uint64
 	WindowHi  uint64
 
-	// EncodeLines is the secret-encoding block (for sanitisation); empty in
+	// EncodeBlock is the secret-encoding block (for sanitisation); empty in
 	// Phase 1 (dummy window).
-	EncodeLines []string
+	EncodeBlock []isa.Item
 	// Completed marks Phase 2 window completion.
 	Completed bool
 }
@@ -424,8 +453,11 @@ func (g *Generator) BuildStimulus(seed Seed) (*Stimulus, error) {
 // Stimulus, reusing its packet-slice capacity. The campaign engine hands
 // each shard pipeline a small set of Stimulus buffers that live for the
 // whole campaign; the result is only valid until the next build into the
-// same buffer.
+// same buffer. Seeds that fail Validate are refused.
 func (g *Generator) BuildStimulusInto(st *Stimulus, seed Seed) error {
+	if err := seed.Validate(); err != nil {
+		return err
+	}
 	fam, err := FamilyOf(seed)
 	if err != nil {
 		return err // FamilyOf errors carry their own prefix
@@ -434,77 +466,64 @@ func (g *Generator) BuildStimulusInto(st *Stimulus, seed Seed) error {
 	trains := st.TriggerTrains[:0]
 	*st = Stimulus{Seed: seed, TriggerPC: triggerAddr(seed), Transient: st.Transient}
 
-	body := dummyWindow(seed.WindowLen)
+	body := appendNops(g.body[:0], seed.WindowLen)
+	g.body = body
 	if err := g.buildTransient(st, fam, body); err != nil {
 		return err
 	}
 	if seed.Variant == VariantRandom {
 		st.TriggerTrains = g.randomTrainings(trains, st, rng, 6)
-	} else {
-		st.TriggerTrains = g.deriveTrainings(trains, st, fam, rng)
+		return nil
 	}
-	return nil
+	st.TriggerTrains, err = g.deriveTrainings(trains, st, fam, rng)
+	return err
 }
 
-// nopLines backs dummyWindow: callers only ever read the slice, so one
-// shared table serves every build.
-var nopLines = func() []string {
-	out := make([]string, 128)
-	for i := range out {
-		out[i] = "nop"
-	}
-	return out
-}()
+// Items the packet builders share.
+var (
+	nopItem       = isa.I(isa.Nop())
+	ecallItem     = isa.I(isa.Inst{Op: isa.OpEcall})
+	jumpToTrigger = isa.Jal(isa.RegZero, "trig")
+	trigLabel     = isa.Label("trig")
+	trainLabel    = isa.Label("trainpc")
+)
 
-// dummyWindow is Phase 1's placeholder payload (read-only).
-func dummyWindow(n int) []string {
-	if n <= len(nopLines) {
-		return nopLines[:n]
+// appendNops appends n nop items: Phase 1's placeholder window body, and
+// the sanitised encode block (one nop per encode item).
+func appendNops(dst []isa.Item, n int) []isa.Item {
+	for i := 0; i < n; i++ {
+		dst = append(dst, nopItem)
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = "nop"
-	}
-	return out
+	return dst
 }
 
 // buildTransient assembles the transient packet for the seed's scenario
 // family with the given window body, filling in TriggerPC/WindowLo/WindowHi.
-// The assembly lines are materialised into the generator's scratch buffer
-// and the packet struct is reused when the stimulus already carries one.
-func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBody []string) error {
+// The items are materialised into the generator's scratch buffer and the
+// packet struct is reused when the stimulus already carries one.
+func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBody []isa.Item) error {
 	s := st.Seed
 	p := s.params()
 	T := st.TriggerPC
-	lines := g.lines[:0]
-	defer func() { g.lines = lines }()
-	train := 0 // transient packets count no training instructions
 
-	// --- entry setup (materialised into the setup scratch) ---
-	setup := fam.Setup(g.setup[:0], p, T)
-	g.setup = setup
-	lines = append(lines, setup...)
-
-	// --- padding, then jump to the trigger ---
-	setupWords, err := countWords(setup)
-	if err != nil {
-		return err
-	}
-	lines = append(lines, "j trig")
+	// --- entry setup, then padding and a jump to the trigger ---
+	items := fam.Setup(g.items[:0], p, T)
+	setupWords := isa.WordCount(items)
 	pad := s.TriggerOff - setupWords - 1
 	if pad < 0 {
+		g.items = items
 		return fmt.Errorf("gen: trigger offset %d too small for %d setup words", s.TriggerOff, setupWords)
 	}
-	lines = append(lines, dummyWindow(pad)...)
+	items = append(items, jumpToTrigger, isa.Nops(pad), trigLabel)
 
-	// --- trigger and window layout (appended straight into the scratch) ---
-	lines = append(lines, "trig:")
+	// --- trigger and window layout ---
 	var winOff, winLen int
-	lines, winOff, winLen = fam.Window(lines, p, windowBody)
+	items, winOff, winLen = fam.Window(items, p, windowBody)
+	g.items = items
 	st.WindowLo = T + 4*uint64(winOff)
 	st.WindowHi = st.WindowLo + 4*uint64(winLen)
 
-	img, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
+	img, err := isa.Assemble(swapmem.SwapBase, items)
 	if err != nil {
 		return fmt.Errorf("gen: transient packet: %w", err)
 	}
@@ -512,82 +531,26 @@ func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBo
 		st.Transient = &swapmem.Packet{}
 	}
 	*st.Transient = swapmem.Packet{
-		Name:       "transient",
-		Kind:       swapmem.PacketTransient,
-		Image:      img,
-		Entry:      swapmem.SwapBase,
-		TrainInsts: train,
-		PadInsts:   pad,
+		Name:     "transient",
+		Kind:     swapmem.PacketTransient,
+		Image:    img,
+		Entry:    swapmem.SwapBase,
+		PadInsts: pad,
 	}
 	return nil
 }
 
-// countWords assembles a fragment to measure its instruction count.
-func countWords(lines []string) (int, error) {
-	if len(lines) == 0 {
-		return 0, nil
-	}
-	p, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
-	if err != nil {
-		return 0, err
-	}
-	return len(p.Words), nil
-}
-
-// cachedTrainingPacket is trainingPacket behind the generator's memo table.
-// A derived training packet is a pure function of (name, setup, body,
-// trigger offset), and derived trainings draw from a small closed set of
-// bodies, so campaigns hit the cache on almost every rebuild. Random
-// (DejaVuzz*) trainings bypass this — their bodies are rng-unique.
-func (g *Generator) cachedTrainingPacket(name string, st *Stimulus, setup, body []string) (*swapmem.Packet, error) {
-	var key strings.Builder
-	key.Grow(64)
-	key.WriteString(name)
-	fmt.Fprintf(&key, "|%d", st.Seed.TriggerOff)
-	for _, l := range setup {
-		key.WriteByte('|')
-		key.WriteString(l)
-	}
-	key.WriteByte('#')
-	for _, l := range body {
-		key.WriteByte('|')
-		key.WriteString(l)
-	}
-	k := key.String()
-	if p, ok := g.trainCache[k]; ok {
-		return p, nil
-	}
-	p, err := g.trainingPacket(name, st, setup, body)
-	if err == nil {
-		if g.trainCache == nil {
-			g.trainCache = make(map[string]*swapmem.Packet)
-		}
-		g.trainCache[k] = p
-	}
-	return p, err
-}
-
 // trainingPacket assembles a trigger-training packet: setup, pad nops so the
-// training instruction aligns with the trigger PC, the training body, and a
-// terminator. Lines are materialised into the generator's scratch buffer.
-func (g *Generator) trainingPacket(name string, st *Stimulus, setup, body []string) (*swapmem.Packet, error) {
-	setupWords, err := countWords(setup)
-	if err != nil {
-		return nil, err
-	}
-	pad := st.Seed.TriggerOff - setupWords
-	if pad < 0 {
-		pad = 0
-	}
-	lines := g.lines[:0]
-	defer func() { g.lines = lines }()
-	lines = append(lines, setup...)
-	for i := 0; i < pad; i++ {
-		lines = append(lines, "nop")
-	}
-	lines = append(lines, "trainpc:")
-	lines = append(lines, body...)
-	img, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
+// training instruction (the "trainpc" label) aligns with the trigger PC,
+// then the training body. The items are materialised into the generator's
+// scratch buffer.
+func (g *Generator) trainingPacket(name string, st *Stimulus, setup, body []isa.Item) (*swapmem.Packet, error) {
+	pad := max(st.Seed.TriggerOff-isa.WordCount(setup), 0)
+	items := append(g.items[:0], setup...)
+	items = append(items, isa.Nops(pad), trainLabel)
+	items = append(items, body...)
+	g.items = items
+	img, err := isa.Assemble(swapmem.SwapBase, items)
 	if err != nil {
 		return nil, fmt.Errorf("gen: training packet %s: %w", name, err)
 	}
@@ -601,35 +564,64 @@ func (g *Generator) trainingPacket(name string, st *Stimulus, setup, body []stri
 	}, nil
 }
 
+// decoyBodies are the decoy training candidates: plausible but untargeted;
+// training reduction should eliminate them (and, for exception-type
+// windows, everything). Each is one instruction and an ecall.
+var decoyBodies = [4][]isa.Item{
+	isa.MustParse("add t0, t1, s2\necall"),
+	isa.MustParse("sub t1, t0, s0\necall"),
+	isa.MustParse("mul t2, t0, t1\necall"),
+	isa.MustParse("andi t3, t0, 0xf\necall"),
+}
+
+// decoyNames and randNames are the fixed training-packet names.
+var (
+	decoyNames = [...]string{"decoy-0", "decoy-1"}
+	randNames  = [...]string{"rand-0", "rand-1", "rand-2", "rand-3", "rand-4", "rand-5"}
+)
+
 // deriveTrainings implements the training derivation strategy: the scenario
 // family's targeted training — whose instruction aligns with the trigger PC
-// and whose control flow matches the transient window — plus decoy
+// and whose control flow matches the transient window — plus two decoy
 // candidates that the training-reduction step is expected to discard.
 // Packets are appended to dst (typically a recycled slice).
-func (g *Generator) deriveTrainings(dst []*swapmem.Packet, st *Stimulus, fam scenario.Scenario, rng *rand.Rand) []*swapmem.Packet {
+func (g *Generator) deriveTrainings(dst []*swapmem.Packet, st *Stimulus, fam scenario.Scenario, rng *rand.Rand) ([]*swapmem.Packet, error) {
 	out := dst
-	add := func(p *swapmem.Packet, err error) {
-		if err != nil {
-			panic(fmt.Sprintf("gen: derived training: %v", err))
-		}
-		out = append(out, p)
-	}
 	specs := fam.Trainings(g.trainSpecs[:0], st.Seed.params(), st.WindowLo)
 	g.trainSpecs = specs
 	for _, tr := range specs {
-		add(g.cachedTrainingPacket(tr.Name, st, tr.Setup, tr.Body))
+		p, err := g.trainingPacket(tr.Name, st, tr.Setup, tr.Body)
+		if err != nil {
+			return out, fmt.Errorf("gen: derived training: %w", err)
+		}
+		out = append(out, p)
 	}
-
-	// Decoy candidates: plausible but untargeted; training reduction should
-	// eliminate them (and, for exception-type windows, everything).
-	decoys := []string{"add t0, t1, s2", "sub t1, t0, s0", "mul t2, t0, t1", "andi t3, t0, 0xf"}
-	rng.Shuffle(len(decoys), func(i, j int) { decoys[i], decoys[j] = decoys[j], decoys[i] })
-	for i := 0; i < 2; i++ {
-		add(g.cachedTrainingPacket(fmt.Sprintf("decoy-%d", i), st, nil,
-			[]string{decoys[i], "ecall"}))
+	order := [len(decoyBodies)]int{0, 1, 2, 3}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for i, name := range decoyNames {
+		p, err := g.trainingPacket(name, st, nil, decoyBodies[order[i]])
+		if err != nil {
+			return out, fmt.Errorf("gen: derived training: %w", err)
+		}
+		out = append(out, p)
 	}
-	return out
+	return out, nil
 }
+
+// Fixed items of the DejaVuzz* random trainings: the plain-ALU candidates
+// (one is drawn per packet), the indirect jump, the call and the load's
+// base-pointer setup.
+var (
+	randALU = isa.MustParse(`add t0, t1, t2
+sub t3, t4, t5
+mul t0, t0, t1
+xor t2, t2, t3
+andi t4, t5, 0x3f
+sll t1, t1, t0`)
+	randJumpA2  = isa.MustParse("jalr x0, 0(a2)")[0]
+	randCall    = isa.Call(swapmem.SwapDoneAddr)
+	randLoadPtr = isa.Li(isa.RegT1, swapmem.DataBase+0x200)
+)
 
 // randomTrainings implements DejaVuzz*: random instructions aligned to the
 // trigger PC without any derivation from transient execution information.
@@ -637,43 +629,41 @@ func (g *Generator) deriveTrainings(dst []*swapmem.Packet, st *Stimulus, fam sce
 func (g *Generator) randomTrainings(dst []*swapmem.Packet, st *Stimulus, rng *rand.Rand, n int) []*swapmem.Packet {
 	out := dst
 	for i := 0; i < n; i++ {
-		var setup, body []string
+		// Setup and body share one scratch: items [0, nSetup) are setup.
+		sb := g.body[:0]
+		nSetup := 0
 		switch rng.Intn(8) {
 		case 0: // random conditional branch, random small offset
 			off := 8 + 4*rng.Intn(14)
-			taken := rng.Intn(2) == 0
-			op := "bne"
-			if taken {
-				op = "beq"
+			op := isa.OpBne
+			if rng.Intn(2) == 0 {
+				op = isa.OpBeq
 			}
-			body = []string{
-				fmt.Sprintf("%s zero, zero, %d", op, off),
-				"ecall",
-			}
+			sb = append(sb, isa.I(isa.Inst{Op: op, Imm: int64(off)}), ecallItem)
 			// Landing pads so a taken branch terminates cleanly.
 			for w := 8; w <= off; w += 4 {
 				if w == off {
-					body = append(body, "ecall")
+					sb = append(sb, ecallItem)
 				} else {
-					body = append(body, "nop")
+					sb = append(sb, nopItem)
 				}
 			}
 		case 1: // random indirect jump to a random aligned address past the body
 			tgt := triggerAddr(st.Seed) + 8 + uint64(4*rng.Intn(64))
-			setup = []string{fmt.Sprintf("li a2, %#x", tgt)}
-			body = []string{"jalr x0, 0(a2)", "ecall"}
+			sb = append(sb, isa.Li(isa.RegA2, int64(tgt)), randJumpA2, ecallItem)
+			nSetup = 1
 		case 2: // random call (pushes a random return address)
-			body = []string{fmt.Sprintf("call %#x", uint64(swapmem.SwapDoneAddr))}
+			sb = append(sb, randCall)
 		case 3:
-			body = []string{fmt.Sprintf("ld t0, %d(t1)", 8*rng.Intn(16)), "ecall"}
-			setup = []string{fmt.Sprintf("li t1, %#x", uint64(swapmem.DataBase+0x200))}
+			sb = append(sb, randLoadPtr,
+				isa.I(isa.Inst{Op: isa.OpLd, Rd: isa.RegT0, Rs1: isa.RegT1, Imm: int64(8 * rng.Intn(16))}),
+				ecallItem)
+			nSetup = 1
 		default: // plain ALU
-			ops := []string{"add t0, t1, t2", "sub t3, t4, t5", "mul t0, t0, t1",
-				"xor t2, t2, t3", "andi t4, t5, 0x3f", "sll t1, t1, t0"}
-			body = []string{ops[rng.Intn(len(ops))], "ecall"}
+			sb = append(sb, randALU[rng.Intn(len(randALU))], ecallItem)
 		}
-		p, err := g.trainingPacket(fmt.Sprintf("rand-%d", i), st, setup, body)
-		if err == nil {
+		g.body = sb
+		if p, err := g.trainingPacket(randNames[i], st, sb[:nSetup], sb[nSetup:]); err == nil {
 			out = append(out, p)
 		}
 	}
@@ -702,7 +692,7 @@ func (g *Generator) CompleteWindowInto(dst, st *Stimulus) error {
 	// The encode block is retained on the stimulus (Phase 3 sanitisation
 	// reads it), so it builds into the destination's own recycled buffer;
 	// the access+encode window body is per-build scratch.
-	encode, ok := fam.Encode(dst.EncodeLines[:0], p, rng)
+	encode, ok := fam.Encode(dst.EncodeBlock[:0], p, rng)
 	if !ok {
 		encode = scenario.SharedEncode(encode, p, rng)
 	}
@@ -714,15 +704,15 @@ func (g *Generator) CompleteWindowInto(dst, st *Stimulus) error {
 		return err
 	}
 	dst.TriggerTrains = st.TriggerTrains
-	dst.EncodeLines = encode
+	dst.EncodeBlock = encode
 	dst.Completed = true
 
 	// Window training: warm the secret's cache/TLB state before training.
 	// Disambiguation-class windows additionally warm the pointer slot so
 	// the speculative loads complete inside the (short) ordering window.
-	wt, err := windowTrainPacket(fam.Caps().WarmPointer)
-	if err == nil {
-		dst.WindowTrains = []*swapmem.Packet{wt}
+	dst.WindowTrains = windowTrains[0]
+	if fam.Caps().WarmPointer {
+		dst.WindowTrains = windowTrains[1]
 	}
 	return nil
 }
@@ -738,14 +728,15 @@ func (g *Generator) Sanitized(st *Stimulus) (*Stimulus, error) {
 }
 
 // SanitizedInto is Sanitized materialised into a caller-provided Stimulus
-// (which must be distinct from st).
+// (which must be distinct from st). The encode block is replaced by one nop
+// per encode item, so a multi-word item (a `li`) leaves a narrower gap.
 func (g *Generator) SanitizedInto(dst, st *Stimulus) error {
 	fam, err := FamilyOf(st.Seed)
 	if err != nil {
 		return err // FamilyOf errors carry their own prefix
 	}
 	body := fam.Access(g.body[:0], st.Seed.params())
-	body = append(body, dummyWindow(len(st.EncodeLines))...)
+	body = appendNops(body, len(st.EncodeBlock))
 	g.body = body
 	*dst = Stimulus{Seed: st.Seed, TriggerPC: st.TriggerPC, Transient: dst.Transient}
 	if err := g.buildTransient(dst, fam, body); err != nil {
@@ -759,7 +750,7 @@ func (g *Generator) SanitizedInto(dst, st *Stimulus) error {
 
 // accessBlock returns the seed's secret-access block (the scenario family's
 // Access hook); kept as the package-level seam tests exercise.
-func accessBlock(s Seed) []string {
+func accessBlock(s Seed) []isa.Item {
 	fam, err := FamilyOf(s)
 	if err != nil {
 		return nil
@@ -767,43 +758,30 @@ func accessBlock(s Seed) []string {
 	return fam.Access(nil, s.params())
 }
 
-// windowTrainPacket warms the secret into the data cache and TLBs, and
-// optionally the disambiguation pointer slot. The two variants are
-// seed-independent, so they are assembled once and shared read-only across
-// all shards and campaigns.
-func windowTrainPacket(warmPtr bool) (*swapmem.Packet, error) {
-	i := 0
-	if warmPtr {
-		i = 1
-	}
-	c := &windowTrainCache[i]
-	c.once.Do(func() { c.p, c.err = buildWindowTrainPacket(warmPtr) })
-	return c.p, c.err
+// windowTrains are the two window-training sets: one packet that warms the
+// secret into the data cache and TLBs, and ([1]) also the disambiguation
+// pointer slot. They are seed-independent, so they are assembled once, at
+// package init, and shared read-only across all shards and campaigns (each
+// slice has capacity 1, so an append never writes into it).
+var windowTrains = [2][]*swapmem.Packet{
+	{buildWindowTrainPacket(false)},
+	{buildWindowTrainPacket(true)},
 }
 
-var windowTrainCache [2]struct {
-	once sync.Once
-	p    *swapmem.Packet
-	err  error
-}
-
-func buildWindowTrainPacket(warmPtr bool) (*swapmem.Packet, error) {
+func buildWindowTrainPacket(warmPtr bool) *swapmem.Packet {
 	src := fmt.Sprintf("li t0, %#x\nld a1, 0(t0)\n", uint64(swapmem.SecretAddr))
 	if warmPtr {
 		src += fmt.Sprintf("li t0, %#x\nld a1, 0(t0)\n", uint64(swapmem.DataBase+0x300))
 	}
 	src += "ecall"
-	img, err := isa.Asm(swapmem.SwapBase, src)
-	if err != nil {
-		return nil, err
-	}
+	img := isa.MustAsm(swapmem.SwapBase, src)
 	return &swapmem.Packet{
 		Name:       "window-train",
 		Kind:       swapmem.PacketWindowTrain,
 		Image:      img,
 		Entry:      swapmem.SwapBase,
 		TrainInsts: len(img.Words),
-	}, nil
+	}
 }
 
 // BuildSchedule assembles the swap schedule: window training first, then

@@ -2,10 +2,13 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"dejavuzz/internal/isa"
 	"dejavuzz/internal/isasim"
+	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
@@ -48,10 +51,22 @@ func TestDerivedTrainingAligned(t *testing.T) {
 		if len(st.TriggerTrains) < 3 {
 			t.Fatalf("%v: %d training packets, want targeted + decoys", trig, len(st.TriggerTrains))
 		}
-		// The targeted packet's training body starts at the trigger PC.
+		// The targeted packet's training body starts at the trigger PC:
+		// the image from there on is the family's training body assembled
+		// at the trigger PC.
 		p := st.TriggerTrains[0]
-		if got, ok := p.Image.Labels["trainpc"]; !ok || got != st.TriggerPC {
-			t.Errorf("%v: training instruction at %#x, trigger at %#x", trig, got, st.TriggerPC)
+		checkTrainAligned(t, p, st.TriggerPC)
+		fam, err := FamilyOf(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := fam.Trainings(nil, seed.params(), st.WindowLo)[0]
+		body, err := isa.Assemble(st.TriggerPC, append([]isa.Item{isa.Label("trainpc")}, tr.Body...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := (st.TriggerPC - p.Image.Base) / 4; !slices.Equal(p.Image.Words[at:], body.Words) {
+			t.Errorf("%v: image from the trigger PC is not the training body", trig)
 		}
 		if p.PadInsts == 0 {
 			t.Errorf("%v: no alignment padding", trig)
@@ -73,9 +88,33 @@ func TestRandomTrainingsAligned(t *testing.T) {
 		t.Fatalf("%d random candidates, want 6", len(st.TriggerTrains))
 	}
 	for _, p := range st.TriggerTrains {
-		if got := p.Image.Labels["trainpc"]; got != st.TriggerPC {
-			t.Errorf("candidate %s misaligned: %#x != %#x", p.Name, got, st.TriggerPC)
+		checkTrainAligned(t, p, st.TriggerPC)
+	}
+}
+
+// checkTrainAligned checks that a training packet's body starts at pc: the
+// PadInsts words just below pc are its alignment nops, bounded by non-nop
+// words on both sides (a setup never ends, and a training body never
+// starts, with a nop), and the training instructions are every word but
+// the padding.
+func checkTrainAligned(t *testing.T, p *swapmem.Packet, pc uint64) {
+	t.Helper()
+	w := p.Image.Words
+	at, pad := int((pc-p.Image.Base)/4), p.PadInsts
+	if at < pad || at >= len(w) {
+		t.Errorf("%s: trigger pc %#x outside the image or its padding", p.Name, pc)
+		return
+	}
+	for k := at - pad; k < at; k++ {
+		if w[k] != isa.NopWord {
+			t.Errorf("%s: word %d below the trigger pc is %#08x, not padding", p.Name, k, w[k])
 		}
+	}
+	if w[at] == isa.NopWord || (at > pad && w[at-pad-1] == isa.NopWord) {
+		t.Errorf("%s: training body misaligned: padding run does not end at %#x", p.Name, pc)
+	}
+	if p.TrainInsts != len(w)-pad {
+		t.Errorf("%s: TrainInsts %d, want %d", p.Name, p.TrainInsts, len(w)-pad)
 	}
 }
 
@@ -91,7 +130,7 @@ func TestCompleteWindowAndSanitize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cst.Completed || len(cst.EncodeLines) == 0 {
+	if !cst.Completed || len(cst.EncodeBlock) == 0 {
 		t.Fatal("window not completed")
 	}
 	if len(cst.WindowTrains) == 0 {
@@ -123,14 +162,20 @@ func TestCompleteWindowAndSanitize(t *testing.T) {
 }
 
 func TestMaskedAccessBlock(t *testing.T) {
+	masked := isa.MustAsm(0, "li t0, 0x8000000000002000\nld s0, 0(t0)").Words
+	block := func(s Seed) []uint32 {
+		p, err := isa.Assemble(0, accessBlock(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Words
+	}
 	seed := Seed{Trigger: TrigAccessFault, MaskHigh: true}
-	block := strings.Join(accessBlock(seed), "\n")
-	if !strings.Contains(block, "0x8000000000002000") {
-		t.Fatalf("masked access block missing illegal address: %s", block)
+	if got := block(seed); !slices.Equal(got, masked) {
+		t.Fatalf("masked access block %#x does not load through the illegal address (%#x)", got, masked)
 	}
 	seed.MaskHigh = false
-	block = strings.Join(accessBlock(seed), "\n")
-	if strings.Contains(block, "0x8000000000002000") {
+	if slices.Equal(block(seed), masked) {
 		t.Fatal("unmasked access block uses illegal address")
 	}
 }
@@ -229,20 +274,44 @@ func TestMutateAlwaysChanges(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsMalformedSeeds: hand-crafted seeds (repro JSON) with an
-// out-of-range trigger or unknown family must error, never panic.
+// TestBuildRejectsMalformedSeeds: hand-crafted seeds (repro JSON,
+// checkpoints, warm-start sets) with an out-of-range trigger, an unknown
+// family or an out-of-range knob must error, naming the field, and never
+// panic.
 func TestBuildRejectsMalformedSeeds(t *testing.T) {
 	g := New(1)
-	for _, s := range []Seed{
-		{Core: uarch.KindBOOM, Trigger: 99, TriggerOff: 70, WindowLen: 5, EncodeOps: 1},
-		{Core: uarch.KindBOOM, Trigger: -1, TriggerOff: 70, WindowLen: 5, EncodeOps: 1},
-		{Core: uarch.KindBOOM, Scenario: "no-such-family", TriggerOff: 70, WindowLen: 5, EncodeOps: 1},
+	ok := Seed{Core: uarch.KindBOOM, Scenario: "page-fault", TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("well-formed seed refused: %v", err)
+	}
+	for _, c := range []struct {
+		field string
+		edit  func(*Seed)
+	}{
+		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", 99 }},
+		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", -1 }},
+		{"Scenario", func(s *Seed) { s.Scenario = "no-such-family" }},
+		{"Core", func(s *Seed) { s.Core = 2 }},
+		{"Variant", func(s *Seed) { s.Variant = -1 }},
+		{"TriggerOff", func(s *Seed) { s.TriggerOff = 59 }},
+		{"TriggerOff", func(s *Seed) { s.TriggerOff = 110 }},
+		{"WindowLen", func(s *Seed) { s.WindowLen = -4095 }},
+		{"WindowLen", func(s *Seed) { s.WindowLen = 12 }},
+		{"EncodeOps", func(s *Seed) { s.EncodeOps = 0 }},
+		{"EncodeOps", func(s *Seed) { s.EncodeOps = 5 }},
+		{"Encoder", func(s *Seed) { s.Encoder = -1 }},
+		{"Encoder", func(s *Seed) { s.Encoder = scenario.NumEncoders() + 1 }},
 	} {
-		if _, err := g.BuildStimulus(s); err == nil {
-			t.Errorf("malformed seed %+v built a stimulus", s)
+		seed := ok
+		c.edit(&seed)
+		_, err := g.BuildStimulus(seed)
+		if err == nil {
+			t.Errorf("malformed seed %+v built a stimulus", seed)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("refusal of %+v does not name %s: %v", seed, c.field, err)
 		}
-		if name := ScenarioName(s); name == "" {
-			t.Errorf("malformed seed %+v has empty display name", s)
+		if name := ScenarioName(seed); name == "" {
+			t.Errorf("malformed seed %+v has empty display name", seed)
 		}
 	}
 }

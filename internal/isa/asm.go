@@ -8,13 +8,16 @@ import (
 
 // Program is an assembled instruction image with its base address.
 type Program struct {
-	Base   uint64
-	Words  []uint32
+	Base  uint64
+	Words []uint32
+	// Labels maps label names to addresses in text-assembled programs
+	// (Asm); typed programs (Assemble) leave it nil.
 	Labels map[string]uint64
 
-	// bytes is the little-endian rendering, computed eagerly by Asm so the
-	// hot packet-load path shares one buffer instead of re-rendering per
-	// load. Hand-built Programs leave it nil and render on demand.
+	// bytes is the little-endian rendering, computed eagerly by the
+	// assembler so the hot packet-load path shares one buffer instead of
+	// re-rendering per load. Hand-built Programs leave it nil and render on
+	// demand.
 	bytes []byte
 }
 
@@ -22,7 +25,7 @@ type Program struct {
 func (p *Program) Size() int { return len(p.Words) * 4 }
 
 // Bytes renders the image as little-endian bytes. The returned slice is
-// shared across calls for Asm-built programs; callers must not mutate it.
+// shared across calls for assembled programs; callers must not mutate it.
 func (p *Program) Bytes() []byte {
 	if p.bytes != nil {
 		return p.bytes
@@ -38,20 +41,30 @@ func (p *Program) renderBytes() []byte {
 	return out
 }
 
-// Asm assembles RISC-V assembly text at the given base address.
+// Asm assembles RISC-V assembly text at the given base address: Parse
+// lowers the text to typed items and the typed back end (see Assemble)
+// sizes, resolves and encodes them. Text-assembled programs report their
+// labels in Program.Labels.
+func Asm(base uint64, src string) (*Program, error) {
+	items, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(base, items, true)
+}
+
+// Parse lowers RISC-V assembly text to typed items, one item per label and
+// one per instruction line.
 //
 // Supported syntax: one instruction or "label:" per line, "#" comments,
 // ".word <value>" literals, and the pseudo-instructions nop, li, la, mv,
 // not, neg, seqz, snez, j, jr, jalr rs, call, ret, beqz, bnez. `la` expands
 // to auipc+addi; `li` expands to the shortest constant materialisation
-// sequence. Expansion sizes are fixed in the first pass so labels resolve
-// deterministically.
-func Asm(base uint64, src string) (*Program, error) {
-	type line struct {
-		no   int
-		text string
-	}
-	lines := make([]line, 0, strings.Count(src, "\n")+1)
+// sequence. Expansion sizes are fixed per item, so labels resolve
+// deterministically. A branch, jump, call or la operand that is not an
+// immediate names a label, resolved when the items are assembled.
+func Parse(src string) ([]Item, error) {
+	items := make([]Item, 0, strings.Count(src, "\n")+1)
 	rest := src
 	for no := 1; rest != ""; no++ {
 		var text string
@@ -60,7 +73,7 @@ func Asm(base uint64, src string) (*Program, error) {
 		} else {
 			text, rest = rest, ""
 		}
-		// Two IndexByte scans beat IndexAny's rune loop on this hot path.
+		// Two IndexByte scans beat IndexAny's rune loop.
 		if i := strings.IndexByte(text, '#'); i >= 0 {
 			text = text[:i]
 		}
@@ -68,25 +81,6 @@ func Asm(base uint64, src string) (*Program, error) {
 			text = text[:i]
 		}
 		text = strings.TrimSpace(text)
-		if text == "" {
-			continue
-		}
-		lines = append(lines, line{no, text})
-	}
-
-	// Pass 1: sizes and labels.
-	labels := make(map[string]uint64)
-	pc := base
-	type item struct {
-		no    int
-		mnem  string
-		args  []string
-		addr  uint64
-		words int
-	}
-	items := make([]item, 0, len(lines))
-	for _, ln := range lines {
-		text := ln.text
 		for {
 			colon := strings.Index(text, ":")
 			if colon < 0 {
@@ -94,55 +88,36 @@ func Asm(base uint64, src string) (*Program, error) {
 			}
 			name := strings.TrimSpace(text[:colon])
 			if !isIdent(name) {
-				return nil, fmt.Errorf("asm:%d: bad label %q", ln.no, name)
+				return nil, fmt.Errorf("asm:%d: bad label %q", no, name)
 			}
-			if _, dup := labels[name]; dup {
-				return nil, fmt.Errorf("asm:%d: duplicate label %q", ln.no, name)
-			}
-			labels[name] = pc
+			it := Label(name)
+			it.line = int32(no)
+			items = append(items, it)
 			text = strings.TrimSpace(text[colon+1:])
 		}
 		if text == "" {
 			continue
 		}
 		mnem, args := splitInst(text)
-		n, err := instWords(mnem, args)
+		it, err := lower(mnem, args)
 		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", ln.no, err)
+			return nil, fmt.Errorf("asm:%d: %v", no, err)
 		}
-		items = append(items, item{ln.no, mnem, args, pc, n})
-		pc += uint64(n) * 4
+		it.line = int32(no)
+		items = append(items, it)
 	}
-
-	// Pass 2: encode.
-	p := &Program{Base: base, Labels: labels}
-	p.Words = make([]uint32, 0, (pc-base)/4)
-	for _, it := range items {
-		// Fast path for padding: generated stimuli are dominated by
-		// alignment nops, which always encode to the same word.
-		if it.mnem == "nop" && len(it.args) == 0 {
-			p.Words = append(p.Words, nopWord)
-			continue
-		}
-		insts, err := encodeInst(it.mnem, it.args, it.addr, labels)
-		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", it.no, err)
-		}
-		ws, err := instsToWords(insts)
-		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", it.no, err)
-		}
-		if len(ws) != it.words {
-			return nil, fmt.Errorf("asm:%d: internal size mismatch for %s (%d != %d)", it.no, it.mnem, len(ws), it.words)
-		}
-		p.Words = append(p.Words, ws...)
-	}
-	p.bytes = p.renderBytes()
-	return p, nil
+	return items, nil
 }
 
-// nopWord is the canonical encoding of nop (addi x0, x0, 0).
-const nopWord uint32 = 0x0000_0013
+// MustParse is Parse that panics on error; for fragment tables built from
+// constant text at package init.
+func MustParse(src string) []Item {
+	items, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return items
+}
 
 // MustAsm is Asm that panics on error; for static firmware images and tests.
 func MustAsm(base uint64, src string) *Program {
@@ -271,32 +246,6 @@ var simpleMnems = func() map[string]Op {
 	return m
 }()
 
-func instWords(mnem string, args []string) (int, error) {
-	switch mnem {
-	case "nop", "ret", "mv", "not", "neg", "seqz", "snez", "j", "jr", "beqz", "bnez", "fmv.d":
-		return 1, nil
-	case "la", "call":
-		return 2, nil
-	case "li":
-		if len(args) != 2 {
-			return 0, fmt.Errorf("li needs 2 args")
-		}
-		v, err := parseImm(args[1])
-		if err != nil {
-			return 0, err
-		}
-		return liWords(v), nil
-	case ".word":
-		return 1, nil
-	case ".illegal":
-		return 1, nil
-	}
-	if _, ok := simpleMnems[mnem]; ok {
-		return 1, nil
-	}
-	return 0, fmt.Errorf("unknown mnemonic %q", mnem)
-}
-
 func reg(arg string) (int, error) {
 	if r := RegNum(arg); r >= 0 {
 		return r, nil
@@ -334,312 +283,282 @@ func parseMem(arg string) (int64, int, error) {
 	return off, r, nil
 }
 
-func resolve(arg string, labels map[string]uint64) (int64, bool) {
-	if v, ok := labels[arg]; ok {
-		return int64(v), true
+// target classifies a branch, jump, call or la operand: an immediate, or
+// else a label name resolved when the items are assembled. Identifiers
+// cannot start with a digit or '-', so no operand is both.
+func target(arg string) (imm int64, label string, err error) {
+	if v, err := parseImm(arg); err == nil {
+		return v, "", nil
+	} else if !isIdent(arg) {
+		return 0, "", err
 	}
-	return 0, false
+	return 0, arg, nil
 }
 
-func immOrLabel(arg string, labels map[string]uint64) (int64, error) {
-	if v, ok := resolve(arg, labels); ok {
-		return v, nil
-	}
-	return parseImm(arg)
-}
-
-func branchTarget(arg string, pc uint64, labels map[string]uint64) (int64, error) {
-	if v, ok := resolve(arg, labels); ok {
-		return v - int64(pc), nil
-	}
-	v, err := parseImm(arg)
+// inst lowers one fully specified instruction.
+func inst(in Inst) (Item, error) {
+	w, err := Encode(in)
 	if err != nil {
-		return 0, err
+		return Item{}, err
 	}
-	return v, nil // raw immediates are already pc-relative offsets
+	return Item{kind: itemWord, n: 1, word: w}, nil
 }
 
-func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64) ([]Inst, error) {
+// lower translates one instruction line into its item.
+func lower(mnem string, args []string) (Item, error) {
 	need := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("%s needs %d operands, got %d", mnem, n, len(args))
 		}
 		return nil
 	}
-	one := func(i Inst) []Inst { return []Inst{i} }
 
 	switch mnem {
 	case "nop":
-		return one(Inst{Op: OpAddi}), nil
+		return Word(NopWord), nil
 	case ".word":
 		if err := need(1); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		v, err := parseImm(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(rawInst(uint32(v))), nil
+		return Word(uint32(v)), nil
 	case ".illegal":
-		return one(rawInst(IllegalWord)), nil
+		return Illegal(), nil
 	case "mv":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpAddi, Rd: rd, Rs1: rs}), nil
+		return inst(Inst{Op: OpAddi, Rd: rd, Rs1: rs})
 	case "not":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, _ := reg(args[0])
 		rs, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpXori, Rd: rd, Rs1: rs, Imm: -1}), nil
+		return inst(Inst{Op: OpXori, Rd: rd, Rs1: rs, Imm: -1})
 	case "neg":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, _ := reg(args[0])
 		rs, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpSub, Rd: rd, Rs1: 0, Rs2: rs}), nil
+		return inst(Inst{Op: OpSub, Rd: rd, Rs1: 0, Rs2: rs})
 	case "seqz":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, _ := reg(args[0])
 		rs, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpSltiu, Rd: rd, Rs1: rs, Imm: 1}), nil
+		return inst(Inst{Op: OpSltiu, Rd: rd, Rs1: rs, Imm: 1})
 	case "snez":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, _ := reg(args[0])
 		rs, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpSltu, Rd: rd, Rs1: 0, Rs2: rs}), nil
+		return inst(Inst{Op: OpSltu, Rd: rd, Rs1: 0, Rs2: rs})
 	case "li":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		v, err := parseImm(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return liSeq(rd, v), nil
+		return Li(rd, v), nil
 	case "la":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		target, err := immOrLabel(args[1], labels)
+		imm, label, err := target(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		delta := target - int64(pc)
-		lo := delta << 52 >> 52
-		hi := delta - lo
-		return []Inst{
-			{Op: OpAuipc, Rd: rd, Imm: hi},
-			{Op: OpAddi, Rd: rd, Rs1: rd, Imm: lo},
-		}, nil
+		if label != "" {
+			return La(rd, label), nil
+		}
+		return Item{kind: itemLa, rd: uint8(rd), n: 2, imm: imm}, nil
 	case "j":
 		if err := need(1); err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		off, err := branchTarget(args[0], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return one(Inst{Op: OpJal, Rd: 0, Imm: off}), nil
+		return jump(RegZero, args[0])
 	case "jr":
 		if err := need(1); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return one(Inst{Op: OpJalr, Rd: 0, Rs1: rs}), nil
+		return inst(Inst{Op: OpJalr, Rd: 0, Rs1: rs})
 	case "ret":
-		return one(Inst{Op: OpJalr, Rd: 0, Rs1: RegRA}), nil
+		return inst(Inst{Op: OpJalr, Rd: 0, Rs1: RegRA})
 	case "call":
 		if err := need(1); err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		target, err := immOrLabel(args[0], labels)
+		imm, label, err := target(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		delta := target - int64(pc)
-		lo := delta << 52 >> 52
-		hi := delta - lo
-		return []Inst{
-			{Op: OpAuipc, Rd: RegT2, Imm: hi},
-			{Op: OpJalr, Rd: RegRA, Rs1: RegT2, Imm: lo},
-		}, nil
+		if label != "" {
+			return CallLabel(label), nil
+		}
+		return Call(uint64(imm)), nil
 	case "beqz":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		off, err := branchTarget(args[1], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return one(Inst{Op: OpBeq, Rs1: rs, Rs2: 0, Imm: off}), nil
+		return branch(OpBeq, rs, RegZero, args[1])
 	case "bnez":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		off, err := branchTarget(args[1], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return one(Inst{Op: OpBne, Rs1: rs, Rs2: 0, Imm: off}), nil
+		return branch(OpBne, rs, RegZero, args[1])
 	case "fmv.d":
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, err := freg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs, err := freg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		// fmv.d is fsgnj.d in real RV; model as fadd.d rd, rs, f0-is-wrong,
 		// so use fmul-free move: encode as fadd.d rd, rs, rs is wrong too.
 		// We encode fmv.d as fadd.d with rs2 = f0? Keep simple: fadd.d rd, rs, f0.
-		return one(Inst{Op: OpFaddD, Rd: rd, Rs1: rs, Rs2: 0}), nil
+		return inst(Inst{Op: OpFaddD, Rd: rd, Rs1: rs, Rs2: 0})
 	}
 
 	op, ok := simpleMnems[mnem]
 	if !ok {
-		return nil, fmt.Errorf("unknown mnemonic %q", mnem)
+		return Item{}, fmt.Errorf("unknown mnemonic %q", mnem)
 	}
 	if op == OpLui || op == OpAuipc {
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rd, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		imm, err := parseImm(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return []Inst{{Op: op, Rd: rd, Imm: imm << 12}}, nil
+		return inst(Inst{Op: op, Rd: rd, Imm: imm << 12})
 	}
 	switch op.Class() {
 	case ClassBranch:
 		if err := need(3); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs1, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs2, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		off, err := branchTarget(args[2], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return []Inst{{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}}, nil
+		return branch(op, rs1, rs2, args[2])
 	case ClassJump:
 		// jal [rd,] target
 		if len(args) != 1 && len(args) != 2 {
-			return nil, fmt.Errorf("%s needs 1 or 2 operands, got %d", mnem, len(args))
+			return Item{}, fmt.Errorf("%s needs 1 or 2 operands, got %d", mnem, len(args))
 		}
 		rd := RegRA
 		targetArg := args[0]
 		if len(args) == 2 {
 			r, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rd = r
 			targetArg = args[1]
 		}
-		off, err := branchTarget(targetArg, pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return []Inst{{Op: op, Rd: rd, Imm: off}}, nil
+		return jump(rd, targetArg)
 	case ClassJumpReg:
 		// jalr rd, imm(rs1) | jalr rd, rs1, imm | jalr rs1
 		switch len(args) {
 		case 1:
 			rs, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: RegRA, Rs1: rs}}, nil
+			return inst(Inst{Op: op, Rd: RegRA, Rs1: rs})
 		case 2:
 			rd, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			off, rs1, err := parseMem(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: off}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off})
 		case 3:
 			rd, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs1, err := reg(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			imm, err := parseImm(args[2])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: imm}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
 		}
-		return nil, fmt.Errorf("jalr: bad operands")
+		return Item{}, fmt.Errorf("jalr: bad operands")
 	case ClassLoad:
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		var rd int
 		var err error
@@ -649,16 +568,16 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			rd, err = reg(args[0])
 		}
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		off, rs1, err := parseMem(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: off}}, nil
+		return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off})
 	case ClassStore:
 		if err := need(2); err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		var rs2 int
 		var err error
@@ -668,131 +587,127 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			rs2, err = reg(args[0])
 		}
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		off, rs1, err := parseMem(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return []Inst{{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}}, nil
+		return inst(Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
 	case ClassSystem:
 		switch op {
 		case OpEcall, OpEbreak, OpMret, OpFence:
-			return []Inst{{Op: op}}, nil
+			return inst(Inst{Op: op})
 		case OpCsrrw, OpCsrrs, OpCsrrc:
 			if err := need(3); err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rd, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			csr, err := parseImm(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs1, err := reg(args[2])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: csr}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: csr})
 		}
 	case ClassFPU, ClassFDiv:
 		switch op {
 		case OpFmvXD:
 			if err := need(2); err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rd, err := reg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs, err := freg(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs})
 		case OpFmvDX:
 			if err := need(2); err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rd, err := freg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs, err := reg(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs})
 		default:
 			if err := need(3); err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rd, err := freg(args[0])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs1, err := freg(args[1])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
 			rs2, err := freg(args[2])
 			if err != nil {
-				return nil, err
+				return Item{}, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
 		}
 	}
 	// Generic R/I formats.
 	if len(args) == 3 {
 		rd, err := reg(args[0])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		rs1, err := reg(args[1])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
 		// Probe the register form without reg()'s error allocation — this
 		// branch is taken (and fails) for every immediate-form instruction.
 		if rs2 := RegNum(args[2]); rs2 >= 0 {
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
+			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
 		}
 		imm, err := parseImm(args[2])
 		if err != nil {
-			return nil, err
+			return Item{}, err
 		}
-		return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: imm}}, nil
+		return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
 	}
-	return nil, fmt.Errorf("%s: bad operands %v", mnem, args)
+	return Item{}, fmt.Errorf("%s: bad operands %v", mnem, args)
 }
 
-// rawInst wraps a raw word so Program can carry data words and illegal
-// encodings through the same pipeline.
-func rawInst(w uint32) Inst {
-	d := Decode(w)
-	d.Raw = w
-	return d
+// branch lowers a conditional branch to an immediate offset (an
+// instruction) or to a label.
+func branch(op Op, rs1, rs2 int, arg string) (Item, error) {
+	off, label, err := target(arg)
+	if err != nil {
+		return Item{}, err
+	}
+	if label != "" {
+		return Branch(op, rs1, rs2, label), nil
+	}
+	return inst(Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
 }
 
-// assemble list of Insts into words is shared by encodeInst callers.
-func instsToWords(insts []Inst) ([]uint32, error) {
-	out := make([]uint32, 0, len(insts))
-	for _, in := range insts {
-		if in.Raw != 0 && in.Op == OpInvalid {
-			out = append(out, in.Raw)
-			continue
-		}
-		if in.Op == OpInvalid {
-			out = append(out, in.Raw)
-			continue
-		}
-		w, err := Encode(in)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
+// jump lowers a jal to an immediate offset or to a label.
+func jump(rd int, arg string) (Item, error) {
+	off, label, err := target(arg)
+	if err != nil {
+		return Item{}, err
 	}
-	return out, nil
+	if label != "" {
+		return Jal(rd, label), nil
+	}
+	return inst(Inst{Op: OpJal, Rd: rd, Imm: off})
 }

@@ -3,9 +3,11 @@
 // point subset (enough to exercise FPU port contention), and the system
 // instructions the swap runtime relies on.
 //
-// The package provides binary encoding and decoding, a two-pass assembler
-// with labels and the standard pseudo-instructions, and a disassembler used
-// by trace logs and bug reports.
+// The package provides binary encoding and decoding, a typed instruction IR
+// (Item fragments) with a two-pass assembler back end that resolves labels
+// and expands the standard pseudo-instructions, a text front end (Asm,
+// Parse) that lowers assembly source to the same items, and a disassembler
+// used by trace logs and bug reports.
 package isa
 
 import "fmt"
@@ -296,7 +298,10 @@ type encSpec struct {
 	f7  uint32
 }
 
-var encTable = map[Op]encSpec{
+// encTable is indexed by Op (an array, not a map: Encode runs for every
+// PC-relative and li word a packet build emits); a zero fmt marks ops with
+// no table encoding.
+var encTable = [opCount]encSpec{
 	OpAdd: {'R', opcReg, 0, 0x00}, OpSub: {'R', opcReg, 0, 0x20},
 	OpSll: {'R', opcReg, 1, 0x00}, OpSlt: {'R', opcReg, 2, 0x00},
 	OpSltu: {'R', opcReg, 3, 0x00}, OpXor: {'R', opcReg, 4, 0x00},
@@ -359,10 +364,10 @@ func Encode(i Inst) (uint32, error) {
 	case OpInvalid:
 		return 0x00000000, nil
 	}
-	sp, ok := encTable[i.Op]
-	if !ok {
+	if i.Op < 0 || i.Op >= opCount || encTable[i.Op].fmt == 0 {
 		return 0, fmt.Errorf("isa: cannot encode %v", i.Op)
 	}
+	sp := encTable[i.Op]
 	switch sp.fmt {
 	case 'R':
 		return encR(sp.opc, sp.f3, sp.f7, i.Rd, i.Rs1, i.Rs2), nil

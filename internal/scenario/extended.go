@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dejavuzz/internal/isa"
 	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
@@ -13,17 +14,17 @@ import (
 // window or encode structure, so they trigger as reliably as their legacy
 // cousins while reaching state the canonical eight never touch.
 
-// occupancyGadgets pre-renders the cache-occupancy encode blocks, one per
+// occupancyGadgets holds the cache-occupancy encode blocks, one per
 // gadget slot (EncodeOps selects how many stack). Each gadget owns a 1KB
 // slice of the data region; the secret's slot-th bit pair (bits 2i..2i+1)
 // selects which 256B quarter fills, so the signal is the *set* of resident
 // lines rather than one secret-indexed line, and each stacked gadget
 // encodes two fresh secret bits. Every address is a layout constant.
-var occupancyGadgets = func() [4][]string {
-	var out [4][]string
+var occupancyGadgets = func() [4][]isa.Item {
+	var out [4][]isa.Item
 	for i := range out {
 		base := uint64(swapmem.DataBase + 0x3000 + 0x400*i)
-		out[i] = []string{
+		out[i] = frag(
 			fmt.Sprintf("srli s1, s0, %d", 2*i),
 			"andi s1, s1, 0x3",
 			"slli s1, s1, 8",
@@ -33,18 +34,24 @@ var occupancyGadgets = func() [4][]string {
 			"ld t3, 64(t1)",
 			"ld t4, 128(t1)",
 			"ld t5, 192(t1)",
-		}
+		)
 	}
 	return out
 }()
 
-// stlAccessLines launders the stale pointer through an in-window
+// stlAccess launders the stale pointer through an in-window
 // store-to-load forwarding pair before the secret dereference.
-var stlAccessLines = []string{
+var stlAccess = frag(
 	"sd t1, 0(a5)", // spill the stale pointer...
 	"ld t2, 0(a5)", // ...and forward it straight back
 	"ld s0, 0(t2)", // dereference the forwarded copy
-}
+)
+
+// The nested-fault window's two nested accesses.
+var (
+	nestedLoad  = item("ld t5, 0(t6)")
+	nestedStore = item("sd t5, 0(t6)")
+)
 
 func init() {
 	// nested-fault-in-branch: a faulting access *inside* a mispredicted
@@ -53,7 +60,7 @@ func init() {
 	// is purely speculative — LSU/TLB fault paths are exercised under a
 	// control-flow squash instead of an exception squash, a combination no
 	// flat trigger reaches.
-	nestedGuard := fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardAccBase+0x80))
+	nestedGuard := item(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardAccBase+0x80)))
 	Register(&family{
 		name:      "nested-fault-in-branch",
 		desc:      "transiently faulting access nested inside a mispredicted-branch window",
@@ -62,25 +69,25 @@ func init() {
 		winClass:  "control-flow squash over a nested fault",
 		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
 		squash:    uarch.SquashBranchMispredict,
-		setup: func(dst []string, _ Params, _ uint64) []string {
+		setup: func(dst []isa.Item, _ Params, _ uint64) []isa.Item {
 			// Branch-condition setup plus the guard address for the nested
 			// fault (architecturally dead: the window never commits).
-			dst = append(dst, slowDivLines...)
+			dst = append(dst, slowDiv...)
 			return append(dst, nestedGuard)
 		},
-		window: func(dst []string, p Params, body []string) ([]string, int, int) {
-			fault := "ld t5, 0(t6)"
+		window: func(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
+			fault := nestedLoad
 			if p.StoreFlavor {
-				fault = "sd t5, 0(t6)"
+				fault = nestedStore
 			}
 			dst = append(dst,
-				"beq a0, a1, win",
-				"ecall",
-				"win:",
+				branchTrigger,
+				ecall,
+				winLabel,
 				fault, // nested: faults only transiently
 			)
 			dst = append(dst, body...)
-			return append(dst, "ecall"), 2, len(body) + 2
+			return append(dst, ecall), 2, len(body) + 2
 		},
 		trainings: branchTrainings,
 	})
@@ -91,7 +98,7 @@ func init() {
 	// forwarding pair before the secret dereference, so the leak flows
 	// through the store queue's forwarding path — a channel the plain
 	// mem-disambig family never exercises.
-	stlSlot := fmt.Sprintf("li a5, %#x", uint64(swapmem.DataBase+0x500))
+	stlSlot := item(fmt.Sprintf("li a5, %#x", uint64(swapmem.DataBase+0x500)))
 	Register(&family{
 		name:      "stl-forward-chain",
 		desc:      "disambiguation window laundering the stale pointer through store-to-load forwarding",
@@ -100,15 +107,15 @@ func init() {
 		winClass:  "memory-ordering squash over a forwarding chain",
 		caps:      Capabilities{WarmPointer: true, OwnAccess: true},
 		squash:    uarch.SquashMemOrdering,
-		setup: func(dst []string, _ Params, _ uint64) []string {
+		setup: func(dst []isa.Item, _ Params, _ uint64) []isa.Item {
 			// The disambiguation setup plus a forwarding slot the window
 			// bounces the stale pointer through.
-			dst = append(dst, disambigSetupLines...)
+			dst = append(dst, disambigSetup...)
 			return append(dst, stlSlot)
 		},
 		window: disambigWindow,
-		access: func(dst []string, _ Params) []string {
-			return append(dst, stlAccessLines...)
+		access: func(dst []isa.Item, _ Params) []isa.Item {
+			return append(dst, stlAccess...)
 		},
 	})
 
@@ -122,9 +129,9 @@ func init() {
 		winClass:  "exception over an occupancy encoder",
 		caps:      Capabilities{OwnEncoder: true, StoreFlavored: true},
 		squash:    uarch.SquashException,
-		setup:     staticSetup(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardPageBase+0x40))),
+		setup:     guardSetup(swapmem.GuardPageBase + 0x40),
 		window:    faultWindow,
-		encode: func(dst []string, p Params, _ *rand.Rand) ([]string, bool) {
+		encode: func(dst []isa.Item, p Params, _ *rand.Rand) ([]isa.Item, bool) {
 			for i := 0; i < p.EncodeOps && i < len(occupancyGadgets); i++ {
 				dst = append(dst, occupancyGadgets[i]...)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dejavuzz/internal/isa"
 	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
@@ -12,9 +13,9 @@ import (
 // build hooks. Nil hooks fall back to the common behaviour (no setup, no
 // trainings, DefaultAccess, shared encode table), so most families only
 // supply what makes them distinct. Hooks are append-style (see Scenario);
-// fixed line sequences live in package-level tables so a build allocates
-// nothing beyond what its parameters force (address formatting for
-// PC-dependent setups).
+// fixed item sequences live in package-level fragment tables built at init,
+// so a build allocates nothing beyond what its parameters force (the
+// PC-dependent jump-training setup).
 type family struct {
 	name      string
 	desc      string
@@ -24,10 +25,10 @@ type family struct {
 	caps      Capabilities
 	squash    uarch.SquashReason
 
-	setup     func(dst []string, p Params, T uint64) []string
-	window    func(dst []string, p Params, body []string) (lines []string, winOff, winLen int)
-	access    func(dst []string, p Params) []string
-	encode    func(dst []string, p Params, rng *rand.Rand) ([]string, bool)
+	setup     func(dst []isa.Item, p Params, T uint64) []isa.Item
+	window    func(dst []isa.Item, p Params, body []isa.Item) (items []isa.Item, winOff, winLen int)
+	access    func(dst []isa.Item, p Params) []isa.Item
+	encode    func(dst []isa.Item, p Params, rng *rand.Rand) ([]isa.Item, bool)
 	trainings func(dst []Training, p Params, winLo uint64) []Training
 }
 
@@ -38,25 +39,25 @@ func (f *family) Classes() (string, string)          { return f.trigClass, f.win
 func (f *family) Caps() Capabilities                 { return f.caps }
 func (f *family) ExpectedSquash() uarch.SquashReason { return f.squash }
 
-func (f *family) Setup(dst []string, p Params, T uint64) []string {
+func (f *family) Setup(dst []isa.Item, p Params, T uint64) []isa.Item {
 	if f.setup == nil {
 		return dst
 	}
 	return f.setup(dst, p, T)
 }
 
-func (f *family) Window(dst []string, p Params, body []string) ([]string, int, int) {
+func (f *family) Window(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
 	return f.window(dst, p, body)
 }
 
-func (f *family) Access(dst []string, p Params) []string {
+func (f *family) Access(dst []isa.Item, p Params) []isa.Item {
 	if f.access == nil {
 		return DefaultAccess(dst, p)
 	}
 	return f.access(dst, p)
 }
 
-func (f *family) Encode(dst []string, p Params, rng *rand.Rand) ([]string, bool) {
+func (f *family) Encode(dst []isa.Item, p Params, rng *rand.Rand) ([]isa.Item, bool) {
 	if f.encode == nil {
 		return dst, false
 	}
@@ -70,61 +71,78 @@ func (f *family) Trainings(dst []Training, p Params, winLo uint64) []Training {
 	return f.trainings(dst, p, winLo)
 }
 
-// staticSetup adapts a fixed line sequence into a setup hook.
-func staticSetup(lines ...string) func([]string, Params, uint64) []string {
-	return func(dst []string, _ Params, _ uint64) []string {
-		return append(dst, lines...)
+// staticSetup adapts a fixed fragment into a setup hook.
+func staticSetup(items []isa.Item) func([]isa.Item, Params, uint64) []isa.Item {
+	return func(dst []isa.Item, _ Params, _ uint64) []isa.Item {
+		return append(dst, items...)
 	}
 }
 
+// guardSetup is the setup of the fault-class families: t6 = addr, the
+// address the trigger access faults on.
+func guardSetup(addr uint64) func([]isa.Item, Params, uint64) []isa.Item {
+	return staticSetup(frag(fmt.Sprintf("li t6, %#x", addr)))
+}
+
+// Single items the window layouts share.
+var (
+	ecall      = item("ecall")
+	winLabel   = item("win:")
+	faultLoad  = item("ld t6, 0(t6)")
+	faultStore = item("sd t6, 0(t6)")
+)
+
 // faultWindow is the exception-class layout: the faulting access at the
 // trigger PC, the window immediately after it, an ecall terminator.
-func faultWindow(dst []string, p Params, body []string) ([]string, int, int) {
-	op := "ld t6, 0(t6)"
+func faultWindow(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
+	op := faultLoad
 	if p.StoreFlavor {
-		op = "sd t6, 0(t6)"
+		op = faultStore
 	}
 	dst = append(dst, op)
 	dst = append(dst, body...)
-	return append(dst, "ecall"), 1, len(body) + 1
+	return append(dst, ecall), 1, len(body) + 1
 }
 
 // mispredictWindow is the control-flow layout: the redirecting instruction
 // at the trigger PC, the architectural exit at T+4, the window at T+8.
-func mispredictWindow(dst []string, trig string, body []string) ([]string, int, int) {
-	dst = append(dst, trig, "ecall", "win:")
+func mispredictWindow(dst []isa.Item, trig isa.Item, body []isa.Item) ([]isa.Item, int, int) {
+	dst = append(dst, trig, ecall, winLabel)
 	dst = append(dst, body...)
-	return append(dst, "ecall"), 2, len(body) + 1
+	return append(dst, ecall), 2, len(body) + 1
 }
 
-// slowDivLines is the branch-condition setup: a0 = 4 computed through two
+// slowDiv is the branch-condition setup: a0 = 4 computed through two
 // divisions so the branch at the trigger resolves long after prediction.
-var slowDivLines = []string{
+var slowDiv = frag(
 	"li a0, 36",
 	"li a1, 3",
 	"div a0, a0, a1",
 	"div a0, a0, a1", // a0 = 4, slowly; a1 = 3 -> branch not taken
-}
+)
+
+// slowTargetTail divides the a0 that slowTargetSetup materialises.
+var slowTargetTail = frag(
+	"li a1, 3",
+	"div a0, a0, a1",
+	"div a0, a0, a1",
+)
 
 // slowTargetSetup computes a0 = T+4 (the architectural exit) through two
 // divisions, so the actual target resolves long after fetch redirected.
-func slowTargetSetup(dst []string, _ Params, T uint64) []string {
-	return append(dst,
-		fmt.Sprintf("li a0, %d", (T+4)*9),
-		"li a1, 3",
-		"div a0, a0, a1",
-		"div a0, a0, a1",
-	)
+func slowTargetSetup(dst []isa.Item, _ Params, T uint64) []isa.Item {
+	dst = append(dst, isa.Li(isa.RegA0, int64((T+4)*9)))
+	return append(dst, slowTargetTail...)
 }
 
-// disambigSetupLines plants the pointer slot and starts the slow
-// recomputation of its address, so the trigger store's address resolves
-// after the younger speculative load already forwarded the stale pointer.
-// Every address is a layout constant, so the sequence renders once.
-var disambigSetupLines = func() []string {
+// disambigSetup plants the pointer slot and starts the slow recomputation
+// of its address, so the trigger store's address resolves after the
+// younger speculative load already forwarded the stale pointer. Every
+// address is a layout constant, so the fragment builds once.
+var disambigSetup = func() []isa.Item {
 	ptr := uint64(swapmem.DataBase + 0x300)
 	safe := uint64(swapmem.DataBase + 0x400)
-	return []string{
+	return frag(
 		fmt.Sprintf("li a2, %#x", ptr),
 		fmt.Sprintf("li a3, %#x", uint64(swapmem.SecretAddr)),
 		"sd a3, 0(a2)", // pointer slot <- &secret
@@ -134,30 +152,36 @@ var disambigSetupLines = func() []string {
 		"li t4, 3",
 		"div t3, t3, t4",
 		"div t3, t3, t4", // t3 = ptr, ready ~32 cycles later
-	}
+	)
 }()
 
-func disambigWindow(dst []string, _ Params, body []string) ([]string, int, int) {
-	dst = append(dst,
-		"sd a4, 0(t3)", // slow-address store overwrites the pointer
-		"ld t1, 0(a2)", // speculative load of the (stale) pointer
-	)
+var disambigTrigger = frag(
+	"sd a4, 0(t3)", // slow-address store overwrites the pointer
+	"ld t1, 0(a2)", // speculative load of the (stale) pointer
+)
+
+func disambigWindow(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+	dst = append(dst, disambigTrigger...)
 	dst = append(dst, body...)
-	return append(dst, "ecall"), 1, len(body) + 1
+	return append(dst, ecall), 1, len(body) + 1
 }
 
 // branchTrainBody loops a taken branch at the trigger PC three times; its
 // target is the window address (control-flow matching).
-var branchTrainBody = []string{
+var branchTrainBody = frag(
 	"beq zero, zero, taken",
 	"ecall",
 	"taken:", // = win (T+8)
 	"addi a3, a3, -1",
 	"bnez a3, trainpc",
 	"ecall",
-}
+)
 
-var branchTrainSetup = []string{"li a3, 3"}
+// loopCount sets the training loops' iteration count.
+var (
+	loopCount        = item("li a3, 3")
+	branchTrainSetup = []isa.Item{loopCount}
+)
 
 func branchTrainings(dst []Training, _ Params, _ uint64) []Training {
 	return append(dst, Training{Name: "train-branch", Setup: branchTrainSetup, Body: branchTrainBody})
@@ -165,19 +189,19 @@ func branchTrainings(dst []Training, _ Params, _ uint64) []Training {
 
 // jumpTrainBody trains the indirect-target predictor with the window
 // address (in a2), repeated to satisfy target-confidence thresholds.
-var jumpTrainBody = []string{
+var jumpTrainBody = frag(
 	"jalr x0, 0(a2)", // jumps to win
 	"ecall",
 	"landing:", // = win
 	"addi a3, a3, -1",
 	"bnez a3, trainpc",
 	"ecall",
-}
+)
 
 func jumpTrainings(dst []Training, _ Params, winLo uint64) []Training {
 	return append(dst, Training{
 		Name:  "train-jalr",
-		Setup: []string{fmt.Sprintf("li a2, %#x", winLo), "li a3, 3"},
+		Setup: []isa.Item{isa.Li(isa.RegA2, int64(winLo)), loopCount},
 		Body:  jumpTrainBody,
 	})
 }
@@ -185,11 +209,21 @@ func jumpTrainings(dst []Training, _ Params, winLo uint64) []Training {
 // retTrainBody is a call whose return address equals the window start: the
 // auipc of `call` sits at the trigger PC, its jalr at T+4, so ra = T+8 =
 // win.
-var retTrainBody = []string{fmt.Sprintf("call %#x", uint64(swapmem.SwapDoneAddr))}
+var retTrainBody = frag(fmt.Sprintf("call %#x", uint64(swapmem.SwapDoneAddr)))
 
 func retTrainings(dst []Training, _ Params, _ uint64) []Training {
 	return append(dst, Training{Name: "train-ret", Body: retTrainBody})
 }
+
+// The canonical families' single-item triggers and steps.
+var (
+	derefStale    = item("ld s0, 0(t1)")
+	branchTrigger = item("beq a0, a1, win")
+	jumpTrigger   = item("jalr x0, 0(a0)")
+	retSetup      = item("mv ra, a0")
+	retTrigger    = item("ret")
+	illegal       = item(".illegal")
+)
 
 func init() {
 	registerCanonical(&family{
@@ -200,7 +234,7 @@ func init() {
 		winClass:  "exception",
 		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
 		squash:    uarch.SquashException,
-		setup:     staticSetup(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardAccBase+0x40))),
+		setup:     guardSetup(swapmem.GuardAccBase + 0x40),
 		window:    faultWindow,
 	})
 	registerCanonical(&family{
@@ -211,7 +245,7 @@ func init() {
 		winClass:  "exception",
 		caps:      Capabilities{StoreFlavored: true},
 		squash:    uarch.SquashException,
-		setup:     staticSetup(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardPageBase+0x40))),
+		setup:     guardSetup(swapmem.GuardPageBase + 0x40),
 		window:    faultWindow,
 	})
 	registerCanonical(&family{
@@ -222,7 +256,7 @@ func init() {
 		winClass:  "exception",
 		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
 		squash:    uarch.SquashException,
-		setup:     staticSetup(fmt.Sprintf("li t6, %#x", uint64(swapmem.DataBase+0x101))),
+		setup:     guardSetup(swapmem.DataBase + 0x101),
 		window:    faultWindow,
 	})
 	registerCanonical(&family{
@@ -233,10 +267,10 @@ func init() {
 		winClass:  "exception",
 		caps:      Capabilities{InvalidCode: true},
 		squash:    uarch.SquashException,
-		window: func(dst []string, _ Params, body []string) ([]string, int, int) {
-			dst = append(dst, ".illegal")
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			dst = append(dst, illegal)
 			dst = append(dst, body...)
-			return append(dst, "ecall"), 1, len(body) + 1
+			return append(dst, ecall), 1, len(body) + 1
 		},
 	})
 	registerCanonical(&family{
@@ -247,12 +281,12 @@ func init() {
 		winClass:  "memory-ordering squash",
 		caps:      Capabilities{WarmPointer: true, OwnAccess: true},
 		squash:    uarch.SquashMemOrdering,
-		setup:     staticSetup(disambigSetupLines...),
+		setup:     staticSetup(disambigSetup),
 		window:    disambigWindow,
-		access: func(dst []string, _ Params) []string {
+		access: func(dst []isa.Item, _ Params) []isa.Item {
 			// The stale pointer in t1 (set by the trigger block) points at
 			// the secret; dereference it.
-			return append(dst, "ld s0, 0(t1)")
+			return append(dst, derefStale)
 		},
 	})
 	registerCanonical(&family{
@@ -262,10 +296,10 @@ func init() {
 		trigClass: "branch misprediction",
 		winClass:  "control-flow squash",
 		squash:    uarch.SquashBranchMispredict,
-		setup:     staticSetup(slowDivLines...),
-		window: func(dst []string, _ Params, body []string) ([]string, int, int) {
+		setup:     staticSetup(slowDiv),
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
 			// Trained taken -> window at target; actually not taken -> exit.
-			return mispredictWindow(dst, "beq a0, a1, win", body)
+			return mispredictWindow(dst, branchTrigger, body)
 		},
 		trainings: branchTrainings,
 	})
@@ -277,8 +311,8 @@ func init() {
 		winClass:  "control-flow squash",
 		squash:    uarch.SquashJumpMispredict,
 		setup:     slowTargetSetup,
-		window: func(dst []string, _ Params, body []string) ([]string, int, int) {
-			return mispredictWindow(dst, "jalr x0, 0(a0)", body) // actual: exit at T+4
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			return mispredictWindow(dst, jumpTrigger, body) // actual: exit at T+4
 		},
 		trainings: jumpTrainings,
 	})
@@ -290,11 +324,11 @@ func init() {
 		winClass:  "control-flow squash",
 		caps:      Capabilities{BackwardJumps: true},
 		squash:    uarch.SquashReturnMispredict,
-		setup: func(dst []string, p Params, T uint64) []string {
-			return append(slowTargetSetup(dst, p, T), "mv ra, a0")
+		setup: func(dst []isa.Item, p Params, T uint64) []isa.Item {
+			return append(slowTargetSetup(dst, p, T), retSetup)
 		},
-		window: func(dst []string, _ Params, body []string) ([]string, int, int) {
-			return mispredictWindow(dst, "ret", body) // predicted from RAS -> win; actual -> exit
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			return mispredictWindow(dst, retTrigger, body) // predicted from RAS -> win; actual -> exit
 		},
 		trainings: retTrainings,
 	})

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dejavuzz/internal/isa"
 	"dejavuzz/internal/uarch"
 )
 
@@ -84,23 +85,28 @@ type Capabilities struct {
 	StoreFlavored bool `json:"store_flavored,omitempty"`
 }
 
-// Training is one derived trigger-training block: setup lines executed
+// Training is one derived trigger-training block: setup items executed
 // before alignment padding, and the training body whose first instruction
-// lands on the trigger PC.
+// lands on the trigger PC (the builder defines the "trainpc" label there).
 type Training struct {
 	Name  string
-	Setup []string
-	Body  []string
+	Setup []isa.Item
+	Body  []isa.Item
 }
 
 // Scenario is one registered transient-window family. Implementations must
 // be stateless values: Build methods are pure functions of their Params, so
 // one instance is shared read-only across all campaign shards.
 //
-// The line-producing hooks are append-style — they extend dst and return
-// it — so the generator's per-shard scratch buffers absorb every build and
-// the campaign hot path (two to three packet builds per iteration) stays
-// allocation-light, exactly as the pre-registry inline builders were.
+// The fragment-producing hooks return typed instruction items (isa.Item)
+// and are append-style — they extend dst and return it — so the
+// generator's per-shard scratch buffers absorb every build and the campaign
+// hot path (two to three packet builds per iteration) assembles packets
+// without rendering or parsing text. Fixed item sequences are built once,
+// at package init.
+//
+// Window and encode sizes are counted in items: one item per source line,
+// so a `li` that expands to two words still counts once.
 type Scenario interface {
 	// Name is the registry key (e.g. "branch-mispredict").
 	Name() string
@@ -116,21 +122,20 @@ type Scenario interface {
 	// ExpectedSquash is the squash class the transient window must be
 	// terminated by for the trigger criterion to hold.
 	ExpectedSquash() uarch.SquashReason
-	// Setup appends the architecturally-executed entry setup lines; T is
-	// the trigger PC (some setups compute addresses relative to it).
-	Setup(dst []string, p Params, T uint64) []string
-	// Window appends the trigger-and-window layout lines emitted after the
-	// "trig:" label and returns the window's offset from the trigger PC
-	// and its length (both in instruction words; the body contributes
-	// len(body) words).
-	Window(dst []string, p Params, body []string) (lines []string, winOff, winLen int)
+	// Setup appends the architecturally-executed entry setup; T is the
+	// trigger PC (some setups compute addresses relative to it).
+	Setup(dst []isa.Item, p Params, T uint64) []isa.Item
+	// Window appends the trigger-and-window layout emitted after the
+	// "trig" label and returns the window's offset from the trigger PC
+	// and its length (the body contributes len(body)).
+	Window(dst []isa.Item, p Params, body []isa.Item) (items []isa.Item, winOff, winLen int)
 	// Access appends the secret-access block Phase 2 prepends to the
 	// encode block when completing the window.
-	Access(dst []string, p Params) []string
+	Access(dst []isa.Item, p Params) []isa.Item
 	// Encode appends the family's dedicated secret-encoding block and
 	// reports whether it has one; ok=false leaves dst untouched and the
 	// caller draws from the shared gadget table instead.
-	Encode(dst []string, p Params, rng *rand.Rand) (lines []string, ok bool)
+	Encode(dst []isa.Item, p Params, rng *rand.Rand) (items []isa.Item, ok bool)
 	// Trainings appends the derived trigger-training blocks; winLo is the
 	// resolved transient-window start address.
 	Trainings(dst []Training, p Params, winLo uint64) []Training

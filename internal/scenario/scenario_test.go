@@ -106,7 +106,7 @@ func TestEveryFamilyBuildsQuick(t *testing.T) {
 						t.Logf("%v/%s: complete: %v", kind, fam.Name(), err)
 						return false
 					}
-					if !cst.Completed || len(cst.EncodeLines) == 0 {
+					if !cst.Completed || len(cst.EncodeBlock) == 0 {
 						t.Logf("%v/%s: window not completed", kind, fam.Name())
 						return false
 					}

@@ -128,7 +128,9 @@ func TestServerTriageDedupAcrossSeeds(t *testing.T) {
 	rec2 := createCampaign(t, ts.URL, `{"name":"seed-two","options":{"target":"boom","seed":2,"iterations":48,"merge_every":8}}`)
 
 	// Live event stream: at minimum the status frame, then barrier events
-	// while the campaign runs.
+	// while the campaign runs. Subscribe once seed-one is admitted: a stream
+	// opened on a still-queued campaign carries only the status frame.
+	pollRecord(t, ts.URL, rec1.ID, "admitted", func(r Record) bool { return r.State != StateQueued })
 	resp, err := http.Get(ts.URL + "/campaigns/" + rec1.ID + "/events")
 	if err != nil {
 		t.Fatal(err)

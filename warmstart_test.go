@@ -168,9 +168,10 @@ func TestNewRejectsWarmSeedOutsideScenarios(t *testing.T) {
 	if len(fams) < 2 {
 		t.Fatal("need at least two registered families")
 	}
+	seed := Seed{Scenario: fams[0], TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
 	outside := WarmStart{
 		Snapshot: "cs-0000000000000001",
-		Seeds:    []Seed{{Scenario: fams[0]}},
+		Seeds:    []Seed{seed},
 	}
 	if _, err := New("boom", WithScenarios(fams[1]), WithWarmStart(outside)); err == nil {
 		t.Error("New accepted a warm seed from a family outside the campaign's scenario set")
@@ -184,6 +185,13 @@ func TestNewRejectsWarmSeedOutsideScenarios(t *testing.T) {
 	}
 	if _, err := New("boom", WithWarmStart(badPrior)); err == nil {
 		t.Error("New accepted a frontier prior for an unregistered family")
+	}
+	// A malformed warm seed is refused by name, not left to panic a shard.
+	seed.WindowLen = -4095
+	malformed := WarmStart{Snapshot: "cs-0000000000000003", Seeds: []Seed{seed}}
+	if _, err := New("boom", WithScenarios(fams[0]), WithWarmStart(malformed)); err == nil ||
+		!strings.Contains(err.Error(), "WindowLen") {
+		t.Errorf("New accepted a warm seed with a negative WindowLen, or did not name the field: %v", err)
 	}
 }
 
