@@ -43,7 +43,9 @@ func (c *Checkpoint) UnmarshalJSON(data []byte) error {
 func (c *Checkpoint) Save(path string) error {
 	// Compact encoding: checkpoints carry the full iteration history, so
 	// indentation would roughly double an already large machine artifact.
-	data, err := json.Marshal(c)
+	// MarshalJSON already returns compact JSON; json.Marshal(c) would only
+	// re-scan and copy the megabytes it wrote, yielding the same bytes.
+	data, err := c.MarshalJSON()
 	if err != nil {
 		return fmt.Errorf("dejavuzz: encode checkpoint: %w", err)
 	}

@@ -1,0 +1,127 @@
+package dejavuzz
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// fuzzCampaigns are the campaigns FuzzLoadCheckpoint resumes into, keyed
+// by target, with the barrier its seed checkpoint is taken at. They are
+// small so one resumed epoch stays cheap. The isasim checkpoint resumes
+// into a mid-campaign pause; the boom one into the last epoch, so its
+// resumed run also completes and builds the report.
+var fuzzCampaigns = []struct {
+	target string
+	opts   []Option
+	stop   int
+}{
+	{"isasim", []Option{WithSeed(42), WithIterations(96), WithMergeEvery(16)}, 32},
+	{"boom", []Option{WithSeed(42), WithIterations(48), WithMergeEvery(8)}, 40},
+}
+
+func mustCampaign(tb testing.TB, target string, opts ...Option) *Campaign {
+	tb.Helper()
+	c, err := New(target, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestCheckpointSaveMatchesMarshal pins Save's one-pass encode: the file it
+// writes is byte-identical to json.Marshal of the checkpoint, which
+// re-compacts MarshalJSON's output.
+func TestCheckpointSaveMatchesMarshal(t *testing.T) {
+	for _, fc := range fuzzCampaigns {
+		ck := midCampaignCheckpoint(t, mustCampaign(t, fc.target, fc.opts...), fc.stop)
+		want, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), fc.target+".ckpt")
+		if err := ck.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Save wrote %d bytes that differ from json.Marshal's %d", fc.target, len(got), len(want))
+		}
+	}
+}
+
+// BenchmarkCheckpointSave times Save of a real mid-campaign isasim
+// checkpoint: the isasim-resume benchmark workload's campaign (seed 42,
+// 24000 iterations) at its first barrier past the midpoint.
+func BenchmarkCheckpointSave(b *testing.B) {
+	ck := midCampaignCheckpoint(b, mustCampaign(b, "isasim", WithSeed(42), WithIterations(24000)), 12032)
+	path := filepath.Join(b.TempDir(), "isasim.ckpt")
+	if err := ck.Save(path); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := ck.Save(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to LoadCheckpoint. A checkpoint
+// it accepts is resumed into the matching fuzzCampaigns campaign and paused
+// at its first barrier. Every input must end in an error or a run; none
+// may panic or hang. The seeds are real isasim and boom barrier
+// checkpoints.
+func FuzzLoadCheckpoint(f *testing.F) {
+	campaigns := map[string]*Campaign{}
+	for _, fc := range fuzzCampaigns {
+		c := mustCampaign(f, fc.target, fc.opts...)
+		campaigns[fc.target] = c
+		data, err := json.Marshal(midCampaignCheckpoint(f, c, fc.stop))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		c, ok := campaigns[ck.Target()]
+		if !ok {
+			// Resume must refuse a checkpoint of another target.
+			c = campaigns["boom"]
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s, err := c.Resume(ctx, ck)
+		if err != nil {
+			return
+		}
+		for ev := range s.Events() {
+			if ev.Kind == EventEpoch {
+				cancel()
+			}
+		}
+		if _, err := s.Wait(); err != nil && !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("resumed session ended with %v", err)
+		}
+	})
+}

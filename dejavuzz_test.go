@@ -18,7 +18,7 @@ import (
 // of c yields when cancelled at the barrier after stopDone iterations: the
 // engine's cancellation lands at the merge barrier, so cancelling from
 // within the barrier hook pins the stop point exactly.
-func midCampaignCheckpoint(t *testing.T, c *Campaign, stopDone int) *Checkpoint {
+func midCampaignCheckpoint(t testing.TB, c *Campaign, stopDone int) *Checkpoint {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -183,6 +183,27 @@ func TestResumeStateValidation(t *testing.T) {
 	} else if !strings.Contains(err.Error(), neg.SchedState[1].Name) {
 		t.Errorf("negative-count refusal does not name the family: %v", err)
 	}
+	// Shard counters outside 0 <= gain_count <= pick_count <= next_iter are
+	// refused, naming the field: a negative pick count would otherwise
+	// index the corpus below zero in the resumed shard.
+	for _, tc := range []struct {
+		field       string
+		gain, picks int
+	}{
+		{"pick_count", 0, -4},
+		{"pick_count", 0, state.NextIter + 1},
+		{"gain_count", -1, 2},
+		{"gain_count", 3, 2},
+	} {
+		bad := *state
+		bad.Shards = append([]ShardState(nil), state.Shards...)
+		bad.Shards[0].GainCount, bad.Shards[0].PickCount = tc.gain, tc.picks
+		if _, err := NewFuzzerFromState(&bad, campaignOpts(1, 32)); err == nil {
+			t.Errorf("accepted shard gain_count %d, pick_count %d", tc.gain, tc.picks)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("shard-counter refusal does not name %s: %v", tc.field, err)
+		}
+	}
 }
 
 // TestEngineStateV1Refused pins that pre-scheduler checkpoints are refused:

@@ -717,14 +717,24 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 	f.findings = append([]Finding(nil), st.Findings...)
 	f.deadSinks = st.DeadSinks
 	for i, s := range f.shards {
-		s.avgGain = st.Shards[i].AvgGain
-		s.gainCount = st.Shards[i].GainCount
-		s.pickCount = st.Shards[i].PickCount
-		if wc := st.Shards[i].WarmConsumed; wc < 0 || wc > len(s.warm) {
+		// A shard picks one seed per iteration it runs and measures each
+		// pick at most once, so 0 <= gain_count <= pick_count <= next_iter.
+		// A negative pick count would index the corpus below zero.
+		ss := st.Shards[i]
+		if ss.PickCount < 0 || ss.PickCount > st.NextIter {
+			return nil, fmt.Errorf("core: engine state shard %d pick_count %d outside [0, %d]", i, ss.PickCount, st.NextIter)
+		}
+		if ss.GainCount < 0 || ss.GainCount > ss.PickCount {
+			return nil, fmt.Errorf("core: engine state shard %d gain_count %d outside [0, %d]", i, ss.GainCount, ss.PickCount)
+		}
+		s.avgGain = ss.AvgGain
+		s.gainCount = ss.GainCount
+		s.pickCount = ss.PickCount
+		if wc := ss.WarmConsumed; wc < 0 || wc > len(s.warm) {
 			return nil, fmt.Errorf("core: engine state shard %d consumed %d of %d warm seeds",
 				i, wc, len(s.warm))
 		}
-		s.warmNext = st.Shards[i].WarmConsumed
+		s.warmNext = ss.WarmConsumed
 	}
 	// Restore the scheduler exactly as it was at the barrier: the next
 	// epoch's family picks depend on its posterior, so a lossy restore

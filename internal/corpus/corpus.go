@@ -219,6 +219,11 @@ func (st *Store) loadSnapshot() error {
 	}
 	for i := range f.Entries {
 		e := f.Entries[i]
+		// Warm-start sets are built from these seeds: refuse a malformed one
+		// here rather than in a campaign shard.
+		if err := e.Seed.Validate(); err != nil {
+			return fmt.Errorf("corpus: %s: entry %q: %w", snapshotFile, e.ID, err)
+		}
 		st.entries[e.ID] = &e
 	}
 	st.history = f.History
@@ -284,6 +289,9 @@ func (rec *journalRec) validate() error {
 	for i := range rec.Put {
 		if rec.Put[i].ID == "" {
 			return fmt.Errorf("campaign %q: put entry has an empty id", rec.Campaign)
+		}
+		if err := rec.Put[i].Seed.Validate(); err != nil {
+			return fmt.Errorf("campaign %q: put entry %q: %w", rec.Campaign, rec.Put[i].ID, err)
 		}
 	}
 	return nil

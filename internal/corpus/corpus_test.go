@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -15,13 +16,22 @@ import (
 	"dejavuzz/internal/gen"
 )
 
+// testFamily is the scenario family of every test seed.
+const testFamily = "branch-mispredict"
+
+// testSeed returns a seed that passes gen.Seed.Validate (every knob in its
+// drawn range), told apart from others by r and windowLen.
+func testSeed(r int64, windowLen int) gen.Seed {
+	return gen.Seed{Scenario: testFamily, Rand: r, TriggerOff: 60, WindowLen: windowLen, EncodeOps: 1}
+}
+
 // testBatch builds n distinct harvested seeds with deterministic evidence.
 func testBatch(n, iterBase int) []core.HarvestedSeed {
 	out := make([]core.HarvestedSeed, n)
 	for i := range out {
 		out[i] = core.HarvestedSeed{
 			Iteration: iterBase + i,
-			Seed:      gen.Seed{Scenario: "spectre-btb-v2a", Rand: int64(1000 + iterBase + i), WindowLen: i},
+			Seed:      testSeed(int64(1000+iterBase+i), 4+i%8),
 			NewPoints: i + 1,
 			Finding:   i%3 == 0,
 		}
@@ -245,6 +255,47 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesInvalidSeed: an entry whose seed no generator could have
+// drawn (here a negative WindowLen) is refused whether it comes from the
+// snapshot or from a journal record, naming the file, the entry and the
+// field, before a warm start can hand it to a campaign.
+func TestOpenRefusesInvalidSeed(t *testing.T) {
+	e := Entry{Target: "boom", Scenario: testFamily, Fingerprint: "fp-test", Seed: testSeed(7, 4),
+		BestPoints: 1, Points: 1, Harvests: 1, FirstCampaign: "c1", FirstIteration: 3}
+	e.Seed.WindowLen = -4
+	e.ID = EntryID(e.Target, e.Seed)
+	snapshot, err := json.Marshal(storeFile{Version: storeVersion, Watermarks: map[string]int{}, Entries: []Entry{e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := json.Marshal(journalRec{Campaign: "c1", Through: 3, Put: []Entry{e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file string
+		data []byte
+	}{
+		{snapshotFile, snapshot},
+		{journalFile, append(record, '\n')},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if err == nil {
+			t.Errorf("%s: store with a negative WindowLen loaded", tc.file)
+			continue
+		}
+		for _, want := range []string{tc.file, e.ID, "WindowLen"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal does not name %q: %v", tc.file, want, err)
+			}
+		}
+	}
+}
+
 // TestReplayAboveClassCap: replaying a barrier whose harvest pushed the
 // class over its cap must not re-add the seed that harvest evicted.
 func TestReplayAboveClassCap(t *testing.T) {
@@ -459,7 +510,7 @@ func TestStoreSizeBoundedByCampaigns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed := gen.Seed{Scenario: "spectre-btb-v2a", Rand: 7}
+		seed := testSeed(7, 4)
 		for i := 0; i < n; i++ {
 			obs := []core.HarvestedSeed{{Iteration: 3 * i, Seed: seed, NewPoints: 1 + i%5, Finding: i%2 == 0}}
 			if _, err := st.Harvest("c1", "boom", "fp-test", obs); err != nil {
@@ -634,7 +685,7 @@ func TestFrontierDiff(t *testing.T) {
 		t.Fatalf("diff after growth: current=%s changed=%+v", d.Current, d.Changed)
 	}
 	row := d.Changed[0]
-	if row.Target != "boom" || row.Scenario != "spectre-btb-v2a" || row.Entries != 5 || row.Harvests != 5 {
+	if row.Target != "boom" || row.Scenario != testFamily || row.Entries != 5 || row.Harvests != 5 {
 		t.Fatalf("unexpected delta row: %+v", row)
 	}
 
@@ -644,7 +695,7 @@ func TestFrontierDiff(t *testing.T) {
 }
 
 func TestEntryIDStable(t *testing.T) {
-	s := gen.Seed{Scenario: "spectre-btb-v2a", Rand: 7}
+	s := testSeed(7, 4)
 	a, b := EntryID("boom", s), EntryID("boom", s)
 	if a != b {
 		t.Fatalf("EntryID not stable: %s vs %s", a, b)

@@ -188,9 +188,10 @@ type Generator struct {
 	brng *rand.Rand
 }
 
-// New returns a generator with the given RNG seed.
+// New returns a generator with the given RNG seed. Its stream is the one
+// rand.New(rand.NewSource(seed)) draws; see source.
 func New(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
+	return &Generator{rng: rand.New(newSource(seed))}
 }
 
 // Reseed returns the generator's RNG to the state New(seed) produces,
@@ -221,10 +222,10 @@ func (g *Generator) enabledScenarios() []string {
 }
 
 // buildRand returns the generator's reusable derivation RNG seeded to the
-// state rand.New(rand.NewSource(seed)) produces.
+// state rand.New(rand.NewSource(seed)) produces, in O(1) (see source).
 func (g *Generator) buildRand(seed int64) *rand.Rand {
 	if g.brng == nil {
-		g.brng = rand.New(rand.NewSource(seed))
+		g.brng = rand.New(newSource(seed))
 		return g.brng
 	}
 	g.brng.Seed(seed)

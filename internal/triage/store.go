@@ -87,6 +87,9 @@ func Open(path string) (*Store, error) {
 		if b.CorpusEntry == "" {
 			return nil, fmt.Errorf("triage: store %s: bug %q has an empty corpus_entry", path, b.Signature)
 		}
+		if err := b.Example.Seed.Validate(); err != nil {
+			return nil, fmt.Errorf("triage: store %s: bug %q example: %w", path, b.Signature, err)
+		}
 		s.bugs[b.Signature] = &b
 	}
 	return s, nil

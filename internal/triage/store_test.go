@@ -123,6 +123,32 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesInvalidExampleSeed: a bug whose example seed no generator
+// could have drawn (here a negative WindowLen) is refused at Open, naming
+// the file, the bug and the field, before a replay of it reaches the
+// stimulus builder.
+func TestOpenRefusesInvalidExampleSeed(t *testing.T) {
+	dir := t.TempDir()
+	var sig string
+	data := editedStore(t, dir, func(store, bug map[string]any) {
+		bug["example"].(map[string]any)["Seed"].(map[string]any)["WindowLen"] = -4
+		sig = bug["signature"].(string)
+	})
+	path := filepath.Join(dir, "findings.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if err == nil {
+		t.Fatal("store with a negative example WindowLen loaded")
+	}
+	for _, want := range []string{path, sig, "WindowLen"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal does not name %q: %v", want, err)
+		}
+	}
+}
+
 // TestStoreSizeBoundedByCampaigns: one campaign rediscovering one bug at
 // 100 and then at 1000 increasing iterations leaves files that differ only
 // in counter digits — the store grows with campaigns, not occurrences.

@@ -15,7 +15,7 @@ func finding(iter int, kind core.FindingKind, attack string, window gen.TriggerT
 		Window:     window,
 		Components: comps,
 		BugLabels:  bugs,
-		Seed:       gen.Seed{Rand: seedRand},
+		Seed:       gen.Seed{Rand: seedRand, TriggerOff: 60, WindowLen: 4, EncodeOps: 1},
 		Iteration:  iter,
 	}
 }
