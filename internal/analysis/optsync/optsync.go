@@ -1,29 +1,22 @@
-// Package optsync performs struct-field exhaustiveness checks on the two
-// Options types whose field sets gate the engine's resume and wire
-// invariants:
+// Package optsync checks that every field of the engine's Options
+// (core.Options) is classified for determinism: each field must either be
+// read by the DiffFrom enumeration (so an option mismatch on resume names
+// the field) or be listed — with a justification — in the package's
+// determinism-irrelevant allowlist variable. A field in both, a stale
+// allowlist entry, or an entry without a justification is an error.
+// Because EquivalentTo is defined as "DiffFrom finds nothing", this keeps
+// option equivalence exactly as strict as a whole-struct comparison minus
+// the allowlist: a new field cannot be added without classifying it.
 //
-//   - engine half (core.Options): every field must either be read by the
-//     DiffFrom enumeration (so an option mismatch on resume names the
-//     field) or be listed — with a justification — in the package's
-//     determinism-irrelevant allowlist variable. A field in both, a stale
-//     allowlist entry, or an entry without a justification is an error.
-//     This makes DiffFrom's "options differ in a field DiffFrom does not
-//     enumerate" fallback structurally unreachable: a new field cannot be
-//     added without classifying it.
-//
-//   - wire half (dejavuzz.Options): every field must be referenced by
-//     both MarshalJSON and UnmarshalJSON, every wire-struct field (json
-//     key) must be populated by MarshalJSON and copied out by
-//     UnmarshalJSON, and the key sets the two methods speak must match —
-//     a key marshalled but never unmarshalled would silently drop
-//     configuration at the API boundary.
+// The wire Options (dejavuzz.Options) needs no such check: its JSON keys
+// are its own field tags, so there is no mirror to drift, and the root
+// package's round-trip tests pin every field.
 package optsync
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"reflect"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -33,38 +26,30 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "optsync",
-	Doc:  "check core.Options/DiffFrom and dejavuzz.Options/Marshal/Unmarshal field exhaustiveness",
+	Doc:  "check that every core.Options field is enumerated by DiffFrom or allowlisted as determinism-irrelevant",
 	Run:  run,
 }
 
 var (
 	enginePkg string
-	wirePkg   string
 	allowVar  string
 )
 
 func init() {
 	Analyzer.Flags.StringVar(&enginePkg, "enginepkg", "dejavuzz/internal/core",
 		"package holding the engine Options with DiffFrom")
-	Analyzer.Flags.StringVar(&wirePkg, "wirepkg", "dejavuzz",
-		"package holding the wire Options with MarshalJSON/UnmarshalJSON")
 	Analyzer.Flags.StringVar(&allowVar, "allowvar", "optionsDeterminismIrrelevant",
 		"name of the determinism-irrelevant field allowlist variable in enginepkg")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	// lintutil.InScope keeps the flag syntax uniform with the other
-	// analyzers when tests point the halves at fixture packages.
+	// analyzers when tests point the check at a fixture package.
 	if lintutil.InScope(enginePkg, pass.Pkg.Path()) {
 		checkEngine(pass)
 	}
-	if lintutil.InScope(wirePkg, pass.Pkg.Path()) {
-		checkWire(pass)
-	}
 	return nil, nil
 }
-
-// ---- engine half ----
 
 func checkEngine(pass *analysis.Pass) {
 	st, fields, pos := optionsStruct(pass)
@@ -78,7 +63,7 @@ func checkEngine(pass *analysis.Pass) {
 		return
 	}
 	enumerated := fieldsReferenced(pass, diff.Body, fields)
-	allow, _ := allowlist(pass)
+	allow := allowlist(pass)
 
 	names := make(map[string]bool, len(fields))
 	for f := range fields {
@@ -110,9 +95,8 @@ type allowEntry struct {
 
 // allowlist finds the package-level `var <allowVar> = map[string]string{…}`
 // and returns its entries.
-func allowlist(pass *analysis.Pass) (map[string]allowEntry, token.Pos) {
+func allowlist(pass *analysis.Pass) map[string]allowEntry {
 	out := make(map[string]allowEntry)
-	var pos token.Pos
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -132,7 +116,6 @@ func allowlist(pass *analysis.Pass) (map[string]allowEntry, token.Pos) {
 					if !ok {
 						continue
 					}
-					pos = name.Pos()
 					for _, elt := range lit.Elts {
 						kv, ok := elt.(*ast.KeyValueExpr)
 						if !ok {
@@ -153,7 +136,7 @@ func allowlist(pass *analysis.Pass) (map[string]allowEntry, token.Pos) {
 			}
 		}
 	}
-	return out, pos
+	return out
 }
 
 func constString(pass *analysis.Pass, e ast.Expr) (string, bool) {
@@ -168,136 +151,7 @@ func constString(pass *analysis.Pass, e ast.Expr) (string, bool) {
 	return s, true
 }
 
-// ---- wire half ----
-
-func checkWire(pass *analysis.Pass) {
-	st, fields, pos := optionsStruct(pass)
-	if st == nil {
-		pass.Reportf(pos, "optsync: package %s has no Options struct to check", pass.Pkg.Path())
-		return
-	}
-	marshal := findMethod(pass, "Options", "MarshalJSON")
-	unmarshal := findMethod(pass, "Options", "UnmarshalJSON")
-	if marshal == nil || unmarshal == nil {
-		pass.Reportf(pos, "optsync: %s.Options must declare both MarshalJSON and UnmarshalJSON", pass.Pkg.Path())
-		return
-	}
-
-	refM := fieldsReferenced(pass, marshal.Body, fields)
-	refU := fieldsReferenced(pass, unmarshal.Body, fields)
-	for _, f := range orderedFields(st, fields) {
-		if !refM[f] {
-			pass.Reportf(f.Pos(), "Options.%s is never written to the wire by MarshalJSON; every field needs a wire key (or an explicit marker convention) in both directions", f.Name())
-		}
-		if !refU[f] {
-			pass.Reportf(f.Pos(), "Options.%s is never decoded from the wire by UnmarshalJSON; every field needs a wire key (or an explicit marker convention) in both directions", f.Name())
-		}
-	}
-
-	wireM := wireStructs(pass, marshal.Body)
-	wireU := wireStructs(pass, unmarshal.Body)
-	keysM := wireKeys(wireM)
-	keysU := wireKeys(wireU)
-	for key, f := range keysM {
-		if _, ok := keysU[key]; !ok {
-			pass.Reportf(f.Pos(), "wire key %q is written by MarshalJSON but UnmarshalJSON accepts no such key; the wire formats have drifted", key)
-		}
-	}
-	for key, f := range keysU {
-		if _, ok := keysM[key]; !ok {
-			pass.Reportf(f.Pos(), "wire key %q is read by UnmarshalJSON but MarshalJSON never writes it; the wire formats have drifted", key)
-		}
-	}
-
-	checkWireUsage(pass, marshal.Body, wireM, "populated by MarshalJSON")
-	checkWireUsage(pass, unmarshal.Body, wireU, "copied out by UnmarshalJSON")
-}
-
-// checkWireUsage reports wire-struct fields the method body never touches
-// — the copy-list drift a shared wire struct cannot catch by key parity.
-func checkWireUsage(pass *analysis.Pass, body *ast.BlockStmt, wire []*types.Struct, what string) {
-	fields := make(map[*types.Var]bool)
-	for _, st := range wire {
-		for i := 0; i < st.NumFields(); i++ {
-			if key, ok := jsonKey(st, i); ok && key != "" {
-				fields[st.Field(i)] = true
-			}
-		}
-	}
-	ref := fieldsReferenced(pass, body, fields)
-	for _, st := range wire {
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if !fields[f] || ref[f] {
-				continue
-			}
-			key, _ := jsonKey(st, i)
-			pass.Reportf(f.Pos(), "wire field %s (key %q) is never %s; the wire struct and the copy code have drifted", f.Name(), key, what)
-		}
-	}
-}
-
-// wireStructs returns the named struct types with json-tagged fields the
-// body references — the JSON shapes the method speaks.
-func wireStructs(pass *analysis.Pass, body *ast.BlockStmt) []*types.Struct {
-	seen := make(map[*types.Struct]bool)
-	var out []*types.Struct
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		tn, ok := pass.TypesInfo.Uses[id].(*types.TypeName)
-		if !ok {
-			return true
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok || seen[st] || !hasJSONTag(st) {
-			return true
-		}
-		seen[st] = true
-		out = append(out, st)
-		return true
-	})
-	return out
-}
-
-func hasJSONTag(st *types.Struct) bool {
-	for i := 0; i < st.NumFields(); i++ {
-		if reflect.StructTag(st.Tag(i)).Get("json") != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// jsonKey returns the wire key of field i, or ok=false for `json:"-"`.
-func jsonKey(st *types.Struct, i int) (string, bool) {
-	tag := reflect.StructTag(st.Tag(i)).Get("json")
-	name, _, _ := strings.Cut(tag, ",")
-	switch name {
-	case "-":
-		return "", false
-	case "":
-		return st.Field(i).Name(), true
-	}
-	return name, true
-}
-
-// wireKeys maps every json key of the wire structs to its field.
-func wireKeys(wire []*types.Struct) map[string]*types.Var {
-	out := make(map[string]*types.Var)
-	for _, st := range wire {
-		for i := 0; i < st.NumFields(); i++ {
-			if key, ok := jsonKey(st, i); ok {
-				out[key] = st.Field(i)
-			}
-		}
-	}
-	return out
-}
-
-// ---- shared helpers ----
+// ---- helpers ----
 
 // optionsStruct finds the package's Options struct and its field objects.
 func optionsStruct(pass *analysis.Pass) (*types.Struct, map[*types.Var]bool, token.Pos) {

@@ -11,7 +11,6 @@ func setFlags(t *testing.T) {
 	t.Helper()
 	for flag, val := range map[string]string{
 		"enginepkg": "optenginetest",
-		"wirepkg":   "optwiretest",
 		"allowvar":  "optionsDeterminismIrrelevant",
 	} {
 		if err := optsync.Analyzer.Flags.Set(flag, val); err != nil {
@@ -23,9 +22,4 @@ func setFlags(t *testing.T) {
 func TestOptsyncEngine(t *testing.T) {
 	setFlags(t)
 	analyzertest.Run(t, optsync.Analyzer, "optenginetest")
-}
-
-func TestOptsyncWire(t *testing.T) {
-	setFlags(t)
-	analyzertest.Run(t, optsync.Analyzer, "optwiretest")
 }

@@ -96,7 +96,7 @@ func (m Matrix) Expand() []Spec {
 				for _, seed := range seeds {
 					opts := m.Base
 					if opts.Iterations == 0 {
-						opts.Iterations = core.DefaultOptions(kind).Iterations
+						opts.Iterations = core.DefaultIterations
 					}
 					if len(m.Cores) > 0 {
 						// An explicit Cores axis selects the built-in uarch

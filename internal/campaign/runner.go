@@ -64,14 +64,16 @@ func (r *Runner) RunContext(ctx context.Context, specs []Spec) ([]Result, error)
 	var jobs []func()
 	for i, spec := range specs {
 		rep, ok := ckpt.Results[spec.Name]
-		if ok && !resultMatches(rep, spec.Opts) {
+		if ok {
 			// Same key, different determinism-relevant options: the stale
 			// entry must not masquerade as this spec's result. The diff
 			// names what changed (e.g. a different -scenarios set), so the
 			// invalidation is auditable instead of a bare mismatch.
-			progress.Logf("[%s] checkpoint entry has mismatched options (%s); re-running",
-				spec.Name, strings.Join(spec.Opts.DiffFrom(rep.Options), "; "))
-			ok = false
+			if diffs := spec.Opts.DiffFrom(rep.Options); len(diffs) > 0 {
+				progress.Logf("[%s] checkpoint entry has mismatched options (%s); re-running",
+					spec.Name, strings.Join(diffs, "; "))
+				ok = false
+			}
 		}
 		if ok {
 			results[i] = Result{Name: spec.Name, Report: rep, Cached: true}
@@ -86,12 +88,12 @@ func (r *Runner) RunContext(ctx context.Context, specs []Spec) ([]Result, error)
 			}
 			progress.Logf("[%s] start: %d iterations on %s", spec.Name, spec.Opts.Iterations, spec.Opts.Normalized().Target)
 			opts := spec.Opts
-			prev := opts.OnEpoch
-			opts.OnEpoch = func(done, total, coverage int) {
+			prev := opts.OnBarrier
+			opts.OnBarrier = func(b *core.Barrier) {
 				if prev != nil {
-					prev(done, total, coverage)
+					prev(b)
 				}
-				progress.Logf("[%s] %d/%d iterations, coverage=%d", spec.Name, done, total, coverage)
+				progress.Logf("[%s] %d/%d iterations, coverage=%d", spec.Name, b.Done, b.Total, b.Coverage)
 			}
 			rep, _ := core.NewFuzzer(opts).RunContext(ctx)
 			if rep == nil {
@@ -135,13 +137,6 @@ func (r *Runner) RunContext(ctx context.Context, specs []Spec) ([]Result, error)
 		firstErr = ctx.Err()
 	}
 	return results, firstErr
-}
-
-// resultMatches reports whether a checkpointed report was produced by
-// determinism-equivalent options (everything except Workers and the hooks,
-// which only shape wall-clock behaviour).
-func resultMatches(rep *core.Report, want core.Options) bool {
-	return rep.Options.EquivalentTo(want)
 }
 
 // RunMatrix expands and runs a matrix in one call.

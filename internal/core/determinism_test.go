@@ -259,10 +259,10 @@ func TestCampaignMergeUnderWorkers(t *testing.T) {
 	opts.Workers = 8
 	opts.MergeEvery = 4 // one barrier every half-shard-pass
 	epochs := 0
-	opts.OnEpoch = func(done, total, coverage int) {
+	opts.OnBarrier = func(b *Barrier) {
 		epochs++
-		if done > total {
-			t.Errorf("OnEpoch reported done=%d > total=%d", done, total)
+		if b.Done > b.Total {
+			t.Errorf("OnBarrier reported done=%d > total=%d", b.Done, b.Total)
 		}
 	}
 	rep := NewFuzzer(opts).Run()

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -108,18 +109,15 @@ type Options struct {
 	// context in place. Reset is provably equivalent to fresh construction,
 	// so this never changes results — only wall-clock time and allocation
 	// volume. It exists as the reference mode the reset-equivalence tests
-	// compare against, and as an escape hatch. Like Workers, it is stripped
-	// by EquivalentTo and not serialised into checkpoints.
+	// compare against, and as an escape hatch. Like Workers, it is ignored
+	// by DiffFrom and not serialised into checkpoints.
 	FreshContexts bool `json:"-"`
 
-	// OnEpoch, when set, is called after every merge barrier with the number
-	// of completed iterations, the campaign total and the merged coverage
-	// count. It runs on the engine goroutine at deterministic points, so it
-	// is safe for streaming progress and checkpoint hooks.
-	OnEpoch func(done, total, coverage int) `json:"-"`
-	// OnBarrier, when set, is called after every merge barrier (after
-	// OnEpoch) with the barrier's full event payload, including the epoch's
-	// findings in iteration order and a Snapshot hook for checkpointing.
+	// OnBarrier, when set, is called after every merge barrier with the
+	// barrier's full event payload: progress (Done, Total, Coverage), the
+	// epoch's findings in iteration order and a Snapshot hook for
+	// checkpointing. It runs on the engine goroutine at deterministic
+	// points, so it is safe for streaming progress and checkpoint hooks.
 	OnBarrier func(b *Barrier) `json:"-"`
 }
 
@@ -214,17 +212,9 @@ func ValidateWarmStart(seeds []gen.Seed, prior []scenario.Prior, families []stri
 }
 
 // EquivalentTo reports whether two option sets are determinism-equivalent:
-// equal in everything except Workers, FreshContexts and the hooks, which
-// only shape wall-clock behaviour, never results.
+// DiffFrom finds no difference between them.
 func (o Options) EquivalentTo(other Options) bool {
-	a, b := o.Normalized(), other.Normalized()
-	a.Workers, b.Workers = 0, 0
-	a.FreshContexts, b.FreshContexts = false, false
-	a.OnEpoch, b.OnEpoch = nil, nil
-	a.OnBarrier, b.OnBarrier = nil, nil
-	// Options contains func fields (nil after the stripping above), so the
-	// comparison goes through reflect.DeepEqual rather than ==.
-	return reflect.DeepEqual(a, b)
+	return len(o.DiffFrom(other)) == 0
 }
 
 // optionsDeterminismIrrelevant names the Options fields DiffFrom
@@ -232,20 +222,21 @@ func (o Options) EquivalentTo(other Options) bool {
 // campaign results. dvz-vet's optsync analyzer checks that every Options
 // field is either read by DiffFrom or listed here — adding a field
 // without classifying it fails the lint — and that this set never drifts
-// to include a field DiffFrom also enumerates. Keep it in lockstep with
-// the fields EquivalentTo strips.
+// to include a field DiffFrom also enumerates.
 var optionsDeterminismIrrelevant = map[string]string{
 	"Workers":       "OS-level parallelism only; shards are the determinism unit and results are identical for any Workers value",
 	"FreshContexts": "reference mode for the reset-equivalence suite; reset is proven equivalent to fresh construction, so results never change",
-	"OnEpoch":       "observation hook invoked at deterministic barrier points; it receives results, it cannot shape them",
 	"OnBarrier":     "observation hook invoked at deterministic barrier points; it receives results, it cannot shape them",
 }
 
 // DiffFrom describes, field by field, how two option sets differ in their
-// determinism-relevant fields — the human-readable half of the
-// option-mismatch invalidation path, so a refused checkpoint resume names
-// exactly what changed (e.g. a different -scenarios set) instead of
-// reporting a bare mismatch.
+// determinism-relevant fields, after normalization. It is the one
+// definition of option equivalence (EquivalentTo is "DiffFrom finds
+// nothing"), and the human-readable half of the option-mismatch
+// invalidation path, so a refused checkpoint resume names exactly what
+// changed (e.g. a different -scenarios set) instead of reporting a bare
+// mismatch. Each field is compared raw; the named types below only render
+// the message.
 func (o Options) DiffFrom(other Options) []string {
 	a, b := o.Normalized(), other.Normalized()
 	var diffs []string
@@ -260,7 +251,7 @@ func (o Options) DiffFrom(other Options) []string {
 	add("shards", a.Shards, b.Shards)
 	add("merge_every", a.MergeEvery, b.MergeEvery)
 	add("max_cycles", a.MaxCycles, b.MaxCycles)
-	add("scenarios", scenarioSetString(a.Scenarios), scenarioSetString(b.Scenarios))
+	add("scenarios", scenarioSet(a.Scenarios), scenarioSet(b.Scenarios))
 	add("scheduler", a.Scheduler, b.Scheduler)
 	add("variant", a.Variant, b.Variant)
 	add("coverage_feedback", a.UseCoverageFeedback, b.UseCoverageFeedback)
@@ -268,84 +259,89 @@ func (o Options) DiffFrom(other Options) []string {
 	add("reduction", a.UseReduction, b.UseReduction)
 	add("bugless", a.Bugless, b.Bugless)
 	add("secret_retries", a.SecretRetries, b.SecretRetries)
-	add("corpus_snapshot", snapshotIDString(a.CorpusSnapshot), snapshotIDString(b.CorpusSnapshot))
-	add("warm_seeds", warmSeedsDigest(a.WarmSeeds), warmSeedsDigest(b.WarmSeeds))
-	add("frontier_prior", frontierPriorDigest(a.FrontierPrior), frontierPriorDigest(b.FrontierPrior))
-	// Structurally unreachable: dvz-vet's optsync analyzer forces every
-	// Options field into either the enumeration above or
-	// optionsDeterminismIrrelevant (exactly the fields EquivalentTo
-	// strips), so EquivalentTo and this enumeration cannot disagree. Kept
-	// as a defence against running a stale binary over a newer checkpoint.
-	if len(diffs) == 0 && !o.EquivalentTo(other) {
-		diffs = append(diffs, "options differ in a field DiffFrom does not enumerate")
-	}
+	add("corpus_snapshot", snapshotID(a.CorpusSnapshot), snapshotID(b.CorpusSnapshot))
+	add("warm_seeds", warmSeeds(a.WarmSeeds), warmSeeds(b.WarmSeeds))
+	add("frontier_prior", frontierPrior(a.FrontierPrior), frontierPrior(b.FrontierPrior))
 	return diffs
 }
 
-func scenarioSetString(s []string) string {
+// scenarioSet renders a normalized scenario filter.
+type scenarioSet []string
+
+func (s scenarioSet) String() string {
 	if len(s) == 0 {
 		return "all"
 	}
 	return strings.Join(s, ",")
 }
 
-func snapshotIDString(id string) string {
+// snapshotID renders a corpus snapshot ID: "cold" for none, otherwise the
+// quoted ID, so no ID can render like a cold start.
+type snapshotID string
+
+func (id snapshotID) String() string {
 	if id == "" {
 		return "cold"
 	}
-	return id
+	return strconv.Quote(string(id))
 }
 
-// warmSeedsDigest compresses a warm-start seed set into a short,
-// deterministic description so DiffFrom's option-mismatch message stays
-// readable (the set itself can be dozens of structured seeds). The digest
-// is a pure function of the seeds' JSON form, so any content difference
-// surfaces.
-func warmSeedsDigest(seeds []gen.Seed) string {
+// warmSeeds renders a warm-start seed set as a short, deterministic
+// description so DiffFrom's option-mismatch message stays readable (the
+// set itself can be dozens of structured seeds). The digest is a pure
+// function of the seeds' JSON form.
+type warmSeeds []gen.Seed
+
+func (seeds warmSeeds) String() string {
 	if len(seeds) == 0 {
 		return "none"
 	}
-	enc, err := json.Marshal(seeds)
-	if err != nil {
-		return fmt.Sprintf("%d seeds (unencodable: %v)", len(seeds), err)
-	}
-	h := fnv.New64a()
-	h.Write(enc)
-	return fmt.Sprintf("%d seeds (digest %016x)", len(seeds), h.Sum64())
+	return fmt.Sprintf("%d seeds (%s)", len(seeds), jsonDigest(seeds))
 }
 
-// frontierPriorDigest is warmSeedsDigest's analogue for the scheduler
-// prior.
-func frontierPriorDigest(prior []scenario.Prior) string {
+// frontierPrior is warmSeeds' analogue for the scheduler prior.
+type frontierPrior []scenario.Prior
+
+func (prior frontierPrior) String() string {
 	if len(prior) == 0 {
 		return "none"
 	}
-	enc, err := json.Marshal(prior)
+	return fmt.Sprintf("%d families (%s)", len(prior), jsonDigest(prior))
+}
+
+func jsonDigest(v any) string {
+	enc, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Sprintf("%d families (unencodable: %v)", len(prior), err)
+		return fmt.Sprintf("unencodable: %v", err)
 	}
 	h := fnv.New64a()
 	h.Write(enc)
-	return fmt.Sprintf("%d families (digest %016x)", len(prior), h.Sum64())
+	return fmt.Sprintf("digest %016x", h.Sum64())
 }
 
-// DefaultOptions returns the standard DejaVuzz configuration.
+// Engine defaults that more than one layer reads: the campaign seed and
+// length a configuration gets when it names none, and the per-simulation
+// cycle budget a run gets when its MaxCycles is zero.
+const (
+	DefaultSeed       = 1
+	DefaultIterations = 100
+	DefaultMaxCycles  = 20000
+)
+
+// DefaultOptions returns the standard DejaVuzz configuration: Normalized's
+// engine defaults plus the full fuzzer's toggles.
 func DefaultOptions(core uarch.CoreKind) Options {
 	return Options{
 		Target:              BuiltinTargetName(core),
-		Seed:                1,
-		Iterations:          100,
-		Workers:             1,
-		Shards:              8,
-		MergeEvery:          64,
-		MaxCycles:           20000,
-		Scheduler:           string(scenario.DefaultPolicy),
+		Seed:                DefaultSeed,
+		Iterations:          DefaultIterations,
+		MaxCycles:           DefaultMaxCycles,
 		Variant:             gen.VariantDerived,
 		UseCoverageFeedback: true,
 		UseLiveness:         true,
 		UseReduction:        true,
 		SecretRetries:       2,
-	}
+	}.Normalized()
 }
 
 // DefaultOptionsFor returns the standard configuration for a registered
@@ -667,16 +663,12 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 	if err := st.Migrate(); err != nil {
 		return nil, err
 	}
-	if !st.Options.EquivalentTo(opts) {
-		if diffs := opts.DiffFrom(st.Options); len(diffs) > 0 {
-			return nil, fmt.Errorf("core: option mismatch between campaign and checkpoint (campaign vs checkpoint): %s",
-				strings.Join(diffs, "; "))
-		}
-		return nil, fmt.Errorf("core: engine state options do not match campaign options")
+	if diffs := opts.DiffFrom(st.Options); len(diffs) > 0 {
+		return nil, fmt.Errorf("core: option mismatch between campaign and checkpoint (campaign vs checkpoint): %s",
+			strings.Join(diffs, "; "))
 	}
 	norm := st.Options.Normalized()
 	norm.Workers = opts.Normalized().Workers
-	norm.OnEpoch = opts.OnEpoch
 	norm.OnBarrier = opts.OnBarrier
 	if len(st.Shards) != norm.Shards {
 		return nil, fmt.Errorf("core: engine state has %d shard records, want %d", len(st.Shards), norm.Shards)
@@ -777,7 +769,6 @@ func (f *Fuzzer) snapshot(nextIter, nextEpoch int) *EngineState {
 		SchedState: f.sched.State(),
 		Scenarios:  f.scenarioStats(),
 	}
-	st.Options.OnEpoch = nil
 	st.Options.OnBarrier = nil
 	for i, s := range f.shards {
 		st.Shards[i] = ShardState{
@@ -1085,9 +1076,6 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		}
 		f.sched.Update(epochYield)
 
-		if f.opts.OnEpoch != nil {
-			f.opts.OnEpoch(hi, n, merged)
-		}
 		if f.opts.OnBarrier != nil {
 			nextIter, nextEpoch := hi, epoch+1
 			f.opts.OnBarrier(&Barrier{

@@ -43,17 +43,19 @@ func mutateField(t *testing.T, base Options, i int) Options {
 	return mut
 }
 
-// TestOptionsFieldClassification cross-checks the three places a field's
-// determinism classification lives — DiffFrom's enumeration, EquivalentTo's
-// stripping and the optionsDeterminismIrrelevant allowlist — by mutating
-// every Options field and observing the runtime behaviour:
+// TestOptionsFieldClassification cross-checks the two places a field's
+// determinism classification lives — DiffFrom's enumeration (which
+// EquivalentTo is defined by) and the optionsDeterminismIrrelevant
+// allowlist — by mutating every Options field and observing the runtime
+// behaviour:
 //
 //   - an allowlisted field's mutation must be invisible (EquivalentTo true,
 //     DiffFrom empty), or the allowlist is lying;
 //   - every other field's mutation must break equivalence AND be named by
-//     DiffFrom's enumeration, never by the "field DiffFrom does not
-//     enumerate" fallback — dvz-vet's optsync analyzer makes that fallback
-//     structurally unreachable and this test verifies the claim dynamically.
+//     DiffFrom's enumeration. dvz-vet's optsync analyzer checks the same
+//     classification statically; this test verifies it dynamically. The
+//     "does not enumerate" check guards against a catch-all message
+//     standing in for a named field.
 func TestOptionsFieldClassification(t *testing.T) {
 	base := DefaultOptions(uarch.KindBOOM).Normalized()
 	rt := reflect.TypeOf(base)
@@ -87,17 +89,35 @@ func TestOptionsFieldClassification(t *testing.T) {
 	}
 }
 
-// TestOptionsDiffFallbackMessage pins the fallback branch's wording: resume
-// code and operators grep for it, and optsync's doc comment points at it.
-func TestOptionsDiffFallbackMessage(t *testing.T) {
-	// No reachable input produces the fallback (TestOptionsFieldClassification
-	// proves every field surfaces through the enumeration), so exercise the
-	// identical-options path instead: DiffFrom of equal options is empty.
+// TestOptionsDiffOfIdenticalIsEmpty: DiffFrom of equal options is empty, so
+// options are EquivalentTo themselves.
+func TestOptionsDiffOfIdenticalIsEmpty(t *testing.T) {
 	base := DefaultOptions(uarch.KindBOOM)
 	if diffs := base.DiffFrom(base); len(diffs) != 0 {
 		t.Fatalf("DiffFrom of identical options = %q, want empty", diffs)
 	}
 	if !base.EquivalentTo(base) {
 		t.Fatal("identical options are not EquivalentTo themselves")
+	}
+}
+
+// TestOptionsDiffComparesRaw: DiffFrom compares raw normalized values, not
+// their renderings. A cold start (no snapshot ID) and a snapshot whose ID
+// is literally "cold" are different campaigns, and the message must tell
+// the two values apart.
+func TestOptionsDiffComparesRaw(t *testing.T) {
+	cold := DefaultOptions(uarch.KindBOOM)
+	named := cold
+	named.CorpusSnapshot = "cold"
+	if cold.EquivalentTo(named) {
+		t.Fatal(`CorpusSnapshot "" and "cold" compare EquivalentTo`)
+	}
+	diffs := cold.DiffFrom(named)
+	if len(diffs) != 1 || !strings.HasPrefix(diffs[0], "corpus_snapshot: ") {
+		t.Fatalf("DiffFrom = %q, want one corpus_snapshot entry", diffs)
+	}
+	have, want, ok := strings.Cut(strings.TrimPrefix(diffs[0], "corpus_snapshot: "), " vs ")
+	if !ok || have == want {
+		t.Fatalf("DiffFrom renders the two snapshots alike: %q", diffs[0])
 	}
 }

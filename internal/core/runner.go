@@ -32,7 +32,7 @@ func (o *RunOpts) defaults() {
 		o.Secret = DefaultSecret
 	}
 	if o.MaxCycles == 0 {
-		o.MaxCycles = 20000
+		o.MaxCycles = DefaultMaxCycles
 	}
 }
 

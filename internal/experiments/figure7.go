@@ -6,7 +6,6 @@ import (
 
 	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/gen"
 	"dejavuzz/internal/specdoctor"
 	"dejavuzz/internal/uarch"
 )
@@ -145,5 +144,3 @@ func Figure7CSV(w io.Writer, series []Figure7Series) {
 		}
 	}
 }
-
-var _ = gen.VariantDerived // keep gen import for documentation cross-refs

@@ -327,7 +327,7 @@ func lower(mnem string, args []string) (Item, error) {
 		return Word(uint32(v)), nil
 	case ".illegal":
 		return Illegal(), nil
-	case "mv":
+	case "mv", "not", "neg", "seqz", "snez":
 		if err := need(2); err != nil {
 			return Item{}, err
 		}
@@ -339,47 +339,17 @@ func lower(mnem string, args []string) (Item, error) {
 		if err != nil {
 			return Item{}, err
 		}
+		switch mnem {
+		case "not":
+			return inst(Inst{Op: OpXori, Rd: rd, Rs1: rs, Imm: -1})
+		case "neg":
+			return inst(Inst{Op: OpSub, Rd: rd, Rs1: 0, Rs2: rs})
+		case "seqz":
+			return inst(Inst{Op: OpSltiu, Rd: rd, Rs1: rs, Imm: 1})
+		case "snez":
+			return inst(Inst{Op: OpSltu, Rd: rd, Rs1: 0, Rs2: rs})
+		}
 		return inst(Inst{Op: OpAddi, Rd: rd, Rs1: rs})
-	case "not":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, _ := reg(args[0])
-		rs, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: OpXori, Rd: rd, Rs1: rs, Imm: -1})
-	case "neg":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, _ := reg(args[0])
-		rs, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: OpSub, Rd: rd, Rs1: 0, Rs2: rs})
-	case "seqz":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, _ := reg(args[0])
-		rs, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: OpSltiu, Rd: rd, Rs1: rs, Imm: 1})
-	case "snez":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, _ := reg(args[0])
-		rs, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: OpSltu, Rd: rd, Rs1: 0, Rs2: rs})
 	case "li":
 		if err := need(2); err != nil {
 			return Item{}, err

@@ -103,6 +103,10 @@ func TestAsmErrors(t *testing.T) {
 		"ld a0, 8[sp]",
 		"li t0",
 		"dup: nop\ndup: nop",
+		"not bogus, t0",
+		"neg bogus, t0",
+		"seqz bogus, t0",
+		"snez bogus, t0",
 	} {
 		if _, err := Asm(0, src); err == nil {
 			t.Errorf("Asm(%q) succeeded, want error", src)

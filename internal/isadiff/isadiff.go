@@ -268,7 +268,7 @@ func (p *shardPipeline) RunIteration(iter int, seed gen.Seed, sink core.CovSink)
 	sched := p.st2.BuildScheduleInto(&p.sched, nil)
 	budget := p.opts.MaxCycles
 	if budget <= 0 {
-		budget = 20000
+		budget = core.DefaultMaxCycles
 	}
 	secret := core.DefaultSecret
 	p.a.Exec(sched, secret, budget, p.fresh)

@@ -23,9 +23,6 @@ type Campaign struct {
 	target   core.Target
 	opts     core.Options
 	ckptPath string
-
-	mu      sync.Mutex
-	lastCov int // coverage of the most recent blocking Run
 }
 
 // New builds a campaign for a registered target name ("boom", "xiangshan",
@@ -85,18 +82,7 @@ func (c *Campaign) Run() *Report {
 	} else {
 		rep = core.NewFuzzer(c.opts).Run()
 	}
-	c.mu.Lock()
-	c.lastCov = rep.Coverage
-	c.mu.Unlock()
 	return rep
-}
-
-// Coverage returns the taint-coverage point count of the most recent
-// blocking Run (0 before the first).
-func (c *Campaign) Coverage() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastCov
 }
 
 // Start launches the campaign as a streaming session. Events arrive on

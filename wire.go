@@ -13,14 +13,16 @@ import (
 // configuration — the wire format dvz-server's create-campaign endpoint
 // accepts, and the bridge between external clients and the functional
 // options New takes. The zero value selects the target's defaults for
-// everything.
+// everything. Each field's tag is its wire key; omitempty elides defaults,
+// so a marshalled default configuration is `{}`.
 //
 // Two fields need explicit-zero markers: seed 0 is a valid seed and 0
-// iterations is a valid dry run, but both are also the Go zero value. The JSON encoding resolves the ambiguity by
-// key presence — MarshalJSON emits "seed"/"iterations" whenever they are
-// explicit (set marker or non-zero value) and omits them otherwise, and
-// UnmarshalJSON sets the markers from key presence — so `{"seed":0}` and
-// `{}` round-trip to different campaigns (seed zero vs the default seed 1).
+// iterations is a valid dry run, but both are also the Go zero value. The
+// JSON encoding resolves the ambiguity by key presence — MarshalJSON emits
+// "seed"/"iterations" whenever they are explicit (set marker or non-zero
+// value) and omits them otherwise, and UnmarshalJSON sets the markers from
+// key presence — so `{"seed":0}` and `{}` round-trip to different
+// campaigns (seed zero vs the default seed 1).
 //
 // The remaining knobs have no zero ambiguity on the wire: numeric fields
 // treat 0 as "use the default" (none accepts an explicit zero), the
@@ -29,36 +31,36 @@ import (
 type Options struct {
 	// Target names the registered design under test; empty means
 	// DefaultTarget.
-	Target string
+	Target string `json:"target,omitempty"`
 	// Seed is the campaign RNG seed; see SeedSet for the zero convention.
-	Seed int64
+	Seed int64 `json:"-"`
 	// SeedSet marks Seed as explicit, making seed 0 selectable.
-	SeedSet bool
+	SeedSet bool `json:"-"`
 	// Iterations is the campaign length; see IterationsSet.
-	Iterations int
+	Iterations int `json:"-"`
 	// IterationsSet marks Iterations as explicit, making a 0-iteration dry
 	// run selectable.
-	IterationsSet bool
+	IterationsSet bool `json:"-"`
 	// Workers, Shards, MergeEvery, MaxCycles and SecretRetries override the
 	// engine defaults when positive.
-	Workers       int
-	Shards        int
-	MergeEvery    int
-	MaxCycles     int
-	SecretRetries int
+	Workers       int `json:"workers,omitempty"`
+	Shards        int `json:"shards,omitempty"`
+	MergeEvery    int `json:"merge_every,omitempty"`
+	MaxCycles     int `json:"max_cycles,omitempty"`
+	SecretRetries int `json:"secret_retries,omitempty"`
 	// Variant is "derived" (DejaVuzz, the default) or "random" (the
 	// DejaVuzz* ablation).
-	Variant string
+	Variant string `json:"variant,omitempty"`
 	// Scenarios restricts the campaign to the named scenario families;
 	// empty means every registered family. Names are validated at decode
 	// time, so a misspelled family is rejected at the API boundary instead
 	// of silently running a different campaign.
-	Scenarios []string
+	Scenarios []string `json:"scenarios,omitempty"`
 	// The ablation toggles, phrased so the zero value is the full fuzzer.
-	NoCoverageFeedback bool
-	NoLiveness         bool
-	NoReduction        bool
-	Bugless            bool
+	NoCoverageFeedback bool `json:"no_coverage_feedback,omitempty"`
+	NoLiveness         bool `json:"no_liveness,omitempty"`
+	NoReduction        bool `json:"no_reduction,omitempty"`
+	Bugless            bool `json:"bugless,omitempty"`
 	// WarmStart asks dvz-server to seed the campaign from its persistent
 	// corpus: the server resolves a deterministic warm-start set (seeds +
 	// scheduler prior) for the campaign's target and records the resolution
@@ -66,7 +68,7 @@ type Options struct {
 	// engine-side functional lowering — a corpus store must resolve it —
 	// which is why Functional ignores it; offline embedders use
 	// WithWarmStart directly.
-	WarmStart bool
+	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // Variant wire names.
@@ -75,53 +77,28 @@ const (
 	VariantNameRandom  = "random"
 )
 
-// wireOptions is the JSON shape of Options: pointers carry the key-presence
-// bit for the two explicit-zero fields, omitempty elides defaults so a
-// marshalled default configuration is `{}`.
-type wireOptions struct {
-	Target             string   `json:"target,omitempty"`
-	Seed               *int64   `json:"seed,omitempty"`
-	Iterations         *int     `json:"iterations,omitempty"`
-	Workers            int      `json:"workers,omitempty"`
-	Shards             int      `json:"shards,omitempty"`
-	MergeEvery         int      `json:"merge_every,omitempty"`
-	MaxCycles          int      `json:"max_cycles,omitempty"`
-	SecretRetries      int      `json:"secret_retries,omitempty"`
-	Variant            string   `json:"variant,omitempty"`
-	Scenarios          []string `json:"scenarios,omitempty"`
-	NoCoverageFeedback bool     `json:"no_coverage_feedback,omitempty"`
-	NoLiveness         bool     `json:"no_liveness,omitempty"`
-	NoReduction        bool     `json:"no_reduction,omitempty"`
-	Bugless            bool     `json:"bugless,omitempty"`
-	WarmStart          bool     `json:"warm_start,omitempty"`
+// optionFields is Options without its methods, so the codec can encode the
+// tagged fields with encoding/json without recursing into itself.
+type optionFields Options
+
+// jsonOptions is the JSON shape of Options: the tagged fields, then the
+// two explicit-zero fields as pointers, whose nil-ness is key presence.
+type jsonOptions struct {
+	optionFields
+	Seed       *int64 `json:"seed,omitempty"`
+	Iterations *int   `json:"iterations,omitempty"`
 }
 
 // MarshalJSON encodes the options in wire form. "seed" and "iterations"
 // appear exactly when explicit (marker set or value non-zero); all other
 // fields are omitted at their default values.
 func (o Options) MarshalJSON() ([]byte, error) {
-	w := wireOptions{
-		Target:             o.Target,
-		Workers:            o.Workers,
-		Shards:             o.Shards,
-		MergeEvery:         o.MergeEvery,
-		MaxCycles:          o.MaxCycles,
-		SecretRetries:      o.SecretRetries,
-		Variant:            o.Variant,
-		Scenarios:          o.Scenarios,
-		NoCoverageFeedback: o.NoCoverageFeedback,
-		NoLiveness:         o.NoLiveness,
-		NoReduction:        o.NoReduction,
-		Bugless:            o.Bugless,
-		WarmStart:          o.WarmStart,
-	}
+	w := jsonOptions{optionFields: optionFields(o)}
 	if o.SeedSet || o.Seed != 0 {
-		seed := o.Seed
-		w.Seed = &seed
+		w.Seed = &o.Seed
 	}
 	if o.IterationsSet || o.Iterations != 0 {
-		iters := o.Iterations
-		w.Iterations = &iters
+		w.Iterations = &o.Iterations
 	}
 	return json.Marshal(w)
 }
@@ -131,7 +108,7 @@ func (o Options) MarshalJSON() ([]byte, error) {
 // are rejected: a misspelled option silently decoding to a default-value
 // campaign is exactly the failure mode a fuzzing service must not have.
 func (o *Options) UnmarshalJSON(data []byte) error {
-	var w wireOptions
+	var w jsonOptions
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
@@ -143,21 +120,7 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 	if err := core.ValidateScenarios(w.Scenarios); err != nil {
 		return fmt.Errorf("dejavuzz: %w", err)
 	}
-	*o = Options{
-		Target:             w.Target,
-		Workers:            w.Workers,
-		Shards:             w.Shards,
-		MergeEvery:         w.MergeEvery,
-		MaxCycles:          w.MaxCycles,
-		SecretRetries:      w.SecretRetries,
-		Variant:            w.Variant,
-		Scenarios:          w.Scenarios,
-		NoCoverageFeedback: w.NoCoverageFeedback,
-		NoLiveness:         w.NoLiveness,
-		NoReduction:        w.NoReduction,
-		Bugless:            w.Bugless,
-		WarmStart:          w.WarmStart,
-	}
+	*o = Options(w.optionFields)
 	if w.Seed != nil {
 		o.Seed, o.SeedSet = *w.Seed, true
 	}
@@ -188,21 +151,21 @@ func (o Options) EffectiveTarget() string {
 }
 
 // EffectiveIterations returns the campaign length the options select (the
-// engine default, 100, when unset).
+// engine default, core.DefaultIterations, when unset).
 func (o Options) EffectiveIterations() int {
 	if o.IterationsSet || o.Iterations != 0 {
 		return o.Iterations
 	}
-	return 100
+	return core.DefaultIterations
 }
 
 // EffectiveSeed returns the campaign seed the options select (the engine
-// default, 1, when unset).
+// default, core.DefaultSeed, when unset).
 func (o Options) EffectiveSeed() int64 {
 	if o.SeedSet || o.Seed != 0 {
 		return o.Seed
 	}
-	return 1
+	return core.DefaultSeed
 }
 
 // Functional lowers the wire options onto the equivalent functional-option

@@ -2,6 +2,7 @@ package dejavuzz
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,4 +189,151 @@ func TestOptionsCampaignEquivalence(t *testing.T) {
 	if !cw.opts.EquivalentTo(cf.opts) {
 		t.Fatalf("wire options %+v not equivalent to functional options %+v", cw.opts, cf.opts)
 	}
+}
+
+// TestOptionsJSONEveryField sets each Options field on its own to a valid
+// non-zero value and round-trips it: the field must come back with its
+// value and the options must select the same campaign. The field tags are
+// the wire format, so this is what pins that no field is left off the
+// wire. A field of a kind the switch does not handle fails the test until
+// the switch learns it.
+func TestOptionsJSONEveryField(t *testing.T) {
+	// Valid values for fields whose kind alone does not give one.
+	valid := map[string]any{
+		"Target":    "isasim",
+		"Variant":   VariantNameRandom,
+		"Scenarios": []string{"page-fault", "cache-occupancy"},
+	}
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		t.Run(name, func(t *testing.T) {
+			var o Options
+			fv := reflect.ValueOf(&o).Elem().Field(i)
+			switch fv.Kind() {
+			case reflect.Bool:
+				fv.SetBool(true)
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(3)
+			case reflect.String, reflect.Slice:
+				v, ok := valid[name]
+				if !ok {
+					t.Fatalf("Options.%s: no valid non-zero %s value; add one to valid", name, fv.Kind())
+				}
+				fv.Set(reflect.ValueOf(v))
+			default:
+				t.Fatalf("Options.%s: unhandled kind %s; extend the switch alongside the new field", name, fv.Kind())
+			}
+			data, err := json.Marshal(o)
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			var got Options
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatalf("unmarshal %s: %v", data, err)
+			}
+			if back := reflect.ValueOf(got).Field(i).Interface(); !reflect.DeepEqual(back, fv.Interface()) {
+				t.Fatalf("Options.%s = %v went through %s and came back %v", name, fv.Interface(), data, back)
+			}
+			want := coreOptions(t, o)
+			if gotOpts := coreOptions(t, got); !gotOpts.EquivalentTo(want) || gotOpts.Normalized().Workers != want.Normalized().Workers {
+				t.Fatalf("round trip through %s changed the campaign:\n got %+v\nwant %+v", data, gotOpts, want)
+			}
+		})
+	}
+}
+
+// parentEncodings are wire encodings written before Options carried its
+// own JSON tags, with the options they decode to. Registries and request
+// bodies written in that form must keep decoding to the same options.
+var parentEncodings = []struct {
+	data string
+	want Options
+}{
+	{`{}`, Options{}},
+	{`{"seed":0,"iterations":0}`, Options{SeedSet: true, IterationsSet: true}},
+	{`{"target":"xiangshan","seed":-7,"iterations":256,"workers":4,"shards":16,"merge_every":32,"max_cycles":5000,"secret_retries":3,"variant":"random","scenarios":["page-fault","stl-forward-chain"],"no_coverage_feedback":true,"no_liveness":true,"no_reduction":true,"bugless":true,"warm_start":true}`,
+		Options{
+			Target: "xiangshan", Seed: -7, SeedSet: true,
+			Iterations: 256, IterationsSet: true,
+			Workers: 4, Shards: 16, MergeEvery: 32, MaxCycles: 5000,
+			SecretRetries: 3, Variant: VariantNameRandom,
+			Scenarios:          []string{"page-fault", "stl-forward-chain"},
+			NoCoverageFeedback: true, NoLiveness: true, NoReduction: true,
+			Bugless: true, WarmStart: true,
+		}},
+}
+
+// TestOptionsJSONParentEncoding decodes the recorded encodings and checks
+// the options they select; re-marshalling must give the same keys and
+// values (only key order may differ).
+func TestOptionsJSONParentEncoding(t *testing.T) {
+	for _, tc := range parentEncodings {
+		var got Options
+		if err := json.Unmarshal([]byte(tc.data), &got); err != nil {
+			t.Fatalf("decode %s: %v", tc.data, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("decode %s:\n got %+v\nwant %+v", tc.data, got, tc.want)
+		}
+		enc, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after map[string]any
+		if err := json.Unmarshal([]byte(tc.data), &before); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(enc, &after); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("re-marshal of %s gave %s", tc.data, enc)
+		}
+	}
+}
+
+// FuzzOptionsJSON feeds arbitrary bytes to UnmarshalJSON. An accepted input
+// must re-marshal to bytes that decode to the same Options, and building
+// its campaign must return a campaign or an error, never panic.
+func FuzzOptionsJSON(f *testing.F) {
+	for _, s := range []string{
+		`{"seed":0,"iterations":0}`,
+		`{"variant":"quantum"}`,
+		`{"scenarios":["branch-mispredict","warp-drive"]}`,
+		`{"scenarios":["cache-occupancy"]}`,
+		`{"scheduler":"thompson"}`,
+		`{"no_feedback":true}`,
+		`{"seeds":[1,2]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	for _, tc := range parentEncodings {
+		f.Add([]byte(tc.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var o Options
+		if err := o.UnmarshalJSON(data); err != nil {
+			return
+		}
+		enc, err := json.Marshal(o)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-marshal it: %v", data, err)
+		}
+		var back Options
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("accepted %q but not its re-marshal %s: %v", data, enc, err)
+		}
+		// An empty scenario list and an absent one both mean every family;
+		// the wire omits both.
+		if len(o.Scenarios) == 0 {
+			o.Scenarios = nil
+		}
+		if !reflect.DeepEqual(back, o) {
+			t.Fatalf("%q decodes to %+v, its re-marshal %s to %+v", data, o, enc, back)
+		}
+		if c, err := o.Campaign(); (c == nil) == (err == nil) {
+			t.Fatalf("Campaign() of %q = %v, %v: want exactly one of a campaign and an error", data, c, err)
+		}
+	})
 }
