@@ -135,8 +135,11 @@ func trainingOverhead(st *gen.Stimulus, keep []bool) (to, eto int) {
 // borrow the producing shard's stimulus and context buffers: they are valid
 // until the shard's next Phase1/Phase2 call.
 type Phase2Result struct {
-	Stimulus  *gen.Stimulus
-	Run       *DiffRun
+	Stimulus *gen.Stimulus
+	Run      *DiffRun
+	// Secret is the secret pair base the reported attempt ran with (a
+	// retry's is rotated); Phase 3's sanitisation rerun uses the same one.
+	Secret    []byte
 	TaintGain bool // taints increased within the transient window
 	NewPoints int  // new coverage points contributed
 	Sims      int
@@ -168,7 +171,7 @@ func (s *uarchShard) phase2Into(p1 *Phase1Result, sink CovSink) (*Phase2Result, 
 		opts.Secret = rotateSecret(DefaultSecret, attempt)
 		run := s.ctx.RunDiff(cst.BuildScheduleInto(&s.sched, p1.Keep), opts)
 		pair := run.Pair
-		r := &Phase2Result{Stimulus: cst, Run: run, Sims: 1}
+		r := &Phase2Result{Stimulus: cst, Run: run, Secret: opts.Secret, Sims: 1}
 
 		// Taint gain: the paper's criterion is taints increasing within the
 		// transient window — compare the in-window peak to the pre-window
@@ -342,7 +345,11 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 	if err := s.gen.SanitizedInto(&s.st3, cst); err != nil {
 		return nil, err
 	}
-	sanRun := s.ctx.RunDiffSan(s.st3.BuildScheduleInto(&s.sched, p1.Keep), s.f.runOpts(uarch.IFTDiff, false))
+	// The rerun uses the secret pair of the attempt that gained taint, so the
+	// two censuses differ only by the encode block.
+	sanOpts := s.f.runOpts(uarch.IFTDiff, false)
+	sanOpts.Secret = p2.Secret
+	sanRun := s.ctx.RunDiffSan(s.st3.BuildScheduleInto(&s.sched, p1.Keep), sanOpts)
 	res.Sims++
 	s.sanCensus = sanRun.Pair.A.CensusInto(s.sanCensus[:0])
 	for i, m := range s.census {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"dejavuzz/internal/gen"
+	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
 
@@ -124,4 +126,46 @@ func TestFullIterationFindsLeak(t *testing.T) {
 			t.Errorf("bad attack type %q", fi.AttackType)
 		}
 	}
+}
+
+// TestPhase3RerunsWithRetrySecret drives Phase 3 from a retry attempt's
+// result. A triggered stimulus whose window gains no taint reports its last
+// attempt, which ran with the rotated secret; the sanitisation rerun must
+// plant that same secret pair, or Phase 3 would diff censuses taken under
+// two different secrets.
+func TestPhase3RerunsWithRetrySecret(t *testing.T) {
+	opts := DefaultOptions(uarch.KindBOOM)
+	opts.SecretRetries = 2
+	f := NewFuzzer(opts)
+	retry := rotateSecret(DefaultSecret, 1)
+	for i := 0; i < 400; i++ {
+		p1, err := f.Phase1(f.gen.RandomSeed(uarch.KindBOOM))
+		if err != nil || !p1.Triggered {
+			continue
+		}
+		p2, err := f.Phase2(p1)
+		if err != nil {
+			t.Fatalf("phase2: %v", err)
+		}
+		if p2.TaintGain || p2.Sims != opts.SecretRetries {
+			continue // not a retry attempt's result
+		}
+		p3, err := f.Phase3(p1, p2)
+		if err != nil {
+			t.Fatalf("phase3: %v", err)
+		}
+		if p3.Sims == 0 {
+			continue // a timing verdict: no sanitisation rerun
+		}
+		ctx := f.seqShard().ctx
+		if got := ctx.sanA.space.ReadRaw(swapmem.SecretAddr, len(retry)); !bytes.Equal(got, retry) {
+			t.Fatalf("sanitisation slot A ran with secret %x, want the retry's %x", got, retry)
+		}
+		want := swapmem.FlipSecret(retry)
+		if got := ctx.sanB.space.ReadRaw(swapmem.SecretAddr, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("sanitisation slot B ran with secret %x, want %x", got, want)
+		}
+		return
+	}
+	t.Fatal("no triggered, taint-free stimulus reached the sanitisation rerun")
 }

@@ -109,18 +109,6 @@ func (s *Shadow) Poke(sig rtl.SignalID, v, t uint64) {
 	s.SigT[sig] = t & s.Sim.D.Mask(sig)
 }
 
-// PokeMem initialises a memory word and its taint directly (testbench use).
-func (s *Shadow) PokeMem(m *rtl.Mem, idx int, v, t uint64) {
-	for mi, mm := range s.Sim.D.Mems {
-		if mm == m {
-			s.Sim.MemV[mi][idx] = v & rtl.WidthMask(m.Width)
-			s.MemT[mi][idx] = t & rtl.WidthMask(m.Width)
-			return
-		}
-	}
-	panic("ift: memory not in design")
-}
-
 // Peek returns a signal's value and taint.
 func (s *Shadow) Peek(sig rtl.SignalID) (v, t uint64) {
 	return s.Sim.Peek(sig), s.SigT[sig]

@@ -19,7 +19,6 @@
 package isadiff
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 
@@ -100,10 +99,11 @@ type archRun struct {
 // Exec drives the slot through a swap schedule, mirroring swapmem.Runtime's
 // trap-hook scheduling without the microarchitectural core: any trap ends
 // the current packet, remaining packets load in order, and the run halts
-// when the schedule drains or the budget is exhausted. With fresh set the
-// space and simulator are rebuilt instead of reset — the reference mode the
-// reset-equivalence tests compare against.
-func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fresh bool) {
+// when the schedule drains, the budget is exhausted or a packet fails to
+// load (whose error Exec returns). With fresh set the space and simulator
+// are rebuilt instead of reset — the reference mode the reset-equivalence
+// tests compare against.
+func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fresh bool) error {
 	if fresh || run.space == nil {
 		run.space = swapmem.NewSpace(secret)
 		run.sim = isasim.New(run.space, swapmem.SharedBase)
@@ -114,37 +114,34 @@ func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fre
 	run.traps = run.traps[:0]
 	run.regSnaps = run.regSnaps[:0]
 	run.packets = 0
+	if len(sched.Steps) == 0 {
+		return nil
+	}
 
 	space, sim := run.space, run.sim
-	idx := 0
-	load := func(st swapmem.Step) uint64 {
-		for _, pu := range st.PrePerm {
-			// Region names come from the canonical layout; errors cannot
-			// occur for generator-built schedules.
-			_ = space.SetPerm(pu.Region, pu.Perm)
-		}
-		swapmem.ClearSwap(space)
-		img := st.Packet.Image
-		space.WriteRaw(img.Base, img.Bytes())
-		run.packets++
-		return st.Packet.Entry
+	entry, err := swapmem.LoadPacket(space, sched.Steps[0])
+	if err != nil {
+		return err
 	}
-	if len(sched.Steps) == 0 {
-		return
-	}
-	sim.PC = load(sched.Steps[0])
-	idx = 1
+	run.packets++
+	sim.PC = entry
+	idx := 1
 	sim.TrapHook = func(t isasim.Trap) isasim.TrapAction {
 		run.traps = append(run.traps, t)
 		run.regSnaps = append(run.regSnaps, sim.X)
 		if idx >= len(sched.Steps) {
 			return isasim.TrapAction{Halt: true}
 		}
-		entry := load(sched.Steps[idx])
+		var entry uint64
+		if entry, err = swapmem.LoadPacket(space, sched.Steps[idx]); err != nil {
+			return isasim.TrapAction{Halt: true}
+		}
+		run.packets++
 		idx++
 		return isasim.TrapAction{NewPC: entry}
 	}
 	sim.Run(budget)
+	return err
 }
 
 // controlFlowDiverged reports whether two runs took secret-dependent paths:
@@ -197,28 +194,19 @@ func divergenceSamples(dst []uarch.TaintSample, a, b *archRun) []uarch.TaintSamp
 			out = append(out, uarch.TaintSample{Module: regModules[r], Tainted: bits.OnesCount64(x)})
 		}
 	}
-	// RegionBytes aliases the live backing store (no 32KB copies per
-	// iteration); the scan is read-only.
-	la := a.sim.Mem.RegionBytes(swapmem.DataBase)
-	lb := b.sim.Mem.RegionBytes(swapmem.DataBase)
-	for off := 0; off < swapmem.DataSize; off += dataLineBytes {
-		if !bytes.Equal(la[off:off+dataLineBytes], lb[off:off+dataLineBytes]) {
-			// The line position goes into the module name, like the register
-			// samples above: encoding it in the count would collapse every
-			// line past the matrix's slot cap onto one point. The count is
-			// the divergence weight (differing bytes, always < the cap).
-			diff := 0
-			for i := 0; i < dataLineBytes; i++ {
-				if la[off+i] != lb[off+i] {
-					diff++
-				}
-			}
-			out = append(out, uarch.TaintSample{
-				Module:  fmt.Sprintf("isasim/data@l%d", off/dataLineBytes),
-				Tainted: diff,
-			})
-		}
-	}
+	// The scan reads the live backing stores (no 32KB copies per iteration)
+	// and skips pages neither run wrote: both spaces restore from the same
+	// pristine image, so such pages are equal.
+	mem.DiffLines(a.space, b.space, swapmem.DataBase, dataLineBytes, func(off, diff int) {
+		// The line position goes into the module name, like the register
+		// samples above: encoding it in the count would collapse every line
+		// past the matrix's slot cap onto one point. The count is the
+		// divergence weight (differing bytes, always < the cap).
+		out = append(out, uarch.TaintSample{
+			Module:  fmt.Sprintf("isasim/data@l%d", off/dataLineBytes),
+			Tainted: diff,
+		})
+	})
 	return out
 }
 
@@ -271,8 +259,12 @@ func (p *shardPipeline) RunIteration(iter int, seed gen.Seed, sink core.CovSink)
 		budget = core.DefaultMaxCycles
 	}
 	secret := core.DefaultSecret
-	p.a.Exec(sched, secret, budget, p.fresh)
-	p.b.Exec(sched, swapmem.FlipSecret(secret), budget, p.fresh)
+	if err := p.a.Exec(sched, secret, budget, p.fresh); err != nil {
+		return out
+	}
+	if err := p.b.Exec(sched, swapmem.FlipSecret(secret), budget, p.fresh); err != nil {
+		return out
+	}
 	a, b := &p.a, &p.b
 	out.Sims = 2
 	out.Measured = true

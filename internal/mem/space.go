@@ -5,11 +5,20 @@
 // access permissions and a fault kind so that the same load can raise either
 // an access fault (PMP-style) or a page fault (translation-style), which the
 // stimulus generator uses to pick the transient-window trigger type.
+//
+// Regions own their bytes and taint shadow. Every write marks the pages it
+// touches dirty, so restoring a space from an image (Restore) copies back
+// only the pages written since its last restore from that image; a
+// simulation that touches a few pages resets in time proportional to them,
+// not to the whole space.
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -68,13 +77,30 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s %s at %#x", f.Kind, name, f.Addr)
 }
 
-// Region is a contiguous range of the space with uniform permissions.
+// pageShift sets the granularity of region lookup and dirty tracking.
+const pageShift = 8
+
+// PageSize is the byte size of a page, the unit of region lookup and dirty
+// tracking.
+const PageSize = 1 << pageShift
+
+// maxSpan bounds the highest region end: the page table covers every page
+// below it.
+const maxSpan = 1 << 28
+
+// Region is a contiguous range of the space with uniform permissions. It
+// owns its backing bytes and their taint shadow.
 type Region struct {
 	Name  string
 	Base  uint64
 	Size  uint64
 	Perm  Perm
 	Fault FaultKind
+
+	initPerm Perm     // construction-time permission, restored by Reset
+	bytes    []byte   // backing store
+	taint    []byte   // taint shadow (bit per data bit)
+	dirty    []uint64 // a bit per region-relative page written since the last restore
 }
 
 // Contains reports whether addr falls inside the region.
@@ -82,63 +108,187 @@ func (r *Region) Contains(addr uint64) bool {
 	return addr >= r.Base && addr < r.Base+r.Size
 }
 
-// Space is a byte-addressable physical memory with permission regions.
-// The zero value is unusable; construct with NewSpace.
-type Space struct {
-	regions []*Region
-	bytes   map[uint64][]byte // base -> backing bytes, one entry per region
-	taint   map[uint64][]byte // parallel taint shadow (bit per data bit)
-	// initPerm remembers each region's construction-time permission so Reset
-	// can undo SetPerm mutations (base -> original perm).
-	initPerm map[uint64]Perm
-}
-
-// NewSpace returns an empty space.
-func NewSpace() *Space {
-	return &Space{
-		bytes:    make(map[uint64][]byte),
-		taint:    make(map[uint64][]byte),
-		initPerm: make(map[uint64]Perm),
+// markDirty records a write of n bytes at region offset off.
+func (r *Region) markDirty(off uint64, n int) {
+	if n <= 0 {
+		return
+	}
+	for p := off >> pageShift; p <= (off+uint64(n)-1)>>pageShift; p++ {
+		r.dirty[p>>6] |= 1 << (p & 63)
 	}
 }
 
+// dirtyPages calls fn with the byte range [lo, hi) of every dirty page, in
+// address order.
+func (r *Region) dirtyPages(fn func(lo, hi int)) {
+	for w, word := range r.dirty {
+		for ; word != 0; word &= word - 1 {
+			lo := (w<<6 + bits.TrailingZeros64(word)) << pageShift
+			fn(lo, min(lo+PageSize, len(r.bytes)))
+		}
+	}
+}
+
+// restoreDirty copies every dirty page's bytes and taint back from src, a
+// region of the same size, and marks the pages clean.
+func (r *Region) restoreDirty(src *Region) {
+	r.dirtyPages(func(lo, hi int) {
+		copy(r.bytes[lo:hi], src.bytes[lo:hi])
+		copy(r.taint[lo:hi], src.taint[lo:hi])
+	})
+	clear(r.dirty)
+}
+
+// Space is a byte-addressable physical memory with permission regions.
+// The zero value is an empty space; NewSpace returns one too.
+type Space struct {
+	regions []*Region // ordered by base address
+	// pages maps page p to the region holding the whole page, so a lookup
+	// is one load. Pages that are unmapped or that a region boundary splits
+	// hold nil, and lookups there search regions instead.
+	pages []*Region
+	// base is the image every clean page holds: the one the space was last
+	// restored from, nil for all zeros.
+	base *Space
+}
+
+// NewSpace returns an empty space.
+func NewSpace() *Space { return &Space{} }
+
 // AddRegion registers a new region and allocates its backing store.
-// Regions must not overlap.
+// Regions must not overlap and must end below 256 MiB.
 func (s *Space) AddRegion(r Region) (*Region, error) {
 	if r.Size == 0 {
 		return nil, fmt.Errorf("mem: region %q has zero size", r.Name)
+	}
+	if r.Base+r.Size < r.Base || r.Base+r.Size > maxSpan {
+		return nil, fmt.Errorf("mem: region %q ends above %#x", r.Name, maxSpan)
 	}
 	for _, old := range s.regions {
 		if r.Base < old.Base+old.Size && old.Base < r.Base+r.Size {
 			return nil, fmt.Errorf("mem: region %q overlaps %q", r.Name, old.Name)
 		}
 	}
-	reg := r
-	s.regions = append(s.regions, &reg)
+	pages := (r.Size + PageSize - 1) >> pageShift
+	reg := &Region{
+		Name: r.Name, Base: r.Base, Size: r.Size, Perm: r.Perm, Fault: r.Fault,
+		initPerm: r.Perm,
+		bytes:    make([]byte, r.Size),
+		taint:    make([]byte, r.Size),
+		dirty:    make([]uint64, (pages+63)/64),
+	}
+	s.regions = append(s.regions, reg)
 	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
-	s.bytes[reg.Base] = make([]byte, reg.Size)
-	s.taint[reg.Base] = make([]byte, reg.Size)
-	s.initPerm[reg.Base] = reg.Perm
-	return &reg, nil
+	if end := (reg.Base + reg.Size) >> pageShift; end > uint64(len(s.pages)) {
+		s.pages = append(s.pages, make([]*Region, end-uint64(len(s.pages)))...)
+	}
+	for p := (reg.Base + PageSize - 1) >> pageShift; p < (reg.Base+reg.Size)>>pageShift; p++ {
+		s.pages[p] = reg
+	}
+	return reg, nil
 }
 
-// Reset returns the space to its construction-time state without
-// reallocating: every region's bytes and taint shadow are zeroed in place
-// and its permissions restored to the values it was added with. A reset
-// space is indistinguishable from a freshly built one with the same region
-// layout — the property the execution-context reuse in internal/core relies
-// on.
+// Reset returns the space to its construction-time state in place: every
+// byte and taint zero and every permission the value it was added with. A
+// reset space is indistinguishable from a freshly built one with the same
+// region layout.
 func (s *Space) Reset() {
 	for _, r := range s.regions {
-		b := s.bytes[r.Base]
-		for i := range b {
-			b[i] = 0
+		clear(r.bytes)
+		clear(r.taint)
+		clear(r.dirty)
+		r.Perm = r.initPerm
+	}
+	s.base = nil
+}
+
+// Restore makes the space a copy of img, a space with the same region
+// layout: bytes, taint and permissions. Restoring from the image the space
+// was last restored from copies back only the pages written since, so img
+// must not be written while spaces restored from it are in use.
+func (s *Space) Restore(img *Space) {
+	if len(img.regions) != len(s.regions) {
+		panic("mem: Restore from a space with a different layout")
+	}
+	for i, r := range s.regions {
+		src := img.regions[i]
+		if src.Base != r.Base || src.Size != r.Size {
+			panic(fmt.Sprintf("mem: Restore from a space with a different layout (region %q)", r.Name))
 		}
-		t := s.taint[r.Base]
-		for i := range t {
-			t[i] = 0
+		if s.base == img {
+			r.restoreDirty(src)
+		} else {
+			copy(r.bytes, src.bytes)
+			copy(r.taint, src.taint)
+			clear(r.dirty)
 		}
-		r.Perm = s.initPerm[r.Base]
+		r.Perm = src.Perm
+	}
+	s.base = img
+}
+
+// DirtyBytes counts the bytes on pages written since the space was last
+// restored or reset: what the next restore from the same image copies.
+func (s *Space) DirtyBytes() int {
+	n := 0
+	for _, r := range s.regions {
+		r.dirtyPages(func(lo, hi int) { n += hi - lo })
+	}
+	return n
+}
+
+// ZeroDirty zeroes the bytes (not the taint) of every page of the region
+// containing addr that was written since the space was last restored or
+// reset. The other pages still hold the image's bytes, so this clears the
+// whole region exactly where the image holds zeros there.
+func (s *Space) ZeroDirty(addr uint64) {
+	if r := s.Region(addr); r != nil {
+		r.dirtyPages(func(lo, hi int) { clear(r.bytes[lo:hi]) })
+	}
+}
+
+// DiffLines splits the region containing addr into lines of line bytes and
+// calls fn(off, n) for each line whose bytes differ between a and b, in
+// offset order: off is
+// the line's offset in the region and n its count of differing bytes. Both
+// spaces must share the region's layout. When both were last restored from
+// the same image, only lines on pages dirty in either space are read: a page
+// clean in both still holds the image's bytes in each.
+func DiffLines(a, b *Space, addr uint64, line int, fn func(off, n int)) {
+	ra, rb := a.Region(addr), b.Region(addr)
+	if ra == nil || rb == nil {
+		return
+	}
+	size := len(ra.bytes)
+	diff := func(off int) {
+		la, lb := ra.bytes[off:min(off+line, size)], rb.bytes[off:min(off+line, size)]
+		if bytes.Equal(la, lb) {
+			return
+		}
+		n := 0
+		for i := range la {
+			if la[i] != lb[i] {
+				n++
+			}
+		}
+		fn(off, n)
+	}
+	if a.base != b.base {
+		for off := 0; off < size; off += line {
+			diff(off)
+		}
+		return
+	}
+	next := 0 // first line offset not yet compared
+	for w := range ra.dirty {
+		for word := ra.dirty[w] | rb.dirty[w]; word != 0; word &= word - 1 {
+			lo := (w<<6 + bits.TrailingZeros64(word)) << pageShift
+			hi := min(lo+PageSize, size)
+			for off := max(lo-lo%line, next); off < hi; off += line {
+				diff(off)
+				next = off + line
+			}
+		}
 	}
 }
 
@@ -153,6 +303,15 @@ func (s *Space) MustAddRegion(r Region) *Region {
 
 // Region returns the region containing addr, or nil.
 func (s *Space) Region(addr uint64) *Region {
+	if p := addr >> pageShift; p < uint64(len(s.pages)) && s.pages[p] != nil {
+		return s.pages[p]
+	}
+	return s.search(addr)
+}
+
+// search finds the region containing addr by binary search (the lookup for
+// pages the page table does not resolve).
+func (s *Space) search(addr uint64) *Region {
 	i := sort.Search(len(s.regions), func(i int) bool {
 		return s.regions[i].Base+s.regions[i].Size > addr
 	})
@@ -205,27 +364,32 @@ func (s *Space) Check(addr uint64, size int, kind AccessKind) error {
 	return nil
 }
 
-func (s *Space) slice(addr uint64, size int) ([]byte, []byte, bool) {
+// locate returns the region holding all of [addr, addr+size) and addr's
+// offset in it.
+func (s *Space) locate(addr uint64, size int) (*Region, uint64, bool) {
 	r := s.Region(addr)
-	if r == nil || !r.Contains(addr+uint64(size)-1) {
-		return nil, nil, false
+	if r == nil {
+		return nil, 0, false
 	}
 	off := addr - r.Base
-	return s.bytes[r.Base][off : off+uint64(size)], s.taint[r.Base][off : off+uint64(size)], true
+	if uint64(size) > r.Size-off {
+		return nil, 0, false
+	}
+	return r, off, true
 }
 
 // ReadRaw reads without permission checks (used for cache refills and debug).
 // Unmapped bytes read as zero.
 func (s *Space) ReadRaw(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	if b, _, ok := s.slice(addr, size); ok {
-		copy(out, b)
-	} else {
-		// Partial overlap: copy byte by byte.
-		for i := 0; i < size; i++ {
-			if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-				out[i] = b[0]
-			}
+	if r, off, ok := s.locate(addr, size); ok {
+		copy(out, r.bytes[off:])
+		return out
+	}
+	// Partial overlap: copy byte by byte.
+	for i := range out {
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			out[i] = r.bytes[off]
 		}
 	}
 	return out
@@ -233,13 +397,15 @@ func (s *Space) ReadRaw(addr uint64, size int) []byte {
 
 // WriteRaw writes without permission checks. Unmapped bytes are dropped.
 func (s *Space) WriteRaw(addr uint64, data []byte) {
-	if b, _, ok := s.slice(addr, len(data)); ok {
-		copy(b, data)
+	if r, off, ok := s.locate(addr, len(data)); ok {
+		copy(r.bytes[off:], data)
+		r.markDirty(off, len(data))
 		return
 	}
 	for i, v := range data {
-		if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = v
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			r.bytes[off] = v
+			r.markDirty(off, 1)
 		}
 	}
 }
@@ -247,23 +413,35 @@ func (s *Space) WriteRaw(addr uint64, data []byte) {
 // TaintRaw reads the taint shadow of [addr, addr+size).
 func (s *Space) TaintRaw(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	for i := 0; i < size; i++ {
-		if _, t, ok := s.slice(addr+uint64(i), 1); ok {
-			out[i] = t[0]
+	if r, off, ok := s.locate(addr, size); ok {
+		copy(out, r.taint[off:])
+		return out
+	}
+	for i := range out {
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			out[i] = r.taint[off]
 		}
 	}
 	return out
 }
 
-// SetTaint marks [addr, addr+size) fully tainted (every bit).
+// SetTaint marks [addr, addr+size) fully tainted (every bit) or untainted.
 func (s *Space) SetTaint(addr uint64, size int, tainted bool) {
 	v := byte(0)
 	if tainted {
 		v = 0xff
 	}
+	if r, off, ok := s.locate(addr, size); ok {
+		for i := range r.taint[off : off+uint64(size)] {
+			r.taint[off+uint64(i)] = v
+		}
+		r.markDirty(off, size)
+		return
+	}
 	for i := 0; i < size; i++ {
-		if _, t, ok := s.slice(addr+uint64(i), 1); ok {
-			t[0] = v
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			r.taint[off] = v
+			r.markDirty(off, 1)
 		}
 	}
 }
@@ -272,14 +450,14 @@ func (s *Space) SetTaint(addr uint64, size int, tainted bool) {
 func (s *Space) Read64(addr uint64) (val, taint uint64) {
 	// Fast path: the word lies entirely inside one region (the overwhelmingly
 	// common case on the simulation hot path — no per-access allocation).
-	if b, t, ok := s.slice(addr, 8); ok {
-		return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(t)
+	if r, off, ok := s.locate(addr, 8); ok {
+		return binary.LittleEndian.Uint64(r.bytes[off:]), binary.LittleEndian.Uint64(r.taint[off:])
 	}
 	var bb, tb [8]byte
 	for i := 0; i < 8; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			bb[i] = b[0]
-			tb[i] = t[0]
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			bb[i] = r.bytes[off]
+			tb[i] = r.taint[off]
 		}
 	}
 	return binary.LittleEndian.Uint64(bb[:]), binary.LittleEndian.Uint64(tb[:])
@@ -287,15 +465,17 @@ func (s *Space) Read64(addr uint64) (val, taint uint64) {
 
 // Write64 writes a little-endian 64-bit word and its taint mask, unchecked.
 func (s *Space) Write64(addr uint64, val, taint uint64) {
-	if b, t, ok := s.slice(addr, 8); ok {
-		binary.LittleEndian.PutUint64(b, val)
-		binary.LittleEndian.PutUint64(t, taint)
+	if r, off, ok := s.locate(addr, 8); ok {
+		binary.LittleEndian.PutUint64(r.bytes[off:], val)
+		binary.LittleEndian.PutUint64(r.taint[off:], taint)
+		r.markDirty(off, 8)
 		return
 	}
 	for i := 0; i < 8; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = byte(val >> (8 * i))
-			t[0] = byte(taint >> (8 * i))
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			r.bytes[off] = byte(val >> (8 * i))
+			r.taint[off] = byte(taint >> (8 * i))
+			r.markDirty(off, 1)
 		}
 	}
 }
@@ -309,19 +489,19 @@ func (s *Space) RegionBytes(addr uint64) []byte {
 	if r == nil {
 		return nil
 	}
-	return s.bytes[r.Base]
+	return r.bytes
 }
 
 // Read32 reads a little-endian 32-bit word without permission checks or
 // allocation (the architectural simulator's fetch path).
 func (s *Space) Read32(addr uint64) uint32 {
-	if b, _, ok := s.slice(addr, 4); ok {
-		return binary.LittleEndian.Uint32(b)
+	if r, off, ok := s.locate(addr, 4); ok {
+		return binary.LittleEndian.Uint32(r.bytes[off:])
 	}
 	var v uint32
 	for i := 0; i < 4; i++ {
-		if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-			v |= uint32(b[0]) << (8 * i)
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			v |= uint32(r.bytes[off]) << (8 * i)
 		}
 	}
 	return v
@@ -333,7 +513,8 @@ func (s *Space) Read32(addr uint64) uint32 {
 // decides whether that data is architecturally visible.
 func (s *Space) Read(addr uint64, size int, kind AccessKind) (val, taint uint64, err error) {
 	err = s.Check(addr, size, kind)
-	if b, t, ok := s.slice(addr, size); ok {
+	if r, off, ok := s.locate(addr, size); ok {
+		b, t := r.bytes[off:], r.taint[off:]
 		for i := size - 1; i >= 0; i-- {
 			val = val<<8 | uint64(b[i])
 			taint = taint<<8 | uint64(t[i])
@@ -343,9 +524,9 @@ func (s *Space) Read(addr uint64, size int, kind AccessKind) (val, taint uint64,
 	for i := size - 1; i >= 0; i-- {
 		val <<= 8
 		taint <<= 8
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			val |= uint64(b[0])
-			taint |= uint64(t[0])
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			val |= uint64(r.bytes[off])
+			taint |= uint64(r.taint[off])
 		}
 	}
 	return val, taint, err
@@ -356,36 +537,39 @@ func (s *Space) Write(addr uint64, size int, val, taint uint64, kind AccessKind)
 	if err := s.Check(addr, size, kind); err != nil {
 		return err
 	}
-	if b, t, ok := s.slice(addr, size); ok {
+	if r, off, ok := s.locate(addr, size); ok {
 		for i := 0; i < size; i++ {
-			b[i] = byte(val >> (8 * i))
-			t[i] = byte(taint >> (8 * i))
+			r.bytes[off+uint64(i)] = byte(val >> (8 * i))
+			r.taint[off+uint64(i)] = byte(taint >> (8 * i))
 		}
+		r.markDirty(off, size)
 		return nil
 	}
 	for i := 0; i < size; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = byte(val >> (8 * i))
-			t[0] = byte(taint >> (8 * i))
+		if r, off, ok := s.locate(addr+uint64(i), 1); ok {
+			r.bytes[off] = byte(val >> (8 * i))
+			r.taint[off] = byte(taint >> (8 * i))
+			r.markDirty(off, 1)
 		}
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the space (regions, bytes and taints).
-// The swap runtime clones the template space once per DUT instance.
+// Clone returns a deep copy of the space: regions, bytes, taint, and the
+// record of which pages differ from which image.
 func (s *Space) Clone() *Space {
-	c := NewSpace()
+	c := &Space{pages: make([]*Region, len(s.pages)), base: s.base}
 	for _, r := range s.regions {
 		nr := *r
+		nr.bytes = bytes.Clone(r.bytes)
+		nr.taint = bytes.Clone(r.taint)
+		nr.dirty = slices.Clone(r.dirty)
 		c.regions = append(c.regions, &nr)
-		b := make([]byte, len(s.bytes[r.Base]))
-		copy(b, s.bytes[r.Base])
-		c.bytes[nr.Base] = b
-		t := make([]byte, len(s.taint[r.Base]))
-		copy(t, s.taint[r.Base])
-		c.taint[nr.Base] = t
-		c.initPerm[nr.Base] = s.initPerm[r.Base]
+		for p, pr := range s.pages {
+			if pr == r {
+				c.pages[p] = &nr
+			}
+		}
 	}
 	return c
 }

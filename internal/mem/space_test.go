@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -182,5 +183,91 @@ func TestFaultError(t *testing.T) {
 	}
 	if AccessFetch.String() != "fetch" || AccessLoad.String() != "load" {
 		t.Fatal("AccessKind strings wrong")
+	}
+}
+
+// TestRegionLookupUnalignedRegions checks lookups on pages the page table
+// cannot resolve: regions that start or end inside a page, and gaps.
+func TestRegionLookupUnalignedRegions(t *testing.T) {
+	s := NewSpace()
+	s.MustAddRegion(Region{Name: "a", Base: 0x1010, Size: 0x30})
+	s.MustAddRegion(Region{Name: "b", Base: 0x1040, Size: 0x210})
+	s.MustAddRegion(Region{Name: "c", Base: 0x1400, Size: 0x100})
+	for addr := uint64(0xf00); addr < 0x1600; addr++ {
+		var want *Region
+		for _, r := range s.Regions() {
+			if r.Contains(addr) {
+				want = r
+			}
+		}
+		if got := s.Region(addr); got != want {
+			t.Fatalf("Region(%#x) = %v, want %v", addr, got, want)
+		}
+	}
+	if _, err := s.AddRegion(Region{Name: "far", Base: 1 << 28, Size: 0x100}); err == nil {
+		t.Fatal("region beyond the lookup span accepted")
+	}
+}
+
+// TestRestoreFromImage covers both restore paths: a full copy from an image
+// the space was not restored from, and the dirty-page copy from the same
+// image again. Neither may write the image.
+func TestRestoreFromImage(t *testing.T) {
+	img := testSpace(t)
+	img.WriteRaw(0x1000, []byte{1, 2, 3})
+	img.SetTaint(0x3010, 4, true)
+	if err := img.SetPerm("rom", PermRead); err != nil {
+		t.Fatal(err)
+	}
+	want := img.Clone()
+	same := func(s *Space, what string) {
+		t.Helper()
+		for _, r := range want.Regions() {
+			if !bytes.Equal(s.ReadRaw(r.Base, int(r.Size)), want.ReadRaw(r.Base, int(r.Size))) ||
+				!bytes.Equal(s.TaintRaw(r.Base, int(r.Size)), want.TaintRaw(r.Base, int(r.Size))) ||
+				s.RegionByName(r.Name).Perm != r.Perm {
+				t.Fatalf("%s: region %q differs from the image", what, r.Name)
+			}
+		}
+	}
+	s := testSpace(t)
+	s.WriteRaw(0x1ff0, bytes.Repeat([]byte{9}, 32)) // straddles the ram end
+	s.Restore(img)
+	same(s, "full restore")
+	if s.DirtyBytes() != 0 {
+		t.Fatalf("restored space has %d dirty bytes", s.DirtyBytes())
+	}
+	s.Write64(0x1100, 7, 7)
+	s.SetTaint(0x17fe, 4, true) // spans two pages
+	if got := s.DirtyBytes(); got != 3*PageSize {
+		t.Fatalf("dirty bytes = %d, want %d", got, 3*PageSize)
+	}
+	s.Restore(img)
+	same(s, "dirty restore")
+	same(img, "image after restores")
+	s.Write64(0x1100, 7, 7)
+	s.Reset()
+	if v, tt := s.Read64(0x1000); v != 0 || tt != 0 {
+		t.Fatalf("Reset left %#x/%#x", v, tt)
+	}
+}
+
+// TestDiffLinesAcrossImages: two spaces restored from different images may
+// differ on pages clean in both, so DiffLines must compare every line.
+func TestDiffLinesAcrossImages(t *testing.T) {
+	img := testSpace(t)
+	img.WriteRaw(0x1040, []byte{1, 2, 3})
+	a, b := testSpace(t), testSpace(t)
+	a.Restore(img)
+	var got []int
+	DiffLines(a, b, 0x1000, 64, func(off, n int) { got = append(got, off, n) })
+	if len(got) != 2 || got[0] != 0x40 || got[1] != 3 {
+		t.Fatalf("DiffLines across images = %v, want [64 3]", got)
+	}
+	b.Restore(img)
+	got = got[:0]
+	DiffLines(a, b, 0x1000, 64, func(off, n int) { got = append(got, off, n) })
+	if len(got) != 0 {
+		t.Fatalf("DiffLines of two restores of one image = %v, want none", got)
 	}
 }

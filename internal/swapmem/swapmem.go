@@ -17,6 +17,7 @@ package swapmem
 
 import (
 	"fmt"
+	"sync"
 
 	"dejavuzz/internal/isa"
 	"dejavuzz/internal/isasim"
@@ -121,33 +122,8 @@ func (s *Schedule) Clone() *Schedule {
 	return n
 }
 
-// WithoutStep returns a copy with step i removed (training reduction).
-func (s *Schedule) WithoutStep(i int) *Schedule {
-	n := &Schedule{}
-	for j, st := range s.Steps {
-		if j != i {
-			n.Steps = append(n.Steps, st)
-		}
-	}
-	return n
-}
-
-// TrainingOverhead sums instruction counts over training packets: total
-// (TO, including alignment nops) and effective (ETO, excluding them).
-func (s *Schedule) TrainingOverhead() (to, eto int) {
-	for _, st := range s.Steps {
-		if st.Packet.Kind == PacketTransient {
-			continue
-		}
-		to += st.Packet.TrainInsts + st.Packet.PadInsts
-		eto += st.Packet.TrainInsts
-	}
-	return to, eto
-}
-
-// NewSpace builds the canonical swapMem address space with a given secret.
-// Secret bytes are taint sources.
-func NewSpace(secret []byte) *mem.Space {
+// newLayout allocates the canonical swapMem regions, all bytes zero.
+func newLayout() *mem.Space {
 	sp := mem.NewSpace()
 	sp.MustAddRegion(mem.Region{Name: "shared", Base: SharedBase, Size: SharedSize,
 		Perm: mem.PermRead | mem.PermExec})
@@ -161,27 +137,37 @@ func NewSpace(secret []byte) *mem.Space {
 		Perm: 0, Fault: mem.FaultPage})
 	sp.MustAddRegion(mem.Region{Name: "data", Base: DataBase, Size: DataSize,
 		Perm: mem.PermRead | mem.PermWrite})
-	loadContents(sp, secret)
+	return sp
+}
+
+// pristine is the canonical post-firmware image: the layout with the
+// firmware installed and no secret. It is built once per process and only
+// ever read; every canonical space restores from it.
+var pristine = sync.OnceValue(func() *mem.Space {
+	sp := newLayout()
+	installFirmware(sp)
+	return sp
+})
+
+// NewSpace builds the canonical swapMem address space with a given secret.
+// Secret bytes are taint sources.
+func NewSpace(secret []byte) *mem.Space {
+	sp := newLayout()
+	ResetSpace(sp, secret)
 	return sp
 }
 
 // ResetSpace reinitialises a canonical swapMem space in place for a new run
-// with a (possibly different) secret: all region bytes and taints are zeroed,
-// permissions restored (undoing any PermUpdate a previous schedule applied),
-// and the firmware and secret rewritten. The result is byte-identical to
-// NewSpace(secret) — the per-shard execution contexts in internal/core rely
-// on this equivalence to reuse one allocation across a whole campaign.
+// with a (possibly different) secret: it restores the pristine image, which
+// undoes every write and every PermUpdate a previous schedule made, and
+// plants the secret. Only the pages written since the last reset are
+// copied back. The result is byte-identical to NewSpace(secret) — the
+// per-shard execution contexts in internal/core rely on this equivalence to
+// reuse one allocation across a whole campaign.
 func ResetSpace(sp *mem.Space, secret []byte) {
-	sp.Reset()
-	loadContents(sp, secret)
-}
-
-// loadContents plants the secret (a taint source) and the firmware into a
-// zeroed canonical space.
-func loadContents(sp *mem.Space, secret []byte) {
+	sp.Restore(pristine())
 	sp.WriteRaw(SecretAddr, secret)
 	sp.SetTaint(SecretAddr, len(secret), true)
-	installFirmware(sp)
 }
 
 // Firmware images are identical for every space; assemble them once.
@@ -220,6 +206,8 @@ func FlipSecret(secret []byte) []byte {
 
 // Runtime drives one DUT instance through a swap schedule via its trap hook.
 type Runtime struct {
+	// Space, Sched and Core are the runtime's bindings; everything else is
+	// its swap progress, which RuntimeImage holds.
 	Space *mem.Space
 	Sched *Schedule
 	Core  *uarch.Core
@@ -236,6 +224,32 @@ type Runtime struct {
 	LoadCycles []int
 }
 
+// RuntimeImage is a runtime's swap progress as a value: the next packet to
+// load, the trap counters and the load-cycle log. Restored into a runtime
+// bound to the same schedule, together with images of its core and space
+// taken at the same cycle, it continues the run exactly.
+type RuntimeImage struct {
+	idx             int
+	started         bool
+	traps, excTraps int
+	loadCycles      []int
+}
+
+// Save copies the runtime's swap progress into img, reusing img's storage.
+func (rt *Runtime) Save(img *RuntimeImage) {
+	img.idx, img.started = rt.idx, rt.started
+	img.traps, img.excTraps = rt.Traps, rt.ExcTraps
+	img.loadCycles = append(img.loadCycles[:0], rt.LoadCycles...)
+}
+
+// Restore replaces the runtime's swap progress with img's, keeping its
+// bindings.
+func (rt *Runtime) Restore(img *RuntimeImage) {
+	rt.idx, rt.started = img.idx, img.started
+	rt.Traps, rt.ExcTraps = img.traps, img.excTraps
+	rt.LoadCycles = append(rt.LoadCycles[:0], img.loadCycles...)
+}
+
 // NewRuntime wires a runtime to a core and schedule. The caller must call
 // Start to load the first packet.
 func NewRuntime(core *uarch.Core, space *mem.Space, sched *Schedule) *Runtime {
@@ -245,46 +259,51 @@ func NewRuntime(core *uarch.Core, space *mem.Space, sched *Schedule) *Runtime {
 }
 
 // Rebind rewires an existing runtime for a fresh run: new core/space/schedule
-// binding, swap counters zeroed, load-cycle log truncated (capacity kept).
-// Rebind leaves the runtime in exactly the state NewRuntime produces; the
-// caller must still call Start. A Runtime never mutates its Schedule, so the
-// same Schedule value may be bound to several runtimes concurrently.
+// binding and the empty progress image restored (counters zeroed, load-cycle
+// log truncated, capacity kept). Rebind leaves the runtime in exactly the
+// state NewRuntime produces; the caller must still call Start. A Runtime
+// never mutates its Schedule, so the same Schedule value may be bound to
+// several runtimes concurrently.
 func (rt *Runtime) Rebind(core *uarch.Core, space *mem.Space, sched *Schedule) {
 	rt.Space = space
 	rt.Sched = sched
 	rt.Core = core
-	rt.idx = 0
-	rt.started = false
-	rt.Traps = 0
-	rt.ExcTraps = 0
-	rt.LoadCycles = rt.LoadCycles[:0]
+	rt.Restore(&RuntimeImage{})
 	core.TrapHook = rt.onTrap
 }
 
-// zeroSwap is the shared source for clearing the swappable region; it is
-// never written.
-var zeroSwap = make([]byte, SwapSize)
+// ClearSwap zeroes the swappable region's bytes. Only pages written since
+// the last reset can be non-zero — the pristine image's swappable region is
+// all zeros — so only those are cleared.
+func ClearSwap(sp *mem.Space) { sp.ZeroDirty(SwapBase) }
 
-// ClearSwap zeroes the swappable region — the shared packet-unload step for
-// every runtime that mirrors the swap scheduling (the uarch Runtime here,
-// the architectural one in internal/isadiff).
-func ClearSwap(sp *mem.Space) { sp.WriteRaw(SwapBase, zeroSwap) }
-
-// loadPacket writes the packet image into the swappable region and flushes
-// the icache (swapped code must be refetched).
-func (rt *Runtime) loadPacket(st Step) uint64 {
+// LoadPacket performs one swap on a canonical space: it applies the step's
+// permission updates, clears the swappable region and installs the packet
+// image, returning the packet's entry point. Both swap runtimes (the core's
+// Runtime here and the architectural one in internal/isadiff) load packets
+// through it.
+func LoadPacket(sp *mem.Space, st Step) (uint64, error) {
 	for _, pu := range st.PrePerm {
-		if err := rt.Space.SetPerm(pu.Region, pu.Perm); err != nil {
-			panic(fmt.Sprintf("swapmem: %v", err))
+		if err := sp.SetPerm(pu.Region, pu.Perm); err != nil {
+			return 0, fmt.Errorf("swapmem: packet %q: %w", st.Packet.Name, err)
 		}
 	}
-	// Clear the swappable region, then install the image.
-	ClearSwap(rt.Space)
+	ClearSwap(sp)
 	img := st.Packet.Image
-	rt.Space.WriteRaw(img.Base, img.Bytes())
+	sp.WriteRaw(img.Base, img.Bytes())
+	return st.Packet.Entry, nil
+}
+
+// loadPacket swaps the next packet in and flushes the icache (swapped code
+// must be refetched).
+func (rt *Runtime) loadPacket(st Step) uint64 {
+	entry, err := LoadPacket(rt.Space, st)
+	if err != nil {
+		panic(err)
+	}
 	rt.Core.ICache.FlushAll()
 	rt.LoadCycles = append(rt.LoadCycles, rt.Core.Cycle)
-	return st.Packet.Entry
+	return entry
 }
 
 // TransientStart returns the cycle the final (transient) packet was loaded.

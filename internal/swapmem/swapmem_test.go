@@ -134,27 +134,12 @@ func TestScheduleEditing(t *testing.T) {
 	p1 := packetFrom(t, "a", "ecall")
 	p2 := packetFrom(t, "b", "ecall")
 	p3 := packetFrom(t, "c", "nop\necall")
-	p1.TrainInsts, p1.PadInsts = 2, 10
-	p2.TrainInsts, p2.PadInsts = 3, 20
 	p3.Kind = PacketTransient
 
 	s := &Schedule{}
 	s.Append(p1)
 	s.Append(p2)
 	s.Append(p3)
-
-	to, eto := s.TrainingOverhead()
-	if to != 35 || eto != 5 {
-		t.Fatalf("TO/ETO = %d/%d", to, eto)
-	}
-
-	r := s.WithoutStep(0)
-	if len(r.Steps) != 2 || r.Steps[0].Packet != p2 {
-		t.Fatal("WithoutStep broken")
-	}
-	if len(s.Steps) != 3 {
-		t.Fatal("WithoutStep mutated the original")
-	}
 
 	c := s.Clone()
 	c.Steps[0].Packet = p3

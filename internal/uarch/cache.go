@@ -15,37 +15,43 @@ type mshr struct {
 	readyAt int
 }
 
-// lfbEntry is one line-fill buffer slot paired with an MSHR.
+// lfbEntry is one line-fill buffer slot paired with an MSHR; its data and
+// taint words live in the cache's flat lfbData/lfbTaint arrays.
 type lfbEntry struct {
-	addr  uint64
-	data  []uint64
-	taint []uint64
-	used  bool
+	addr uint64
+	used bool
 }
 
 // Cache is a set-associative, taint-shadowed cache with MSHRs and a line
 // fill buffer. Fill state (tags) persists across pipeline squashes — this is
 // the classic transient side channel the fuzzer probes.
 type Cache struct {
-	Name string
-	cfg  CacheConfig
+	Name  string
+	cfg   CacheConfig
+	space *mem.Space // backing memory: a binding, not part of the state
+	cacheState
+}
 
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]int
-	data  [][][]uint64
-	dataT [][][]uint64
-	tagT  [][]uint64 // control taint: which line's *presence* is secret-dependent
+// cacheState is everything a cache holds that a core image saves. Per-line
+// arrays are indexed set*Ways+way, per-word arrays (line*words)+word, and
+// the line-fill buffer's words slot*words+word.
+type cacheState struct {
+	tags  []uint64
+	valid []bool
+	lru   []int
+	tagT  []uint64 // control taint: which line's *presence* is secret-dependent
+	data  []uint64
+	dataT []uint64
 
-	// lineBits holds each line's tainted-bit total (tag plus data shadows),
-	// indexed set*Ways+way; census counts the lines (see census.go).
+	// lineBits holds each line's tainted-bit total (tag plus data shadows);
+	// census counts the lines (see census.go).
 	lineBits []int
 	census   taintCount
 
-	mshrs []mshr
-	lfb   []lfbEntry
-
-	space *mem.Space
+	mshrs    []mshr
+	lfb      []lfbEntry
+	lfbData  []uint64
+	lfbTaint []uint64
 
 	// fetchBusyUntil models the B4 mechanism for the icache: an in-flight
 	// refill occupies the fetch port even if the requesting fetch squashes.
@@ -55,79 +61,44 @@ type Cache struct {
 	Misses   int
 }
 
+// newCacheState allocates an empty (all-invalid) cache of a geometry.
+func newCacheState(cfg CacheConfig) cacheState {
+	lines, words := cfg.Sets*cfg.Ways, cfg.LineBytes/8
+	return cacheState{
+		tags:     make([]uint64, lines),
+		valid:    make([]bool, lines),
+		lru:      make([]int, lines),
+		tagT:     make([]uint64, lines),
+		data:     make([]uint64, lines*words),
+		dataT:    make([]uint64, lines*words),
+		lineBits: make([]int, lines),
+		mshrs:    make([]mshr, cfg.MSHRs),
+		lfb:      make([]lfbEntry, cfg.MSHRs),
+		lfbData:  make([]uint64, cfg.MSHRs*words),
+		lfbTaint: make([]uint64, cfg.MSHRs*words),
+	}
+}
+
+// copyFrom makes s a copy of src, reusing s's arrays.
+func (s *cacheState) copyFrom(src *cacheState) {
+	d := *s
+	*s = *src
+	s.tags = reuse(d.tags, src.tags)
+	s.valid = reuse(d.valid, src.valid)
+	s.lru = reuse(d.lru, src.lru)
+	s.tagT = reuse(d.tagT, src.tagT)
+	s.data = reuse(d.data, src.data)
+	s.dataT = reuse(d.dataT, src.dataT)
+	s.lineBits = reuse(d.lineBits, src.lineBits)
+	s.mshrs = reuse(d.mshrs, src.mshrs)
+	s.lfb = reuse(d.lfb, src.lfb)
+	s.lfbData = reuse(d.lfbData, src.lfbData)
+	s.lfbTaint = reuse(d.lfbTaint, src.lfbTaint)
+}
+
 // NewCache builds a cache over the backing space.
 func NewCache(name string, cfg CacheConfig, space *mem.Space) *Cache {
-	c := &Cache{Name: name, cfg: cfg, space: space}
-	words := cfg.LineBytes / 8
-	c.tags = make([][]uint64, cfg.Sets)
-	c.valid = make([][]bool, cfg.Sets)
-	c.lru = make([][]int, cfg.Sets)
-	c.data = make([][][]uint64, cfg.Sets)
-	c.dataT = make([][][]uint64, cfg.Sets)
-	c.tagT = make([][]uint64, cfg.Sets)
-	c.lineBits = make([]int, cfg.Sets*cfg.Ways)
-	for s := 0; s < cfg.Sets; s++ {
-		c.tags[s] = make([]uint64, cfg.Ways)
-		c.valid[s] = make([]bool, cfg.Ways)
-		c.lru[s] = make([]int, cfg.Ways)
-		c.tagT[s] = make([]uint64, cfg.Ways)
-		c.data[s] = make([][]uint64, cfg.Ways)
-		c.dataT[s] = make([][]uint64, cfg.Ways)
-		for w := 0; w < cfg.Ways; w++ {
-			c.data[s][w] = make([]uint64, words)
-			c.dataT[s][w] = make([]uint64, words)
-		}
-	}
-	c.mshrs = make([]mshr, cfg.MSHRs)
-	c.lfb = make([]lfbEntry, cfg.MSHRs)
-	for i := range c.lfb {
-		c.lfb[i].data = make([]uint64, words)
-		c.lfb[i].taint = make([]uint64, words)
-	}
-	return c
-}
-
-// Reusable reports whether the cache's allocations fit a configuration and
-// backing space, i.e. whether Reset can stand in for NewCache(name, cfg, space).
-func (c *Cache) Reusable(cfg CacheConfig, space *mem.Space) bool {
-	return c.cfg == cfg && c.space == space
-}
-
-// Reset returns the cache to its construction-time state in place: all
-// lines invalidated, LRU ages, taint shadows, MSHRs, line-fill buffers and
-// statistics zeroed. After Reset the cache is indistinguishable from a
-// freshly built one over the same configuration and space.
-func (c *Cache) Reset() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.valid[s][w] = false
-			c.lru[s][w] = 0
-			c.tagT[s][w] = 0
-			data, dataT := c.data[s][w], c.dataT[s][w]
-			for i := range data {
-				data[i] = 0
-				dataT[i] = 0
-			}
-		}
-	}
-	clear(c.lineBits)
-	c.census = taintCount{}
-	for i := range c.mshrs {
-		c.mshrs[i] = mshr{}
-	}
-	for i := range c.lfb {
-		e := &c.lfb[i]
-		e.addr = 0
-		e.used = false
-		for j := range e.data {
-			e.data[j] = 0
-			e.taint[j] = 0
-		}
-	}
-	c.fetchBusyUntil = 0
-	c.Accesses = 0
-	c.Misses = 0
+	return &Cache{Name: name, cfg: cfg, space: space, cacheState: newCacheState(cfg)}
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
@@ -138,16 +109,26 @@ func (c *Cache) tagOf(addr uint64) uint64 {
 	return addr / uint64(c.cfg.LineBytes) / uint64(c.cfg.Sets)
 }
 
+// line is the per-line array index of (set, way).
+func (c *Cache) line(set, way int) int { return set*c.cfg.Ways + way }
+
+// words returns the line's data and taint words.
+func (c *Cache) words(set, way int) (data, taint []uint64) {
+	n := c.cfg.LineBytes / 8
+	i := c.line(set, way) * n
+	return c.data[i : i+n], c.dataT[i : i+n]
+}
+
 // setLineBits records a new tainted-bit total for the line at (set, way),
 // keeping the census exact.
 func (c *Cache) setLineBits(set, way, n int) {
-	i := set*c.cfg.Ways + way
+	i := c.line(set, way)
 	c.census.move(c.lineBits[i], n)
 	c.lineBits[i] = n
 }
 
 // lineBitsAt is the line's tainted-bit total.
-func (c *Cache) lineBitsAt(set, way int) int { return c.lineBits[set*c.cfg.Ways+way] }
+func (c *Cache) lineBitsAt(set, way int) int { return c.lineBits[c.line(set, way)] }
 
 // AccessResult reports the outcome of a cache access.
 type AccessResult struct {
@@ -159,7 +140,7 @@ type AccessResult struct {
 
 func (c *Cache) findWay(set int, tag uint64) int {
 	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
+		if i := c.line(set, w); c.valid[i] && c.tags[i] == tag {
 			return w
 		}
 	}
@@ -167,20 +148,22 @@ func (c *Cache) findWay(set int, tag uint64) int {
 }
 
 func (c *Cache) touch(set, way int) {
-	for w := 0; w < c.cfg.Ways; w++ {
-		c.lru[set][w]++
+	lru := c.lru[c.line(set, 0):c.line(set+1, 0)]
+	for w := range lru {
+		lru[w]++
 	}
-	c.lru[set][way] = 0
+	lru[way] = 0
 }
 
 func (c *Cache) victim(set int) int {
 	vw, age := 0, -1
 	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.valid[set][w] {
+		i := c.line(set, w)
+		if !c.valid[i] {
 			return w
 		}
-		if c.lru[set][w] > age {
-			age = c.lru[set][w]
+		if c.lru[i] > age {
+			age = c.lru[i]
 			vw = w
 		}
 	}
@@ -250,18 +233,20 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 	}
 	// Perform the fill now (timing is charged via lat); stage through LFB.
 	way := c.victim(set)
-	c.tags[set][way] = tag
-	c.valid[set][way] = true
-	c.tagT[set][way] = 0
+	li := c.line(set, way)
+	c.tags[li] = tag
+	c.valid[li] = true
+	c.tagT[li] = 0
 	c.touch(set, way)
-	words := c.cfg.LineBytes / 8
+	data, dataT := c.words(set, way)
+	lfb := mi * len(data)
 	lineBits := 0
-	for i := 0; i < words; i++ {
+	for i := range data {
 		v, t := c.space.Read64(line + uint64(i*8))
-		c.data[set][way][i] = v
-		c.dataT[set][way][i] = t
-		c.lfb[mi].data[i] = v
-		c.lfb[mi].taint[i] = t
+		data[i] = v
+		dataT[i] = t
+		c.lfbData[lfb+i] = v
+		c.lfbTaint[lfb+i] = t
 		lineBits += bits.OnesCount64(t)
 	}
 	c.setLineBits(set, way, lineBits)
@@ -273,9 +258,10 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 // TaintTag marks a line's presence as secret-dependent (applied by the
 // control-taint fabric when a tainted address selected the fill).
 func (c *Cache) TaintTag(set, way int) {
-	if set < len(c.tagT) && way < len(c.tagT[set]) {
-		c.setLineBits(set, way, c.lineBitsAt(set, way)-bits.OnesCount64(c.tagT[set][way])+64)
-		c.tagT[set][way] = ^uint64(0)
+	if set < c.cfg.Sets && way < c.cfg.Ways {
+		i := c.line(set, way)
+		c.setLineBits(set, way, c.lineBits[i]-bits.OnesCount64(c.tagT[i])+64)
+		c.tagT[i] = ^uint64(0)
 	}
 }
 
@@ -283,8 +269,9 @@ func (c *Cache) TaintTag(set, way int) {
 func (c *Cache) Read64(addr uint64) (v, t uint64) {
 	set := c.setOf(addr)
 	if w := c.findWay(set, c.tagOf(addr)); w >= 0 {
+		data, dataT := c.words(set, w)
 		idx := int(addr%uint64(c.cfg.LineBytes)) / 8
-		return c.data[set][w][idx], c.dataT[set][w][idx]
+		return data[idx], dataT[idx]
 	}
 	return c.space.Read64(addr)
 }
@@ -293,10 +280,11 @@ func (c *Cache) Read64(addr uint64) (v, t uint64) {
 func (c *Cache) Write64(addr uint64, v, t uint64) {
 	set := c.setOf(addr)
 	if w := c.findWay(set, c.tagOf(addr)); w >= 0 {
+		data, dataT := c.words(set, w)
 		idx := int(addr%uint64(c.cfg.LineBytes)) / 8
-		c.setLineBits(set, w, c.lineBitsAt(set, w)-bits.OnesCount64(c.dataT[set][w][idx])+bits.OnesCount64(t))
-		c.data[set][w][idx] = v
-		c.dataT[set][w][idx] = t
+		c.setLineBits(set, w, c.lineBitsAt(set, w)-bits.OnesCount64(dataT[idx])+bits.OnesCount64(t))
+		data[idx] = v
+		dataT[idx] = t
 	}
 	c.space.Write64(addr, v, t)
 }
@@ -304,15 +292,9 @@ func (c *Cache) Write64(addr uint64, v, t uint64) {
 // FlushAll invalidates every line (the swap runtime's icache flush).
 // Taint shadows are cleared with the data: flushed lines hold nothing.
 func (c *Cache) FlushAll() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.tagT[s][w] = 0
-			for i := range c.dataT[s][w] {
-				c.dataT[s][w][i] = 0
-			}
-		}
-	}
+	clear(c.valid)
+	clear(c.tagT)
+	clear(c.dataT)
 	clear(c.lineBits)
 	c.census = taintCount{}
 }
@@ -329,12 +311,13 @@ func (c *Cache) Census() (tainted, bitCount int) { return c.census.elems, c.cens
 // LFBCensus counts tainted line-fill-buffer slots; live reports only those
 // whose MSHR is still valid (the liveness-annotated view).
 func (c *Cache) LFBCensus(cycle int) (tainted, live int) {
+	words := c.cfg.LineBytes / 8
 	for i := range c.lfb {
 		if !c.lfb[i].used {
 			continue
 		}
 		any := false
-		for _, t := range c.lfb[i].taint {
+		for _, t := range c.lfbTaint[i*words : (i+1)*words] {
 			if t != 0 {
 				any = true
 				break
@@ -357,11 +340,9 @@ type LinePos struct{ Set, Way int }
 // TaintedLinePositions lists lines with tag taint and whether each is valid.
 func (c *Cache) TaintedLinePositions() []LinePos {
 	var out []LinePos
-	for s := range c.tagT {
-		for w := range c.tagT[s] {
-			if c.tagT[s][w] != 0 && c.valid[s][w] {
-				out = append(out, LinePos{Set: s, Way: w})
-			}
+	for i, t := range c.tagT {
+		if t != 0 && c.valid[i] {
+			out = append(out, LinePos{Set: i / c.cfg.Ways, Way: i % c.cfg.Ways})
 		}
 	}
 	return out

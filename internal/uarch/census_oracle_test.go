@@ -78,14 +78,13 @@ func scanWords(ws ...uint64) tally {
 // scanCache counts lines with tag or data taint, whether valid or not.
 func scanCache(c *Cache) tally {
 	var t tally
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			n := bits.OnesCount64(c.tagT[s][w])
-			for _, d := range c.dataT[s][w] {
-				n += bits.OnesCount64(d)
-			}
-			t.add(n)
+	words := c.cfg.LineBytes / 8
+	for i, tag := range c.tagT {
+		n := bits.OnesCount64(tag)
+		for _, d := range c.dataT[i*words : (i+1)*words] {
+			n += bits.OnesCount64(d)
 		}
+		t.add(n)
 	}
 	return t
 }

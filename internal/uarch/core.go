@@ -125,7 +125,10 @@ type queueEntry struct {
 	taint uint64
 }
 
-// Core is one DUT instance.
+// Core is one DUT instance. Its fields are bindings (the address space, the
+// trap hook), units (caches, TLBs, predictors, each holding its own state)
+// and the pipeline state it embeds; an Image holds all of the state and none
+// of the bindings.
 type Core struct {
 	Cfg   Config
 	Mem   *mem.Space
@@ -135,7 +138,37 @@ type Core struct {
 	// TrapHook is invoked on any commit-time trap (exceptions and ecall).
 	// The swap runtime uses it to schedule the next instruction packet.
 	TrapHook func(isasim.Trap) isasim.TrapAction
-	// FlushICache is set by the trap hook plumbing to flush on swap.
+
+	pipeState
+
+	ICache *Cache
+	DCache *Cache
+	ITLB   *TLB
+	DTLB   *TLB
+	L2TLB  *TLB
+
+	bht    *BHT
+	btb    *BTB
+	faubtb *BTB
+	ind    *BTB // indirect (jalr) target predictor
+	ras    *RAS
+	loop   *LoopPredictor
+
+	// Differential control-taint plumbing: events noted this cycle, resolved
+	// against the peer before the next one (see ResolveCtl), so none are
+	// pending at a cycle boundary.
+	pendingCtl []CtlEvent
+
+	// censusScratch is the reusable per-cycle census buffer (taint tracing).
+	censusScratch []ModuleTaint
+	// pristine caches Cfg's construction-time image (see Reset), sparing
+	// each Reset a shared-map lookup that hashes the whole Config.
+	pristine *Image
+}
+
+// pipeState is the core's own simulation state: everything it holds apart
+// from its units, its trace and its bindings.
+type pipeState struct {
 	Halted bool
 	Cycle  int
 
@@ -169,27 +202,14 @@ type Core struct {
 	// entries, architectural registers and load/store-queue slots.
 	robCensus, regCensus, lsuCensus taintCount
 
-	ICache *Cache
-	DCache *Cache
-	ITLB   *TLB
-	DTLB   *TLB
-	L2TLB  *TLB
-
-	bht    *BHT
-	btb    *BTB
-	faubtb *BTB
-	ind    *BTB // indirect (jalr) target predictor
-	ras    *RAS
-	loop   *LoopPredictor
-
 	divBusyUntil  int
 	fdivBusyUntil int
 	fpuLatchTaint uint64
 	loadWBUsed    map[int]int
 
-	// Differential control-taint plumbing.
-	pendingCtl []CtlEvent
-	noted      map[uint64]notedVal
+	// noted holds each control point's latest value for the peer's
+	// cross-instance comparison.
+	noted map[uint64]notedVal
 
 	// B3 bookkeeping: most recent jalr misprediction resolution.
 	jalrMispredCycle int
@@ -200,11 +220,23 @@ type Core struct {
 	Committed    uint64
 	TrapCount    int
 	TaintTraceOn bool
-	// censusScratch is the reusable per-cycle census buffer (taint tracing).
-	censusScratch []ModuleTaint
 	// BugWitness records mechanism-level evidence when an injected bug's
 	// code path actually fired (used to label findings in Table 5 runs).
 	BugWitness map[string]int
+}
+
+// copyFrom makes p a copy of src, reusing p's arrays and maps. Fetch-queue
+// and RoB entries share their RAS snapshots, which are immutable.
+func (p *pipeState) copyFrom(src *pipeState) {
+	d := *p
+	*p = *src
+	p.fetchQ = reuse(d.fetchQ, src.fetchQ)
+	p.rob = reuse(d.rob, src.rob)
+	p.ldq = reuse(d.ldq, src.ldq)
+	p.stq = reuse(d.stq, src.stq)
+	p.loadWBUsed = reuseMap(d.loadWBUsed, src.loadWBUsed)
+	p.noted = reuseMap(d.noted, src.noted)
+	p.BugWitness = reuseMap(d.BugWitness, src.BugWitness)
 }
 
 // NewCore builds a core over its (per-instance) address space. It is
@@ -217,148 +249,20 @@ func NewCore(cfg Config, space *mem.Space, mode IFTMode) *Core {
 	return c
 }
 
-// Reset reinitialises the core in place for a new simulation: every
+// Reset reinitialises the core in place for a new simulation: it binds the
+// space, drops the trap hook and restores cfg's pristine image, so every
 // microarchitectural structure (RoB, load/store queues, caches, TLBs,
 // predictors, shadow taint state, trace) returns to its construction-time
-// state, reusing existing allocations whenever the configuration geometry
-// allows. After Reset the core is indistinguishable from
-// NewCore(cfg, space, mode).
+// state, reusing existing allocations. After Reset the core is
+// indistinguishable from NewCore(cfg, space, mode).
 func (c *Core) Reset(cfg Config, space *mem.Space, mode IFTMode) {
-	c.Cfg, c.Mem, c.Mode = cfg, space, mode
-
-	if c.Trace == nil {
-		c.Trace = NewTrace()
-	} else {
-		c.Trace.Reset()
+	if c.pristine == nil || c.pristine.cfg != cfg {
+		c.pristine = pristineImage(cfg)
 	}
-
+	c.Mem = space
 	c.TrapHook = nil
-	c.Halted = false
-	c.Cycle = 0
-	c.pc, c.pcTaint = 0, 0
-	c.fetchQ = c.fetchQ[:0]
-	c.fetchHead = 0
-	c.fetchStallUntil = 0
-	c.decodeBlocked = false
-	c.fetchHeld = false
-
-	if len(c.rob) != cfg.ROBEntries {
-		c.rob = make([]robEntry, cfg.ROBEntries)
-	} else {
-		for i := range c.rob {
-			c.rob[i] = robEntry{}
-		}
-	}
-	c.robHead, c.robTail, c.robCount = 0, 0, 0
-	c.seqNext = 0
-	c.trapPendingAt = -1
-
-	c.archX = [32]uint64{}
-	c.archXT = [32]uint64{}
-	c.archF = [32]uint64{}
-	c.archFT = [32]uint64{}
-
-	if len(c.ldq) != cfg.LDQEntries {
-		c.ldq = make([]queueEntry, cfg.LDQEntries)
-	} else {
-		for i := range c.ldq {
-			c.ldq[i] = queueEntry{}
-		}
-	}
-	if len(c.stq) != cfg.STQEntries {
-		c.stq = make([]queueEntry, cfg.STQEntries)
-	} else {
-		for i := range c.stq {
-			c.stq[i] = queueEntry{}
-		}
-	}
-	c.ldqFree = cfg.LDQEntries
-	c.stqFree = cfg.STQEntries
-	c.robCensus, c.regCensus, c.lsuCensus = taintCount{}, taintCount{}, taintCount{}
-
-	if c.ICache == nil || !c.ICache.Reusable(cfg.ICache, space) {
-		c.ICache = NewCache("icache", cfg.ICache, space)
-	} else {
-		c.ICache.Reset()
-	}
-	if c.DCache == nil || !c.DCache.Reusable(cfg.DCache, space) {
-		c.DCache = NewCache("dcache", cfg.DCache, space)
-	} else {
-		c.DCache.Reset()
-	}
-	if c.L2TLB == nil || c.L2TLB.cfg != cfg.L2TLB {
-		c.L2TLB = NewTLB("l2tlb", cfg.L2TLB, nil)
-	} else {
-		c.L2TLB.Reset()
-	}
-	if c.ITLB == nil || c.ITLB.cfg != cfg.ITLB || c.ITLB.next != c.L2TLB {
-		c.ITLB = NewTLB("itlb", cfg.ITLB, c.L2TLB)
-	} else {
-		c.ITLB.Reset()
-	}
-	if c.DTLB == nil || c.DTLB.cfg != cfg.DTLB || c.DTLB.next != c.L2TLB {
-		c.DTLB = NewTLB("dtlb", cfg.DTLB, c.L2TLB)
-	} else {
-		c.DTLB.Reset()
-	}
-
-	if c.bht == nil || len(c.bht.counters) != cfg.BHTEntries {
-		c.bht = NewBHT(cfg.BHTEntries)
-	} else {
-		c.bht.Reset()
-	}
-	if c.btb == nil || !c.btb.Reusable(cfg.BTBEntries, 1) {
-		c.btb = NewBTB("btb", cfg.BTBEntries)
-	} else {
-		c.btb.Reset()
-	}
-	if c.faubtb == nil || !c.faubtb.Reusable(cfg.FauBTBEntries, 1) {
-		c.faubtb = NewBTB("faubtb", cfg.FauBTBEntries)
-	} else {
-		c.faubtb.Reset()
-	}
-	if c.ind == nil || !c.ind.Reusable(cfg.BTBEntries, cfg.IndirectMinConf) {
-		c.ind = NewBTBConf("ind", cfg.BTBEntries, cfg.IndirectMinConf)
-	} else {
-		c.ind.Reset()
-	}
-	if c.ras == nil || len(c.ras.stack) != cfg.RASEntries {
-		c.ras = NewRAS(cfg.RASEntries)
-	} else {
-		c.ras.Reset()
-	}
-	if c.loop == nil || !c.loop.Reusable(cfg.LoopEntries, cfg.LoopTripMax) {
-		c.loop = NewLoopPredictor(cfg.LoopEntries, cfg.LoopTripMax)
-	} else {
-		c.loop.Reset()
-	}
-
-	c.divBusyUntil, c.fdivBusyUntil = 0, 0
-	c.fpuLatchTaint = 0
-	if c.loadWBUsed == nil {
-		c.loadWBUsed = make(map[int]int)
-	} else {
-		clear(c.loadWBUsed)
-	}
-
-	c.pendingCtl = c.pendingCtl[:0]
-	if c.noted == nil {
-		c.noted = make(map[uint64]notedVal)
-	} else {
-		clear(c.noted)
-	}
-
-	c.jalrMispredCycle = 0
-	c.jalrCorrTarget, c.jalrCorrTaint = 0, 0
-
-	c.Committed = 0
-	c.TrapCount = 0
-	c.TaintTraceOn = false
-	if c.BugWitness == nil {
-		c.BugWitness = make(map[string]int)
-	} else {
-		clear(c.BugWitness)
-	}
+	c.Restore(c.pristine)
+	c.Mode = mode
 }
 
 // Restart jumps the core to an entry point, clearing pipeline state but
@@ -419,15 +323,6 @@ func (c *Core) ResolveCtl(peer *Core) {
 			diff = nv.val != ev.Val
 		}
 		ev.apply(diff)
-	}
-	c.pendingCtl = c.pendingCtl[:0]
-}
-
-// ResolveCtlStandalone applies pending events without a peer (CellIFT
-// semantics); used when a diff-mode core runs solo in tests.
-func (c *Core) ResolveCtlStandalone() {
-	for _, ev := range c.pendingCtl {
-		ev.apply(true)
 	}
 	c.pendingCtl = c.pendingCtl[:0]
 }

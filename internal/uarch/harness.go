@@ -41,28 +41,6 @@ func (p *Pair) Run(maxCycles int) (cyclesA, cyclesB int) {
 	return p.A.Cycle, p.B.Cycle
 }
 
-// RunResult packages one simulation's observables for the fuzzing pipeline.
-type RunResult struct {
-	TraceA, TraceB *Trace
-	CyclesA        int
-	CyclesB        int
-	CensusA        []ModuleTaint
-	SinksA         []Sink
-	TimedOut       bool
-}
-
-// RunPair executes a coupled pair to completion and collects observables.
-func RunPair(p *Pair, maxCycles int) *RunResult {
-	ca, cb := p.Run(maxCycles)
-	return &RunResult{
-		TraceA: p.A.Trace, TraceB: p.B.Trace,
-		CyclesA: ca, CyclesB: cb,
-		CensusA:  p.A.Census(),
-		SinksA:   p.A.Sinks(),
-		TimedOut: !(p.A.Halted && p.B.Halted),
-	}
-}
-
 // HaltingHook returns a TrapHook that halts on the first trap — the minimal
 // runtime for single-packet programs (tests and micro-benchmarks).
 func HaltingHook() func(isasim.Trap) isasim.TrapAction {

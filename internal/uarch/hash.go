@@ -17,25 +17,22 @@ func (c *Core) TimingHash(includeData bool) uint64 {
 		h.Write(b[:])
 	}
 	hashCache := func(ca *Cache) {
-		for s := range ca.tags {
-			for way := range ca.tags[s] {
-				if ca.valid[s][way] {
-					w(1 + ca.tags[s][way])
-				} else {
-					w(0)
-				}
-				if includeData {
-					for _, d := range ca.data[s][way] {
-						w(d)
-					}
+		words := ca.cfg.LineBytes / 8
+		for i, tag := range ca.tags {
+			if ca.valid[i] {
+				w(1 + tag)
+			} else {
+				w(0)
+			}
+			if includeData {
+				for _, d := range ca.data[i*words : (i+1)*words] {
+					w(d)
 				}
 			}
 		}
 		if includeData {
-			for i := range ca.lfb {
-				for _, d := range ca.lfb[i].data {
-					w(d)
-				}
+			for _, d := range ca.lfbData {
+				w(d)
 			}
 		}
 	}

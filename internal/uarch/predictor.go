@@ -1,26 +1,26 @@
 package uarch
 
 // BHT is a table of 2-bit saturating counters indexed by PC.
-type BHT struct {
+type BHT struct{ bhtState }
+
+// bhtState is everything a BHT holds that a core image saves.
+type bhtState struct {
 	counters []uint8
 	taint    []uint64
 	census   taintCount
 }
 
+func (s *bhtState) copyFrom(src *bhtState) {
+	d := *s
+	*s = *src
+	s.counters = reuse(d.counters, src.counters)
+	s.taint = reuse(d.taint, src.taint)
+}
+
 // NewBHT builds a branch history table initialised strongly-not-taken, so a
 // taken prediction requires two consistent trainings.
 func NewBHT(entries int) *BHT {
-	return &BHT{counters: make([]uint8, entries), taint: make([]uint64, entries)}
-}
-
-// Reset zeroes every counter and taint shadow in place (the strongly-not-
-// taken construction state).
-func (b *BHT) Reset() {
-	for i := range b.counters {
-		b.counters[i] = 0
-		b.taint[i] = 0
-	}
-	b.census = taintCount{}
+	return &BHT{bhtState{counters: make([]uint8, entries), taint: make([]uint64, entries)}}
 }
 
 func (b *BHT) index(pc uint64) int { return int(pc>>2) % len(b.counters) }
@@ -62,9 +62,20 @@ type btbEntry struct {
 // jump mispredictions there (Table 3, DejaVuzz* row).
 type BTB struct {
 	Name    string
-	entries []btbEntry
 	minConf int
+	btbState
+}
+
+// btbState is everything a BTB holds that a core image saves.
+type btbState struct {
+	entries []btbEntry
 	census  taintCount
+}
+
+func (s *btbState) copyFrom(src *btbState) {
+	entries := s.entries
+	*s = *src
+	s.entries = reuse(entries, src.entries)
 }
 
 // NewBTB builds a branch target buffer that predicts after one training.
@@ -75,24 +86,7 @@ func NewBTBConf(name string, entries, minConf int) *BTB {
 	if minConf < 1 {
 		minConf = 1
 	}
-	return &BTB{Name: name, entries: make([]btbEntry, entries), minConf: minConf}
-}
-
-// Reusable reports whether the buffer's allocation and confidence threshold
-// fit a configuration, i.e. whether Reset can stand in for NewBTBConf.
-func (b *BTB) Reusable(entries, minConf int) bool {
-	if minConf < 1 {
-		minConf = 1
-	}
-	return len(b.entries) == entries && b.minConf == minConf
-}
-
-// Reset invalidates every entry in place.
-func (b *BTB) Reset() {
-	for i := range b.entries {
-		b.entries[i] = btbEntry{}
-	}
-	b.census = taintCount{}
+	return &BTB{Name: name, minConf: minConf, btbState: btbState{entries: make([]btbEntry, entries)}}
 }
 
 func (b *BTB) index(pc uint64) int { return int(pc>>2) % len(b.entries) }
@@ -129,7 +123,10 @@ func (b *BTB) Census() (tainted, bitCount int) { return b.census.elems, b.census
 // RAS is the return address stack. Snapshotting granularity models the two
 // recovery schemes the paper contrasts: full restore (XiangShan) versus
 // BOOM's buggy TOS-and-top-entry-only restore (Phantom-RSB, B2).
-type RAS struct {
+type RAS struct{ rasState }
+
+// rasState is everything a RAS holds that a core image saves.
+type rasState struct {
 	stack []uint64
 	taint []uint64
 	tos   int // index of next free slot; top entry is stack[tos-1]
@@ -139,26 +136,22 @@ type RAS struct {
 	// snap memoises the last Snapshot between mutations: the frontend
 	// snapshots per fetched instruction but the stack only changes on
 	// calls/returns, so most fetches share one immutable snapshot instead
-	// of allocating a copy each.
+	// of allocating a copy each. Being immutable, it is shared, not copied,
+	// by images.
 	snap      RASSnapshot
 	snapValid bool
 }
 
-// NewRAS builds a return address stack.
-func NewRAS(entries int) *RAS {
-	return &RAS{stack: make([]uint64, entries), taint: make([]uint64, entries)}
+func (s *rasState) copyFrom(src *rasState) {
+	d := *s
+	*s = *src
+	s.stack = reuse(d.stack, src.stack)
+	s.taint = reuse(d.taint, src.taint)
 }
 
-// Reset empties the stack in place.
-func (r *RAS) Reset() {
-	for i := range r.stack {
-		r.stack[i] = 0
-		r.taint[i] = 0
-	}
-	r.census = taintCount{}
-	r.tos = 0
-	r.snapValid = false
-	r.snap = RASSnapshot{}
+// NewRAS builds a return address stack.
+func NewRAS(entries int) *RAS {
+	return &RAS{rasState{stack: make([]uint64, entries), taint: make([]uint64, entries)}}
 }
 
 func (r *RAS) wrap(i int) int {
@@ -242,28 +235,25 @@ type loopEntry struct {
 // LoopPredictor predicts loop exits: after observing a stable trip count it
 // predicts not-taken on the final iteration.
 type LoopPredictor struct {
-	entries []loopEntry
 	tripMax int
+	loopState
+}
+
+// loopState is everything a loop predictor holds that a core image saves.
+type loopState struct {
+	entries []loopEntry
 	census  taintCount
+}
+
+func (s *loopState) copyFrom(src *loopState) {
+	entries := s.entries
+	*s = *src
+	s.entries = reuse(entries, src.entries)
 }
 
 // NewLoopPredictor builds a loop predictor.
 func NewLoopPredictor(entries, tripMax int) *LoopPredictor {
-	return &LoopPredictor{entries: make([]loopEntry, entries), tripMax: tripMax}
-}
-
-// Reusable reports whether the predictor's allocation and trip threshold fit
-// a configuration, i.e. whether Reset can stand in for NewLoopPredictor.
-func (l *LoopPredictor) Reusable(entries, tripMax int) bool {
-	return len(l.entries) == entries && l.tripMax == tripMax
-}
-
-// Reset invalidates every entry in place.
-func (l *LoopPredictor) Reset() {
-	for i := range l.entries {
-		l.entries[i] = loopEntry{}
-	}
-	l.census = taintCount{}
+	return &LoopPredictor{tripMax: tripMax, loopState: loopState{entries: make([]loopEntry, entries)}}
 }
 
 func (l *LoopPredictor) index(pc uint64) int { return int(pc>>2) % len(l.entries) }

@@ -12,27 +12,31 @@ type tlbEntry struct {
 
 // TLB is one translation lookaside buffer level.
 type TLB struct {
-	Name    string
-	cfg     TLBConfig
+	Name string
+	cfg  TLBConfig
+	next *TLB // next level (L2); nil means page walk. A binding, not state.
+	tlbState
+}
+
+// tlbState is everything a TLB holds that a core image saves.
+type tlbState struct {
 	entries []tlbEntry
-	next    *TLB // next level (L2); nil means page walk
 	census  taintCount
 
 	Accesses int
 	Misses   int
 }
 
-// NewTLB builds a TLB; next may be nil for the last level.
-func NewTLB(name string, cfg TLBConfig, next *TLB) *TLB {
-	return &TLB{Name: name, cfg: cfg, entries: make([]tlbEntry, cfg.Entries), next: next}
+// copyFrom makes s a copy of src, reusing s's entry array.
+func (s *tlbState) copyFrom(src *tlbState) {
+	entries := s.entries
+	*s = *src
+	s.entries = reuse(entries, src.entries)
 }
 
-// Reset returns the TLB to its construction-time state in place (entries
-// and statistics zeroed; the next-level link is untouched).
-func (t *TLB) Reset() {
-	t.FlushAll()
-	t.Accesses = 0
-	t.Misses = 0
+// NewTLB builds a TLB; next may be nil for the last level.
+func NewTLB(name string, cfg TLBConfig, next *TLB) *TLB {
+	return &TLB{Name: name, cfg: cfg, next: next, tlbState: tlbState{entries: make([]tlbEntry, cfg.Entries)}}
 }
 
 func (t *TLB) vpn(addr uint64) uint64 { return addr >> t.cfg.PageBits }

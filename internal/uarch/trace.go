@@ -77,28 +77,39 @@ type TaintSample struct {
 
 // Trace accumulates the RoB IO event log and (optionally) the taint log.
 type Trace struct {
+	traceRecords
+	bySeq map[uint64]int // sequence number -> index in Insts
+}
+
+// traceRecords is the trace so far, which a core image saves.
+type traceRecords struct {
 	Insts    []InstRecord
 	Squashes []SquashEvent
 	// TaintLog holds per-cycle module censuses when taint tracing is on.
 	TaintLog []TaintSample
 	// TaintSumByCycle is the Figure 6 series: total tainted state bits.
 	TaintSumByCycle []int
-
-	bySeq map[uint64]int
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace {
-	return &Trace{bySeq: make(map[uint64]int)}
+func (r *traceRecords) copyFrom(src *traceRecords) {
+	r.Insts = reuse(r.Insts, src.Insts)
+	r.Squashes = reuse(r.Squashes, src.Squashes)
+	r.TaintLog = reuse(r.TaintLog, src.TaintLog)
+	r.TaintSumByCycle = reuse(r.TaintSumByCycle, src.TaintSumByCycle)
 }
 
-// Reset empties the trace in place, keeping slice capacity across reuse.
-func (t *Trace) Reset() {
-	t.Insts = t.Insts[:0]
-	t.Squashes = t.Squashes[:0]
-	t.TaintLog = t.TaintLog[:0]
-	t.TaintSumByCycle = t.TaintSumByCycle[:0]
-	clear(t.bySeq)
+// restore replaces the trace's records with a copy of src's, keeping slice
+// capacity, and re-indexes them: sequence numbers are unique within a run.
+func (t *Trace) restore(src *traceRecords) {
+	t.copyFrom(src)
+	if t.bySeq == nil {
+		t.bySeq = make(map[uint64]int, len(t.Insts))
+	} else {
+		clear(t.bySeq)
+	}
+	for i := range t.Insts {
+		t.bySeq[t.Insts[i].Seq] = i
+	}
 }
 
 func (t *Trace) enqueue(seq, pc uint64, in isa.Inst, cycle int) {
@@ -172,20 +183,6 @@ func (t *Trace) WindowSince(lo, hi uint64, since int) WindowStats {
 		}
 	}
 	return w
-}
-
-// TransientPCs returns the distinct PCs that executed transiently.
-func (t *Trace) TransientPCs() []uint64 {
-	seen := make(map[uint64]bool)
-	var out []uint64
-	for i := range t.Insts {
-		r := &t.Insts[i]
-		if r.Transient() && !seen[r.PC] {
-			seen[r.PC] = true
-			out = append(out, r.PC)
-		}
-	}
-	return out
 }
 
 // String renders a compact trace summary.
