@@ -1,5 +1,5 @@
-// Command dvz-vet is the determinism multichecker: it runs the four
-// dvz analyzers (mapiter, detsource, optsync, rngshare) that statically
+// Command dvz-vet is the determinism multichecker: it runs the three
+// dvz analyzers (mapiter, detsource, rngshare) that statically
 // enforce the engine's byte-identity invariants, then folds a stock
 // `go vet` pass into the same invocation so CI needs exactly one lint
 // step.
@@ -27,7 +27,6 @@ import (
 	"dejavuzz/internal/analysis/detsource"
 	"dejavuzz/internal/analysis/driver"
 	"dejavuzz/internal/analysis/mapiter"
-	"dejavuzz/internal/analysis/optsync"
 	"dejavuzz/internal/analysis/rngshare"
 )
 
@@ -39,7 +38,6 @@ func run() int {
 	analyzers := []*analysis.Analyzer{
 		mapiter.Analyzer,
 		detsource.Analyzer,
-		optsync.Analyzer,
 		rngshare.Analyzer,
 	}
 

@@ -219,10 +219,10 @@ func (o Options) EquivalentTo(other Options) bool {
 
 // optionsDeterminismIrrelevant names the Options fields DiffFrom
 // deliberately does not enumerate, with the reason each one cannot change
-// campaign results. dvz-vet's optsync analyzer checks that every Options
-// field is either read by DiffFrom or listed here — adding a field
-// without classifying it fails the lint — and that this set never drifts
-// to include a field DiffFrom also enumerates.
+// campaign results. TestOptionsFieldClassification checks that every
+// Options field is either named by DiffFrom or listed here — adding a
+// field without classifying it fails the test — and that this set never
+// drifts to include a field DiffFrom also enumerates.
 var optionsDeterminismIrrelevant = map[string]string{
 	"Workers":       "OS-level parallelism only; shards are the determinism unit and results are identical for any Workers value",
 	"FreshContexts": "reference mode for the reset-equivalence suite; reset is proven equivalent to fresh construction, so results never change",

@@ -38,11 +38,5 @@ func (f *Fuzzer) MeasureTraining(trigger gen.TriggerType, variant gen.Variant, a
 	return st
 }
 
-// NewSeedFor exposes deterministic seed construction for experiment
-// harnesses and examples.
-func (f *Fuzzer) NewSeedFor(trigger gen.TriggerType, variant gen.Variant) gen.Seed {
-	return f.gen.SeedFor(f.kind, trigger, variant)
-}
-
 // Generator exposes the underlying stimulus generator.
 func (f *Fuzzer) Generator() *gen.Generator { return f.gen }

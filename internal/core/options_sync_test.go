@@ -11,8 +11,7 @@ import (
 // mutateField returns a copy of base with field i changed to a different
 // value, using the field's kind to pick a perturbation. It fails the test
 // for kinds it does not know how to mutate — a new field of a new kind must
-// extend this switch, mirroring how dvz-vet's optsync analyzer forces every
-// new field to be classified.
+// extend this switch, so no new field goes unclassified.
 func mutateField(t *testing.T, base Options, i int) Options {
 	t.Helper()
 	mut := base
@@ -52,13 +51,21 @@ func mutateField(t *testing.T, base Options, i int) Options {
 //   - an allowlisted field's mutation must be invisible (EquivalentTo true,
 //     DiffFrom empty), or the allowlist is lying;
 //   - every other field's mutation must break equivalence AND be named by
-//     DiffFrom's enumeration. dvz-vet's optsync analyzer checks the same
-//     classification statically; this test verifies it dynamically. The
-//     "does not enumerate" check guards against a catch-all message
-//     standing in for a named field.
+//     DiffFrom's enumeration. The "does not enumerate" check guards against
+//     a catch-all message standing in for a named field;
+//   - every allowlist key must name an Options field and carry a
+//     justification.
 func TestOptionsFieldClassification(t *testing.T) {
 	base := DefaultOptions(uarch.KindBOOM).Normalized()
 	rt := reflect.TypeOf(base)
+	for name, why := range optionsDeterminismIrrelevant {
+		if _, ok := rt.FieldByName(name); !ok {
+			t.Errorf("optionsDeterminismIrrelevant lists %q, which is not a field of Options", name)
+		}
+		if strings.TrimSpace(why) == "" {
+			t.Errorf("optionsDeterminismIrrelevant entry %q has no justification", name)
+		}
+	}
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
 		mut := mutateField(t, base, i)

@@ -22,7 +22,7 @@ const testFamily = "branch-mispredict"
 // testSeed returns a seed that passes gen.Seed.Validate (every knob in its
 // drawn range), told apart from others by r and windowLen.
 func testSeed(r int64, windowLen int) gen.Seed {
-	return gen.Seed{Scenario: testFamily, Rand: r, TriggerOff: 60, WindowLen: windowLen, EncodeOps: 1}
+	return gen.Seed{Scenario: testFamily, Trigger: gen.TrigBranchMispred, Rand: r, TriggerOff: 60, WindowLen: windowLen, EncodeOps: 1}
 }
 
 // testBatch builds n distinct harvested seeds with deterministic evidence.

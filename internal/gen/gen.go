@@ -116,18 +116,21 @@ func FamilyOf(s Seed) (scenario.Scenario, error) {
 }
 
 // Validate refuses a seed no draw or mutation could have produced, naming
-// the offending field: the family must be registered (or, for a seed that
-// names none, its legacy trigger class must exist), the core and variant
-// must be known, and every knob must lie in the range drawKnobs and Mutate
-// keep it in. Seeds from outside the generator — repro JSON, checkpoints,
-// warm-start sets — pass through it before anything is built from them.
+// the offending field: the family must be registered and Trigger must be
+// its legacy class (or, for a seed that names none, its legacy trigger
+// class must exist), the core and variant must be known, and every knob
+// must lie in the range drawKnobs and Mutate keep it in. Seeds from outside
+// the generator — repro JSON, checkpoints, warm-start sets — pass through
+// it before anything is built from them.
 func (s Seed) Validate() error {
 	if s.Scenario == "" {
 		if s.Trigger < 0 || s.Trigger >= NumTriggerTypes {
 			return fmt.Errorf("gen: seed Trigger %d has no scenario family", int(s.Trigger))
 		}
-	} else if _, err := scenario.Lookup(s.Scenario); err != nil {
+	} else if fam, err := scenario.Lookup(s.Scenario); err != nil {
 		return fmt.Errorf("gen: seed Scenario: %w", err)
+	} else if s.Trigger != fam.Legacy() {
+		return fmt.Errorf("gen: seed Trigger %v is not family %s's class %v", s.Trigger, s.Scenario, fam.Legacy())
 	}
 	if s.Core != uarch.KindBOOM && s.Core != uarch.KindXiangShan {
 		return fmt.Errorf("gen: seed Core %d is not a modelled core", int(s.Core))

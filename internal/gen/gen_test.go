@@ -276,11 +276,11 @@ func TestMutateAlwaysChanges(t *testing.T) {
 
 // TestBuildRejectsMalformedSeeds: hand-crafted seeds (repro JSON,
 // checkpoints, warm-start sets) with an out-of-range trigger, an unknown
-// family or an out-of-range knob must error, naming the field, and never
-// panic.
+// family, a trigger that is not the family's class or an out-of-range knob
+// must error, naming the field, and never panic.
 func TestBuildRejectsMalformedSeeds(t *testing.T) {
 	g := New(1)
-	ok := Seed{Core: uarch.KindBOOM, Scenario: "page-fault", TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
+	ok := Seed{Core: uarch.KindBOOM, Scenario: "page-fault", Trigger: TrigPageFault, TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed seed refused: %v", err)
 	}
@@ -291,6 +291,7 @@ func TestBuildRejectsMalformedSeeds(t *testing.T) {
 		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", 99 }},
 		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", -1 }},
 		{"Scenario", func(s *Seed) { s.Scenario = "no-such-family" }},
+		{"Trigger", func(s *Seed) { s.Trigger = TrigBranchMispred }},
 		{"Core", func(s *Seed) { s.Core = 2 }},
 		{"Variant", func(s *Seed) { s.Variant = -1 }},
 		{"TriggerOff", func(s *Seed) { s.TriggerOff = 59 }},

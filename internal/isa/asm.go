@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -57,12 +58,16 @@ func Asm(base uint64, src string) (*Program, error) {
 // one per instruction line.
 //
 // Supported syntax: one instruction or "label:" per line, "#" comments,
-// ".word <value>" literals, and the pseudo-instructions nop, li, la, mv,
-// not, neg, seqz, snez, j, jr, jalr rs, call, ret, beqz, bnez. `la` expands
-// to auipc+addi; `li` expands to the shortest constant materialisation
-// sequence. Expansion sizes are fixed per item, so labels resolve
-// deterministically. A branch, jump, call or la operand that is not an
-// immediate names a label, resolved when the items are assembled.
+// ".word <value>" and ".illegal" literals, the pseudo-instructions nop,
+// li, la, mv, not, neg, seqz, snez, j, jr, call, ret, beqz, bnez, fmv.d,
+// and the short forms jal target and jalr rs. `la` expands to auipc+addi;
+// `li` expands to the shortest constant materialisation sequence.
+// Expansion sizes are fixed per item, so labels resolve deterministically.
+// A real instruction's operands follow its table row's syntax: an operand
+// of the wrong kind, or an immediate its field cannot hold, is refused
+// with its position and syntax name. A branch, jump, call or la operand
+// that is not an immediate names a label, resolved when the items are
+// assembled.
 func Parse(src string) ([]Item, error) {
 	items := make([]Item, 0, strings.Count(src, "\n")+1)
 	rest := src
@@ -209,18 +214,8 @@ func liSeqInto(dst []Inst, rd int, v int64) []Inst {
 	if v >= -(1<<31) && v < 1<<31 {
 		lo := v << 52 >> 52 // sign-extended low 12
 		hi := v - lo
-		if hi<<32>>32 != hi { // rounding overflowed 32 bits: use shifted path
-			seq := liSeqInto(dst, rd, v>>12)
-			seq = append(seq, Inst{Op: OpSlli, Rd: rd, Rs1: rd, Imm: 12})
-			if lo12 := v & 0xfff; lo12 != 0 {
-				seq = append(seq, Inst{Op: OpOri, Rd: rd, Rs1: rd, Imm: int64(lo12 & 0x7ff)})
-				if lo12>>11 != 0 {
-					// top bit of lo12 set: handled by extra addi
-					seq = append(seq, Inst{Op: OpAddi, Rd: rd, Rs1: rd, Imm: 1 << 11})
-				}
-			}
-			return seq
-		}
+		// When rounding carries hi to 1<<31, lui loads -1<<31 and addiw's
+		// 32-bit sum still lands on v.
 		seq := append(dst, Inst{Op: OpLui, Rd: rd, Imm: hi})
 		if lo != 0 {
 			seq = append(seq, Inst{Op: OpAddiw, Rd: rd, Rs1: rd, Imm: lo})
@@ -237,14 +232,15 @@ func liSeqInto(dst []Inst, rd int, v int64) []Inst {
 	return seq
 }
 
-var simpleMnems = func() map[string]Op {
-	m := make(map[string]Op)
-	for op, name := range opNames {
-		m[name] = op
+// opByName returns the operation whose mnemonic is name, or OpInvalid.
+func opByName(name string) Op {
+	for op := OpInvalid + 1; op < opCount; op++ {
+		if ops[op].name == name {
+			return op
+		}
 	}
-	delete(m, "invalid")
-	return m
-}()
+	return OpInvalid
+}
 
 func reg(arg string) (int, error) {
 	if r := RegNum(arg); r >= 0 {
@@ -253,39 +249,40 @@ func reg(arg string) (int, error) {
 	return 0, fmt.Errorf("bad register %q", arg)
 }
 
-func freg(arg string) (int, error) {
-	if r := FRegNum(arg); r >= 0 {
-		return r, nil
+// parseField parses an immediate operand that must lie in [lo, hi]. Unlike
+// parseImm it keeps no 64-bit patterns: 0xffffffffffffffff is not -1.
+func parseField(arg string, lo, hi int64) (int64, error) {
+	v, err := strconv.ParseInt(arg, 0, 64)
+	switch {
+	case err != nil && !errors.Is(err, strconv.ErrRange), strings.HasPrefix(arg, "+"):
+		if RegNum(arg) >= 0 || FRegNum(arg) >= 0 {
+			return 0, fmt.Errorf("want an immediate, got register %s", arg)
+		}
+		return 0, fmt.Errorf("bad immediate %q", arg)
+	case err != nil || v < lo || v > hi:
+		return 0, fmt.Errorf("immediate %s outside [%d, %d]", arg, lo, hi)
 	}
-	return 0, fmt.Errorf("bad fp register %q", arg)
+	return v, nil
 }
 
-// parseMem parses "imm(rs1)".
-func parseMem(arg string) (int64, int, error) {
+// splitMem splits an "imm(rs1)" operand into its offset text and base
+// register.
+func splitMem(arg string) (string, int, error) {
 	open := strings.Index(arg, "(")
 	close := strings.LastIndex(arg, ")")
 	if open < 0 || close < open {
-		return 0, 0, fmt.Errorf("bad memory operand %q", arg)
-	}
-	offStr := strings.TrimSpace(arg[:open])
-	var off int64
-	if offStr != "" {
-		v, err := parseImm(offStr)
-		if err != nil {
-			return 0, 0, err
-		}
-		off = v
+		return "", 0, fmt.Errorf("bad memory operand %q", arg)
 	}
 	r, err := reg(strings.TrimSpace(arg[open+1 : close]))
 	if err != nil {
-		return 0, 0, err
+		return "", 0, err
 	}
-	return off, r, nil
+	return strings.TrimSpace(arg[:open]), r, nil
 }
 
-// target classifies a branch, jump, call or la operand: an immediate, or
-// else a label name resolved when the items are assembled. Identifiers
-// cannot start with a digit or '-', so no operand is both.
+// target classifies a call or la operand: an absolute address, or else a
+// label name resolved when the items are assembled. Identifiers cannot
+// start with a digit or '-', so no operand is both.
 func target(arg string) (imm int64, label string, err error) {
 	if v, err := parseImm(arg); err == nil {
 		return v, "", nil
@@ -304,7 +301,9 @@ func inst(in Inst) (Item, error) {
 	return Item{kind: itemWord, n: 1, word: w}, nil
 }
 
-// lower translates one instruction line into its item.
+// lower translates one instruction line into its item. Pseudo-instructions
+// and short forms are written out here; every other mnemonic is lowered by
+// its table row's syntax.
 func lower(mnem string, args []string) (Item, error) {
 	need := func(n int) error {
 		if len(args) != n {
@@ -312,44 +311,37 @@ func lower(mnem string, args []string) (Item, error) {
 		}
 		return nil
 	}
+	// expand lowers a pseudo-instruction as the real instruction it
+	// stands for.
+	expand := func(name string, args ...string) (Item, error) {
+		it, err := lowerOp(opByName(name), args)
+		if err != nil {
+			return Item{}, fmt.Errorf("%s: %v", mnem, err)
+		}
+		return it, nil
+	}
 
 	switch mnem {
-	case "nop":
-		return Word(NopWord), nil
+	case "nop", ".illegal", "ret":
+		if err := need(0); err != nil {
+			return Item{}, err
+		}
+		switch mnem {
+		case "nop":
+			return Word(NopWord), nil
+		case ".illegal":
+			return Illegal(), nil
+		}
+		return inst(Inst{Op: OpJalr, Rd: RegZero, Rs1: RegRA})
 	case ".word":
 		if err := need(1); err != nil {
 			return Item{}, err
 		}
-		v, err := parseImm(args[0])
+		v, err := parseField(args[0], -1<<31, 1<<32-1)
 		if err != nil {
 			return Item{}, err
 		}
 		return Word(uint32(v)), nil
-	case ".illegal":
-		return Illegal(), nil
-	case "mv", "not", "neg", "seqz", "snez":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, err := reg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		rs, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		switch mnem {
-		case "not":
-			return inst(Inst{Op: OpXori, Rd: rd, Rs1: rs, Imm: -1})
-		case "neg":
-			return inst(Inst{Op: OpSub, Rd: rd, Rs1: 0, Rs2: rs})
-		case "seqz":
-			return inst(Inst{Op: OpSltiu, Rd: rd, Rs1: rs, Imm: 1})
-		case "snez":
-			return inst(Inst{Op: OpSltu, Rd: rd, Rs1: 0, Rs2: rs})
-		}
-		return inst(Inst{Op: OpAddi, Rd: rd, Rs1: rs})
 	case "li":
 		if err := need(2); err != nil {
 			return Item{}, err
@@ -379,22 +371,6 @@ func lower(mnem string, args []string) (Item, error) {
 			return La(rd, label), nil
 		}
 		return Item{kind: itemLa, rd: uint8(rd), n: 2, imm: imm}, nil
-	case "j":
-		if err := need(1); err != nil {
-			return Item{}, err
-		}
-		return jump(RegZero, args[0])
-	case "jr":
-		if err := need(1); err != nil {
-			return Item{}, err
-		}
-		rs, err := reg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: OpJalr, Rd: 0, Rs1: rs})
-	case "ret":
-		return inst(Inst{Op: OpJalr, Rd: 0, Rs1: RegRA})
 	case "call":
 		if err := need(1); err != nil {
 			return Item{}, err
@@ -407,277 +383,138 @@ func lower(mnem string, args []string) (Item, error) {
 			return CallLabel(label), nil
 		}
 		return Call(uint64(imm)), nil
-	case "beqz":
+	case "mv", "not", "neg", "seqz", "snez", "beqz", "bnez", "fmv.d":
 		if err := need(2); err != nil {
+			return Item{}, err
+		}
+		a, b := args[0], args[1]
+		switch mnem {
+		case "mv":
+			return expand("addi", a, b, "0")
+		case "not":
+			return expand("xori", a, b, "-1")
+		case "neg":
+			return expand("sub", a, "zero", b)
+		case "seqz":
+			return expand("sltiu", a, b, "1")
+		case "snez":
+			return expand("sltu", a, "zero", b)
+		case "beqz":
+			return expand("beq", a, "zero", b)
+		case "bnez":
+			return expand("bne", a, "zero", b)
+		}
+		// The model has no fsgnj.d: fmv.d moves through fadd.d with ft0.
+		return expand("fadd.d", a, b, "ft0")
+	case "j":
+		if err := need(1); err != nil {
+			return Item{}, err
+		}
+		return expand("jal", "zero", args[0])
+	case "jr", "jalr":
+		// jr rs and the short form jalr rs (rd = ra); jalr's full form is
+		// its row's.
+		if mnem == "jalr" && len(args) != 1 {
+			break
+		}
+		if err := need(1); err != nil {
 			return Item{}, err
 		}
 		rs, err := reg(args[0])
 		if err != nil {
 			return Item{}, err
-		}
-		return branch(OpBeq, rs, RegZero, args[1])
-	case "bnez":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rs, err := reg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		return branch(OpBne, rs, RegZero, args[1])
-	case "fmv.d":
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, err := freg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		rs, err := freg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		// fmv.d is fsgnj.d in real RV; model as fadd.d rd, rs, f0-is-wrong,
-		// so use fmul-free move: encode as fadd.d rd, rs, rs is wrong too.
-		// We encode fmv.d as fadd.d with rs2 = f0? Keep simple: fadd.d rd, rs, f0.
-		return inst(Inst{Op: OpFaddD, Rd: rd, Rs1: rs, Rs2: 0})
-	}
-
-	op, ok := simpleMnems[mnem]
-	if !ok {
-		return Item{}, fmt.Errorf("unknown mnemonic %q", mnem)
-	}
-	if op == OpLui || op == OpAuipc {
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		rd, err := reg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		imm, err := parseImm(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: op, Rd: rd, Imm: imm << 12})
-	}
-	switch op.Class() {
-	case ClassBranch:
-		if err := need(3); err != nil {
-			return Item{}, err
-		}
-		rs1, err := reg(args[0])
-		if err != nil {
-			return Item{}, err
-		}
-		rs2, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return branch(op, rs1, rs2, args[2])
-	case ClassJump:
-		// jal [rd,] target
-		if len(args) != 1 && len(args) != 2 {
-			return Item{}, fmt.Errorf("%s needs 1 or 2 operands, got %d", mnem, len(args))
 		}
 		rd := RegRA
-		targetArg := args[0]
-		if len(args) == 2 {
-			r, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			rd = r
-			targetArg = args[1]
+		if mnem == "jr" {
+			rd = RegZero
 		}
-		return jump(rd, targetArg)
-	case ClassJumpReg:
-		// jalr rd, imm(rs1) | jalr rd, rs1, imm | jalr rs1
-		switch len(args) {
-		case 1:
-			rs, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: RegRA, Rs1: rs})
-		case 2:
-			rd, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			off, rs1, err := parseMem(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off})
-		case 3:
-			rd, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			rs1, err := reg(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			imm, err := parseImm(args[2])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
+		return inst(Inst{Op: OpJalr, Rd: rd, Rs1: rs})
+	case "jal":
+		// The short form jal target links ra.
+		if len(args) == 1 {
+			return expand("jal", "ra", args[0])
 		}
-		return Item{}, fmt.Errorf("jalr: bad operands")
-	case ClassLoad:
-		if err := need(2); err != nil {
-			return Item{}, err
-		}
-		var rd int
+	}
+
+	op := opByName(mnem)
+	if op == OpInvalid {
+		return Item{}, fmt.Errorf("unknown mnemonic %q", mnem)
+	}
+	return lowerOp(op, args)
+}
+
+// lowerOp lowers a real instruction by its row's syntax: each operand is
+// parsed as the syntax names it, and a branch or jump whose offset operand
+// names a label becomes a label item.
+func lowerOp(op Op, args []string) (Item, error) {
+	r := &ops[op]
+	if len(args) != len(r.args) {
+		return Item{}, fmt.Errorf("%s needs %d operands, got %d", r.name, len(r.args), len(args))
+	}
+	in := Inst{Op: op}
+	label := ""
+	for k, a := range r.args {
 		var err error
-		if op == OpFld {
-			rd, err = freg(args[0])
-		} else {
-			rd, err = reg(args[0])
-		}
+		label, err = in.setOperand(a, args[k])
 		if err != nil {
-			return Item{}, err
+			return Item{}, fmt.Errorf("%s operand %d (%s): %v", r.name, k+1, operands[a].token, err)
 		}
-		off, rs1, err := parseMem(args[1])
-		if err != nil {
-			return Item{}, err
+	}
+	switch {
+	case label == "":
+		return inst(in)
+	case r.class == ClassBranch:
+		return Branch(op, in.Rs1, in.Rs2, label), nil
+	}
+	return Jal(in.Rd, label), nil
+}
+
+// setOperand parses one operand into the field its kind names. A branch or
+// jump offset may instead name a label, which it returns.
+func (in *Inst) setOperand(a operand, arg string) (label string, err error) {
+	o := &operands[a]
+	if o.imm == immNone {
+		r, want := RegNum(arg), "an integer"
+		if o.fp {
+			r, want = FRegNum(arg), "a floating-point"
 		}
-		return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off})
-	case ClassStore:
-		if err := need(2); err != nil {
-			return Item{}, err
+		if r < 0 {
+			return "", fmt.Errorf("want %s register, got %q", want, arg)
 		}
-		var rs2 int
-		var err error
-		if op == OpFsd {
-			rs2, err = freg(args[0])
-		} else {
-			rs2, err = reg(args[0])
-		}
-		if err != nil {
-			return Item{}, err
-		}
-		off, rs1, err := parseMem(args[1])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
-	case ClassSystem:
-		switch op {
-		case OpEcall, OpEbreak, OpMret, OpFence:
-			return inst(Inst{Op: op})
-		case OpCsrrw, OpCsrrs, OpCsrrc:
-			if err := need(3); err != nil {
-				return Item{}, err
-			}
-			rd, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			csr, err := parseImm(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			rs1, err := reg(args[2])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: csr})
-		}
-	case ClassFPU, ClassFDiv:
-		switch op {
-		case OpFmvXD:
-			if err := need(2); err != nil {
-				return Item{}, err
-			}
-			rd, err := reg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			rs, err := freg(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs})
-		case OpFmvDX:
-			if err := need(2); err != nil {
-				return Item{}, err
-			}
-			rd, err := freg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			rs, err := reg(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs})
+		switch o.field {
+		case fieldRd:
+			in.Rd = r
+		case fieldRs1:
+			in.Rs1 = r
 		default:
-			if err := need(3); err != nil {
-				return Item{}, err
-			}
-			rd, err := freg(args[0])
-			if err != nil {
-				return Item{}, err
-			}
-			rs1, err := freg(args[1])
-			if err != nil {
-				return Item{}, err
-			}
-			rs2, err := freg(args[2])
-			if err != nil {
-				return Item{}, err
-			}
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
+			in.Rs2 = r
 		}
+		return "", nil
 	}
-	// Generic R/I formats.
-	if len(args) == 3 {
-		rd, err := reg(args[0])
+	if o.field == fieldRs1 { // imm(rs1)
+		off, base, err := splitMem(arg)
 		if err != nil {
-			return Item{}, err
+			return "", err
 		}
-		rs1, err := reg(args[1])
-		if err != nil {
-			return Item{}, err
+		in.Rs1 = base
+		if off == "" {
+			return "", nil
 		}
-		// Probe the register form without reg()'s error allocation — this
-		// branch is taken (and fails) for every immediate-form instruction.
-		if rs2 := RegNum(args[2]); rs2 >= 0 {
-			return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-		}
-		imm, err := parseImm(args[2])
-		if err != nil {
-			return Item{}, err
-		}
-		return inst(Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm})
+		arg = off
 	}
-	return Item{}, fmt.Errorf("%s: bad operands %v", mnem, args)
-}
-
-// branch lowers a conditional branch to an immediate offset (an
-// instruction) or to a label.
-func branch(op Op, rs1, rs2 int, arg string) (Item, error) {
-	off, label, err := target(arg)
+	if (o.imm == immB || o.imm == immJ) && isIdent(arg) {
+		return arg, nil
+	}
+	v, err := parseField(arg, o.lo, o.hi)
 	if err != nil {
-		return Item{}, err
+		return "", err
 	}
-	if label != "" {
-		return Branch(op, rs1, rs2, label), nil
+	switch {
+	case (o.imm == immB || o.imm == immJ) && v&1 != 0:
+		return "", fmt.Errorf("odd offset %s", arg)
+	case o.imm == immU:
+		v <<= 12
 	}
-	return inst(Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
-}
-
-// jump lowers a jal to an immediate offset or to a label.
-func jump(rd int, arg string) (Item, error) {
-	off, label, err := target(arg)
-	if err != nil {
-		return Item{}, err
-	}
-	if label != "" {
-		return Jal(rd, label), nil
-	}
-	return inst(Inst{Op: OpJal, Rd: rd, Imm: off})
+	in.Imm = v
+	return "", nil
 }

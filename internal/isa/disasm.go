@@ -1,50 +1,53 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
-// Disasm renders a decoded instruction in conventional assembly syntax.
+// Disasm renders a decoded instruction in conventional assembly syntax: its
+// mnemonic and the operands its row's syntax names, in that order.
 func Disasm(i Inst) string {
-	switch i.Op {
-	case OpInvalid:
+	if i.Op == OpInvalid {
 		return fmt.Sprintf(".illegal %#08x", i.Raw)
-	case OpEcall, OpEbreak, OpMret, OpFence:
-		return i.Op.String()
-	case OpLui, OpAuipc:
-		return fmt.Sprintf("%s %s, %#x", i.Op, RegName(i.Rd), uint64(i.Imm)>>12&0xfffff)
-	case OpJal:
-		return fmt.Sprintf("jal %s, %d", RegName(i.Rd), i.Imm)
-	case OpJalr:
-		return fmt.Sprintf("jalr %s, %d(%s)", RegName(i.Rd), i.Imm, RegName(i.Rs1))
-	case OpCsrrw, OpCsrrs, OpCsrrc:
-		return fmt.Sprintf("%s %s, %#x, %s", i.Op, RegName(i.Rd), i.Imm, RegName(i.Rs1))
-	case OpFmvXD:
-		return fmt.Sprintf("fmv.x.d %s, %s", RegName(i.Rd), FRegName(i.Rs1))
-	case OpFmvDX:
-		return fmt.Sprintf("fmv.d.x %s, %s", FRegName(i.Rd), RegName(i.Rs1))
 	}
-	switch i.Op.Class() {
-	case ClassBranch:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rs1), RegName(i.Rs2), i.Imm)
-	case ClassLoad:
-		rd := RegName(i.Rd)
-		if i.Op == OpFld {
-			rd = FRegName(i.Rd)
+	r := i.Op.row()
+	b := make([]byte, 0, 32)
+	b = append(b, r.name...)
+	for k, a := range r.args {
+		if k == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
 		}
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, rd, i.Imm, RegName(i.Rs1))
-	case ClassStore:
-		rs2 := RegName(i.Rs2)
-		if i.Op == OpFsd {
-			rs2 = FRegName(i.Rs2)
+		o := &operands[a]
+		switch {
+		case o.imm == immNone:
+			b = append(b, regName(i, o.field, o.fp)...)
+		case o.field == fieldRs1: // imm(rs1)
+			b = fmt.Appendf(b, "%d(%s)", i.Imm, RegName(i.Rs1))
+		case o.imm == immU:
+			b = fmt.Appendf(b, "%#x", uint64(i.Imm)>>12&0xfffff)
+		case o.imm == immCSR:
+			b = fmt.Appendf(b, "%#x", i.Imm)
+		default:
+			b = strconv.AppendInt(b, i.Imm, 10)
 		}
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, rs2, i.Imm, RegName(i.Rs1))
-	case ClassFPU, ClassFDiv:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, FRegName(i.Rd), FRegName(i.Rs1), FRegName(i.Rs2))
 	}
-	// R vs I format by whether the op is an immediate op.
-	switch i.Op {
-	case OpAddi, OpSlti, OpSltiu, OpXori, OpOri, OpAndi,
-		OpSlli, OpSrli, OpSrai, OpAddiw, OpSlliw, OpSrliw, OpSraiw:
-		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rd), RegName(i.Rs1), i.Imm)
+	return string(b)
+}
+
+// regName names the register in one of the instruction's fields.
+func regName(i Inst, field uint8, fp bool) string {
+	r := i.Rs2
+	switch field {
+	case fieldRd:
+		r = i.Rd
+	case fieldRs1:
+		r = i.Rs1
 	}
-	return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
+	if fp {
+		return FRegName(r)
+	}
+	return RegName(r)
 }

@@ -186,9 +186,9 @@ func assemble(base uint64, items []Item, withLabels bool) (*Program, error) {
 			delta := target - int64(pc)
 			switch it.kind {
 			case itemBranch:
-				words = append(words, it.word|encB(0, 0, 0, 0, delta))
+				words = append(words, it.word|encB(delta))
 			case itemJump:
-				words = append(words, it.word|encJ(0, 0, delta))
+				words = append(words, it.word|encJ(delta))
 			case itemCall:
 				lo := delta << 52 >> 52
 				words = append(words,

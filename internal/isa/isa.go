@@ -3,6 +3,11 @@
 // point subset (enough to exercise FPU port contention), and the system
 // instructions the swap runtime relies on.
 //
+// Every fact about an operation lives in one row of the ops table below:
+// its mnemonic, its binutils-style match/mask encoding, its operand syntax,
+// its resource class and its memory access size. Encode, Decode, Disasm,
+// the text assembler and the register-source queries all read that row.
+//
 // The package provides binary encoding and decoding, a typed instruction IR
 // (Item fragments) with a two-pass assembler back end that resolves labels
 // and expands the standard pseudo-instructions, a text front end (Asm,
@@ -10,7 +15,10 @@
 // used by trace logs and bug reports.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op enumerates the decoded operations.
 type Op int
@@ -114,36 +122,6 @@ const (
 	opCount
 )
 
-var opNames = map[Op]string{
-	OpInvalid: "invalid",
-	OpAdd:     "add", OpSub: "sub", OpSll: "sll", OpSlt: "slt", OpSltu: "sltu",
-	OpXor: "xor", OpSrl: "srl", OpSra: "sra", OpOr: "or", OpAnd: "and",
-	OpAddw: "addw", OpSubw: "subw", OpSllw: "sllw", OpSrlw: "srlw", OpSraw: "sraw",
-	OpAddi: "addi", OpSlti: "slti", OpSltiu: "sltiu", OpXori: "xori", OpOri: "ori",
-	OpAndi: "andi", OpSlli: "slli", OpSrli: "srli", OpSrai: "srai",
-	OpAddiw: "addiw", OpSlliw: "slliw", OpSrliw: "srliw", OpSraiw: "sraiw",
-	OpLui: "lui", OpAuipc: "auipc",
-	OpJal: "jal", OpJalr: "jalr",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt", OpBge: "bge", OpBltu: "bltu", OpBgeu: "bgeu",
-	OpLb: "lb", OpLh: "lh", OpLw: "lw", OpLd: "ld", OpLbu: "lbu", OpLhu: "lhu", OpLwu: "lwu",
-	OpSb: "sb", OpSh: "sh", OpSw: "sw", OpSd: "sd",
-	OpMul: "mul", OpMulh: "mulh", OpMulhsu: "mulhsu", OpMulhu: "mulhu",
-	OpDiv: "div", OpDivu: "divu", OpRem: "rem", OpRemu: "remu",
-	OpMulw: "mulw", OpDivw: "divw", OpDivuw: "divuw", OpRemw: "remw", OpRemuw: "remuw",
-	OpFld: "fld", OpFsd: "fsd",
-	OpFaddD: "fadd.d", OpFsubD: "fsub.d", OpFmulD: "fmul.d", OpFdivD: "fdiv.d",
-	OpFmvXD: "fmv.x.d", OpFmvDX: "fmv.d.x",
-	OpFence: "fence", OpEcall: "ecall", OpEbreak: "ebreak", OpMret: "mret",
-	OpCsrrw: "csrrw", OpCsrrs: "csrrs", OpCsrrc: "csrrc",
-}
-
-func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("op(%d)", int(o))
-}
-
 // Class groups operations by the pipeline resources they use.
 type Class int
 
@@ -162,50 +140,242 @@ const (
 	ClassInvalid
 )
 
-// Class returns the resource class of the operation.
-func (o Op) Class() Class {
-	switch o {
-	case OpInvalid:
-		return ClassInvalid
-	case OpLb, OpLh, OpLw, OpLd, OpLbu, OpLhu, OpLwu, OpFld:
-		return ClassLoad
-	case OpSb, OpSh, OpSw, OpSd, OpFsd:
-		return ClassStore
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return ClassBranch
-	case OpJal:
-		return ClassJump
-	case OpJalr:
-		return ClassJumpReg
-	case OpMul, OpMulh, OpMulhsu, OpMulhu, OpMulw:
-		return ClassMul
-	case OpDiv, OpDivu, OpRem, OpRemu, OpDivw, OpDivuw, OpRemw, OpRemuw:
-		return ClassDiv
-	case OpFaddD, OpFsubD, OpFmulD, OpFmvXD, OpFmvDX:
-		return ClassFPU
-	case OpFdivD:
-		return ClassFDiv
-	case OpFence, OpEcall, OpEbreak, OpMret, OpCsrrw, OpCsrrs, OpCsrrc:
-		return ClassSystem
-	default:
-		return ClassALU
-	}
+// opInfo is one row of the ops table. The first five fields are the
+// operation's facts; the rest are derived from its syntax (withSyntax).
+type opInfo struct {
+	name string
+	// match is the encoding with every operand field zero; a word is this
+	// operation when word&mask == match. Bits outside mask and outside the
+	// operand fields are ignored (fence's ordering bits, FP rounding mode).
+	match, mask uint32
+	// syntax lists the assembly operands, comma-separated, in the order
+	// they are written; see the operands table for the vocabulary.
+	syntax string
+	class  Class
+	size   int8 // memory access size in bytes; 0 for non-memory ops
+
+	args []operand
+	regs uint8  // register fields the syntax names (fieldRd, ...)
+	fp   uint8  // the subset of regs that name floating-point registers
+	imm  immFmt // the immediate's encoding, immNone if it has none
 }
 
-// MemSize returns the access size in bytes for loads/stores, else 0.
-func (o Op) MemSize() int {
-	switch o {
-	case OpLb, OpLbu, OpSb:
-		return 1
-	case OpLh, OpLhu, OpSh:
-		return 2
-	case OpLw, OpLwu, OpSw:
-		return 4
-	case OpLd, OpSd, OpFld, OpFsd:
-		return 8
-	}
-	return 0
+// ops is the instruction table, one row per Op.
+var ops = withSyntax([opCount]opInfo{
+	OpInvalid: {name: "invalid", class: ClassInvalid},
+
+	OpAdd:  {name: "add", match: 0x00000033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSub:  {name: "sub", match: 0x40000033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSll:  {name: "sll", match: 0x00001033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSlt:  {name: "slt", match: 0x00002033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSltu: {name: "sltu", match: 0x00003033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpXor:  {name: "xor", match: 0x00004033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSrl:  {name: "srl", match: 0x00005033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSra:  {name: "sra", match: 0x40005033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpOr:   {name: "or", match: 0x00006033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpAnd:  {name: "and", match: 0x00007033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpAddw: {name: "addw", match: 0x0000003b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSubw: {name: "subw", match: 0x4000003b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSllw: {name: "sllw", match: 0x0000103b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSrlw: {name: "srlw", match: 0x0000503b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+	OpSraw: {name: "sraw", match: 0x4000503b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassALU},
+
+	OpAddi:  {name: "addi", match: 0x00000013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpSlti:  {name: "slti", match: 0x00002013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpSltiu: {name: "sltiu", match: 0x00003013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpXori:  {name: "xori", match: 0x00004013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpOri:   {name: "ori", match: 0x00006013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpAndi:  {name: "andi", match: 0x00007013, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpSlli:  {name: "slli", match: 0x00001013, mask: 0xfc00707f, syntax: "rd,rs1,shamt", class: ClassALU},
+	OpSrli:  {name: "srli", match: 0x00005013, mask: 0xfc00707f, syntax: "rd,rs1,shamt", class: ClassALU},
+	OpSrai:  {name: "srai", match: 0x40005013, mask: 0xfc00707f, syntax: "rd,rs1,shamt", class: ClassALU},
+	OpAddiw: {name: "addiw", match: 0x0000001b, mask: 0x0000707f, syntax: "rd,rs1,imm", class: ClassALU},
+	OpSlliw: {name: "slliw", match: 0x0000101b, mask: 0xfe00707f, syntax: "rd,rs1,shamtw", class: ClassALU},
+	OpSrliw: {name: "srliw", match: 0x0000501b, mask: 0xfe00707f, syntax: "rd,rs1,shamtw", class: ClassALU},
+	OpSraiw: {name: "sraiw", match: 0x4000501b, mask: 0xfe00707f, syntax: "rd,rs1,shamtw", class: ClassALU},
+
+	OpLui:   {name: "lui", match: 0x00000037, mask: 0x0000007f, syntax: "rd,uimm", class: ClassALU},
+	OpAuipc: {name: "auipc", match: 0x00000017, mask: 0x0000007f, syntax: "rd,uimm", class: ClassALU},
+
+	OpJal:  {name: "jal", match: 0x0000006f, mask: 0x0000007f, syntax: "rd,jimm", class: ClassJump},
+	OpJalr: {name: "jalr", match: 0x00000067, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassJumpReg},
+	OpBeq:  {name: "beq", match: 0x00000063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+	OpBne:  {name: "bne", match: 0x00001063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+	OpBlt:  {name: "blt", match: 0x00004063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+	OpBge:  {name: "bge", match: 0x00005063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+	OpBltu: {name: "bltu", match: 0x00006063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+	OpBgeu: {name: "bgeu", match: 0x00007063, mask: 0x0000707f, syntax: "rs1,rs2,bimm", class: ClassBranch},
+
+	OpLb:  {name: "lb", match: 0x00000003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 1},
+	OpLh:  {name: "lh", match: 0x00001003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 2},
+	OpLw:  {name: "lw", match: 0x00002003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 4},
+	OpLd:  {name: "ld", match: 0x00003003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 8},
+	OpLbu: {name: "lbu", match: 0x00004003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 1},
+	OpLhu: {name: "lhu", match: 0x00005003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 2},
+	OpLwu: {name: "lwu", match: 0x00006003, mask: 0x0000707f, syntax: "rd,imm(rs1)", class: ClassLoad, size: 4},
+	OpSb:  {name: "sb", match: 0x00000023, mask: 0x0000707f, syntax: "rs2,simm(rs1)", class: ClassStore, size: 1},
+	OpSh:  {name: "sh", match: 0x00001023, mask: 0x0000707f, syntax: "rs2,simm(rs1)", class: ClassStore, size: 2},
+	OpSw:  {name: "sw", match: 0x00002023, mask: 0x0000707f, syntax: "rs2,simm(rs1)", class: ClassStore, size: 4},
+	OpSd:  {name: "sd", match: 0x00003023, mask: 0x0000707f, syntax: "rs2,simm(rs1)", class: ClassStore, size: 8},
+
+	OpMul:    {name: "mul", match: 0x02000033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassMul},
+	OpMulh:   {name: "mulh", match: 0x02001033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassMul},
+	OpMulhsu: {name: "mulhsu", match: 0x02002033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassMul},
+	OpMulhu:  {name: "mulhu", match: 0x02003033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassMul},
+	OpDiv:    {name: "div", match: 0x02004033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpDivu:   {name: "divu", match: 0x02005033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpRem:    {name: "rem", match: 0x02006033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpRemu:   {name: "remu", match: 0x02007033, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpMulw:   {name: "mulw", match: 0x0200003b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassMul},
+	OpDivw:   {name: "divw", match: 0x0200403b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpDivuw:  {name: "divuw", match: 0x0200503b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpRemw:   {name: "remw", match: 0x0200603b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+	OpRemuw:  {name: "remuw", match: 0x0200703b, mask: 0xfe00707f, syntax: "rd,rs1,rs2", class: ClassDiv},
+
+	OpFld:   {name: "fld", match: 0x00003007, mask: 0x0000707f, syntax: "frd,imm(rs1)", class: ClassLoad, size: 8},
+	OpFsd:   {name: "fsd", match: 0x00003027, mask: 0x0000707f, syntax: "frs2,simm(rs1)", class: ClassStore, size: 8},
+	OpFaddD: {name: "fadd.d", match: 0x02000053, mask: 0xfe00007f, syntax: "frd,frs1,frs2", class: ClassFPU},
+	OpFsubD: {name: "fsub.d", match: 0x0a000053, mask: 0xfe00007f, syntax: "frd,frs1,frs2", class: ClassFPU},
+	OpFmulD: {name: "fmul.d", match: 0x12000053, mask: 0xfe00007f, syntax: "frd,frs1,frs2", class: ClassFPU},
+	OpFdivD: {name: "fdiv.d", match: 0x1a000053, mask: 0xfe00007f, syntax: "frd,frs1,frs2", class: ClassFDiv},
+	OpFmvXD: {name: "fmv.x.d", match: 0xe2000053, mask: 0xfff0707f, syntax: "rd,frs1", class: ClassFPU},
+	OpFmvDX: {name: "fmv.d.x", match: 0xf2000053, mask: 0xfff0707f, syntax: "frd,rs1", class: ClassFPU},
+
+	// fence's operands are normalised away: the model ignores ordering.
+	OpFence:  {name: "fence", match: 0x0000000f, mask: 0x0000007f, class: ClassSystem},
+	OpEcall:  {name: "ecall", match: 0x00000073, mask: 0xffffffff, class: ClassSystem},
+	OpEbreak: {name: "ebreak", match: 0x00100073, mask: 0xffffffff, class: ClassSystem},
+	OpMret:   {name: "mret", match: 0x30200073, mask: 0xffffffff, class: ClassSystem},
+	OpCsrrw:  {name: "csrrw", match: 0x00001073, mask: 0x0000707f, syntax: "rd,csr,rs1", class: ClassSystem},
+	OpCsrrs:  {name: "csrrs", match: 0x00002073, mask: 0x0000707f, syntax: "rd,csr,rs1", class: ClassSystem},
+	OpCsrrc:  {name: "csrrc", match: 0x00003073, mask: 0x0000707f, syntax: "rd,csr,rs1", class: ClassSystem},
+})
+
+// Register fields of an instruction word.
+const (
+	fieldRd  = 1 << iota // bits 11:7
+	fieldRs1             // bits 19:15
+	fieldRs2             // bits 24:20
+)
+
+// immFmt is how an instruction word carries its immediate.
+type immFmt uint8
+
+const (
+	immNone   immFmt = iota
+	immI             // signed 12 bits at 31:20
+	immS             // signed 12 bits split across 31:25 and 11:7
+	immB             // signed 13-bit even PC offset
+	immU             // upper 20 bits, value in 31:12
+	immJ             // signed 21-bit even PC offset
+	immShamt         // unsigned 6 bits at 25:20
+	immShamtW        // unsigned 5 bits at 24:20
+	immCSR           // unsigned 12 bits at 31:20
+)
+
+// operand is one kind of assembly operand.
+type operand uint8
+
+// operands is the syntax vocabulary, indexed by operand: the token a row's
+// syntax names it by, the register field it fills (floating-point or not)
+// and the immediate it carries, with the range the text assembler accepts.
+// An "imm(rs1)" token is a base register and its offset; the letter before
+// "imm" names the RISC-V immediate format when it is not I.
+var operands = [...]struct {
+	token  string
+	field  uint8
+	fp     bool
+	imm    immFmt
+	lo, hi int64
+}{
+	{token: "rd", field: fieldRd},
+	{token: "rs1", field: fieldRs1},
+	{token: "rs2", field: fieldRs2},
+	{token: "frd", field: fieldRd, fp: true},
+	{token: "frs1", field: fieldRs1, fp: true},
+	{token: "frs2", field: fieldRs2, fp: true},
+	{token: "imm", imm: immI, lo: -2048, hi: 2047},
+	{token: "shamt", imm: immShamt, lo: 0, hi: 63},
+	{token: "shamtw", imm: immShamtW, lo: 0, hi: 31},
+	{token: "uimm", imm: immU, lo: 0, hi: 0xfffff},
+	{token: "csr", imm: immCSR, lo: 0, hi: 4095},
+	{token: "imm(rs1)", field: fieldRs1, imm: immI, lo: -2048, hi: 2047},
+	{token: "simm(rs1)", field: fieldRs1, imm: immS, lo: -2048, hi: 2047},
+	{token: "bimm", imm: immB, lo: -4096, hi: 4094},
+	{token: "jimm", imm: immJ, lo: -1 << 20, hi: 1<<20 - 2},
 }
+
+// withSyntax fills in each row's operand list, register fields and
+// immediate format from its syntax.
+func withSyntax(table [opCount]opInfo) [opCount]opInfo {
+	for op := range table {
+		r := &table[op]
+		if r.syntax == "" {
+			continue
+		}
+		for _, tok := range strings.Split(r.syntax, ",") {
+			k := 0
+			for k < len(operands) && operands[k].token != tok {
+				k++
+			}
+			if k == len(operands) {
+				panic(fmt.Sprintf("isa: %s: unknown operand %q", r.name, tok))
+			}
+			o := &operands[k]
+			r.args = append(r.args, operand(k))
+			r.regs |= o.field
+			if o.fp {
+				r.fp |= o.field
+			}
+			if o.imm != immNone {
+				r.imm = o.imm
+			}
+		}
+	}
+	return table
+}
+
+// decodeOrder lists the operations grouped by major opcode, in table order
+// within each group, and byOpcode indexes it: the candidates for opcode o
+// are decodeOrder[byOpcode[o]:byOpcode[o+1]].
+var decodeOrder, byOpcode = indexByOpcode()
+
+func indexByOpcode() (order [opCount - 1]Op, index [129]uint8) {
+	n := 0
+	for opc := range 128 {
+		index[opc] = uint8(n)
+		for op := OpInvalid + 1; op < opCount; op++ {
+			if ops[op].match&0x7f == uint32(opc) {
+				order[n] = op
+				n++
+			}
+		}
+	}
+	index[128] = uint8(n)
+	return order, index
+}
+
+func (o Op) String() string {
+	if o >= 0 && o < opCount {
+		return ops[o].name
+	}
+	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// row returns the operation's table row; an out-of-range Op reads
+// OpInvalid's.
+func (o Op) row() *opInfo {
+	if o < 0 || o >= opCount {
+		return &ops[OpInvalid]
+	}
+	return &ops[o]
+}
+
+// Class returns the resource class of the operation.
+func (o Op) Class() Class { return o.row().class }
+
+// MemSize returns the access size in bytes for loads/stores, else 0.
+func (o Op) MemSize() int { return int(o.row().size) }
 
 // Inst is a decoded instruction.
 type Inst struct {
@@ -221,181 +391,68 @@ type Inst struct {
 func (i Inst) String() string { return Disasm(i) }
 
 // FPDest reports whether the destination register is a floating-point reg.
-func (i Inst) FPDest() bool {
-	switch i.Op {
-	case OpFld, OpFaddD, OpFsubD, OpFmulD, OpFdivD, OpFmvDX:
-		return true
-	}
-	return false
-}
+func (i Inst) FPDest() bool { return i.Op.row().fp&fieldRd != 0 }
 
 // FPSources reports whether rs1/rs2 name floating-point registers.
 func (i Inst) FPSources() (fp1, fp2 bool) {
-	switch i.Op {
-	case OpFaddD, OpFsubD, OpFmulD, OpFdivD:
-		return true, true
-	case OpFmvXD:
-		return true, false
-	case OpFsd:
-		return false, true // rs2 holds the FP store data
-	}
-	return false, false
+	fp := i.Op.row().fp
+	return fp&fieldRs1 != 0, fp&fieldRs2 != 0
+}
+
+// Sources reports whether the instruction reads rs1 and rs2.
+func (i Inst) Sources() (rs1, rs2 bool) {
+	regs := i.Op.row().regs
+	return regs&fieldRs1 != 0, regs&fieldRs2 != 0
 }
 
 // --- Encoding -----------------------------------------------------------
 
-func encR(opc, f3, f7 uint32, rd, rs1, rs2 int) uint32 {
-	return opc | uint32(rd)<<7 | f3<<12 | uint32(rs1)<<15 | uint32(rs2)<<20 | f7<<25
-}
-
-func encI(opc, f3 uint32, rd, rs1 int, imm int64) uint32 {
-	return opc | uint32(rd)<<7 | f3<<12 | uint32(rs1)<<15 | (uint32(imm)&0xfff)<<20
-}
-
-func encS(opc, f3 uint32, rs1, rs2 int, imm int64) uint32 {
+func encB(imm int64) uint32 {
 	u := uint32(imm)
-	return opc | (u&0x1f)<<7 | f3<<12 | uint32(rs1)<<15 | uint32(rs2)<<20 | (u>>5&0x7f)<<25
+	return (u>>11&1)<<7 | (u>>1&0xf)<<8 | (u>>5&0x3f)<<25 | (u>>12&1)<<31
 }
 
-func encB(opc, f3 uint32, rs1, rs2 int, imm int64) uint32 {
+func encJ(imm int64) uint32 {
 	u := uint32(imm)
-	return opc | (u>>11&1)<<7 | (u>>1&0xf)<<8 | f3<<12 |
-		uint32(rs1)<<15 | uint32(rs2)<<20 | (u>>5&0x3f)<<25 | (u>>12&1)<<31
+	return (u>>12&0xff)<<12 | (u>>11&1)<<20 | (u>>1&0x3ff)<<21 | (u>>20&1)<<31
 }
 
-func encU(opc uint32, rd int, imm int64) uint32 {
-	return opc | uint32(rd)<<7 | uint32(imm)&0xfffff000
-}
-
-func encJ(opc uint32, rd int, imm int64) uint32 {
-	u := uint32(imm)
-	return opc | uint32(rd)<<7 | (u>>12&0xff)<<12 | (u>>11&1)<<20 | (u>>1&0x3ff)<<21 | (u>>20&1)<<31
-}
-
-const (
-	opcLoad   = 0x03
-	opcLoadFP = 0x07
-	opcImm    = 0x13
-	opcAuipc  = 0x17
-	opcImm32  = 0x1b
-	opcStore  = 0x23
-	opcStFP   = 0x27
-	opcReg    = 0x33
-	opcLui    = 0x37
-	opcReg32  = 0x3b
-	opcFP     = 0x53
-	opcBranch = 0x63
-	opcJalr   = 0x67
-	opcJal    = 0x6f
-	opcSystem = 0x73
-	opcFence  = 0x0f
-)
-
-type encSpec struct {
-	fmt byte // R I S B U J, or special: C(csr), X(fixed word)
-	opc uint32
-	f3  uint32
-	f7  uint32
-}
-
-// encTable is indexed by Op (an array, not a map: Encode runs for every
-// PC-relative and li word a packet build emits); a zero fmt marks ops with
-// no table encoding.
-var encTable = [opCount]encSpec{
-	OpAdd: {'R', opcReg, 0, 0x00}, OpSub: {'R', opcReg, 0, 0x20},
-	OpSll: {'R', opcReg, 1, 0x00}, OpSlt: {'R', opcReg, 2, 0x00},
-	OpSltu: {'R', opcReg, 3, 0x00}, OpXor: {'R', opcReg, 4, 0x00},
-	OpSrl: {'R', opcReg, 5, 0x00}, OpSra: {'R', opcReg, 5, 0x20},
-	OpOr: {'R', opcReg, 6, 0x00}, OpAnd: {'R', opcReg, 7, 0x00},
-	OpAddw: {'R', opcReg32, 0, 0x00}, OpSubw: {'R', opcReg32, 0, 0x20},
-	OpSllw: {'R', opcReg32, 1, 0x00}, OpSrlw: {'R', opcReg32, 5, 0x00},
-	OpSraw: {'R', opcReg32, 5, 0x20},
-
-	OpMul: {'R', opcReg, 0, 0x01}, OpMulh: {'R', opcReg, 1, 0x01},
-	OpMulhsu: {'R', opcReg, 2, 0x01}, OpMulhu: {'R', opcReg, 3, 0x01},
-	OpDiv: {'R', opcReg, 4, 0x01}, OpDivu: {'R', opcReg, 5, 0x01},
-	OpRem: {'R', opcReg, 6, 0x01}, OpRemu: {'R', opcReg, 7, 0x01},
-	OpMulw: {'R', opcReg32, 0, 0x01}, OpDivw: {'R', opcReg32, 4, 0x01},
-	OpDivuw: {'R', opcReg32, 5, 0x01}, OpRemw: {'R', opcReg32, 6, 0x01},
-	OpRemuw: {'R', opcReg32, 7, 0x01},
-
-	OpAddi: {'I', opcImm, 0, 0}, OpSlti: {'I', opcImm, 2, 0},
-	OpSltiu: {'I', opcImm, 3, 0}, OpXori: {'I', opcImm, 4, 0},
-	OpOri: {'I', opcImm, 6, 0}, OpAndi: {'I', opcImm, 7, 0},
-	OpSlli: {'I', opcImm, 1, 0x00}, OpSrli: {'I', opcImm, 5, 0x00},
-	OpSrai:  {'I', opcImm, 5, 0x10},
-	OpAddiw: {'I', opcImm32, 0, 0}, OpSlliw: {'I', opcImm32, 1, 0x00},
-	OpSrliw: {'I', opcImm32, 5, 0x00}, OpSraiw: {'I', opcImm32, 5, 0x20},
-
-	OpLui: {'U', opcLui, 0, 0}, OpAuipc: {'U', opcAuipc, 0, 0},
-	OpJal: {'J', opcJal, 0, 0}, OpJalr: {'I', opcJalr, 0, 0},
-
-	OpBeq: {'B', opcBranch, 0, 0}, OpBne: {'B', opcBranch, 1, 0},
-	OpBlt: {'B', opcBranch, 4, 0}, OpBge: {'B', opcBranch, 5, 0},
-	OpBltu: {'B', opcBranch, 6, 0}, OpBgeu: {'B', opcBranch, 7, 0},
-
-	OpLb: {'I', opcLoad, 0, 0}, OpLh: {'I', opcLoad, 1, 0},
-	OpLw: {'I', opcLoad, 2, 0}, OpLd: {'I', opcLoad, 3, 0},
-	OpLbu: {'I', opcLoad, 4, 0}, OpLhu: {'I', opcLoad, 5, 0},
-	OpLwu: {'I', opcLoad, 6, 0},
-	OpSb:  {'S', opcStore, 0, 0}, OpSh: {'S', opcStore, 1, 0},
-	OpSw: {'S', opcStore, 2, 0}, OpSd: {'S', opcStore, 3, 0},
-
-	OpFld: {'I', opcLoadFP, 3, 0}, OpFsd: {'S', opcStFP, 3, 0},
-	OpFaddD: {'R', opcFP, 0, 0x01}, OpFsubD: {'R', opcFP, 0, 0x05},
-	OpFmulD: {'R', opcFP, 0, 0x09}, OpFdivD: {'R', opcFP, 0, 0x0d},
-	OpFmvXD: {'R', opcFP, 0, 0x71}, OpFmvDX: {'R', opcFP, 0, 0x79},
-
-	OpCsrrw: {'C', opcSystem, 1, 0}, OpCsrrs: {'C', opcSystem, 2, 0},
-	OpCsrrc: {'C', opcSystem, 3, 0},
-}
-
-// Encode converts a decoded instruction back to its 32-bit word.
+// Encode converts a decoded instruction back to its 32-bit word: the row's
+// match with the syntax's fields filled in. OpInvalid encodes as
+// IllegalWord.
 func Encode(i Inst) (uint32, error) {
-	switch i.Op {
-	case OpFence:
-		return 0x0000000f, nil
-	case OpEcall:
-		return 0x00000073, nil
-	case OpEbreak:
-		return 0x00100073, nil
-	case OpMret:
-		return 0x30200073, nil
-	case OpInvalid:
-		return 0x00000000, nil
-	}
-	if i.Op < 0 || i.Op >= opCount || encTable[i.Op].fmt == 0 {
+	if i.Op < 0 || i.Op >= opCount {
 		return 0, fmt.Errorf("isa: cannot encode %v", i.Op)
 	}
-	sp := encTable[i.Op]
-	switch sp.fmt {
-	case 'R':
-		return encR(sp.opc, sp.f3, sp.f7, i.Rd, i.Rs1, i.Rs2), nil
-	case 'I':
-		imm := i.Imm
-		switch i.Op {
-		case OpSlli, OpSrli:
-			imm = (int64(sp.f7) << 6) | (i.Imm & 0x3f)
-		case OpSrai:
-			imm = (0x10 << 6) | (i.Imm & 0x3f)
-		case OpSlliw, OpSrliw:
-			imm = (int64(sp.f7) << 5) | (i.Imm & 0x1f)
-		case OpSraiw:
-			imm = (0x20 << 5) | (i.Imm & 0x1f)
-		}
-		return encI(sp.opc, sp.f3, i.Rd, i.Rs1, imm), nil
-	case 'S':
-		return encS(sp.opc, sp.f3, i.Rs1, i.Rs2, i.Imm), nil
-	case 'B':
-		return encB(sp.opc, sp.f3, i.Rs1, i.Rs2, i.Imm), nil
-	case 'U':
-		return encU(sp.opc, i.Rd, i.Imm), nil
-	case 'J':
-		return encJ(sp.opc, i.Rd, i.Imm), nil
-	case 'C':
-		return encI(sp.opc, sp.f3, i.Rd, i.Rs1, i.Imm), nil
+	r := &ops[i.Op]
+	w := r.match
+	if r.regs&fieldRd != 0 {
+		w |= uint32(i.Rd) << 7
 	}
-	return 0, fmt.Errorf("isa: bad format for %v", i.Op)
+	if r.regs&fieldRs1 != 0 {
+		w |= uint32(i.Rs1) << 15
+	}
+	if r.regs&fieldRs2 != 0 {
+		w |= uint32(i.Rs2) << 20
+	}
+	u := uint32(i.Imm)
+	switch r.imm {
+	case immI, immCSR:
+		w |= u & 0xfff << 20
+	case immS:
+		w |= (u&0x1f)<<7 | (u>>5&0x7f)<<25
+	case immB:
+		w |= encB(i.Imm)
+	case immU:
+		w |= u & 0xfffff000
+	case immJ:
+		w |= encJ(i.Imm)
+	case immShamt:
+		w |= u & 0x3f << 20
+	case immShamtW:
+		w |= u & 0x1f << 20
+	}
+	return w, nil
 }
 
 // MustEncode is Encode that panics on error (generator-internal use).
@@ -414,161 +471,48 @@ func signExt(v uint64, bits uint) int64 {
 	return int64(v<<shift) >> shift
 }
 
-// Decode decodes a 32-bit instruction word. Undecodable words return an
-// Inst with Op == OpInvalid (illegal instruction).
+// Decode decodes a 32-bit instruction word: the first row of the word's
+// major opcode whose mask and match it meets, with the fields that row's
+// syntax names. Undecodable words return an Inst with Op == OpInvalid
+// (illegal instruction).
 func Decode(raw uint32) Inst {
-	i := Inst{Raw: raw, Op: OpInvalid}
 	opc := raw & 0x7f
-	rd := int(raw >> 7 & 0x1f)
-	f3 := raw >> 12 & 0x7
-	rs1 := int(raw >> 15 & 0x1f)
-	rs2 := int(raw >> 20 & 0x1f)
-	f7 := raw >> 25 & 0x7f
-	immI := signExt(uint64(raw>>20), 12)
-	immS := signExt(uint64(raw>>25<<5|raw>>7&0x1f), 12)
-	immB := signExt(uint64(raw>>31<<12|(raw>>7&1)<<11|(raw>>25&0x3f)<<5|(raw>>8&0xf)<<1), 13)
-	immU := int64(int32(raw & 0xfffff000))
-	immJ := signExt(uint64(raw>>31<<20|(raw>>12&0xff)<<12|(raw>>20&1)<<11|(raw>>21&0x3ff)<<1), 21)
-
-	set := func(op Op, rdv, rs1v, rs2v int, imm int64) Inst {
-		return Inst{Op: op, Rd: rdv, Rs1: rs1v, Rs2: rs2v, Imm: imm, Raw: raw}
+	for _, op := range decodeOrder[byOpcode[opc]:byOpcode[opc+1]] {
+		r := &ops[op]
+		if raw&r.mask != r.match {
+			continue
+		}
+		i := Inst{Op: op, Raw: raw}
+		if r.regs&fieldRd != 0 {
+			i.Rd = int(raw >> 7 & 0x1f)
+		}
+		if r.regs&fieldRs1 != 0 {
+			i.Rs1 = int(raw >> 15 & 0x1f)
+		}
+		if r.regs&fieldRs2 != 0 {
+			i.Rs2 = int(raw >> 20 & 0x1f)
+		}
+		switch r.imm {
+		case immI:
+			i.Imm = signExt(uint64(raw>>20), 12)
+		case immS:
+			i.Imm = signExt(uint64(raw>>25<<5|raw>>7&0x1f), 12)
+		case immB:
+			i.Imm = signExt(uint64(raw>>31<<12|(raw>>7&1)<<11|(raw>>25&0x3f)<<5|(raw>>8&0xf)<<1), 13)
+		case immU:
+			i.Imm = int64(int32(raw & 0xfffff000))
+		case immJ:
+			i.Imm = signExt(uint64(raw>>31<<20|(raw>>12&0xff)<<12|(raw>>20&1)<<11|(raw>>21&0x3ff)<<1), 21)
+		case immShamt:
+			i.Imm = int64(raw >> 20 & 0x3f)
+		case immShamtW:
+			i.Imm = int64(raw >> 20 & 0x1f)
+		case immCSR:
+			i.Imm = int64(raw >> 20)
+		}
+		return i
 	}
-
-	switch opc {
-	case opcLui:
-		return set(OpLui, rd, 0, 0, immU)
-	case opcAuipc:
-		return set(OpAuipc, rd, 0, 0, immU)
-	case opcJal:
-		return set(OpJal, rd, 0, 0, immJ)
-	case opcJalr:
-		if f3 == 0 {
-			return set(OpJalr, rd, rs1, 0, immI)
-		}
-	case opcBranch:
-		ops := map[uint32]Op{0: OpBeq, 1: OpBne, 4: OpBlt, 5: OpBge, 6: OpBltu, 7: OpBgeu}
-		if op, ok := ops[f3]; ok {
-			return set(op, 0, rs1, rs2, immB)
-		}
-	case opcLoad:
-		ops := map[uint32]Op{0: OpLb, 1: OpLh, 2: OpLw, 3: OpLd, 4: OpLbu, 5: OpLhu, 6: OpLwu}
-		if op, ok := ops[f3]; ok {
-			return set(op, rd, rs1, 0, immI)
-		}
-	case opcLoadFP:
-		if f3 == 3 {
-			return set(OpFld, rd, rs1, 0, immI)
-		}
-	case opcStore:
-		ops := map[uint32]Op{0: OpSb, 1: OpSh, 2: OpSw, 3: OpSd}
-		if op, ok := ops[f3]; ok {
-			return set(op, 0, rs1, rs2, immS)
-		}
-	case opcStFP:
-		if f3 == 3 {
-			return set(OpFsd, 0, rs1, rs2, immS)
-		}
-	case opcImm:
-		switch f3 {
-		case 0:
-			return set(OpAddi, rd, rs1, 0, immI)
-		case 2:
-			return set(OpSlti, rd, rs1, 0, immI)
-		case 3:
-			return set(OpSltiu, rd, rs1, 0, immI)
-		case 4:
-			return set(OpXori, rd, rs1, 0, immI)
-		case 6:
-			return set(OpOri, rd, rs1, 0, immI)
-		case 7:
-			return set(OpAndi, rd, rs1, 0, immI)
-		case 1:
-			if raw>>26 == 0 {
-				return set(OpSlli, rd, rs1, 0, int64(raw>>20&0x3f))
-			}
-		case 5:
-			switch raw >> 26 {
-			case 0x00:
-				return set(OpSrli, rd, rs1, 0, int64(raw>>20&0x3f))
-			case 0x10:
-				return set(OpSrai, rd, rs1, 0, int64(raw>>20&0x3f))
-			}
-		}
-	case opcImm32:
-		switch f3 {
-		case 0:
-			return set(OpAddiw, rd, rs1, 0, immI)
-		case 1:
-			if f7 == 0 {
-				return set(OpSlliw, rd, rs1, 0, int64(rs2))
-			}
-		case 5:
-			switch f7 {
-			case 0x00:
-				return set(OpSrliw, rd, rs1, 0, int64(rs2))
-			case 0x20:
-				return set(OpSraiw, rd, rs1, 0, int64(rs2))
-			}
-		}
-	case opcReg:
-		key := f7<<3 | f3
-		ops := map[uint32]Op{
-			0x000: OpAdd, 0x100: OpSub, 0x001: OpSll, 0x002: OpSlt, 0x003: OpSltu,
-			0x004: OpXor, 0x005: OpSrl, 0x105: OpSra, 0x006: OpOr, 0x007: OpAnd,
-			0x008: OpMul, 0x009: OpMulh, 0x00a: OpMulhsu, 0x00b: OpMulhu,
-			0x00c: OpDiv, 0x00d: OpDivu, 0x00e: OpRem, 0x00f: OpRemu,
-		}
-		if op, ok := ops[key]; ok {
-			return set(op, rd, rs1, rs2, 0)
-		}
-	case opcReg32:
-		key := f7<<3 | f3
-		ops := map[uint32]Op{
-			0x000: OpAddw, 0x100: OpSubw, 0x001: OpSllw, 0x005: OpSrlw, 0x105: OpSraw,
-			0x008: OpMulw, 0x00c: OpDivw, 0x00d: OpDivuw, 0x00e: OpRemw, 0x00f: OpRemuw,
-		}
-		if op, ok := ops[key]; ok {
-			return set(op, rd, rs1, rs2, 0)
-		}
-	case opcFP:
-		switch f7 {
-		case 0x01:
-			return set(OpFaddD, rd, rs1, rs2, 0)
-		case 0x05:
-			return set(OpFsubD, rd, rs1, rs2, 0)
-		case 0x09:
-			return set(OpFmulD, rd, rs1, rs2, 0)
-		case 0x0d:
-			return set(OpFdivD, rd, rs1, rs2, 0)
-		case 0x71:
-			if rs2 == 0 && f3 == 0 {
-				return set(OpFmvXD, rd, rs1, 0, 0)
-			}
-		case 0x79:
-			if rs2 == 0 && f3 == 0 {
-				return set(OpFmvDX, rd, rs1, 0, 0)
-			}
-		}
-	case opcFence:
-		// Fence ordering bits are ignored by the model; normalise operands.
-		return set(OpFence, 0, 0, 0, 0)
-	case opcSystem:
-		switch {
-		case raw == 0x00000073:
-			return set(OpEcall, 0, 0, 0, 0)
-		case raw == 0x00100073:
-			return set(OpEbreak, 0, 0, 0, 0)
-		case raw == 0x30200073:
-			return set(OpMret, 0, 0, 0, 0)
-		case f3 == 1:
-			return set(OpCsrrw, rd, rs1, 0, int64(raw>>20))
-		case f3 == 2:
-			return set(OpCsrrs, rd, rs1, 0, int64(raw>>20))
-		case f3 == 3:
-			return set(OpCsrrc, rd, rs1, 0, int64(raw>>20))
-		}
-	}
-	return i
+	return Inst{Op: OpInvalid, Raw: raw}
 }
 
 // IllegalWord is a canonical undecodable instruction word.

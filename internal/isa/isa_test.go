@@ -123,3 +123,26 @@ func TestRegNames(t *testing.T) {
 		t.Fatal("register naming broken")
 	}
 }
+
+// TestOpTableWellFormed: every row's match lies inside its mask, no word
+// meets two rows' mask and match (Decode takes the first), and a row's
+// operand fields lie outside its mask, so an instruction decodes as itself
+// whatever its operands.
+func TestOpTableWellFormed(t *testing.T) {
+	for a := OpInvalid + 1; a < opCount; a++ {
+		ra := &ops[a]
+		if ra.match&^ra.mask != 0 {
+			t.Errorf("%s: match %#08x has bits outside mask %#08x", ra.name, ra.match, ra.mask)
+		}
+		for b := a + 1; b < opCount; b++ {
+			if rb := &ops[b]; (ra.match^rb.match)&ra.mask&rb.mask == 0 {
+				t.Errorf("%s and %s match the same words", ra.name, rb.name)
+			}
+		}
+		for _, in := range []Inst{{Op: a}, {Op: a, Rd: 31, Rs1: 31, Rs2: 31, Imm: -1}} {
+			if got := Decode(MustEncode(in)).Op; got != a {
+				t.Errorf("%s with operands %+v decodes as %v", ra.name, in, got)
+			}
+		}
+	}
+}

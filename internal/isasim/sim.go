@@ -62,17 +62,6 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause(%d)", int(c))
 }
 
-// IsMemFault reports whether the cause is a load/store access or page fault
-// or a misalignment (the "mem-excp" class in the paper's Table 5).
-func (c Cause) IsMemFault() bool {
-	switch c {
-	case CauseLoadAccessFault, CauseStoreAccessFault, CauseLoadPageFault,
-		CauseStorePageFault, CauseLoadMisalign, CauseStoreMisalign:
-		return true
-	}
-	return false
-}
-
 // Trap describes an architectural trap.
 type Trap struct {
 	Cause Cause

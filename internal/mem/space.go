@@ -480,18 +480,6 @@ func (s *Space) Write64(addr uint64, val, taint uint64) {
 	}
 }
 
-// RegionBytes returns the live backing bytes of the region containing addr
-// (nil if unmapped). The slice aliases the space's storage — callers must
-// treat it as read-only; it exists so observers (coverage diffing, hashing)
-// can scan large regions without copying them.
-func (s *Space) RegionBytes(addr uint64) []byte {
-	r := s.Region(addr)
-	if r == nil {
-		return nil
-	}
-	return r.bytes
-}
-
 // Read32 reads a little-endian 32-bit word without permission checks or
 // allocation (the architectural simulator's fetch path).
 func (s *Space) Read32(addr uint64) uint32 {

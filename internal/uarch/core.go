@@ -1224,26 +1224,13 @@ func (c *Core) dispatchStage() {
 		// Resolve source operands BEFORE inserting the entry so an
 		// instruction never depends on itself.
 		var src1, src2 opSrc
-		var hasSrc1, hasSrc2 bool
+		hasSrc1, hasSrc2 := in.Sources()
 		fp1, fp2 := in.FPSources()
-		switch in.Op {
-		case isa.OpLui, isa.OpAuipc, isa.OpJal, isa.OpEcall, isa.OpEbreak,
-			isa.OpMret, isa.OpFence, isa.OpInvalid:
-			// no register sources
-		default:
+		if hasSrc1 {
 			src1, _ = c.srcFor(in.Rs1, fp1)
-			hasSrc1 = true
-			switch in.Op.Class() {
-			case isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassBranch,
-				isa.ClassFPU, isa.ClassFDiv:
-				if usesRs2(in.Op) {
-					src2, _ = c.srcFor(in.Rs2, fp2)
-					hasSrc2 = true
-				}
-			case isa.ClassStore:
-				src2, _ = c.srcFor(in.Rs2, fp2)
-				hasSrc2 = true
-			}
+		}
+		if hasSrc2 {
+			src2, _ = c.srcFor(in.Rs2, fp2)
 		}
 
 		e := &c.rob[c.robTail]
@@ -1337,16 +1324,6 @@ func (c *Core) dispatchStage() {
 			}
 		}
 	}
-}
-
-func usesRs2(op isa.Op) bool {
-	switch op {
-	case isa.OpAddi, isa.OpSlti, isa.OpSltiu, isa.OpXori, isa.OpOri, isa.OpAndi,
-		isa.OpSlli, isa.OpSrli, isa.OpSrai, isa.OpAddiw, isa.OpSlliw,
-		isa.OpSrliw, isa.OpSraiw, isa.OpJalr, isa.OpFmvXD, isa.OpFmvDX:
-		return false
-	}
-	return true
 }
 
 // --- fetch -------------------------------------------------------------------

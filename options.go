@@ -95,17 +95,6 @@ func WithMaxCycles(n int) Option {
 	return func(s *settings) { s.opts.MaxCycles = n }
 }
 
-// WithFreshContexts disables per-shard execution-context reuse: every
-// simulation rebuilds its DUT state from scratch instead of resetting a
-// long-lived per-shard context in place. Reset is equivalent to fresh
-// construction, so results never change — only wall-clock time and
-// allocation volume do. It exists as the reference mode for the
-// reset-equivalence tests and for before/after benchmarking; production
-// campaigns should leave it off.
-func WithFreshContexts(on bool) Option {
-	return func(s *settings) { s.opts.FreshContexts = on }
-}
-
 // WarmStart is a resolved cross-campaign warm-start set, normally produced
 // by dvz-server's corpus store for the campaign's (target, options
 // fingerprint): the corpus snapshot it was resolved from, the seed set,

@@ -200,13 +200,12 @@ type Session struct {
 	subs       map[int]chan Event
 	nextSub    int
 	subsClosed bool
-	// subDropped counts events shed per best-effort subscriber buffer (see
-	// Subscribe: the engine never blocks on an observer); dropped is the
-	// session-lifetime total across all subscribers, including ones that
-	// have since unsubscribed. Guarded by subMu. /metrics exposes the
-	// counters so silent SSE loss under load is observable.
-	subDropped map[int]int64
-	dropped    int64
+	// dropped counts the events shed across all best-effort subscriber
+	// buffers over the session's lifetime (see Subscribe: the engine never
+	// blocks on an observer), including buffers of subscribers that have
+	// since unsubscribed. Guarded by subMu. /metrics exposes it so silent
+	// SSE loss under load is observable.
+	dropped int64
 }
 
 // defaultSubscriberBuffer is the Subscribe channel buffer when the caller
@@ -261,15 +260,11 @@ func (s *Session) Subscribe(buf int) (<-chan Event, func()) {
 // subscribers whose buffers are full (see Subscribe).
 func (s *Session) broadcast(ev Event) {
 	s.subMu.Lock()
-	//dvz:ordered each subscriber's own stream stays in emit order; which subscriber is offered the event first is unobservable (per-channel buffers are independent) and the drop counters are commutative increments
-	for id, ch := range s.subs {
+	//dvz:ordered each subscriber's own stream stays in emit order; which subscriber is offered the event first is unobservable (per-channel buffers are independent) and the drop counter is a commutative increment
+	for _, ch := range s.subs {
 		select {
 		case ch <- ev:
 		default:
-			if s.subDropped == nil {
-				s.subDropped = make(map[int]int64)
-			}
-			s.subDropped[id]++
 			s.dropped++
 		}
 	}
