@@ -172,25 +172,33 @@ func BenchmarkAblationLiveness(b *testing.B) {
 }
 
 // BenchmarkSimulationThroughput measures raw core-simulation speed in each
-// tracking mode (the Table 4 simulation rows, normalised per cycle).
+// tracking mode (the Table 4 simulation rows, normalised per cycle). Each
+// sub-benchmark reports the simulated core-cycles of one run (cycles/op,
+// both cores of a diffIFT pair; deterministic) and the host time per
+// simulated cycle (ns/cycle).
 func BenchmarkSimulationThroughput(b *testing.B) {
 	poc := experiments.Meltdown()
 	cfg := uarch.BOOMConfig()
-	b.Run("base", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.RunSingle(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, MaxCycles: 4000})
-		}
+	bench := func(name string, run func() int) {
+		b.Run(name, func(b *testing.B) {
+			cycles := 0
+			for i := 0; i < b.N; i++ {
+				cycles = run()
+			}
+			b.ReportMetric(float64(cycles), "cycles/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cycles), "ns/cycle")
+		})
+	}
+	bench("base", func() int {
+		return core.RunSingle(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, MaxCycles: 4000}).Core.Cycle
 	})
-	b.Run("cellift", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.RunSingle(poc.Schedule.Clone(), core.RunOpts{
-				Cfg: cfg, Mode: uarch.IFTCellIFT, TaintTrace: true, MaxCycles: 4000,
-			})
-		}
+	bench("cellift", func() int {
+		return core.RunSingle(poc.Schedule.Clone(), core.RunOpts{
+			Cfg: cfg, Mode: uarch.IFTCellIFT, TaintTrace: true, MaxCycles: 4000,
+		}).Core.Cycle
 	})
-	b.Run("diffift", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.RunDiff(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, TaintTrace: true, MaxCycles: 4000})
-		}
+	bench("diffift", func() int {
+		p := core.RunDiff(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, TaintTrace: true, MaxCycles: 4000}).Pair
+		return p.A.Cycle + p.B.Cycle
 	})
 }

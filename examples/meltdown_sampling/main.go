@@ -47,7 +47,7 @@ func main() {
 		leakLine := uint64(swapmem.DataBase+0x1000) + uint64(secret[0])*64
 		sampled := c.DCache.Probe(leakLine)
 		fmt.Printf("%-18s truncation-fired=%-5v secret-indexed line cached=%v\n",
-			cfg.Name, c.BugWitness["meltdown-sampling"] > 0, sampled)
+			cfg.Name, c.BugWitness[uarch.WitnessMeltdownSampling] > 0, sampled)
 		if sampled {
 			fmt.Printf("%-18s => B1 reproduced: attacker samples %#x through the illegal address %#x\n",
 				"", uint64(swapmem.SecretAddr), illegal)

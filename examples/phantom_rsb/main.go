@@ -35,7 +35,7 @@ func main() {
 			run := core.RunDiff(cst.BuildSchedule(nil), core.RunOpts{
 				Cfg: uarch.ConfigFor(kind), TaintTrace: true, MaxCycles: 20000,
 			})
-			if n := run.Pair.A.BugWitness["phantom-rsb"]; n > 0 {
+			if n := run.Pair.A.BugWitness[uarch.WitnessPhantomRSB]; n > 0 {
 				found = true
 				fmt.Printf("  attempt %d: transient calls corrupted %d RAS entr%s below TOS\n",
 					attempt, n, map[bool]string{true: "y", false: "ies"}[n == 1])

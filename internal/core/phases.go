@@ -82,12 +82,15 @@ func relocateWindow(run *SingleRun, st *gen.Stimulus) bool {
 	}
 	c := run.Core
 	since := run.RT.TransientStart()
-	wantReason := map[gen.TriggerType]uarch.SquashReason{
-		gen.TrigBranchMispred: uarch.SquashBranchMispredict,
-		gen.TrigJumpMispred:   uarch.SquashJumpMispredict,
-		gen.TrigReturnMispred: uarch.SquashReturnMispredict,
-	}[st.Seed.Trigger]
-	if wantReason == uarch.SquashNone {
+	var wantReason uarch.SquashReason
+	switch st.Seed.Trigger {
+	case gen.TrigBranchMispred:
+		wantReason = uarch.SquashBranchMispredict
+	case gen.TrigJumpMispred:
+		wantReason = uarch.SquashJumpMispredict
+	case gen.TrigReturnMispred:
+		wantReason = uarch.SquashReturnMispredict
+	default:
 		return false
 	}
 	sawReason := false
@@ -396,10 +399,10 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 // finding from the core's bug witnesses and its census.
 func timingComponents(c *uarch.Core, census []uarch.ModuleTaint) []string {
 	var out []string
-	if c.BugWitness["spectre-reload"] > 0 {
+	if c.BugWitness[uarch.WitnessSpectreReload] > 0 {
 		out = append(out, "lsu")
 	}
-	if c.BugWitness["spectre-refetch-miss"] > 0 {
+	if c.BugWitness[uarch.WitnessSpectreRefetchMiss] > 0 {
 		out = append(out, "icache")
 	}
 	for _, m := range census {
@@ -413,14 +416,15 @@ func timingComponents(c *uarch.Core, census []uarch.ModuleTaint) []string {
 	return dedup(out)
 }
 
+// bugLabels lists the labels of the witnesses that fired, sorted: the
+// witnesses are indexed in label order.
 func bugLabels(c *uarch.Core) []string {
 	var out []string
-	for k, n := range c.BugWitness {
+	for w, n := range c.BugWitness {
 		if n > 0 {
-			out = append(out, k)
+			out = append(out, uarch.Witness(w).String())
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -47,7 +46,7 @@ type dutObservables struct {
 	TaintSums           []int
 	Census              []uarch.ModuleTaint
 	Sinks               []uarch.Sink
-	BugWitness          map[string]int
+	BugWitness          [uarch.NumWitnesses]int
 	Regs                [32]uint64
 	Traps, ExcTraps     int
 	LoadCycles          []int
@@ -66,7 +65,7 @@ func observeSlot(in *instance) dutObservables {
 		TaintSums:  slices.Clone(c.Trace.TaintSumByCycle),
 		Census:     c.Census(),
 		Sinks:      c.Sinks(),
-		BugWitness: maps.Clone(c.BugWitness),
+		BugWitness: c.BugWitness,
 		Traps:      rt.Traps, ExcTraps: rt.ExcTraps,
 		LoadCycles: slices.Clone(rt.LoadCycles),
 	}
@@ -239,5 +238,76 @@ func checkMidRunRestore(t *testing.T, n int, sched, other *swapmem.Schedule,
 			run(dst, budget-k)
 			check(fmt.Sprintf("restored at cycle %d, round %d, finished", k, round), dst, want, final)
 		}
+	}
+}
+
+// TestTraceIndexDense pins what lets the trace index records by sequence
+// number: every run numbers its instructions from 0 and enqueues each
+// number once, in order, so Insts[i].Seq == i, and commits and squashes
+// land on their own records: when a run halts, every record it enqueued
+// has either committed or been squashed. It holds across packet swaps, in
+// all three IFT modes, on a context that ran another schedule first, and
+// after a mid-run restore into such a context.
+func TestTraceIndexDense(t *testing.T) {
+	dense := func(t *testing.T, what string, c *uarch.Core, finished bool) {
+		t.Helper()
+		tr := c.Trace
+		if c.Halted != finished {
+			t.Fatalf("%s: halted = %v, want %v", what, c.Halted, finished)
+		}
+		if len(tr.Insts) == 0 {
+			t.Fatalf("%s: empty trace", what)
+		}
+		for i := range tr.Insts {
+			r := &tr.Insts[i]
+			if r.Seq != uint64(i) {
+				t.Fatalf("%s: Insts[%d] holds seq %d", what, i, r.Seq)
+			}
+			if finished && (r.CommitCycle >= 0) == (r.SquashCycle >= 0) {
+				t.Fatalf("%s: seq %d of a halted run has commit cycle %d and squash cycle %d, want exactly one",
+					what, i, r.CommitCycle, r.SquashCycle)
+			}
+		}
+	}
+	for _, kind := range []uarch.CoreKind{uarch.KindBOOM, uarch.KindXiangShan} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := uarch.ConfigFor(kind)
+			sched, other := restoreStimulus(t, kind)
+			x := NewExecContext()
+			for _, s := range []*swapmem.Schedule{other, sched} {
+				for _, mode := range []uarch.IFTMode{uarch.IFTOff, uarch.IFTCellIFT} {
+					run := x.RunSingle(s, RunOpts{Cfg: cfg, Mode: mode, TaintTrace: mode != uarch.IFTOff})
+					if len(run.RT.LoadCycles) < 2 {
+						t.Fatalf("%v run loaded %d packets, want a swap", mode, len(run.RT.LoadCycles))
+					}
+					dense(t, mode.String(), run.Core, true)
+				}
+				run := x.RunDiff(s, RunOpts{Cfg: cfg, TaintTrace: true})
+				dense(t, "diffIFT A", run.Pair.A, true)
+				dense(t, "diffIFT B", run.Pair.B, true)
+			}
+
+			start := func(in *instance, s *swapmem.Schedule) {
+				in.prepare(false, DefaultSecret, cfg, uarch.IFTCellIFT, s, true)
+				in.rt.Start()
+			}
+			src, dst := &instance{}, &instance{}
+			start(src, sched)
+			k := src.core.Run(DefaultMaxCycles) / 2
+			total := len(src.core.Trace.Insts)
+			start(src, sched)
+			src.core.Run(k)
+			var img dutImage
+			src.save(&img)
+			start(dst, other)
+			dst.core.Run(DefaultMaxCycles)
+			dst.restore(&img, sched)
+			dense(t, "restored", dst.core, false)
+			dst.core.Run(DefaultMaxCycles - k)
+			dense(t, "restored and finished", dst.core, true)
+			if got := len(dst.core.Trace.Insts); got != total {
+				t.Fatalf("restored run enqueued %d instructions, uninterrupted %d", got, total)
+			}
+		})
 	}
 }

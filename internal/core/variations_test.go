@@ -84,7 +84,7 @@ func TestMeltdownSamplingOnlyOnXiangShan(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if p2.Run.Pair.A.BugWitness["meltdown-sampling"] > 0 {
+			if p2.Run.Pair.A.BugWitness[uarch.WitnessMeltdownSampling] > 0 {
 				return true
 			}
 		}

@@ -123,8 +123,37 @@ var benchWords = []uint32{
 	0x00000000, // illegal
 }
 
+// TestDecodeMemo checks the memo against Decode on a word stream that
+// makes slots change hands: the zero word on an empty memo, the nop, the
+// system words and every bench word, each alternating with another word
+// that maps to its slot, then a pseudo-random stream that revisits words.
+func TestDecodeMemo(t *testing.T) {
+	var m DecodeMemo
+	words := []uint32{0, 0}
+	for _, w := range append(append([]uint32{NopWord}, goldenSystemWords[:]...), benchWords...) {
+		rival := w + 1
+		for m.Decode(rival) != m.Decode(w) {
+			rival++
+		}
+		words = append(words, w, rival, w, w, rival, rival, w)
+	}
+	x := uint32(2463534242)
+	for i := 0; i < 200_000; i++ {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		words = append(words, x, words[int(x)%len(words)])
+	}
+	for _, w := range words {
+		if got, want := *m.Decode(w), Decode(w); got != want {
+			t.Fatalf("memo decodes %#08x as %+v, want %+v", w, got, want)
+		}
+	}
+}
+
 // BenchmarkDecode times Decode on the mixed stream and on the canonical
-// nop; run with -benchmem.
+// nop, and the memo on the mixed stream with each word repeated 16 times,
+// as a loop refetches its body; run with -benchmem.
 func BenchmarkDecode(b *testing.B) {
 	b.Run("mixed", func(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
@@ -134,6 +163,12 @@ func BenchmarkDecode(b *testing.B) {
 	b.Run("nop", func(b *testing.B) {
 		for b.Loop() {
 			Decode(NopWord)
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		var m DecodeMemo
+		for i := 0; b.Loop(); i++ {
+			m.Decode(benchWords[i/16%len(benchWords)])
 		}
 	})
 }

@@ -515,6 +515,33 @@ func Decode(raw uint32) Inst {
 	return Inst{Op: OpInvalid, Raw: raw}
 }
 
+// DecodeMemo memoises Decode in a direct-mapped table keyed by the raw
+// word, not by pc, so a packet load or a store into code can never return
+// a stale instruction: a slot answers only for the word it holds. Stimulus
+// programs loop over a handful of distinct words, so most lookups hit.
+// The zero value is ready to use: an empty slot holds the zero Inst, which
+// is Decode(0). A memo can never change a result, only skip recomputing
+// one; it is not safe for concurrent use, so each simulator owns its own.
+type DecodeMemo [64]Inst
+
+// Decode returns the memo's slot holding Decode(raw), filling it on a
+// miss. The slot is the memo's: a later Decode may reuse it, so callers
+// copy the instruction out. A hit inlines to a hash, a compare and the
+// copy; keep it within the inliner's budget.
+func (m *DecodeMemo) Decode(raw uint32) *Inst {
+	e := &m[raw*2654435761>>26]
+	if e.Raw != raw {
+		e.decode(raw)
+	}
+	return e
+}
+
+// decode fills a memo slot. It stays out of line so that DecodeMemo.Decode
+// inlines.
+//
+//go:noinline
+func (i *Inst) decode(raw uint32) { *i = Decode(raw) }
+
 // IllegalWord is a canonical undecodable instruction word.
 const IllegalWord uint32 = 0x00000000
 

@@ -94,17 +94,9 @@ type Sim struct {
 	// LastTrap records the most recent trap, if any.
 	LastTrap *Trap
 
-	// decCache memoises instruction decoding (a pure function of the raw
-	// word): stimulus programs loop over a handful of distinct words, so a
-	// small direct-mapped cache removes most decode work. Entries survive
-	// Reset — the cache can never change results, only skip recomputation.
-	decCache [64]decEntry
-}
-
-type decEntry struct {
-	raw uint32
-	in  isa.Inst
-	ok  bool
+	// dec memoises instruction decoding. It survives Reset: a memo can
+	// never change results, only skip recomputation.
+	dec isa.DecodeMemo
 }
 
 // New returns a simulator over the given space starting at entry.
@@ -175,13 +167,7 @@ func (s *Sim) Step() bool {
 		s.trap(Trap{Cause: CauseForFault(f), EPC: s.PC, Tval: s.PC})
 		return !s.Halted
 	}
-	raw := s.Mem.Read32(s.PC)
-	e := &s.decCache[(raw*2654435761)>>26]
-	if !e.ok || e.raw != raw {
-		e.raw, e.in, e.ok = raw, isa.Decode(raw), true
-	}
-	in := e.in
-	s.Exec(in)
+	s.Exec(*s.dec.Decode(s.Mem.Read32(s.PC)))
 	return !s.Halted
 }
 
@@ -201,7 +187,8 @@ func (s *Sim) MemAddr(in isa.Inst) uint64 {
 }
 
 // Exec executes a single decoded instruction at the current PC, updating
-// PC, registers, memory and trap state.
+// PC, registers, memory and trap state. Memory and system operations are
+// executed here; every other operation is Compute over the register files.
 func (s *Sim) Exec(in isa.Inst) {
 	pc := s.PC
 	next := pc + 4
@@ -211,46 +198,11 @@ func (s *Sim) Exec(in isa.Inst) {
 			x[rd] = v
 		}
 	}
-	switch in.Op {
-	case isa.OpInvalid:
+	switch in.Op.Class() {
+	case isa.ClassInvalid:
 		s.trap(Trap{Cause: CauseIllegalInstruction, EPC: pc, Tval: uint64(in.Raw)})
 		return
-	case isa.OpLui:
-		wr(in.Rd, uint64(in.Imm))
-	case isa.OpAuipc:
-		wr(in.Rd, pc+uint64(in.Imm))
-	case isa.OpJal:
-		wr(in.Rd, next)
-		next = pc + uint64(in.Imm)
-	case isa.OpJalr:
-		t := (x[in.Rs1] + uint64(in.Imm)) &^ 1
-		wr(in.Rd, next)
-		next = t
-	case isa.OpBeq:
-		if x[in.Rs1] == x[in.Rs2] {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpBne:
-		if x[in.Rs1] != x[in.Rs2] {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpBlt:
-		if int64(x[in.Rs1]) < int64(x[in.Rs2]) {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpBge:
-		if int64(x[in.Rs1]) >= int64(x[in.Rs2]) {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpBltu:
-		if x[in.Rs1] < x[in.Rs2] {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpBgeu:
-		if x[in.Rs1] >= x[in.Rs2] {
-			next = pc + uint64(in.Imm)
-		}
-	case isa.OpLb, isa.OpLh, isa.OpLw, isa.OpLd, isa.OpLbu, isa.OpLhu, isa.OpLwu, isa.OpFld:
+	case isa.ClassLoad:
 		addr := s.MemAddr(in)
 		size := in.Op.MemSize()
 		if addr%uint64(size) != 0 {
@@ -276,7 +228,7 @@ func (s *Sim) Exec(in isa.Inst) {
 		} else {
 			wr(in.Rd, v)
 		}
-	case isa.OpSb, isa.OpSh, isa.OpSw, isa.OpSd, isa.OpFsd:
+	case isa.ClassStore:
 		addr := s.MemAddr(in)
 		size := in.Op.MemSize()
 		if addr%uint64(size) != 0 {
@@ -292,122 +244,182 @@ func (s *Sim) Exec(in isa.Inst) {
 			s.trap(Trap{Cause: CauseForFault(f), EPC: pc, Tval: addr})
 			return
 		}
-	case isa.OpAddi:
-		wr(in.Rd, x[in.Rs1]+uint64(in.Imm))
-	case isa.OpSlti:
-		wr(in.Rd, b2u(int64(x[in.Rs1]) < in.Imm))
-	case isa.OpSltiu:
-		wr(in.Rd, b2u(x[in.Rs1] < uint64(in.Imm)))
-	case isa.OpXori:
-		wr(in.Rd, x[in.Rs1]^uint64(in.Imm))
-	case isa.OpOri:
-		wr(in.Rd, x[in.Rs1]|uint64(in.Imm))
-	case isa.OpAndi:
-		wr(in.Rd, x[in.Rs1]&uint64(in.Imm))
-	case isa.OpSlli:
-		wr(in.Rd, x[in.Rs1]<<uint(in.Imm&63))
-	case isa.OpSrli:
-		wr(in.Rd, x[in.Rs1]>>uint(in.Imm&63))
-	case isa.OpSrai:
-		wr(in.Rd, uint64(int64(x[in.Rs1])>>uint(in.Imm&63)))
-	case isa.OpAddiw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])+uint32(in.Imm)))
-	case isa.OpSlliw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])<<uint(in.Imm&31)))
-	case isa.OpSrliw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])>>uint(in.Imm&31)))
-	case isa.OpSraiw:
-		wr(in.Rd, uint64(int64(int32(x[in.Rs1])>>uint(in.Imm&31))))
-	case isa.OpAdd:
-		wr(in.Rd, x[in.Rs1]+x[in.Rs2])
-	case isa.OpSub:
-		wr(in.Rd, x[in.Rs1]-x[in.Rs2])
-	case isa.OpSll:
-		wr(in.Rd, x[in.Rs1]<<(x[in.Rs2]&63))
-	case isa.OpSlt:
-		wr(in.Rd, b2u(int64(x[in.Rs1]) < int64(x[in.Rs2])))
-	case isa.OpSltu:
-		wr(in.Rd, b2u(x[in.Rs1] < x[in.Rs2]))
-	case isa.OpXor:
-		wr(in.Rd, x[in.Rs1]^x[in.Rs2])
-	case isa.OpSrl:
-		wr(in.Rd, x[in.Rs1]>>(x[in.Rs2]&63))
-	case isa.OpSra:
-		wr(in.Rd, uint64(int64(x[in.Rs1])>>(x[in.Rs2]&63)))
-	case isa.OpOr:
-		wr(in.Rd, x[in.Rs1]|x[in.Rs2])
-	case isa.OpAnd:
-		wr(in.Rd, x[in.Rs1]&x[in.Rs2])
-	case isa.OpAddw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])+uint32(x[in.Rs2])))
-	case isa.OpSubw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])-uint32(x[in.Rs2])))
-	case isa.OpSllw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])<<(x[in.Rs2]&31)))
-	case isa.OpSrlw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])>>(x[in.Rs2]&31)))
-	case isa.OpSraw:
-		wr(in.Rd, uint64(int64(int32(x[in.Rs1])>>(x[in.Rs2]&31))))
-	case isa.OpMul:
-		wr(in.Rd, x[in.Rs1]*x[in.Rs2])
-	case isa.OpMulh:
-		hi, _ := bits.Mul64(absU(x[in.Rs1]), absU(x[in.Rs2]))
-		_ = hi
-		wr(in.Rd, mulh(int64(x[in.Rs1]), int64(x[in.Rs2])))
-	case isa.OpMulhsu:
-		wr(in.Rd, mulhsu(int64(x[in.Rs1]), x[in.Rs2]))
-	case isa.OpMulhu:
-		hi, _ := bits.Mul64(x[in.Rs1], x[in.Rs2])
-		wr(in.Rd, hi)
-	case isa.OpDiv:
-		wr(in.Rd, divS(int64(x[in.Rs1]), int64(x[in.Rs2])))
-	case isa.OpDivu:
-		wr(in.Rd, divU(x[in.Rs1], x[in.Rs2]))
-	case isa.OpRem:
-		wr(in.Rd, remS(int64(x[in.Rs1]), int64(x[in.Rs2])))
-	case isa.OpRemu:
-		wr(in.Rd, remU(x[in.Rs1], x[in.Rs2]))
-	case isa.OpMulw:
-		wr(in.Rd, sext32(uint32(x[in.Rs1])*uint32(x[in.Rs2])))
-	case isa.OpDivw:
-		wr(in.Rd, sext32(uint32(divS(int64(int32(x[in.Rs1])), int64(int32(x[in.Rs2]))))))
-	case isa.OpDivuw:
-		wr(in.Rd, sext32(uint32(divU(uint64(uint32(x[in.Rs1])), uint64(uint32(x[in.Rs2]))))))
-	case isa.OpRemw:
-		wr(in.Rd, sext32(uint32(remS(int64(int32(x[in.Rs1])), int64(int32(x[in.Rs2]))))))
-	case isa.OpRemuw:
-		wr(in.Rd, sext32(uint32(remU(uint64(uint32(x[in.Rs1])), uint64(uint32(x[in.Rs2]))))))
-	case isa.OpFaddD:
-		s.F[in.Rd] = f64op(s.F[in.Rs1], s.F[in.Rs2], '+')
-	case isa.OpFsubD:
-		s.F[in.Rd] = f64op(s.F[in.Rs1], s.F[in.Rs2], '-')
-	case isa.OpFmulD:
-		s.F[in.Rd] = f64op(s.F[in.Rs1], s.F[in.Rs2], '*')
-	case isa.OpFdivD:
-		s.F[in.Rd] = f64op(s.F[in.Rs1], s.F[in.Rs2], '/')
-	case isa.OpFmvXD:
-		wr(in.Rd, s.F[in.Rs1])
-	case isa.OpFmvDX:
-		s.F[in.Rd] = x[in.Rs1]
-	case isa.OpFence:
-		// no-op
-	case isa.OpEcall:
-		s.trap(Trap{Cause: CauseEnvCall, EPC: pc})
-		return
-	case isa.OpEbreak:
-		s.trap(Trap{Cause: CauseBreakpoint, EPC: pc})
-		return
-	case isa.OpMret:
-		// The testbench-level runtime owns trap state; mret is a no-op here.
-	case isa.OpCsrrw, isa.OpCsrrs, isa.OpCsrrc:
-		// CSR file not modelled architecturally; reads return zero.
-		wr(in.Rd, 0)
+	case isa.ClassSystem:
+		switch in.Op {
+		case isa.OpEcall:
+			s.trap(Trap{Cause: CauseEnvCall, EPC: pc})
+			return
+		case isa.OpEbreak:
+			s.trap(Trap{Cause: CauseBreakpoint, EPC: pc})
+			return
+		case isa.OpCsrrw, isa.OpCsrrs, isa.OpCsrrc:
+			// CSR file not modelled architecturally; reads return zero.
+			wr(in.Rd, 0)
+		}
+		// fence is a no-op, and so is mret: the testbench-level runtime owns
+		// trap state.
+	case isa.ClassFPU, isa.ClassFDiv:
+		// The only operations that compute on floating-point registers.
+		a, b := x[in.Rs1], x[in.Rs2]
+		fp1, fp2 := in.FPSources()
+		if fp1 {
+			a = s.F[in.Rs1]
+		}
+		if fp2 {
+			b = s.F[in.Rs2]
+		}
+		v, _ := Compute(in, pc, a, b)
+		if in.FPDest() {
+			s.F[in.Rd] = v
+		} else {
+			wr(in.Rd, v)
+		}
+	case isa.ClassBranch:
+		_, next = Compute(in, pc, x[in.Rs1], x[in.Rs2])
 	default:
-		s.trap(Trap{Cause: CauseIllegalInstruction, EPC: pc, Tval: uint64(in.Raw)})
-		return
+		var v uint64
+		v, next = Compute(in, pc, x[in.Rs1], x[in.Rs2])
+		wr(in.Rd, v)
 	}
 	s.Instret++
 	s.PC = next
+}
+
+// Compute is the semantics of every operation that neither accesses memory
+// nor is a system operation: given the instruction, its pc and its source
+// values (a from rs1 and b from rs2, each read from the register file the
+// operation names; a source it does not read is ignored), it returns the
+// destination value and the next pc. Branches have no destination and
+// return 0. Exec and the out-of-order core's execution units both call it.
+func Compute(in isa.Inst, pc, a, b uint64) (val, next uint64) {
+	next = pc + 4
+	switch in.Op {
+	case isa.OpLui:
+		val = uint64(in.Imm)
+	case isa.OpAuipc:
+		val = pc + uint64(in.Imm)
+	case isa.OpJal:
+		val, next = next, pc+uint64(in.Imm)
+	case isa.OpJalr:
+		val, next = next, (a+uint64(in.Imm))&^1
+	case isa.OpBeq:
+		if a == b {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpBne:
+		if a != b {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpBlt:
+		if int64(a) < int64(b) {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpBge:
+		if int64(a) >= int64(b) {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpBltu:
+		if a < b {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpBgeu:
+		if a >= b {
+			next = pc + uint64(in.Imm)
+		}
+	case isa.OpAddi:
+		val = a + uint64(in.Imm)
+	case isa.OpSlti:
+		val = b2u(int64(a) < in.Imm)
+	case isa.OpSltiu:
+		val = b2u(a < uint64(in.Imm))
+	case isa.OpXori:
+		val = a ^ uint64(in.Imm)
+	case isa.OpOri:
+		val = a | uint64(in.Imm)
+	case isa.OpAndi:
+		val = a & uint64(in.Imm)
+	case isa.OpSlli:
+		val = a << uint(in.Imm&63)
+	case isa.OpSrli:
+		val = a >> uint(in.Imm&63)
+	case isa.OpSrai:
+		val = uint64(int64(a) >> uint(in.Imm&63))
+	case isa.OpAddiw:
+		val = sext32(uint32(a) + uint32(in.Imm))
+	case isa.OpSlliw:
+		val = sext32(uint32(a) << uint(in.Imm&31))
+	case isa.OpSrliw:
+		val = sext32(uint32(a) >> uint(in.Imm&31))
+	case isa.OpSraiw:
+		val = uint64(int64(int32(a) >> uint(in.Imm&31)))
+	case isa.OpAdd:
+		val = a + b
+	case isa.OpSub:
+		val = a - b
+	case isa.OpSll:
+		val = a << (b & 63)
+	case isa.OpSlt:
+		val = b2u(int64(a) < int64(b))
+	case isa.OpSltu:
+		val = b2u(a < b)
+	case isa.OpXor:
+		val = a ^ b
+	case isa.OpSrl:
+		val = a >> (b & 63)
+	case isa.OpSra:
+		val = uint64(int64(a) >> (b & 63))
+	case isa.OpOr:
+		val = a | b
+	case isa.OpAnd:
+		val = a & b
+	case isa.OpAddw:
+		val = sext32(uint32(a) + uint32(b))
+	case isa.OpSubw:
+		val = sext32(uint32(a) - uint32(b))
+	case isa.OpSllw:
+		val = sext32(uint32(a) << (b & 31))
+	case isa.OpSrlw:
+		val = sext32(uint32(a) >> (b & 31))
+	case isa.OpSraw:
+		val = uint64(int64(int32(a) >> (b & 31)))
+	case isa.OpMul:
+		val = a * b
+	case isa.OpMulh:
+		val = mulh(int64(a), int64(b))
+	case isa.OpMulhsu:
+		val = mulhsu(int64(a), b)
+	case isa.OpMulhu:
+		val, _ = bits.Mul64(a, b)
+	case isa.OpDiv:
+		val = divS(int64(a), int64(b))
+	case isa.OpDivu:
+		val = divU(a, b)
+	case isa.OpRem:
+		val = remS(int64(a), int64(b))
+	case isa.OpRemu:
+		val = remU(a, b)
+	case isa.OpMulw:
+		val = sext32(uint32(a) * uint32(b))
+	case isa.OpDivw:
+		val = sext32(uint32(divS(int64(int32(a)), int64(int32(b)))))
+	case isa.OpDivuw:
+		val = sext32(uint32(divU(uint64(uint32(a)), uint64(uint32(b)))))
+	case isa.OpRemw:
+		val = sext32(uint32(remS(int64(int32(a)), int64(int32(b)))))
+	case isa.OpRemuw:
+		val = sext32(uint32(remU(uint64(uint32(a)), uint64(uint32(b)))))
+	case isa.OpFaddD:
+		val = f64op(a, b, '+')
+	case isa.OpFsubD:
+		val = f64op(a, b, '-')
+	case isa.OpFmulD:
+		val = f64op(a, b, '*')
+	case isa.OpFdivD:
+		val = f64op(a, b, '/')
+	case isa.OpFmvXD, isa.OpFmvDX:
+		val = a
+	}
+	return val, next
 }
 
 func b2u(b bool) uint64 {

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"dejavuzz/internal/isa"
@@ -39,7 +40,7 @@ func TestPhantomBTB(t *testing.T) {
 		c.TrapHook = HaltingHook()
 		c.Restart(0x1000)
 		c.Run(3000)
-		if c.BugWitness["phantom-btb"] > 0 {
+		if c.BugWitness[WitnessPhantomBTB] > 0 {
 			found = true
 		}
 	}
@@ -67,7 +68,7 @@ func TestSpectreRefetch(t *testing.T) {
 	c.TrapHook = HaltingHook()
 	c.Restart(0x1000)
 	c.Run(3000)
-	if c.BugWitness["spectre-refetch-miss"] == 0 {
+	if c.BugWitness[WitnessSpectreRefetchMiss] == 0 {
 		t.Fatal("transient icache miss did not occupy the fetch port")
 	}
 }
@@ -90,12 +91,12 @@ func TestSpectreReload(t *testing.T) {
 	`)
 	loadProgram(sp, p)
 	xs := runCore(t, XiangShanConfig(), sp, 0x1000, 3000)
-	if xs.BugWitness["spectre-reload"] == 0 {
+	if xs.BugWitness[WitnessSpectreReload] == 0 {
 		t.Fatal("no write-back port contention on XiangShan")
 	}
 
 	boom := runCore(t, BOOMConfig(), sp.Clone(), 0x1000, 3000)
-	if boom.BugWitness["spectre-reload"] != 0 {
+	if boom.BugWitness[WitnessSpectreReload] != 0 {
 		t.Fatal("BOOM (2 WB ports) reported reload contention")
 	}
 }
@@ -161,14 +162,25 @@ func TestDiffPairConstantTimeHolds(t *testing.T) {
 }
 
 // TestCensusModulesComplete pins the census modules and their order:
-// coverage points and checkpoints key on the names, and Phase 3 compares
-// two censuses position by position.
+// coverage points and checkpoints key on the names, the coverage matrix
+// keeps one row per position (CensusRow, CensusModule), and Phase 3
+// compares two censuses position by position.
 func TestCensusModulesComplete(t *testing.T) {
 	want := []string{"frontend", "rob", "regfile", "lsu", "dcache",
 		"icache", "lfb", "dtlb", "itlb", "l2tlb", "bht", "btb", "faubtb",
 		"indbtb", "ras", "loop", "fpu"}
-	if len(want) != numCensusModules {
-		t.Fatalf("numCensusModules = %d, want %d", numCensusModules, len(want))
+	if len(want) != NumCensusModules {
+		t.Fatalf("NumCensusModules = %d, want %d", NumCensusModules, len(want))
+	}
+	for i, m := range want {
+		if CensusRow(m) != i || CensusModule(i) != m {
+			t.Errorf("%s: CensusRow = %d, CensusModule(%d) = %q", m, CensusRow(m), i, CensusModule(i))
+		}
+	}
+	for _, m := range []string{"", "isasim/x05", "isasim/x05@p1", "rob ", "Rob", "frontend2"} {
+		if r := CensusRow(m); r != -1 {
+			t.Errorf("CensusRow(%q) = %d, want -1", m, r)
+		}
 	}
 	for _, cfg := range []Config{BOOMConfig(), XiangShanConfig()} {
 		sp := testSpace(t, mem.PermRead, mem.FaultAccess)
@@ -180,5 +192,19 @@ func TestCensusModulesComplete(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s census modules:\n got %v\nwant %v", cfg.Name, got, want)
 		}
+	}
+}
+
+// TestWitnessLabels pins the witness labels and their order: findings carry
+// the labels as bug names, and core lists them by walking BugWitness in
+// index order, which must be the labels' sorted order.
+func TestWitnessLabels(t *testing.T) {
+	var got []string
+	for w := range NumWitnesses {
+		got = append(got, w.String())
+	}
+	want := []string{"meltdown-sampling", "phantom-btb", "phantom-rsb", "spectre-refetch-miss", "spectre-reload"}
+	if !reflect.DeepEqual(got, want) || !sort.StringsAreSorted(got) {
+		t.Fatalf("witness labels %v, want %v in sorted order", got, want)
 	}
 }

@@ -57,8 +57,60 @@ type ModuleTaint struct {
 	Bits    int
 }
 
-// numCensusModules is the length of every census CensusInto produces.
-const numCensusModules = 17
+// NumCensusModules is the length of every census CensusInto produces.
+const NumCensusModules = 17
+
+// censusModules names the modules of every census, in CensusInto's order.
+var censusModules = [NumCensusModules]string{
+	"frontend", "rob", "regfile", "lsu", "dcache", "icache", "lfb", "dtlb", "itlb",
+	"l2tlb", "bht", "btb", "faubtb", "indbtb", "ras", "loop", "fpu",
+}
+
+// CensusModule names the census module at position row of every census.
+func CensusModule(row int) string { return censusModules[row] }
+
+// CensusRow returns a module's position in every census, or -1 for a
+// module outside the census. Comparing against constants costs a length
+// check and a word compare or two, far less than hashing the name.
+func CensusRow(module string) int {
+	switch module {
+	case "frontend":
+		return 0
+	case "rob":
+		return 1
+	case "regfile":
+		return 2
+	case "lsu":
+		return 3
+	case "dcache":
+		return 4
+	case "icache":
+		return 5
+	case "lfb":
+		return 6
+	case "dtlb":
+		return 7
+	case "itlb":
+		return 8
+	case "l2tlb":
+		return 9
+	case "bht":
+		return 10
+	case "btb":
+		return 11
+	case "faubtb":
+		return 12
+	case "indbtb":
+		return 13
+	case "ras":
+		return 14
+	case "loop":
+		return 15
+	case "fpu":
+		return 16
+	}
+	return -1
+}
 
 // Census reports per-module tainted element and bit counts across the whole
 // microarchitecture (the coverage substrate and the Figure 6 series). The
@@ -97,7 +149,7 @@ func (c *Core) CensusInto(out []ModuleTaint) []ModuleTaint {
 
 // TaintSum totals tainted bits across all modules.
 func (c *Core) TaintSum() int {
-	var buf [numCensusModules]ModuleTaint
+	var buf [NumCensusModules]ModuleTaint
 	sum := 0
 	for _, m := range c.CensusInto(buf[:0]) {
 		sum += m.Bits

@@ -55,6 +55,27 @@ type BugSet struct {
 	SpectreReload bool
 }
 
+// Witness names the mechanism-level evidence of one injected bug: the
+// count a core keeps in BugWitness each time that bug's code path fires.
+// The constants follow their labels' sorted order.
+type Witness int
+
+const (
+	WitnessMeltdownSampling   Witness = iota // B1: a truncated address sampled data
+	WitnessPhantomBTB                        // B3: a jalr correction went to an excepting pc
+	WitnessPhantomRSB                        // B2: a transient RAS write survived recovery
+	WitnessSpectreRefetchMiss                // B4: a fetch miss kept the fetch port busy
+	WitnessSpectreReload                     // B5: a load waited for the write-back port
+	NumWitnesses
+)
+
+var witnessLabels = [NumWitnesses]string{
+	"meltdown-sampling", "phantom-btb", "phantom-rsb", "spectre-refetch-miss", "spectre-reload",
+}
+
+// String returns the witness's finding label.
+func (w Witness) String() string { return witnessLabels[w] }
+
 // CacheConfig sizes one cache.
 type CacheConfig struct {
 	Sets      int

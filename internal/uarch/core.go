@@ -161,6 +161,9 @@ type Core struct {
 
 	// censusScratch is the reusable per-cycle census buffer (taint tracing).
 	censusScratch []ModuleTaint
+	// decode memoises the fetch stage's instruction decoding. It is not
+	// state: it can never change a result, so images do not carry it.
+	decode isa.DecodeMemo
 	// pristine caches Cfg's construction-time image (see Reset), sparing
 	// each Reset a shared-map lookup that hashes the whole Config.
 	pristine *Image
@@ -205,7 +208,10 @@ type pipeState struct {
 	divBusyUntil  int
 	fdivBusyUntil int
 	fpuLatchTaint uint64
-	loadWBUsed    map[int]int
+	// wbPorts counts the load write-backs booked per cycle: slot k&(len-1)
+	// holds cycle k for k in [Cycle, Cycle+len). Its length is a power of
+	// two above every latency a load can book ahead (see bookLoadWB).
+	wbPorts []int32
 
 	// noted holds each control point's latest value for the peer's
 	// cross-instance comparison.
@@ -220,9 +226,10 @@ type pipeState struct {
 	Committed    uint64
 	TrapCount    int
 	TaintTraceOn bool
-	// BugWitness records mechanism-level evidence when an injected bug's
-	// code path actually fired (used to label findings in Table 5 runs).
-	BugWitness map[string]int
+	// BugWitness counts mechanism-level evidence each time an injected
+	// bug's code path actually fires (used to label findings in Table 5
+	// runs), indexed by Witness.
+	BugWitness [NumWitnesses]int
 }
 
 // copyFrom makes p a copy of src, reusing p's arrays and maps. Fetch-queue
@@ -234,9 +241,8 @@ func (p *pipeState) copyFrom(src *pipeState) {
 	p.rob = reuse(d.rob, src.rob)
 	p.ldq = reuse(d.ldq, src.ldq)
 	p.stq = reuse(d.stq, src.stq)
-	p.loadWBUsed = reuseMap(d.loadWBUsed, src.loadWBUsed)
+	p.wbPorts = reuse(d.wbPorts, src.wbPorts)
 	p.noted = reuseMap(d.noted, src.noted)
-	p.BugWitness = reuseMap(d.BugWitness, src.BugWitness)
 }
 
 // NewCore builds a core over its (per-instance) address space. It is
@@ -356,14 +362,16 @@ func (c *Core) afterCycle() {
 			// modules are logged — the log stays proportional to observed
 			// taint, not to cycles × module count.
 			if m.Tainted > 0 {
-				c.Trace.TaintLog = append(c.Trace.TaintLog, TaintSample{
-					Cycle: c.Cycle, Module: m.Module, Tainted: m.Tainted, Bits: m.Bits,
-				})
+				// Filled in place, as dispatch fills its RoB entry.
+				c.Trace.TaintLog = append(c.Trace.TaintLog, TaintSample{})
+				s := &c.Trace.TaintLog[len(c.Trace.TaintLog)-1]
+				s.Cycle, s.Module, s.Tainted, s.Bits = c.Cycle, m.Module, m.Tainted, m.Bits
 			}
 		}
 		c.Trace.TaintSumByCycle = append(c.Trace.TaintSumByCycle, sum)
 	}
-	delete(c.loadWBUsed, c.Cycle-16)
+	// No load can book this cycle any more: free its slot for Cycle+len.
+	c.wbPorts[c.Cycle&(len(c.wbPorts)-1)] = 0
 	c.Cycle++
 }
 
@@ -486,8 +494,6 @@ func (c *Core) storeCommit(e *robEntry) {
 	nt := oldT&^m | (t<<sh)&m
 	c.DCache.Write64(e.addr&^7, nv, nt)
 	if e.addrTaint != 0 {
-		set, way := c.DCache.setOf(e.addr), 0
-		_ = way
 		c.ctl(ctlStoreAddr, e.pc, e.addr, true, func(diff bool) {
 			if diff {
 				res := c.DCache.Access(e.addr, c.Cycle)
@@ -495,7 +501,6 @@ func (c *Core) storeCommit(e *robEntry) {
 				c.DTLB.TaintPage(e.addr)
 			}
 		})
-		_ = set
 	}
 }
 
@@ -510,7 +515,7 @@ func (c *Core) commitException(e *robEntry) {
 		c.btb.Update(e.pc, c.jalrCorrTarget, c.jalrCorrTaint)
 		c.btb.Update(e.pc, c.jalrCorrTarget, c.jalrCorrTaint) // force confidence
 		c.faubtb.Update(e.pc, c.jalrCorrTarget, c.jalrCorrTaint)
-		c.BugWitness["phantom-btb"]++
+		c.BugWitness[WitnessPhantomBTB]++
 	}
 	c.raiseTrap(trap)
 }
@@ -546,9 +551,7 @@ func (c *Core) writebackStage() {
 	idx := c.robHead
 	for n := 0; n < c.robCount; n++ {
 		e := &c.rob[idx]
-		idx0 := idx
 		idx = (idx + 1) % len(c.rob)
-		_ = idx0
 		if !e.valid || e.state != stExecuting || e.doneAt > c.Cycle {
 			continue
 		}
@@ -790,7 +793,7 @@ func (c *Core) doSquash(drop func(uint64) bool, reason SquashReason, redirect, a
 			c.ras.Restore(snap, true)
 			for i := range before.Stack {
 				if i != c.ras.wrap(snap.TOS-1) && before.Stack[i] != snap.Stack[i] && c.ras.stack[i] == before.Stack[i] {
-					c.BugWitness["phantom-rsb"]++
+					c.BugWitness[WitnessPhantomRSB]++
 					break
 				}
 			}
@@ -913,50 +916,28 @@ func (c *Core) executeSimple(e *robEntry, v1, t1, v2, t2 uint64, lat int) {
 	e.state = stExecuting
 	e.doneAt = c.Cycle + lat
 
-	// Architectural result via the golden model's ALU.
-	var gm isasim.Sim
-	gm.PC = e.pc
-	gm.X[in.Rs1] = v1
-	if in.Rs2 != 0 {
-		gm.X[in.Rs2] = v2
-	}
-	if fp1, fp2 := in.FPSources(); fp1 || fp2 {
-		gm.F[in.Rs1] = v1
-		gm.F[in.Rs2] = v2
-	}
-	if in.Rs1 == 0 {
-		gm.X[0] = 0
-		if fp1, _ := in.FPSources(); fp1 {
-			gm.F[0] = v1
-		}
-	}
-	// Handle rs1==rs2 aliasing.
-	if in.Rs1 == in.Rs2 && in.Rs1 != 0 {
-		gm.X[in.Rs1] = v1
-	}
-	gm.Exec(in)
+	// Architectural result: the golden model's semantics.
+	val, next := isasim.Compute(in, e.pc, v1, v2)
 
 	var taint uint64
 	switch in.Op.Class() {
 	case isa.ClassBranch:
-		e.actTaken = gm.PC != e.pc+4
+		e.actTaken = next != e.pc+4
 		e.actTarget = e.pc + uint64(in.Imm)
 		taint = cmpTaint(t1, t2)
 		e.targetT = 0
 	case isa.ClassJump:
 		e.actTaken = true
-		e.actTarget = e.pc + uint64(in.Imm)
-		e.val = e.pc + 4
+		e.actTarget = next
+		e.val = val
 	case isa.ClassJumpReg:
 		e.actTaken = true
-		e.actTarget = (v1 + uint64(in.Imm)) &^ 1
+		e.actTarget = next
 		e.targetT = addTaint(t1, 0)
-		e.val = e.pc + 4
+		e.val = val
 	default:
-		if e.fpDest {
-			e.val = gm.F[in.Rd]
-		} else if in.Rd != 0 {
-			e.val = gm.X[in.Rd]
+		if e.fpDest || in.Rd != 0 {
+			e.val = val
 		} else {
 			e.val = 0
 		}
@@ -996,7 +977,7 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 		trunc := addr & (uint64(1)<<c.Cfg.PhysAddrBits - 1)
 		if trunc != addr {
 			dataAddr = trunc
-			c.BugWitness["meltdown-sampling"]++
+			c.BugWitness[WitnessMeltdownSampling]++
 		}
 	}
 
@@ -1054,17 +1035,32 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 // chargeLoadWB models load write-back port contention (B5): with a single
 // port, simultaneous load completions serialise.
 func (c *Core) chargeLoadWB(e *robEntry) {
-	ports := c.Cfg.LoadWBPorts
+	ports := int32(c.Cfg.LoadWBPorts)
 	if ports <= 0 {
 		ports = 1
 	}
-	for c.loadWBUsed[e.doneAt] >= ports {
+	for *c.bookLoadWB(e.doneAt) >= ports {
 		e.doneAt++
 		if c.Cfg.Bugs.SpectreReload {
-			c.BugWitness["spectre-reload"]++
+			c.BugWitness[WitnessSpectreReload]++
 		}
 	}
-	c.loadWBUsed[e.doneAt]++
+	*c.bookLoadWB(e.doneAt)++
+}
+
+// bookLoadWB returns the write-back count of a future cycle. The ring
+// starts longer than any latency a load can book ahead unless MSHR stalls
+// chain (wbRingLen); a chain that books further ahead doubles it, so no two
+// live cycles ever share a slot.
+func (c *Core) bookLoadWB(cycle int) *int32 {
+	for cycle-c.Cycle >= len(c.wbPorts) {
+		grown := make([]int32, 2*len(c.wbPorts))
+		for k := c.Cycle; k < c.Cycle+len(c.wbPorts); k++ {
+			grown[k&(len(grown)-1)] = c.wbPorts[k&(len(c.wbPorts)-1)]
+		}
+		c.wbPorts = grown
+	}
+	return &c.wbPorts[cycle&(len(c.wbPorts)-1)]
 }
 
 // readMemData reads through the dcache with sign/zero extension.
@@ -1208,7 +1204,7 @@ func (c *Core) dispatchStage() {
 		if c.fetchHead >= len(c.fetchQ) || c.robCount >= len(c.rob) || c.decodeBlocked {
 			return
 		}
-		fe := c.fetchQ[c.fetchHead]
+		fe := &c.fetchQ[c.fetchHead]
 		in := fe.inst
 
 		isLoad := in.Op.Class() == isa.ClassLoad
@@ -1241,16 +1237,16 @@ func (c *Core) dispatchStage() {
 			inherit = e.taint | e.addrTaint
 		}
 		c.robCensus.move(e.shadowBits(), bits.OnesCount64(inherit))
-		*e = robEntry{
-			valid: true, seq: c.seqNext, pc: fe.pc, inst: in,
-			state: stDispatched, ldqIdx: -1, stqIdx: -1,
-			predTaken: fe.predTaken, predTarget: fe.predTarget,
-			fromRAS: fe.fromRAS, rasSnap: fe.rasSnap,
-			isLoad: isLoad, isStore: isStore,
-			fpDest: in.FPDest(),
-			src1:   src1, src2: src2, hasSrc1: hasSrc1, hasSrc2: hasSrc2,
-			taint: inherit,
-		}
+		// Filled in place: a composite literal would be built aside and
+		// copied over the entry.
+		*e = robEntry{}
+		e.valid, e.seq, e.pc, e.inst = true, c.seqNext, fe.pc, in
+		e.state, e.ldqIdx, e.stqIdx = stDispatched, -1, -1
+		e.predTaken, e.predTarget = fe.predTaken, fe.predTarget
+		e.fromRAS, e.rasSnap = fe.fromRAS, fe.rasSnap
+		e.isLoad, e.isStore, e.fpDest = isLoad, isStore, in.FPDest()
+		e.src1, e.src2, e.hasSrc1, e.hasSrc2 = src1, src2, hasSrc1, hasSrc2
+		e.taint = inherit
 		c.seqNext++
 		c.robTail = (c.robTail + 1) % len(c.rob)
 		c.robCount++
@@ -1374,7 +1370,7 @@ func (c *Core) fetchStage() {
 		// absence of cancellation).
 		c.fetchStallUntil = c.Cycle + res.Latency + itlbLat
 		if c.Cfg.Bugs.SpectreRefetch {
-			c.BugWitness["spectre-refetch-miss"]++
+			c.BugWitness[WitnessSpectreRefetchMiss]++
 		}
 		return
 	}
@@ -1388,7 +1384,7 @@ func (c *Core) fetchStage() {
 		}
 		w, _ := c.Mem.Read64(c.pc &^ 7)
 		raw := uint32(w >> ((c.pc & 4) * 8))
-		in := isa.Decode(raw)
+		in := *c.decode.Decode(raw)
 		fe := fetchEntry{pc: c.pc, inst: in}
 
 		nextPC := c.pc + 4

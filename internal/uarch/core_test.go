@@ -315,7 +315,7 @@ func TestCoreMeltdownSamplingTruncation(t *testing.T) {
 	xs.TrapHook = HaltingHook()
 	xs.Restart(0x1000)
 	xs.Run(3000)
-	if xs.BugWitness["meltdown-sampling"] == 0 {
+	if xs.BugWitness[WitnessMeltdownSampling] == 0 {
 		t.Fatal("B1 truncation path did not fire")
 	}
 	if !xs.DCache.Probe(0x8000 + secret*64) {

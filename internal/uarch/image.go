@@ -29,7 +29,7 @@ type Image struct {
 	btb, faubtb, ind  btbState
 	ras               rasState
 	loop              loopState
-	trace             traceRecords
+	trace             Trace
 }
 
 // Save copies the core's state into img, reusing img's storage. The core
@@ -52,7 +52,7 @@ func (c *Core) Save(img *Image) {
 	img.ind.copyFrom(&c.ind.btbState)
 	img.ras.copyFrom(&c.ras.rasState)
 	img.loop.copyFrom(&c.loop.loopState)
-	img.trace.copyFrom(&c.Trace.traceRecords)
+	img.trace.copyFrom(c.Trace)
 }
 
 // Restore replaces the core's state with a copy of img's, reusing the
@@ -90,7 +90,7 @@ func (c *Core) Restore(img *Image) {
 	if c.Trace == nil {
 		c.Trace = &Trace{}
 	}
-	c.Trace.restore(&img.trace)
+	c.Trace.copyFrom(&img.trace)
 }
 
 func restoreCache(c *Cache, name string, cfg CacheConfig, space *mem.Space, st *cacheState) *Cache {
@@ -138,9 +138,8 @@ func pristineImage(cfg Config) *Image {
 			stq:           make([]queueEntry, cfg.STQEntries),
 			ldqFree:       cfg.LDQEntries,
 			stqFree:       cfg.STQEntries,
-			loadWBUsed:    map[int]int{},
+			wbPorts:       make([]int32, wbRingLen(cfg)),
 			noted:         map[uint64]notedVal{},
-			BugWitness:    map[string]int{},
 		},
 		icache: newCacheState(cfg.ICache),
 		dcache: newCacheState(cfg.DCache),
@@ -155,6 +154,20 @@ func pristineImage(cfg Config) *Image {
 		loop:   NewLoopPredictor(cfg.LoopEntries, cfg.LoopTripMax).loopState,
 	})
 	return img.(*Image)
+}
+
+// wbRingLen sizes the load write-back ring: the next power of two above
+// the longest latency a load can book ahead unless MSHR stalls chain — both
+// TLB levels missing, a cache miss waiting out one busy MSHR, and every
+// load-queue entry queueing for the write-back port.
+func wbRingLen(cfg Config) int {
+	lat := 1 + cfg.DTLB.HitLat + cfg.DTLB.MissLat + cfg.L2TLB.HitLat + cfg.L2TLB.MissLat +
+		2*cfg.DCache.MissLat + cfg.LDQEntries
+	n := 1
+	for n <= lat {
+		n <<= 1
+	}
+	return n
 }
 
 // reuse returns a copy of src stored in dst's array when it fits.

@@ -76,13 +76,9 @@ type TaintSample struct {
 }
 
 // Trace accumulates the RoB IO event log and (optionally) the taint log.
+// Sequence numbers index Insts directly: every run numbers from 0 (a
+// pristine image's), and dispatch enqueues each number once, in order.
 type Trace struct {
-	traceRecords
-	bySeq map[uint64]int // sequence number -> index in Insts
-}
-
-// traceRecords is the trace so far, which a core image saves.
-type traceRecords struct {
 	Insts    []InstRecord
 	Squashes []SquashEvent
 	// TaintLog holds per-cycle module censuses when taint tracing is on.
@@ -91,53 +87,37 @@ type traceRecords struct {
 	TaintSumByCycle []int
 }
 
-func (r *traceRecords) copyFrom(src *traceRecords) {
-	r.Insts = reuse(r.Insts, src.Insts)
-	r.Squashes = reuse(r.Squashes, src.Squashes)
-	r.TaintLog = reuse(r.TaintLog, src.TaintLog)
-	r.TaintSumByCycle = reuse(r.TaintSumByCycle, src.TaintSumByCycle)
+// copyFrom replaces t's records with a copy of src's, keeping slice
+// capacity.
+func (t *Trace) copyFrom(src *Trace) {
+	t.Insts = reuse(t.Insts, src.Insts)
+	t.Squashes = reuse(t.Squashes, src.Squashes)
+	t.TaintLog = reuse(t.TaintLog, src.TaintLog)
+	t.TaintSumByCycle = reuse(t.TaintSumByCycle, src.TaintSumByCycle)
 }
 
-// restore replaces the trace's records with a copy of src's, keeping slice
-// capacity, and re-indexes them: sequence numbers are unique within a run.
-func (t *Trace) restore(src *traceRecords) {
-	t.copyFrom(src)
-	if t.bySeq == nil {
-		t.bySeq = make(map[uint64]int, len(t.Insts))
-	} else {
-		clear(t.bySeq)
-	}
-	for i := range t.Insts {
-		t.bySeq[t.Insts[i].Seq] = i
-	}
-}
-
+// enqueue appends seq's record; seq must be the next index.
 func (t *Trace) enqueue(seq, pc uint64, in isa.Inst, cycle int) {
-	t.bySeq[seq] = len(t.Insts)
-	t.Insts = append(t.Insts, InstRecord{
-		Seq: seq, PC: pc, Inst: in, EnqCycle: cycle, CommitCycle: -1, SquashCycle: -1,
-	})
+	if seq != uint64(len(t.Insts)) {
+		panic(fmt.Sprintf("uarch: trace enqueues seq %d at index %d", seq, len(t.Insts)))
+	}
+	// Filled in place: a composite literal would be built aside and copied.
+	t.Insts = append(t.Insts, InstRecord{})
+	r := &t.Insts[seq]
+	r.Seq, r.PC, r.Inst, r.EnqCycle = seq, pc, in, cycle
+	r.CommitCycle, r.SquashCycle = -1, -1
 }
 
 func (t *Trace) commit(seq uint64, cycle int, exc isasim.Cause) {
-	if i, ok := t.bySeq[seq]; ok {
-		t.Insts[i].CommitCycle = cycle
-		t.Insts[i].Exception = exc
-	}
+	r := &t.Insts[seq]
+	r.CommitCycle = cycle
+	r.Exception = exc
 }
 
 func (t *Trace) squash(seq uint64, cycle int) {
-	if i, ok := t.bySeq[seq]; ok && t.Insts[i].CommitCycle < 0 {
-		t.Insts[i].SquashCycle = cycle
+	if r := &t.Insts[seq]; r.CommitCycle < 0 {
+		r.SquashCycle = cycle
 	}
-}
-
-// Record looks up a sequence number's record.
-func (t *Trace) Record(seq uint64) *InstRecord {
-	if i, ok := t.bySeq[seq]; ok {
-		return &t.Insts[i]
-	}
-	return nil
 }
 
 // WindowStats summarises transient execution within a PC range.
