@@ -14,6 +14,7 @@ import (
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/experiments"
 	"dejavuzz/internal/gen"
+	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
 
@@ -172,33 +173,38 @@ func BenchmarkAblationLiveness(b *testing.B) {
 }
 
 // BenchmarkSimulationThroughput measures raw core-simulation speed in each
-// tracking mode (the Table 4 simulation rows, normalised per cycle). Each
-// sub-benchmark reports the simulated core-cycles of one run (cycles/op,
-// both cores of a diffIFT pair; deterministic) and the host time per
-// simulated cycle (ns/cycle).
+// tracking mode (the Table 4 simulation rows, normalised per cycle). Like a
+// campaign shard, each sub-benchmark builds one execution context and one
+// schedule before the timer and resets the context for every run, so the
+// timer sees the cycle loop and the reset rather than DUT construction. It
+// reports the simulated core-cycles of one run (cycles/op, both cores of a
+// diffIFT pair; deterministic) and the host time per simulated cycle
+// (ns/cycle).
 func BenchmarkSimulationThroughput(b *testing.B) {
 	poc := experiments.Meltdown()
 	cfg := uarch.BOOMConfig()
-	bench := func(name string, run func() int) {
+	bench := func(name string, run func(x *core.ExecContext, sched *swapmem.Schedule) int) {
 		b.Run(name, func(b *testing.B) {
+			x, sched := core.NewExecContext(), poc.Schedule.Clone()
+			b.ResetTimer()
 			cycles := 0
 			for i := 0; i < b.N; i++ {
-				cycles = run()
+				cycles = run(x, sched)
 			}
 			b.ReportMetric(float64(cycles), "cycles/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cycles), "ns/cycle")
 		})
 	}
-	bench("base", func() int {
-		return core.RunSingle(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, MaxCycles: 4000}).Core.Cycle
+	bench("base", func(x *core.ExecContext, sched *swapmem.Schedule) int {
+		return x.RunSingle(sched, core.RunOpts{Cfg: cfg, MaxCycles: 4000}).Core.Cycle
 	})
-	bench("cellift", func() int {
-		return core.RunSingle(poc.Schedule.Clone(), core.RunOpts{
+	bench("cellift", func(x *core.ExecContext, sched *swapmem.Schedule) int {
+		return x.RunSingle(sched, core.RunOpts{
 			Cfg: cfg, Mode: uarch.IFTCellIFT, TaintTrace: true, MaxCycles: 4000,
 		}).Core.Cycle
 	})
-	bench("diffift", func() int {
-		p := core.RunDiff(poc.Schedule.Clone(), core.RunOpts{Cfg: cfg, TaintTrace: true, MaxCycles: 4000}).Pair
+	bench("diffift", func(x *core.ExecContext, sched *swapmem.Schedule) int {
+		p := x.RunDiff(sched, core.RunOpts{Cfg: cfg, TaintTrace: true, MaxCycles: 4000}).Pair
 		return p.A.Cycle + p.B.Cycle
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dejavuzz/internal/gen"
-	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/uarch"
 )
 
@@ -139,7 +138,9 @@ func trainingOverhead(st *gen.Stimulus, keep []bool) (to, eto int) {
 // until the shard's next Phase1/Phase2 call.
 type Phase2Result struct {
 	Stimulus *gen.Stimulus
-	Run      *DiffRun
+	// Run is the reported attempt's differential run. It borrows the
+	// shard's pair, so it is stale once Phase 3 reruns on that pair.
+	Run *DiffRun
 	// Secret is the secret pair base the reported attempt ran with (a
 	// retry's is rotated); Phase 3's sanitisation rerun uses the same one.
 	Secret    []byte
@@ -250,9 +251,7 @@ type Finding struct {
 	Kind       FindingKind
 	AttackType string // "Meltdown" or "Spectre"
 	Window     gen.TriggerType
-	// Scenario is the stimulus' scenario-family name; empty on findings
-	// that predate named scenarios (triage falls back to the window class's
-	// canonical family).
+	// Scenario is the stimulus' scenario-family name.
 	Scenario   string   `json:",omitempty"`
 	Components []string // encoded / contended timing components
 	BugLabels  []string // mechanism witnesses (B1-B5) observed during the run
@@ -260,22 +259,9 @@ type Finding struct {
 	Iteration  int
 }
 
-// ScenarioName returns the finding's effective scenario family (canonical
-// for its window class when the finding predates named scenarios; the raw
-// window rendering when its class does not exist — hand-crafted findings).
-func (f *Finding) ScenarioName() string {
-	if f.Scenario != "" {
-		return f.Scenario
-	}
-	if f.Window < 0 || f.Window >= gen.NumTriggerTypes {
-		return f.Window.String()
-	}
-	return scenario.ByTrigger(f.Window).Name()
-}
-
 func (f *Finding) String() string {
 	return fmt.Sprintf("%s %s scenario=%s window=%v components=%v bugs=%v",
-		f.AttackType, f.Kind, f.ScenarioName(), f.Window, f.Components, f.BugLabels)
+		f.AttackType, f.Kind, f.Scenario, f.Window, f.Components, f.BugLabels)
 }
 
 // Phase3Result carries the leakage analysis outcome.
@@ -297,10 +283,10 @@ func (f *Fuzzer) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, erro
 }
 
 // Phase3 implements Step 3.1/3.2: constant-time analysis, encode
-// sanitisation and tainted-sink liveness analysis. The primary run's
-// observables (censuses, sinks, bug witnesses) are captured before the
-// sanitisation rerun, which executes on the context's dedicated
-// sanitisation slot.
+// sanitisation and tainted-sink liveness analysis. The sanitisation rerun
+// executes on the pair that ran Phase 2, so everything Phase 3 needs from
+// the primary run (the timing verdict, the census, the sinks and the bug
+// labels) is read before it; p2.Run is stale after it.
 func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, error) {
 	res := &Phase3Result{}
 	cst := p2.Stimulus
@@ -334,10 +320,8 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 		return res, nil
 	}
 
-	// Capture the primary run's sinks and witnesses before the sanitisation
-	// rerun (the rerun shares the shard's context; a dedicated slot keeps
-	// pair.A itself intact, but capturing first keeps the data flow
-	// one-directional).
+	// Capture the primary run's sinks and witnesses: the sanitisation
+	// rerun below reuses pair's instances.
 	sinks := pair.A.Sinks()
 	labels := bugLabels(pair.A)
 
@@ -352,7 +336,7 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 	// two censuses differ only by the encode block.
 	sanOpts := s.f.runOpts(uarch.IFTDiff, false)
 	sanOpts.Secret = p2.Secret
-	sanRun := s.ctx.RunDiffSan(s.st3.BuildScheduleInto(&s.sched, p1.Keep), sanOpts)
+	sanRun := s.ctx.RunDiff(s.st3.BuildScheduleInto(&s.sched, p1.Keep), sanOpts)
 	res.Sims++
 	s.sanCensus = sanRun.Pair.A.CensusInto(s.sanCensus[:0])
 	for i, m := range s.census {

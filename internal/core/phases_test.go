@@ -158,12 +158,12 @@ func TestPhase3RerunsWithRetrySecret(t *testing.T) {
 			continue // a timing verdict: no sanitisation rerun
 		}
 		ctx := f.seqShard().ctx
-		if got := ctx.sanA.space.ReadRaw(swapmem.SecretAddr, len(retry)); !bytes.Equal(got, retry) {
-			t.Fatalf("sanitisation slot A ran with secret %x, want the retry's %x", got, retry)
+		if got := ctx.a.space.ReadRaw(swapmem.SecretAddr, len(retry)); !bytes.Equal(got, retry) {
+			t.Fatalf("sanitisation rerun's instance a ran with secret %x, want the retry's %x", got, retry)
 		}
 		want := swapmem.FlipSecret(retry)
-		if got := ctx.sanB.space.ReadRaw(swapmem.SecretAddr, len(want)); !bytes.Equal(got, want) {
-			t.Fatalf("sanitisation slot B ran with secret %x, want %x", got, want)
+		if got := ctx.b.space.ReadRaw(swapmem.SecretAddr, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("sanitisation rerun's instance b ran with secret %x, want %x", got, want)
 		}
 		return
 	}

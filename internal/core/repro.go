@@ -26,44 +26,22 @@ func DecodeSeed(data string) (gen.Seed, error) {
 	return s, nil
 }
 
-// ReproResult is a deterministic replay of one seed through all phases.
+// ReproResult is a deterministic replay of one seed through all phases:
+// the iteration's outcome plus Phase 1's training overhead.
 type ReproResult struct {
-	Seed      gen.Seed
-	Triggered bool
-	TaintGain bool
-	Finding   *Finding
-	TO, ETO   int
-	Sims      int
+	Outcome
+	Seed    gen.Seed
+	TO, ETO int
 }
 
 // Reproduce replays a seed through the full three-phase pipeline — the
-// workflow a developer follows from a bug report.
+// workflow a developer follows from a bug report. It runs the campaign's
+// phase chain on the fuzzer's sequential pipeline, with the fuzzer's
+// coverage as the sink.
 func (f *Fuzzer) Reproduce(seed gen.Seed) (*ReproResult, error) {
-	res := &ReproResult{Seed: seed}
-	p1, err := f.Phase1(seed)
+	out, to, eto, err := f.seqShard().chain(seed, f.coverage)
 	if err != nil {
 		return nil, err
 	}
-	res.Sims += p1.Sims
-	res.Triggered = p1.Triggered
-	res.TO, res.ETO = p1.TO, p1.ETO
-	if !p1.Triggered {
-		return res, nil
-	}
-	p2, err := f.Phase2(p1)
-	if err != nil {
-		return nil, err
-	}
-	res.Sims += p2.Sims
-	res.TaintGain = p2.TaintGain
-	if !p2.TaintGain {
-		return res, nil
-	}
-	p3, err := f.Phase3(p1, p2)
-	if err != nil {
-		return nil, err
-	}
-	res.Sims += p3.Sims
-	res.Finding = p3.Finding
-	return res, nil
+	return &ReproResult{Outcome: out, Seed: seed, TO: to, ETO: eto}, nil
 }

@@ -8,7 +8,6 @@ package core
 import (
 	"dejavuzz/internal/gen"
 	"dejavuzz/internal/mem"
-	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/swapmem"
 	"dejavuzz/internal/uarch"
 )
@@ -36,34 +35,34 @@ func (o *RunOpts) defaults() {
 	}
 }
 
-// SingleRun is a finished single-DUT simulation. Runs returned by an
-// ExecContext borrow the context's state: they are valid until the next run
-// on the same context slot.
+// SingleRun is a finished single-DUT simulation. A run returned by an
+// ExecContext borrows the context's state: it stays valid until the next
+// run on that context.
 type SingleRun struct {
 	Core *uarch.Core
 	RT   *swapmem.Runtime
 }
 
-// DiffRun is a finished differential (two-DUT) simulation. Runs returned by
-// an ExecContext borrow the context's state: they are valid until the next
-// run on the same context slot.
+// DiffRun is a finished differential (two-DUT) simulation. A run returned
+// by an ExecContext borrows the context's state: it stays valid until the
+// next run on that context.
 type DiffRun struct {
 	Pair     *uarch.Pair
 	RTA, RTB *swapmem.Runtime
 }
 
-// instance is one reusable DUT slot: an address space, a core over it and a
-// swap runtime driving it. Slots are built lazily on first use and Reset in
-// place afterwards.
+// instance is one reusable DUT: an address space, a core over it and a swap
+// runtime driving it. It is built on first use and Reset in place
+// afterwards.
 type instance struct {
 	space *mem.Space
 	core  *uarch.Core
 	rt    *swapmem.Runtime
 }
 
-// prepare readies the slot for a run: fresh construction on first use (or
-// always, in a fresh context), in-place reset otherwise. The reset path is
-// provably equivalent to construction — NewSpace/NewCore/NewRuntime are
+// prepare readies the instance for a run: fresh construction on first use
+// (or always, in a fresh context), in-place reset otherwise. The reset path
+// is provably equivalent to construction — NewSpace/NewCore/NewRuntime are
 // implemented in terms of the same Reset/Rebind operations.
 func (in *instance) prepare(fresh bool, secret []byte, cfg uarch.Config, mode uarch.IFTMode,
 	sched *swapmem.Schedule, taintTrace bool) {
@@ -80,23 +79,19 @@ func (in *instance) prepare(fresh bool, secret []byte, cfg uarch.Config, mode ua
 }
 
 // ExecContext is a long-lived, resettable execution plane for one pipeline
-// shard: it owns the DUT state (spaces, cores, runtimes) for the single-
-// instance slot, the primary differential slot and the sanitisation
-// differential slot, and resets it between simulations instead of
-// reallocating — the hot-path optimisation the campaign engine's throughput
-// rests on. A context is single-goroutine; the campaign engine gives every
-// deterministic shard its own (no locks, no pooling, no cross-shard
-// sharing).
+// shard: the paper's differential testbench, one pair of DUT instances (a
+// and b) that it resets between simulations instead of reallocating. Every
+// phase of an iteration runs on the pair: single-DUT runs (Phase 1's
+// trigger check and training reduction) on a, differential runs (Phase 2
+// and Phase 3's sanitised rerun) on both. A context is single-goroutine;
+// the campaign engine gives every deterministic shard its own (no locks, no
+// pooling, no cross-shard sharing).
 type ExecContext struct {
 	// fresh disables reuse: every run rebuilds its DUT state from scratch.
 	// This is the reference behaviour reset-equivalence is proven against.
 	fresh bool
 
-	single instance
-	diffA  instance
-	diffB  instance
-	sanA   instance
-	sanB   instance
+	a, b instance
 }
 
 // NewExecContext returns a reusing execution context.
@@ -109,53 +104,44 @@ func NewExecContext() *ExecContext { return &ExecContext{} }
 // reports.
 func NewFreshContext() *ExecContext { return &ExecContext{fresh: true} }
 
-// RunSingle executes a swap schedule on the context's single-DUT slot.
+// RunSingle executes a swap schedule on the context's instance a.
 func (x *ExecContext) RunSingle(sched *swapmem.Schedule, opts RunOpts) *SingleRun {
 	opts.defaults()
-	x.single.prepare(x.fresh, opts.Secret, opts.Cfg, opts.Mode, sched, opts.TaintTrace)
-	x.single.rt.Start()
-	x.single.core.Run(opts.MaxCycles)
-	return &SingleRun{Core: x.single.core, RT: x.single.rt}
+	x.a.prepare(x.fresh, opts.Secret, opts.Cfg, opts.Mode, sched, opts.TaintTrace)
+	x.a.rt.Start()
+	x.a.core.Run(opts.MaxCycles)
+	return &SingleRun{Core: x.a.core, RT: x.a.rt}
 }
 
-func (x *ExecContext) runDiffSecrets(ia, ib *instance, sched *swapmem.Schedule, opts RunOpts, secretA, secretB []byte) *DiffRun {
-	// Taint tracing records observables on instance A only: every analysis
-	// (coverage log, taint-gain series, censuses, sinks) reads the A
-	// instance; B exists to resolve the cross-instance comparisons, and
-	// tracing it would double the per-cycle census cost for data nobody
-	// reads. Recording is observation-only, so this cannot change results.
-	ia.prepare(x.fresh, secretA, opts.Cfg, uarch.IFTDiff, sched, opts.TaintTrace)
-	ib.prepare(x.fresh, secretB, opts.Cfg, uarch.IFTDiff, sched, false)
-	ia.rt.Start()
-	ib.rt.Start()
-	p := uarch.NewPair(ia.core, ib.core)
+func (x *ExecContext) runDiff(sched *swapmem.Schedule, opts RunOpts, secretB []byte) *DiffRun {
+	// Taint tracing records observables on instance a only: every analysis
+	// (coverage log, taint-gain series, censuses, sinks) reads a; b exists
+	// to resolve the cross-instance comparisons, and tracing it would
+	// double the per-cycle census cost for data nobody reads. Recording is
+	// observation-only, so this cannot change results.
+	x.a.prepare(x.fresh, opts.Secret, opts.Cfg, uarch.IFTDiff, sched, opts.TaintTrace)
+	x.b.prepare(x.fresh, secretB, opts.Cfg, uarch.IFTDiff, sched, false)
+	x.a.rt.Start()
+	x.b.rt.Start()
+	p := uarch.NewPair(x.a.core, x.b.core)
 	p.Run(opts.MaxCycles)
-	return &DiffRun{Pair: p, RTA: ia.rt, RTB: ib.rt}
+	return &DiffRun{Pair: p, RTA: x.a.rt, RTB: x.b.rt}
 }
 
-// RunDiff executes a swap schedule on the context's primary differential
-// slot: two DUTs with complementary secrets, coupled for diffIFT.
+// RunDiff executes a swap schedule on the context's pair: two DUTs with
+// complementary secrets, coupled for diffIFT.
 func (x *ExecContext) RunDiff(sched *swapmem.Schedule, opts RunOpts) *DiffRun {
 	opts.defaults()
-	return x.runDiffSecrets(&x.diffA, &x.diffB, sched, opts, opts.Secret, swapmem.FlipSecret(opts.Secret))
+	return x.runDiff(sched, opts, swapmem.FlipSecret(opts.Secret))
 }
 
-// RunDiffSan executes on the sanitisation differential slot. Phase 3 reruns
-// the stimulus with the encode block nopped out while it still compares
-// censuses against the primary run; a separate slot keeps the primary run's
-// observables borrowable across the rerun.
-func (x *ExecContext) RunDiffSan(sched *swapmem.Schedule, opts RunOpts) *DiffRun {
-	opts.defaults()
-	return x.runDiffSecrets(&x.sanA, &x.sanB, sched, opts, opts.Secret, swapmem.FlipSecret(opts.Secret))
-}
-
-// RunDiffFN executes the diffIFT false-negative worst case on the primary
-// slot: both instances carry the SAME secret, so every cross-instance
-// comparison is equal and all control taints are suppressed (Figure 6's
-// diffIFT_FN series).
+// RunDiffFN executes the diffIFT false-negative worst case on the pair:
+// both instances carry the SAME secret, so every cross-instance comparison
+// is equal and all control taints are suppressed (Figure 6's diffIFT_FN
+// series).
 func (x *ExecContext) RunDiffFN(sched *swapmem.Schedule, opts RunOpts) *DiffRun {
 	opts.defaults()
-	return x.runDiffSecrets(&x.diffA, &x.diffB, sched, opts, opts.Secret, opts.Secret)
+	return x.runDiff(sched, opts, opts.Secret)
 }
 
 // RunSingle executes a swap schedule on a freshly constructed DUT instance
@@ -181,17 +167,12 @@ func RunDiffFN(sched *swapmem.Schedule, opts RunOpts) *DiffRun {
 
 // expectedSquash resolves the squash class a seed's transient window must
 // be terminated by — the scenario family owns this, so nested families can
-// demand a different squash class than their legacy trigger would imply.
+// demand a different squash class than their legacy trigger would imply. A
+// seed that names no registered family (only a hand-crafted one can) is
+// held to the exception class.
 func expectedSquash(s gen.Seed) uarch.SquashReason {
 	fam, err := gen.FamilyOf(s)
 	if err != nil {
-		// Unknown family name: seeds that built a stimulus always resolve,
-		// so this is only reachable through hand-crafted seeds — fall back
-		// to the trigger class's canonical family rather than duplicating
-		// its squash mapping here.
-		if s.Trigger >= 0 && s.Trigger < gen.NumTriggerTypes {
-			return scenario.ByTrigger(s.Trigger).ExpectedSquash()
-		}
 		return uarch.SquashException
 	}
 	return fam.ExpectedSquash()

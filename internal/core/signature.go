@@ -16,7 +16,7 @@ func (f *Finding) SignatureInputs() []string {
 		f.Kind.String(),
 		f.AttackType,
 		f.Window.String(),
-		f.ScenarioName(),
+		f.Scenario,
 		joinSorted(f.Components),
 		joinSorted(f.BugLabels),
 	}

@@ -167,10 +167,10 @@ type uarchPipeline struct {
 func (p uarchPipeline) NewShard() ShardPipeline { return newUarchShard(p.f) }
 
 // uarchShard is one shard's three-phase pipeline instance. It owns the
-// shard's execution context (resettable DUT state), a builder generator
-// (assembly-materialisation scratch), reusable stimulus buffers for the
-// three construction stages and a reusable swap schedule — the complete
-// per-iteration working set, allocated once per campaign shard.
+// shard's execution context (one resettable diffIFT pair), a builder
+// generator (assembly-materialisation scratch), reusable stimulus buffers
+// for the three construction stages and a reusable swap schedule — the
+// complete per-iteration working set, allocated once per campaign shard.
 type uarchShard struct {
 	f   *Fuzzer
 	gen *gen.Generator // stimulus builder; per-shard for its scratch buffers
@@ -201,41 +201,47 @@ func newUarchShard(f *Fuzzer) *uarchShard {
 }
 
 // RunIteration executes one complete fuzzing iteration (all three phases)
-// on the shard's borrowed context.
+// on the shard's borrowed context. A phase error ends the iteration with
+// the outcome so far.
 func (s *uarchShard) RunIteration(iter int, seed gen.Seed, sink CovSink) Outcome {
-	out := Outcome{}
+	out, _, _, _ := s.chain(seed, sink)
+	return out
+}
+
+// chain runs Phase 1, then Phase 2 into sink, then Phase 3, stopping at the
+// first gate that fails (no trigger, no taint gain) or the first error. It
+// returns the outcome so far, Phase 1's training overhead (TO/ETO) and that
+// error. Campaign iterations and Fuzzer.Reproduce both run it.
+func (s *uarchShard) chain(seed gen.Seed, sink CovSink) (out Outcome, to, eto int, err error) {
 	p1, err := s.Phase1(seed)
 	if err != nil {
-		return out
+		return out, 0, 0, err
 	}
 	out.Sims += p1.Sims
+	to, eto = p1.TO, p1.ETO
 	if !p1.Triggered {
-		return out
+		return out, to, eto, nil
 	}
 	out.Triggered = true
 
 	p2, err := s.phase2Into(p1, sink)
 	if err != nil {
-		return out
+		return out, to, eto, err
 	}
 	out.Sims += p2.Sims
 	out.Measured = true
 	out.TaintGain = p2.TaintGain
 	out.NewPoints = p2.NewPoints
 	if !p2.TaintGain {
-		return out
+		return out, to, eto, nil
 	}
 
 	p3, err := s.Phase3(p1, p2)
 	if err != nil {
-		return out
+		return out, to, eto, err
 	}
 	out.Sims += p3.Sims
-	if p3.Finding != nil {
-		finding := *p3.Finding
-		out.Finding = &finding
-	} else if p3.DeadSinksOnly {
-		out.DeadSinksOnly = true
-	}
-	return out
+	out.Finding = p3.Finding
+	out.DeadSinksOnly = p3.DeadSinksOnly
+	return out, to, eto, nil
 }

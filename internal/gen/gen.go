@@ -70,11 +70,11 @@ func (v Variant) String() string {
 // Seed holds the configuration entropy for one stimulus (the corpus unit).
 type Seed struct {
 	Core uarch.CoreKind
-	// Scenario names the registered scenario family. Empty selects the
-	// canonical family for Trigger (pre-scenario seeds keep replaying).
+	// Scenario names the registered scenario family; Validate refuses a
+	// seed that names none.
 	Scenario string `json:",omitempty"`
 	// Trigger is the scenario's legacy trigger class; kept in the seed so
-	// findings, triage and pre-scenario consumers keep a stable taxonomy.
+	// findings and triage keep a stable taxonomy.
 	Trigger TriggerType
 	Variant Variant
 	Rand    int64
@@ -101,33 +101,23 @@ func (s Seed) params() scenario.Params {
 	}
 }
 
-// FamilyOf resolves the seed's scenario family: its named family, or the
-// canonical family of its legacy trigger class when unnamed. Hand-crafted
-// seeds (repro JSON) can carry anything, so both paths error instead of
-// panicking.
+// FamilyOf resolves the seed's named scenario family. Hand-crafted seeds
+// (repro JSON) can carry anything, so it errors instead of panicking.
 func FamilyOf(s Seed) (scenario.Scenario, error) {
-	if s.Scenario == "" {
-		if s.Trigger < 0 || s.Trigger >= NumTriggerTypes {
-			return nil, fmt.Errorf("gen: seed trigger %v has no scenario family", s.Trigger)
-		}
-		return scenario.ByTrigger(s.Trigger), nil
-	}
 	return scenario.Lookup(s.Scenario)
 }
 
 // Validate refuses a seed no draw or mutation could have produced, naming
-// the offending field: the family must be registered and Trigger must be
-// its legacy class (or, for a seed that names none, its legacy trigger
-// class must exist), the core and variant must be known, and every knob
-// must lie in the range drawKnobs and Mutate keep it in. Seeds from outside
-// the generator — repro JSON, checkpoints, warm-start sets — pass through
-// it before anything is built from them.
+// the offending field: the seed must name a registered family and Trigger
+// must be its legacy class, the core and variant must be known, and every
+// knob must lie in the range drawKnobs and Mutate keep it in. Seeds from
+// outside the generator — repro JSON, checkpoints, warm-start sets — pass
+// through it before anything is built from them.
 func (s Seed) Validate() error {
 	if s.Scenario == "" {
-		if s.Trigger < 0 || s.Trigger >= NumTriggerTypes {
-			return fmt.Errorf("gen: seed Trigger %d has no scenario family", int(s.Trigger))
-		}
-	} else if fam, err := scenario.Lookup(s.Scenario); err != nil {
+		return fmt.Errorf("gen: seed Scenario is empty: every seed names its family")
+	}
+	if fam, err := scenario.Lookup(s.Scenario); err != nil {
 		return fmt.Errorf("gen: seed Scenario: %w", err)
 	} else if s.Trigger != fam.Legacy() {
 		return fmt.Errorf("gen: seed Trigger %v is not family %s's class %v", s.Trigger, s.Scenario, fam.Legacy())
@@ -154,18 +144,8 @@ func (s Seed) Validate() error {
 	return nil
 }
 
-// ScenarioName returns the seed's effective family name (canonical when the
-// seed predates named scenarios; the raw trigger rendering for seeds whose
-// trigger class does not exist).
-func ScenarioName(s Seed) string {
-	if s.Scenario != "" {
-		return s.Scenario
-	}
-	if s.Trigger < 0 || s.Trigger >= NumTriggerTypes {
-		return s.Trigger.String()
-	}
-	return scenario.ByTrigger(s.Trigger).Name()
-}
+// ScenarioName returns the seed's family name.
+func ScenarioName(s Seed) string { return s.Scenario }
 
 // Generator produces seeds and stimuli deterministically from its RNG.
 // A Generator also owns the scratch buffers stimulus construction

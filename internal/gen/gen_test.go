@@ -170,7 +170,7 @@ func TestMaskedAccessBlock(t *testing.T) {
 		}
 		return p.Words
 	}
-	seed := Seed{Trigger: TrigAccessFault, MaskHigh: true}
+	seed := Seed{Scenario: scenario.ByTrigger(TrigAccessFault).Name(), Trigger: TrigAccessFault, MaskHigh: true}
 	if got := block(seed); !slices.Equal(got, masked) {
 		t.Fatalf("masked access block %#x does not load through the illegal address (%#x)", got, masked)
 	}
@@ -275,9 +275,9 @@ func TestMutateAlwaysChanges(t *testing.T) {
 }
 
 // TestBuildRejectsMalformedSeeds: hand-crafted seeds (repro JSON,
-// checkpoints, warm-start sets) with an out-of-range trigger, an unknown
-// family, a trigger that is not the family's class or an out-of-range knob
-// must error, naming the field, and never panic.
+// checkpoints, warm-start sets) that name no family or an unknown one, a
+// trigger that is not the family's class or an out-of-range knob must
+// error, naming the field, and never panic.
 func TestBuildRejectsMalformedSeeds(t *testing.T) {
 	g := New(1)
 	ok := Seed{Core: uarch.KindBOOM, Scenario: "page-fault", Trigger: TrigPageFault, TriggerOff: 70, WindowLen: 5, EncodeOps: 1}
@@ -288,8 +288,8 @@ func TestBuildRejectsMalformedSeeds(t *testing.T) {
 		field string
 		edit  func(*Seed)
 	}{
-		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", 99 }},
-		{"Trigger", func(s *Seed) { s.Scenario, s.Trigger = "", -1 }},
+		{"Scenario", func(s *Seed) { s.Scenario, s.Trigger = "", 99 }},
+		{"Scenario", func(s *Seed) { s.Scenario, s.Trigger = "", -1 }},
 		{"Scenario", func(s *Seed) { s.Scenario = "no-such-family" }},
 		{"Trigger", func(s *Seed) { s.Trigger = TrigBranchMispred }},
 		{"Core", func(s *Seed) { s.Core = 2 }},
@@ -310,9 +310,6 @@ func TestBuildRejectsMalformedSeeds(t *testing.T) {
 			t.Errorf("malformed seed %+v built a stimulus", seed)
 		} else if !strings.Contains(err.Error(), c.field) {
 			t.Errorf("refusal of %+v does not name %s: %v", seed, c.field, err)
-		}
-		if name := ScenarioName(seed); name == "" {
-			t.Errorf("malformed seed %+v has empty display name", seed)
 		}
 	}
 }

@@ -240,8 +240,8 @@ func All() []Scenario {
 }
 
 // ByTrigger returns the canonical family for a legacy trigger class — the
-// compatibility seam for TriggerType-era callers (seeds without a family
-// name, SpecDoctor's per-trigger generator).
+// seam for TriggerType-era callers (seed draws by trigger class,
+// SpecDoctor's per-trigger generator).
 // Lock-free, like Lookup.
 func ByTrigger(t TriggerType) Scenario {
 	s, ok := reg.Load().canonical[t]

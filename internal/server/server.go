@@ -23,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,7 +235,10 @@ func (s *Server) loadRegistry() error {
 		return fmt.Errorf("server: registry %s has version %d, want %d", path, reg.Version, registryVersion)
 	}
 	s.nextID = reg.NextID
-	for _, rec := range reg.Campaigns {
+	for i, rec := range reg.Campaigns {
+		if err := s.checkRecord(rec); err != nil {
+			return fmt.Errorf("server: registry %s: campaign %d (id %q): %w", path, i, rec.ID, err)
+		}
 		rec.Stopping = ""
 		if rec.State == StateRunning || rec.State == StateQueued {
 			// Interrupted by the previous shutdown (or crash): resume from
@@ -246,6 +251,29 @@ func (s *Server) loadRegistry() error {
 		s.order = append(s.order, rec.ID)
 	}
 	return nil
+}
+
+// checkRecord refuses a loaded record the server could not have written:
+// an ID other than the c<N> that Create hands out (an empty one included),
+// an N above next_id (a later Create would hand it out again and overwrite
+// the campaign's checkpoint and report), an ID already loaded, or an
+// unknown state.
+func (s *Server) checkRecord(rec Record) error {
+	n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "c"))
+	if err != nil || rec.ID != fmt.Sprintf("c%d", n) || n < 1 {
+		return errors.New("id is not of the form c<N>")
+	}
+	if n > s.nextID {
+		return fmt.Errorf("id is above next_id %d", s.nextID)
+	}
+	if _, dup := s.campaigns[rec.ID]; dup {
+		return errors.New("id is listed twice")
+	}
+	switch rec.State {
+	case StateQueued, StateRunning, StatePaused, StateDone, StateCancelled, StateFailed:
+		return nil
+	}
+	return fmt.Errorf("state %q is not a campaign state", rec.State)
 }
 
 func (s *Server) registryPath() string { return filepath.Join(s.stateDir, "campaigns.json") }

@@ -6,16 +6,21 @@ import (
 
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/gen"
+	"dejavuzz/internal/scenario"
 )
 
+// finding builds a finding whose seed names the canonical family of its
+// window class.
 func finding(iter int, kind core.FindingKind, attack string, window gen.TriggerType, comps, bugs []string, seedRand int64) core.Finding {
+	fam := scenario.ByTrigger(window).Name()
 	return core.Finding{
 		Kind:       kind,
 		AttackType: attack,
 		Window:     window,
+		Scenario:   fam,
 		Components: comps,
 		BugLabels:  bugs,
-		Seed:       gen.Seed{Rand: seedRand, TriggerOff: 60, WindowLen: 4, EncodeOps: 1},
+		Seed:       gen.Seed{Scenario: fam, Trigger: window, Rand: seedRand, TriggerOff: 60, WindowLen: 4, EncodeOps: 1},
 		Iteration:  iter,
 	}
 }
