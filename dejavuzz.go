@@ -85,9 +85,9 @@ type FamilyPrior = scenario.Prior
 // Report is the result of a fuzzing campaign.
 type Report = core.Report
 
-// TriggerType enumerates the legacy transient-window trigger classes.
-// Scenario families (see Scenarios) are the finer-grained identity new
-// workloads register under; every family maps onto one trigger class.
+// TriggerType enumerates the Table 3 transient-window trigger classes.
+// Scenario families (see Scenarios) are the finer-grained identity; every
+// family belongs to one trigger class.
 type TriggerType = gen.TriggerType
 
 // ScenarioStat is one scenario family's cumulative campaign statistics
@@ -95,16 +95,16 @@ type TriggerType = gen.TriggerType
 // every Epoch event and in the final Report.
 type ScenarioStat = core.ScenarioStat
 
-// ScenarioInfo describes one registered scenario family: its Table-3
-// trigger and window classes, the built-in targets that can observe its
-// trigger, and its capability flags.
+// ScenarioInfo describes one scenario family: its Table-3 trigger and
+// window classes, the built-in targets that can observe its trigger, and
+// its capability flags.
 type ScenarioInfo = scenario.Info
 
-// Scenarios returns the sorted names of every registered scenario family.
+// Scenarios returns the sorted names of every scenario family.
 func Scenarios() []string { return scenario.Names() }
 
-// ScenarioCatalog returns one ScenarioInfo per registered family, sorted
-// by name.
+// ScenarioCatalog returns one ScenarioInfo per scenario family, sorted by
+// name.
 func ScenarioCatalog() []ScenarioInfo { return scenario.Catalog() }
 
 // ScenarioCatalogTable renders the catalog as the canonical markdown table

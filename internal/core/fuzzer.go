@@ -50,10 +50,10 @@ type Options struct {
 	MaxCycles  int
 
 	// Scenarios restricts the campaign to the named scenario families
-	// (include filter); nil or empty means every registered family. Like
-	// Shards, the set is determinism-relevant: it reshapes the stimulus
-	// streams, is serialised into checkpoints, and a resume with a
-	// different set fails with an option-mismatch error.
+	// (include filter); nil or empty means every family. Like Shards, the
+	// set is determinism-relevant: it reshapes the stimulus streams, is
+	// serialised into checkpoints, and a resume with a different set fails
+	// with an option-mismatch error.
 	Scenarios []string
 	// Scheduler names the scenario-scheduling policy. The only policy is
 	// "ucb", a deterministic UCB1 bandit that tries every enabled family
@@ -155,7 +155,7 @@ func (o Options) Normalized() Options {
 }
 
 // normalizeScenarios sorts and deduplicates a scenario filter; empty
-// collapses to nil (every registered family).
+// collapses to nil (every family).
 func normalizeScenarios(in []string) []string {
 	if len(in) == 0 {
 		return nil
@@ -172,7 +172,7 @@ func normalizeScenarios(in []string) []string {
 	return out[:n]
 }
 
-// ValidateScenarios checks a scenario filter against the registry.
+// ValidateScenarios checks a scenario filter against the scenario table.
 func ValidateScenarios(names []string) error {
 	for _, n := range names {
 		if _, err := scenario.Lookup(n); err != nil {

@@ -72,35 +72,19 @@ func (s *uarchShard) Phase1(seed gen.Seed) (*Phase1Result, error) {
 }
 
 // relocateWindow is the DejaVuzz* acceptance path: random training cannot
-// steer the prediction at the planned window address, but a transient window
-// of the expected squash class anywhere in the swap region is still usable —
-// the fuzzer relocates the window onto it.
+// steer the prediction at the planned window address, but a trained
+// misprediction of the expected class at the trigger PC still opens a
+// transient window somewhere in the swap region — the fuzzer relocates the
+// window onto it. Only misprediction classes relocate.
 func relocateWindow(run *SingleRun, st *gen.Stimulus) bool {
 	if st.Seed.Variant != gen.VariantRandom {
 		return false
 	}
+	if want := expectedSquash(st.Seed); !want.Mispredict() || !squashedAtTrigger(run, st, want) {
+		return false
+	}
 	c := run.Core
 	since := run.RT.TransientStart()
-	var wantReason uarch.SquashReason
-	switch st.Seed.Trigger {
-	case gen.TrigBranchMispred:
-		wantReason = uarch.SquashBranchMispredict
-	case gen.TrigJumpMispred:
-		wantReason = uarch.SquashJumpMispredict
-	case gen.TrigReturnMispred:
-		wantReason = uarch.SquashReturnMispredict
-	default:
-		return false
-	}
-	sawReason := false
-	for _, s := range c.Trace.Squashes {
-		if s.Cycle >= since && s.Reason == wantReason && s.AtPC == st.TriggerPC && s.PredTaken {
-			sawReason = true
-		}
-	}
-	if !sawReason {
-		return false
-	}
 	// Find the transient pcs produced by that squash.
 	var lo, hi uint64
 	for i := range c.Trace.Insts {

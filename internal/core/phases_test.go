@@ -33,10 +33,10 @@ func TestPhase1TriggersAllWindowTypes(t *testing.T) {
 				if triggered != wantTriggered {
 					t.Fatalf("triggered=%v, want %v (last: %+v)", triggered, wantTriggered, last)
 				}
-				if triggered && trig.IsException() && last.ETO != 0 {
+				if triggered && trig.Squash() == uarch.SquashException && last.ETO != 0 {
 					t.Errorf("exception window kept training (ETO=%d), reduction failed", last.ETO)
 				}
-				if triggered && trig.IsMispredict() && last.ETO == 0 {
+				if triggered && trig.Squash().Mispredict() && last.ETO == 0 {
 					t.Errorf("misprediction window reported zero effective training")
 				}
 			})

@@ -165,37 +165,35 @@ func RunDiffFN(sched *swapmem.Schedule, opts RunOpts) *DiffRun {
 	return NewFreshContext().RunDiffFN(sched, opts)
 }
 
-// expectedSquash resolves the squash class a seed's transient window must
-// be terminated by — the scenario family owns this, so nested families can
-// demand a different squash class than their legacy trigger would imply. A
-// seed that names no registered family (only a hand-crafted one can) is
-// held to the exception class.
+// expectedSquash is the squash class a seed's transient window must be
+// terminated by: the one its family's trigger class implies. A seed that
+// names no family (only a hand-crafted one can) is held to the exception
+// class.
 func expectedSquash(s gen.Seed) uarch.SquashReason {
 	fam, err := gen.FamilyOf(s)
 	if err != nil {
 		return uarch.SquashException
 	}
-	return fam.ExpectedSquash()
+	return fam.Trigger.Squash()
 }
 
 // WindowTriggered evaluates the paper's trigger criterion during the
 // transient packet's execution: more window instructions entered the RoB
 // than committed, terminated by the expected squash class at the trigger PC.
 func WindowTriggered(run *SingleRun, st *gen.Stimulus) bool {
+	ws := run.Core.Trace.WindowSince(st.WindowLo, st.WindowHi, run.RT.TransientStart())
+	return ws.Triggered() && squashedAtTrigger(run, st, expectedSquash(st.Seed))
+}
+
+// squashedAtTrigger reports whether the transient packet's run squashed
+// with reason want at the trigger PC. A misprediction squash counts only
+// when a trained prediction took the wrong path: default (untrained)
+// fall-through execution opens no trained transient window, and the paper
+// excludes it.
+func squashedAtTrigger(run *SingleRun, st *gen.Stimulus, want uarch.SquashReason) bool {
 	since := run.RT.TransientStart()
-	ws := run.Core.Trace.WindowSince(st.WindowLo, st.WindowHi, since)
-	if !ws.Triggered() {
-		return false
-	}
-	want := expectedSquash(st.Seed)
-	needPred := st.Seed.Trigger.IsMispredict()
 	for _, s := range run.Core.Trace.Squashes {
-		if s.Cycle >= since && s.Reason == want && s.AtPC == st.TriggerPC {
-			if needPred && !s.PredTaken {
-				// Default (untrained) fall-through execution: not a trained
-				// transient window — the paper excludes these.
-				continue
-			}
+		if s.Cycle >= since && s.Reason == want && s.AtPC == st.TriggerPC && (s.PredTaken || !want.Mispredict()) {
 			return true
 		}
 	}

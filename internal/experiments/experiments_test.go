@@ -91,7 +91,7 @@ func TestTable3Shape(t *testing.T) {
 			if cell.Triggerable == wantFail {
 				t.Errorf("%v/%v: triggerable=%v", res.Core, tr, cell.Triggerable)
 			}
-			if cell.Triggerable && tr.IsException() && cell.ETO != 0 {
+			if cell.Triggerable && tr.Squash() == uarch.SquashException && cell.ETO != 0 {
 				t.Errorf("%v/%v: exception ETO=%.1f, want 0", res.Core, tr, cell.ETO)
 			}
 		}

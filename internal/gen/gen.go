@@ -1,6 +1,6 @@
 // Package gen is DejaVuzz's stimulus sampler and mutator: a deterministic
-// front-end over the scenario registry (internal/scenario). The registry
-// owns what a transient-window workload *is* — entry setup, trigger/window
+// front-end over the scenario table (internal/scenario). The table owns
+// what a transient-window workload *is* — entry setup, trigger/window
 // layout, secret access, encode gadget, derived training, capability flags —
 // while this package owns how campaigns draw from it:
 //
@@ -70,8 +70,8 @@ func (v Variant) String() string {
 // Seed holds the configuration entropy for one stimulus (the corpus unit).
 type Seed struct {
 	Core uarch.CoreKind
-	// Scenario names the registered scenario family; Validate refuses a
-	// seed that names none.
+	// Scenario names the seed's family; Validate refuses a seed that names
+	// none.
 	Scenario string `json:",omitempty"`
 	// Trigger is the scenario's legacy trigger class; kept in the seed so
 	// findings and triage keep a stable taxonomy.
@@ -103,24 +103,24 @@ func (s Seed) params() scenario.Params {
 
 // FamilyOf resolves the seed's named scenario family. Hand-crafted seeds
 // (repro JSON) can carry anything, so it errors instead of panicking.
-func FamilyOf(s Seed) (scenario.Scenario, error) {
+func FamilyOf(s Seed) (*scenario.Family, error) {
 	return scenario.Lookup(s.Scenario)
 }
 
 // Validate refuses a seed no draw or mutation could have produced, naming
-// the offending field: the seed must name a registered family and Trigger
-// must be its legacy class, the core and variant must be known, and every
-// knob must lie in the range drawKnobs and Mutate keep it in. Seeds from
-// outside the generator — repro JSON, checkpoints, warm-start sets — pass
-// through it before anything is built from them.
+// the offending field: the seed must name a family and Trigger must be its
+// trigger class, the core and variant must be known, and every knob must
+// lie in the range drawKnobs and Mutate keep it in. Seeds from outside the
+// generator — repro JSON, checkpoints, warm-start sets — pass through it
+// before anything is built from them.
 func (s Seed) Validate() error {
 	if s.Scenario == "" {
 		return fmt.Errorf("gen: seed Scenario is empty: every seed names its family")
 	}
 	if fam, err := scenario.Lookup(s.Scenario); err != nil {
 		return fmt.Errorf("gen: seed Scenario: %w", err)
-	} else if s.Trigger != fam.Legacy() {
-		return fmt.Errorf("gen: seed Trigger %v is not family %s's class %v", s.Trigger, s.Scenario, fam.Legacy())
+	} else if s.Trigger != fam.Trigger {
+		return fmt.Errorf("gen: seed Trigger %v is not family %s's class %v", s.Trigger, s.Scenario, fam.Trigger)
 	}
 	if s.Core != uarch.KindBOOM && s.Core != uarch.KindXiangShan {
 		return fmt.Errorf("gen: seed Core %d is not a modelled core", int(s.Core))
@@ -157,7 +157,7 @@ type Generator struct {
 	rng *rand.Rand
 
 	// scenarios is the enabled family set mutation's swap-scenario operator
-	// draws from (sorted; defaults to every registered family).
+	// draws from (sorted; defaults to every family).
 	scenarios []string
 	// items (the packet being assembled) and body (a window body, or a
 	// random training's setup and body) are scratch reused across packet
@@ -186,7 +186,7 @@ func (g *Generator) Reseed(seed int64) {
 
 // SetScenarios restricts the family set the swap-scenario mutation operator
 // draws from (the campaign's -scenarios filter). Names are copied and
-// sorted; an empty set restores the default (every registered family).
+// sorted; an empty set restores the default (every family).
 func (g *Generator) SetScenarios(names []string) {
 	if len(names) == 0 {
 		g.scenarios = nil
@@ -264,7 +264,7 @@ func (g *Generator) RandomSeed(core uarch.CoreKind) Seed {
 	t := TriggerType(g.rng.Intn(int(NumTriggerTypes)))
 	s := Seed{
 		Core:     core,
-		Scenario: scenario.ByTrigger(t).Name(),
+		Scenario: scenario.ByTrigger(t).Name,
 		Trigger:  t,
 		Variant:  VariantDerived,
 	}
@@ -280,8 +280,8 @@ func (g *Generator) SeedScenario(core uarch.CoreKind, fam string) (Seed, error) 
 	}
 	s := Seed{
 		Core:     core,
-		Scenario: sc.Name(),
-		Trigger:  sc.Legacy(),
+		Scenario: sc.Name,
+		Trigger:  sc.Trigger,
 		Variant:  VariantDerived,
 	}
 	g.drawKnobs(&s)
@@ -303,7 +303,7 @@ func (g *Generator) ScheduledSeed(core uarch.CoreKind, sch *scenario.Scheduler) 
 // SeedFor draws a seed with a fixed legacy trigger type (its canonical
 // scenario family).
 func (g *Generator) SeedFor(core uarch.CoreKind, t TriggerType, v Variant) Seed {
-	s, _ := g.SeedScenario(core, scenario.ByTrigger(t).Name())
+	s, _ := g.SeedScenario(core, scenario.ByTrigger(t).Name)
 	s.Variant = v
 	return s
 }
@@ -332,7 +332,7 @@ func (g *Generator) Mutate(s Seed) Seed {
 		op = 2 // single-family campaigns cannot swap scenarios
 	}
 	if op == 1 {
-		if fam, err := FamilyOf(s); err != nil || fam.Caps().OwnEncoder {
+		if fam, err := FamilyOf(s); err != nil || fam.Caps.OwnEncoder {
 			op = 2 // the family never reads Params.Encoder
 		}
 	}
@@ -351,8 +351,8 @@ func (g *Generator) Mutate(s Seed) Seed {
 		if err != nil {
 			panic(fmt.Sprintf("gen: mutate: %v", err))
 		}
-		n.Scenario = sc.Name()
-		n.Trigger = sc.Legacy()
+		n.Scenario = sc.Name
+		n.Trigger = sc.Trigger
 	case 1: // swap encoder: a different gadget selector
 		span := scenario.NumEncoders() + 1
 		n.Encoder = (s.Encoder + 1 + g.rng.Intn(span-1)) % span
@@ -370,7 +370,7 @@ func (g *Generator) Mutate(s Seed) Seed {
 		// excluded so the flip is never a stimulus no-op.
 		var caps scenario.Capabilities
 		if fam, err := FamilyOf(s); err == nil {
-			caps = fam.Caps()
+			caps = fam.Caps
 		} else {
 			caps.OwnAccess = true // unknown family: only SecretFaults is safe
 		}
@@ -485,7 +485,7 @@ func appendNops(dst []isa.Item, n int) []isa.Item {
 // family with the given window body, filling in TriggerPC/WindowLo/WindowHi.
 // The items are materialised into the generator's scratch buffer and the
 // packet struct is reused when the stimulus already carries one.
-func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBody []isa.Item) error {
+func (g *Generator) buildTransient(st *Stimulus, fam *scenario.Family, windowBody []isa.Item) error {
 	s := st.Seed
 	p := s.params()
 	T := st.TriggerPC
@@ -569,7 +569,7 @@ var (
 // and whose control flow matches the transient window — plus two decoy
 // candidates that the training-reduction step is expected to discard.
 // Packets are appended to dst (typically a recycled slice).
-func (g *Generator) deriveTrainings(dst []*swapmem.Packet, st *Stimulus, fam scenario.Scenario, rng *rand.Rand) ([]*swapmem.Packet, error) {
+func (g *Generator) deriveTrainings(dst []*swapmem.Packet, st *Stimulus, fam *scenario.Family, rng *rand.Rand) ([]*swapmem.Packet, error) {
 	out := dst
 	specs := fam.Trainings(g.trainSpecs[:0], st.Seed.params(), st.WindowLo)
 	g.trainSpecs = specs
@@ -676,10 +676,7 @@ func (g *Generator) CompleteWindowInto(dst, st *Stimulus) error {
 	// The encode block is retained on the stimulus (Phase 3 sanitisation
 	// reads it), so it builds into the destination's own recycled buffer;
 	// the access+encode window body is per-build scratch.
-	encode, ok := fam.Encode(dst.EncodeBlock[:0], p, rng)
-	if !ok {
-		encode = scenario.SharedEncode(encode, p, rng)
-	}
+	encode := fam.Encode(dst.EncodeBlock[:0], p, rng)
 	body := fam.Access(g.body[:0], p)
 	body = append(body, encode...)
 	g.body = body
@@ -695,7 +692,7 @@ func (g *Generator) CompleteWindowInto(dst, st *Stimulus) error {
 	// Disambiguation-class windows additionally warm the pointer slot so
 	// the speculative loads complete inside the (short) ordering window.
 	dst.WindowTrains = windowTrains[0]
-	if fam.Caps().WarmPointer {
+	if fam.Caps.WarmPointer {
 		dst.WindowTrains = windowTrains[1]
 	}
 	return nil
@@ -730,16 +727,6 @@ func (g *Generator) SanitizedInto(dst, st *Stimulus) error {
 	dst.WindowTrains = st.WindowTrains
 	dst.Completed = true
 	return nil
-}
-
-// accessBlock returns the seed's secret-access block (the scenario family's
-// Access hook); kept as the package-level seam tests exercise.
-func accessBlock(s Seed) []isa.Item {
-	fam, err := FamilyOf(s)
-	if err != nil {
-		return nil
-	}
-	return fam.Access(nil, s.params())
 }
 
 // windowTrains are the two window-training sets: one packet that warms the

@@ -164,13 +164,17 @@ func TestCompleteWindowAndSanitize(t *testing.T) {
 func TestMaskedAccessBlock(t *testing.T) {
 	masked := isa.MustAsm(0, "li t0, 0x8000000000002000\nld s0, 0(t0)").Words
 	block := func(s Seed) []uint32 {
-		p, err := isa.Assemble(0, accessBlock(s))
+		fam, err := FamilyOf(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := isa.Assemble(0, fam.Access(nil, s.params()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p.Words
 	}
-	seed := Seed{Scenario: scenario.ByTrigger(TrigAccessFault).Name(), Trigger: TrigAccessFault, MaskHigh: true}
+	seed := Seed{Scenario: scenario.ByTrigger(TrigAccessFault).Name, Trigger: TrigAccessFault, MaskHigh: true}
 	if got := block(seed); !slices.Equal(got, masked) {
 		t.Fatalf("masked access block %#x does not load through the illegal address (%#x)", got, masked)
 	}

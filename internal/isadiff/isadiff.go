@@ -92,8 +92,6 @@ type archRun struct {
 	// regSnaps is the integer register file at every packet boundary
 	// (trap), time-resolving where secret-derived divergence appears.
 	regSnaps [][32]uint64
-	// packets counts packets entered (the last is the transient packet).
-	packets int
 }
 
 // Exec drives the slot through a swap schedule, mirroring swapmem.Runtime's
@@ -113,7 +111,6 @@ func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fre
 	}
 	run.traps = run.traps[:0]
 	run.regSnaps = run.regSnaps[:0]
-	run.packets = 0
 	if len(sched.Steps) == 0 {
 		return nil
 	}
@@ -123,7 +120,6 @@ func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fre
 	if err != nil {
 		return err
 	}
-	run.packets++
 	sim.PC = entry
 	idx := 1
 	sim.TrapHook = func(t isasim.Trap) isasim.TrapAction {
@@ -136,7 +132,6 @@ func (run *archRun) Exec(sched *swapmem.Schedule, secret []byte, budget int, fre
 		if entry, err = swapmem.LoadPacket(space, sched.Steps[idx]); err != nil {
 			return isasim.TrapAction{Halt: true}
 		}
-		run.packets++
 		idx++
 		return isasim.TrapAction{NewPC: entry}
 	}
@@ -270,12 +265,11 @@ func (p *shardPipeline) RunIteration(iter int, seed gen.Seed, sink core.CovSink)
 	out.Measured = true
 
 	// Triggered: the planned trigger instruction architecturally trapped.
-	// The scenario family declares its squash class, so the check consults
-	// capabilities instead of guessing: only exception-class windows have an
-	// architectural trigger signature; misprediction and memory-ordering
-	// windows have none, so their families honestly report untriggered on
-	// an ISA model.
-	if fam, err := gen.FamilyOf(seed); err == nil && fam.ExpectedSquash() == uarch.SquashException {
+	// Only windows whose family's trigger class ends in an exception squash
+	// have an architectural trigger signature; misprediction and
+	// memory-ordering windows have none, so their families honestly report
+	// untriggered on an ISA model.
+	if fam, err := gen.FamilyOf(seed); err == nil && fam.Trigger.Squash() == uarch.SquashException {
 		for _, t := range a.traps {
 			if t.EPC == p.st1.TriggerPC {
 				out.Triggered = true

@@ -7,9 +7,9 @@ import (
 	"dejavuzz/internal/uarch"
 )
 
-// Info is one catalog row: the serialisable description of a registered
-// family, shared by `dejavuzz -list-scenarios`, the server's GET /scenarios
-// endpoint and the README catalog check.
+// Info is one catalog row: the serialisable description of a family, shared
+// by `dejavuzz -list-scenarios`, the server's GET /scenarios endpoint and
+// the README catalog check.
 type Info struct {
 	Name         string       `json:"name"`
 	Description  string       `json:"description"`
@@ -24,27 +24,25 @@ type Info struct {
 // trigger: the cycle-accurate cores always can; the architectural isasim
 // pair only sees exception-class triggers (mispredictions have no
 // architectural signature, so isasim honestly reports them untriggered).
-func targetsFor(s Scenario) []string {
-	if s.ExpectedSquash() == uarch.SquashException {
+func targetsFor(f *Family) []string {
+	if f.Trigger.Squash() == uarch.SquashException {
 		return []string{"boom", "xiangshan", "isasim"}
 	}
 	return []string{"boom", "xiangshan"}
 }
 
-// Catalog returns one Info per registered family, sorted by name.
+// Catalog returns one Info per family, sorted by name.
 func Catalog() []Info {
-	all := All()
-	out := make([]Info, 0, len(all))
-	for _, s := range all {
-		tc, wc := s.Classes()
+	out := make([]Info, 0, len(sorted))
+	for _, f := range sorted {
 		out = append(out, Info{
-			Name:         s.Name(),
-			Description:  s.Description(),
-			TriggerClass: tc,
-			WindowClass:  wc,
-			Legacy:       s.Legacy().String(),
-			Targets:      targetsFor(s),
-			Caps:         s.Caps(),
+			Name:         f.Name,
+			Description:  f.Description,
+			TriggerClass: triggerClasses[f.Trigger].title,
+			WindowClass:  f.WindowClass,
+			Legacy:       f.Trigger.String(),
+			Targets:      targetsFor(f),
+			Caps:         f.Caps,
 		})
 	}
 	return out

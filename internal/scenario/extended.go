@@ -2,17 +2,79 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dejavuzz/internal/isa"
 	"dejavuzz/internal/swapmem"
-	"dejavuzz/internal/uarch"
 )
 
-// The extended families: transient-window shapes the flat TriggerType enum
-// could not express. Each composes proven trigger mechanics with a new
-// window or encode structure, so they trigger as reliably as their legacy
-// cousins while reaching state the canonical eight never touch.
+// The extended families' fragments and hooks (their rows are in the table):
+// transient-window shapes the flat TriggerType enum could not express. Each
+// composes proven trigger mechanics with a new window or encode structure,
+// so they trigger as reliably as their canonical cousins while reaching
+// state the canonical eight never touch.
+
+// nested-fault-in-branch: a faulting access *inside* a mispredicted branch
+// window (SpecFuzz-style nesting). The branch at the trigger PC squashes
+// before the transient fault can ever be raised, so the fault is purely
+// speculative — LSU/TLB fault paths are exercised under a control-flow
+// squash instead of an exception squash, a combination no flat trigger
+// reaches.
+var (
+	nestedGuard = item(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardAccBase+0x80)))
+	nestedLoad  = item("ld t5, 0(t6)")
+	nestedStore = item("sd t5, 0(t6)")
+)
+
+// nestedSetup is the branch-condition setup plus the guard address for the
+// nested fault (architecturally dead: the window never commits).
+func nestedSetup(dst []isa.Item, _ Params, _ uint64) []isa.Item {
+	dst = append(dst, slowDiv...)
+	return append(dst, nestedGuard)
+}
+
+func nestedWindow(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
+	fault := nestedLoad
+	if p.StoreFlavor {
+		fault = nestedStore
+	}
+	dst = append(dst,
+		branchTrigger,
+		ecall,
+		winLabel,
+		fault, // nested: faults only transiently
+	)
+	dst = append(dst, body...)
+	return append(dst, ecall), 2, len(body) + 2
+}
+
+// stl-forward-chain: a store-to-load-forwarding chain appended to the
+// memory-disambiguation window. The stale pointer obtained through the
+// mis-disambiguated load is laundered through an in-window store/load
+// forwarding pair before the secret dereference, so the leak flows through
+// the store queue's forwarding path — a channel the plain mem-disambig
+// family never exercises.
+var (
+	stlSlot    = item(fmt.Sprintf("li a5, %#x", uint64(swapmem.DataBase+0x500)))
+	stlLaunder = frag(
+		"sd t1, 0(a5)", // spill the stale pointer...
+		"ld t2, 0(a5)", // ...and forward it straight back
+		"ld s0, 0(t2)", // dereference the forwarded copy
+	)
+)
+
+// stlSetup is the disambiguation setup plus the forwarding slot the window
+// bounces the stale pointer through.
+func stlSetup(dst []isa.Item, _ Params, _ uint64) []isa.Item {
+	dst = append(dst, disambigSetup...)
+	return append(dst, stlSlot)
+}
+
+func stlAccess(dst []isa.Item, _ Params) []isa.Item {
+	return append(dst, stlLaunder...)
+}
+
+// cache-occupancy: a page-fault window whose encoder is a Shesha-style
+// multi-gadget cache-occupancy pattern (see occupancyGadgets).
 
 // occupancyGadgets holds the cache-occupancy encode blocks, one per
 // gadget slot (EncodeOps selects how many stack). Each gadget owns a 1KB
@@ -39,103 +101,10 @@ var occupancyGadgets = func() [4][]isa.Item {
 	return out
 }()
 
-// stlAccess launders the stale pointer through an in-window
-// store-to-load forwarding pair before the secret dereference.
-var stlAccess = frag(
-	"sd t1, 0(a5)", // spill the stale pointer...
-	"ld t2, 0(a5)", // ...and forward it straight back
-	"ld s0, 0(t2)", // dereference the forwarded copy
-)
-
-// The nested-fault window's two nested accesses.
-var (
-	nestedLoad  = item("ld t5, 0(t6)")
-	nestedStore = item("sd t5, 0(t6)")
-)
-
-func init() {
-	// nested-fault-in-branch: a faulting access *inside* a mispredicted
-	// branch window (SpecFuzz-style nesting). The branch at the trigger PC
-	// squashes before the transient fault can ever be raised, so the fault
-	// is purely speculative — LSU/TLB fault paths are exercised under a
-	// control-flow squash instead of an exception squash, a combination no
-	// flat trigger reaches.
-	nestedGuard := item(fmt.Sprintf("li t6, %#x", uint64(swapmem.GuardAccBase+0x80)))
-	Register(&family{
-		name:      "nested-fault-in-branch",
-		desc:      "transiently faulting access nested inside a mispredicted-branch window",
-		legacy:    TrigBranchMispred,
-		trigClass: "branch misprediction",
-		winClass:  "control-flow squash over a nested fault",
-		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
-		squash:    uarch.SquashBranchMispredict,
-		setup: func(dst []isa.Item, _ Params, _ uint64) []isa.Item {
-			// Branch-condition setup plus the guard address for the nested
-			// fault (architecturally dead: the window never commits).
-			dst = append(dst, slowDiv...)
-			return append(dst, nestedGuard)
-		},
-		window: func(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
-			fault := nestedLoad
-			if p.StoreFlavor {
-				fault = nestedStore
-			}
-			dst = append(dst,
-				branchTrigger,
-				ecall,
-				winLabel,
-				fault, // nested: faults only transiently
-			)
-			dst = append(dst, body...)
-			return append(dst, ecall), 2, len(body) + 2
-		},
-		trainings: branchTrainings,
-	})
-
-	// stl-forward-chain: a store-to-load-forwarding chain appended to the
-	// memory-disambiguation window. The stale pointer obtained through the
-	// mis-disambiguated load is laundered through an in-window store/load
-	// forwarding pair before the secret dereference, so the leak flows
-	// through the store queue's forwarding path — a channel the plain
-	// mem-disambig family never exercises.
-	stlSlot := item(fmt.Sprintf("li a5, %#x", uint64(swapmem.DataBase+0x500)))
-	Register(&family{
-		name:      "stl-forward-chain",
-		desc:      "disambiguation window laundering the stale pointer through store-to-load forwarding",
-		legacy:    TrigMemDisambig,
-		trigClass: "memory disambiguation",
-		winClass:  "memory-ordering squash over a forwarding chain",
-		caps:      Capabilities{WarmPointer: true, OwnAccess: true},
-		squash:    uarch.SquashMemOrdering,
-		setup: func(dst []isa.Item, _ Params, _ uint64) []isa.Item {
-			// The disambiguation setup plus a forwarding slot the window
-			// bounces the stale pointer through.
-			dst = append(dst, disambigSetup...)
-			return append(dst, stlSlot)
-		},
-		window: disambigWindow,
-		access: func(dst []isa.Item, _ Params) []isa.Item {
-			return append(dst, stlAccess...)
-		},
-	})
-
-	// cache-occupancy: a page-fault window whose encoder is a Shesha-style
-	// multi-gadget cache-occupancy pattern (see occupancyGadgets).
-	Register(&family{
-		name:      "cache-occupancy",
-		desc:      "exception window with a multi-gadget cache-occupancy encoder (Shesha-style)",
-		legacy:    TrigPageFault,
-		trigClass: "load/store page fault",
-		winClass:  "exception over an occupancy encoder",
-		caps:      Capabilities{OwnEncoder: true, StoreFlavored: true},
-		squash:    uarch.SquashException,
-		setup:     guardSetup(swapmem.GuardPageBase + 0x40),
-		window:    faultWindow,
-		encode: func(dst []isa.Item, p Params, _ *rand.Rand) ([]isa.Item, bool) {
-			for i := 0; i < p.EncodeOps && i < len(occupancyGadgets); i++ {
-				dst = append(dst, occupancyGadgets[i]...)
-			}
-			return dst, true
-		},
-	})
+// occupancyEncode stacks the first EncodeOps occupancy gadgets.
+func occupancyEncode(dst []isa.Item, p Params) []isa.Item {
+	for i := 0; i < p.EncodeOps && i < len(occupancyGadgets); i++ {
+		dst = append(dst, occupancyGadgets[i]...)
+	}
+	return dst
 }

@@ -2,73 +2,139 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dejavuzz/internal/isa"
 	"dejavuzz/internal/swapmem"
-	"dejavuzz/internal/uarch"
 )
 
-// family is the shared Scenario implementation: a description record plus
-// build hooks. Nil hooks fall back to the common behaviour (no setup, no
-// trainings, DefaultAccess, shared encode table), so most families only
-// supply what makes them distinct. Hooks are append-style (see Scenario);
-// fixed item sequences live in package-level fragment tables built at init,
-// so a build allocates nothing beyond what its parameters force (the
-// PC-dependent jump-training setup).
-type family struct {
-	name      string
-	desc      string
-	legacy    TriggerType
-	trigClass string
-	winClass  string
-	caps      Capabilities
-	squash    uarch.SquashReason
+// table holds every scenario family, one row each. The first
+// NumTriggerTypes rows are the canonical families in class order — row t
+// has trigger class t (ByTrigger) — and the extended families follow. Row
+// order is otherwise immaterial: every enumeration the package exposes is
+// sorted by name.
+var table = [...]Family{
+	{
+		Name:        "access-fault",
+		Description: "load/store to a permission-guarded region opens an exception window",
+		Trigger:     TrigAccessFault,
+		WindowClass: "exception",
+		Caps:        Capabilities{InvalidCode: true, StoreFlavored: true},
+		setup:       guardSetup(swapmem.GuardAccBase + 0x40),
+		window:      faultWindow,
+	},
+	{
+		Name:        "page-fault",
+		Description: "load/store to an unmapped page opens an exception window",
+		Trigger:     TrigPageFault,
+		WindowClass: "exception",
+		Caps:        Capabilities{StoreFlavored: true},
+		setup:       guardSetup(swapmem.GuardPageBase + 0x40),
+		window:      faultWindow,
+	},
+	{
+		Name:        "misalign",
+		Description: "misaligned load/store opens an exception window",
+		Trigger:     TrigMisalign,
+		WindowClass: "exception",
+		Caps:        Capabilities{InvalidCode: true, StoreFlavored: true},
+		setup:       guardSetup(swapmem.DataBase + 0x101),
+		window:      faultWindow,
+	},
+	{
+		Name:        "illegal-inst",
+		Description: "undecodable instruction opens an exception window",
+		Trigger:     TrigIllegal,
+		WindowClass: "exception",
+		Caps:        Capabilities{InvalidCode: true},
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			dst = append(dst, illegal)
+			dst = append(dst, body...)
+			return append(dst, ecall), 1, len(body) + 1
+		},
+	},
+	{
+		Name:        "mem-disambig",
+		Description: "younger load forwards a stale pointer past a slow-address store (memory-ordering window)",
+		Trigger:     TrigMemDisambig,
+		WindowClass: "memory-ordering squash",
+		Caps:        Capabilities{WarmPointer: true, OwnAccess: true},
+		setup:       staticSetup(disambigSetup),
+		window:      disambigWindow,
+		access: func(dst []isa.Item, _ Params) []isa.Item {
+			// The stale pointer in t1 (set by the trigger block) points at
+			// the secret; dereference it.
+			return append(dst, derefStale)
+		},
+	},
+	{
+		Name:        "branch-mispredict",
+		Description: "trained-taken conditional branch with a slow not-taken condition",
+		Trigger:     TrigBranchMispred,
+		WindowClass: "control-flow squash",
+		setup:       staticSetup(slowDiv),
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			// Trained taken -> window at target; actually not taken -> exit.
+			return mispredictWindow(dst, branchTrigger, body)
+		},
+		trainings: branchTrainings,
+	},
+	{
+		Name:        "jump-mispredict",
+		Description: "indirect jump trained onto the window with a slow actual target",
+		Trigger:     TrigJumpMispred,
+		WindowClass: "control-flow squash",
+		setup:       slowTargetSetup,
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			return mispredictWindow(dst, jumpTrigger, body) // actual: exit at T+4
+		},
+		trainings: jumpTrainings,
+	},
+	{
+		Name:        "return-mispredict",
+		Description: "return predicted from a poisoned RAS while the actual address resolves slowly",
+		Trigger:     TrigReturnMispred,
+		WindowClass: "control-flow squash",
+		Caps:        Capabilities{BackwardJumps: true},
+		setup: func(dst []isa.Item, p Params, T uint64) []isa.Item {
+			return append(slowTargetSetup(dst, p, T), retSetup)
+		},
+		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
+			return mispredictWindow(dst, retTrigger, body) // predicted from RAS -> win; actual -> exit
+		},
+		trainings: retTrainings,
+	},
 
-	setup     func(dst []isa.Item, p Params, T uint64) []isa.Item
-	window    func(dst []isa.Item, p Params, body []isa.Item) (items []isa.Item, winOff, winLen int)
-	access    func(dst []isa.Item, p Params) []isa.Item
-	encode    func(dst []isa.Item, p Params, rng *rand.Rand) ([]isa.Item, bool)
-	trainings func(dst []Training, p Params, winLo uint64) []Training
-}
-
-func (f *family) Name() string                       { return f.name }
-func (f *family) Description() string                { return f.desc }
-func (f *family) Legacy() TriggerType                { return f.legacy }
-func (f *family) Classes() (string, string)          { return f.trigClass, f.winClass }
-func (f *family) Caps() Capabilities                 { return f.caps }
-func (f *family) ExpectedSquash() uarch.SquashReason { return f.squash }
-
-func (f *family) Setup(dst []isa.Item, p Params, T uint64) []isa.Item {
-	if f.setup == nil {
-		return dst
-	}
-	return f.setup(dst, p, T)
-}
-
-func (f *family) Window(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
-	return f.window(dst, p, body)
-}
-
-func (f *family) Access(dst []isa.Item, p Params) []isa.Item {
-	if f.access == nil {
-		return DefaultAccess(dst, p)
-	}
-	return f.access(dst, p)
-}
-
-func (f *family) Encode(dst []isa.Item, p Params, rng *rand.Rand) ([]isa.Item, bool) {
-	if f.encode == nil {
-		return dst, false
-	}
-	return f.encode(dst, p, rng)
-}
-
-func (f *family) Trainings(dst []Training, p Params, winLo uint64) []Training {
-	if f.trainings == nil {
-		return dst
-	}
-	return f.trainings(dst, p, winLo)
+	// The extended families (extended.go).
+	{
+		Name:        "nested-fault-in-branch",
+		Description: "transiently faulting access nested inside a mispredicted-branch window",
+		Trigger:     TrigBranchMispred,
+		WindowClass: "control-flow squash over a nested fault",
+		Caps:        Capabilities{InvalidCode: true, StoreFlavored: true},
+		setup:       nestedSetup,
+		window:      nestedWindow,
+		trainings:   branchTrainings,
+	},
+	{
+		Name:        "stl-forward-chain",
+		Description: "disambiguation window laundering the stale pointer through store-to-load forwarding",
+		Trigger:     TrigMemDisambig,
+		WindowClass: "memory-ordering squash over a forwarding chain",
+		Caps:        Capabilities{WarmPointer: true, OwnAccess: true},
+		setup:       stlSetup,
+		window:      disambigWindow,
+		access:      stlAccess,
+	},
+	{
+		Name:        "cache-occupancy",
+		Description: "exception window with a multi-gadget cache-occupancy encoder (Shesha-style)",
+		Trigger:     TrigPageFault,
+		WindowClass: "exception over an occupancy encoder",
+		Caps:        Capabilities{OwnEncoder: true, StoreFlavored: true},
+		setup:       guardSetup(swapmem.GuardPageBase + 0x40),
+		window:      faultWindow,
+		encode:      occupancyEncode,
+	},
 }
 
 // staticSetup adapts a fixed fragment into a setup hook.
@@ -224,112 +290,3 @@ var (
 	retTrigger    = item("ret")
 	illegal       = item(".illegal")
 )
-
-func init() {
-	registerCanonical(&family{
-		name:      "access-fault",
-		desc:      "load/store to a permission-guarded region opens an exception window",
-		legacy:    TrigAccessFault,
-		trigClass: "load/store access fault",
-		winClass:  "exception",
-		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
-		squash:    uarch.SquashException,
-		setup:     guardSetup(swapmem.GuardAccBase + 0x40),
-		window:    faultWindow,
-	})
-	registerCanonical(&family{
-		name:      "page-fault",
-		desc:      "load/store to an unmapped page opens an exception window",
-		legacy:    TrigPageFault,
-		trigClass: "load/store page fault",
-		winClass:  "exception",
-		caps:      Capabilities{StoreFlavored: true},
-		squash:    uarch.SquashException,
-		setup:     guardSetup(swapmem.GuardPageBase + 0x40),
-		window:    faultWindow,
-	})
-	registerCanonical(&family{
-		name:      "misalign",
-		desc:      "misaligned load/store opens an exception window",
-		legacy:    TrigMisalign,
-		trigClass: "load/store misalign",
-		winClass:  "exception",
-		caps:      Capabilities{InvalidCode: true, StoreFlavored: true},
-		squash:    uarch.SquashException,
-		setup:     guardSetup(swapmem.DataBase + 0x101),
-		window:    faultWindow,
-	})
-	registerCanonical(&family{
-		name:      "illegal-inst",
-		desc:      "undecodable instruction opens an exception window",
-		legacy:    TrigIllegal,
-		trigClass: "illegal instruction",
-		winClass:  "exception",
-		caps:      Capabilities{InvalidCode: true},
-		squash:    uarch.SquashException,
-		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
-			dst = append(dst, illegal)
-			dst = append(dst, body...)
-			return append(dst, ecall), 1, len(body) + 1
-		},
-	})
-	registerCanonical(&family{
-		name:      "mem-disambig",
-		desc:      "younger load forwards a stale pointer past a slow-address store (memory-ordering window)",
-		legacy:    TrigMemDisambig,
-		trigClass: "memory disambiguation",
-		winClass:  "memory-ordering squash",
-		caps:      Capabilities{WarmPointer: true, OwnAccess: true},
-		squash:    uarch.SquashMemOrdering,
-		setup:     staticSetup(disambigSetup),
-		window:    disambigWindow,
-		access: func(dst []isa.Item, _ Params) []isa.Item {
-			// The stale pointer in t1 (set by the trigger block) points at
-			// the secret; dereference it.
-			return append(dst, derefStale)
-		},
-	})
-	registerCanonical(&family{
-		name:      "branch-mispredict",
-		desc:      "trained-taken conditional branch with a slow not-taken condition",
-		legacy:    TrigBranchMispred,
-		trigClass: "branch misprediction",
-		winClass:  "control-flow squash",
-		squash:    uarch.SquashBranchMispredict,
-		setup:     staticSetup(slowDiv),
-		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
-			// Trained taken -> window at target; actually not taken -> exit.
-			return mispredictWindow(dst, branchTrigger, body)
-		},
-		trainings: branchTrainings,
-	})
-	registerCanonical(&family{
-		name:      "jump-mispredict",
-		desc:      "indirect jump trained onto the window with a slow actual target",
-		legacy:    TrigJumpMispred,
-		trigClass: "indirect-jump misprediction",
-		winClass:  "control-flow squash",
-		squash:    uarch.SquashJumpMispredict,
-		setup:     slowTargetSetup,
-		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
-			return mispredictWindow(dst, jumpTrigger, body) // actual: exit at T+4
-		},
-		trainings: jumpTrainings,
-	})
-	registerCanonical(&family{
-		name:      "return-mispredict",
-		desc:      "return predicted from a poisoned RAS while the actual address resolves slowly",
-		legacy:    TrigReturnMispred,
-		trigClass: "return-address misprediction",
-		winClass:  "control-flow squash",
-		caps:      Capabilities{BackwardJumps: true},
-		squash:    uarch.SquashReturnMispredict,
-		setup: func(dst []isa.Item, p Params, T uint64) []isa.Item {
-			return append(slowTargetSetup(dst, p, T), retSetup)
-		},
-		window: func(dst []isa.Item, _ Params, body []isa.Item) ([]isa.Item, int, int) {
-			return mispredictWindow(dst, retTrigger, body) // predicted from RAS -> win; actual -> exit
-		},
-		trainings: retTrainings,
-	})
-}

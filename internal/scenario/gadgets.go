@@ -86,12 +86,12 @@ var encodeGadgets = [][]isa.Item{
 // selector ranges over [0, NumEncoders] (0 draws per op).
 func NumEncoders() int { return len(encodeGadgets) }
 
-// SharedEncode appends the Params' encode block drawn from the shared
+// sharedEncode appends the Params' encode block drawn from the shared
 // gadget table: Encoder 0 draws one gadget per op from the derivation RNG
 // (the historical behaviour), Encoder k>0 pins every op to gadget k-1 (the
 // structured swap-encoder mutation target). The RNG draw happens even when
 // pinned, keeping the derivation stream aligned across Encoder values.
-func SharedEncode(dst []isa.Item, p Params, rng *rand.Rand) []isa.Item {
+func sharedEncode(dst []isa.Item, p Params, rng *rand.Rand) []isa.Item {
 	for i := 0; i < p.EncodeOps; i++ {
 		g := encodeGadgets[rng.Intn(len(encodeGadgets))]
 		if p.Encoder > 0 && p.Encoder <= len(encodeGadgets) {
@@ -114,9 +114,9 @@ var (
 	)
 )
 
-// DefaultAccess appends the common secret-access block: load the secret
+// defaultAccess appends the common secret-access block: load the secret
 // into s0, optionally through a masked (illegal, MDS-style) address.
-func DefaultAccess(dst []isa.Item, p Params) []isa.Item {
+func defaultAccess(dst []isa.Item, p Params) []isa.Item {
 	if p.MaskHigh {
 		return append(dst, accessMasked...)
 	}

@@ -1,21 +1,22 @@
 // Package scenario is DejaVuzz's composable stimulus-scenario subsystem:
-// the open registry the generator samples transient-window workloads from.
+// the table of transient-window families the generator samples from.
 //
-// A Scenario (family) bundles everything one transient-window shape needs —
-// the architecturally-executed entry setup, the trigger-and-window layout,
-// the secret-access block, an optional dedicated encode gadget, the derived
-// training blocks and the squash class the window must terminate with —
-// behind one interface, plus capability flags that downstream tools filter
-// on (SpecDoctor's documented generator restrictions, the architectural
-// isasim target's trigger observability, the README catalog).
+// A family is one row of that table (Family). It names its Table 3 trigger
+// class and window class, carries the capability flags downstream tools
+// filter on (SpecDoctor's documented generator restrictions, the README
+// catalog), and holds the build hooks for everything one transient-window
+// shape needs: the architecturally-executed entry setup, the
+// trigger-and-window layout, the secret-access block, an optional dedicated
+// encode block and the derived training blocks. The squash its window must
+// end in is its trigger class's, stated once in trigger.go.
 //
-// The eight trigger classes of Table 3 are registered as canonical families
-// (one per TriggerType), and new workloads register alongside them without
-// touching the generator, the engine, or any consumer: adding a family is a
-// one-package change. Three extended families ship in-tree — a nested
-// fault-inside-mispredicted-window shape (SpecFuzz-style nesting), a
+// The first eight rows are the canonical families, one per Table 3 trigger
+// class in class order (ByTrigger). Three extended families follow — a
+// nested fault-inside-mispredicted-window shape (SpecFuzz-style nesting), a
 // store-to-load-forwarding chain over the disambiguation window, and a
-// Shesha-style multi-gadget cache-occupancy encoder.
+// Shesha-style multi-gadget cache-occupancy encoder. Adding a workload is
+// adding a row: the generator, engine, CLI, server and triage read the
+// table.
 //
 // The package also provides the coverage-adaptive Scheduler campaign shards
 // draw families from: per-family coverage yield observed at merge barriers
@@ -29,11 +30,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dejavuzz/internal/isa"
-	"dejavuzz/internal/uarch"
 )
 
 // Params is the per-stimulus knob set a scenario family builds from — the
@@ -52,11 +50,6 @@ type Params struct {
 // Capabilities are the coarse structural properties downstream tools filter
 // families on, instead of hardcoding trigger lists.
 type Capabilities struct {
-	// NeedsSwapMem marks families whose construction requires swapMem's
-	// training/transient isolation — they cannot be expressed as a single
-	// linear program, so baselines without swappable memory (SpecDoctor)
-	// cannot reach them.
-	NeedsSwapMem bool `json:"needs_swapmem,omitempty"`
 	// BackwardJumps marks families whose trigger/window structure requires
 	// backward control flow when rendered as a single linear program — the
 	// form SpecDoctor's generator emits and whose backward-jump windows it
@@ -94,159 +87,126 @@ type Training struct {
 	Body  []isa.Item
 }
 
-// Scenario is one registered transient-window family. Implementations must
-// be stateless values: Build methods are pure functions of their Params, so
-// one instance is shared read-only across all campaign shards.
+// Family is one scenario family: one row of the table. Rows are built once,
+// at package init, and their hooks are pure functions of their Params, so
+// one row is shared read-only by every campaign shard.
 //
-// The fragment-producing hooks return typed instruction items (isa.Item)
-// and are append-style — they extend dst and return it — so the
-// generator's per-shard scratch buffers absorb every build and the campaign
-// hot path (two to three packet builds per iteration) assembles packets
-// without rendering or parsing text. Fixed item sequences are built once,
-// at package init.
+// The hooks return typed instruction items (isa.Item) and are append-style
+// — they extend dst and return it — so the generator's per-shard scratch
+// buffers absorb every build and the campaign hot path (two to three packet
+// builds per iteration) assembles packets without rendering or parsing
+// text. Fixed item sequences are built once, at package init. A nil hook
+// takes the common behaviour (see the methods), so most rows supply only
+// what makes them distinct.
 //
 // Window and encode sizes are counted in items: one item per source line,
 // so a `li` that expands to two words still counts once.
-type Scenario interface {
-	// Name is the registry key (e.g. "branch-mispredict").
-	Name() string
-	// Description is a one-line human-readable summary.
-	Description() string
-	// Legacy is the nearest TriggerType class. Findings report it as their
-	// window class and the SpecDoctor baseline keys its generator on it.
-	Legacy() TriggerType
-	// Classes returns the Table-3 trigger and transient-window classes.
-	Classes() (trigger, window string)
-	// Caps returns the family's structural capability flags.
-	Caps() Capabilities
-	// ExpectedSquash is the squash class the transient window must be
-	// terminated by for the trigger criterion to hold.
-	ExpectedSquash() uarch.SquashReason
-	// Setup appends the architecturally-executed entry setup; T is the
-	// trigger PC (some setups compute addresses relative to it).
-	Setup(dst []isa.Item, p Params, T uint64) []isa.Item
-	// Window appends the trigger-and-window layout emitted after the
-	// "trig" label and returns the window's offset from the trigger PC
-	// and its length (the body contributes len(body)).
-	Window(dst []isa.Item, p Params, body []isa.Item) (items []isa.Item, winOff, winLen int)
-	// Access appends the secret-access block Phase 2 prepends to the
-	// encode block when completing the window.
-	Access(dst []isa.Item, p Params) []isa.Item
-	// Encode appends the family's dedicated secret-encoding block and
-	// reports whether it has one; ok=false leaves dst untouched and the
-	// caller draws from the shared gadget table instead.
-	Encode(dst []isa.Item, p Params, rng *rand.Rand) (items []isa.Item, ok bool)
-	// Trainings appends the derived trigger-training blocks; winLo is the
-	// resolved transient-window start address.
-	Trainings(dst []Training, p Params, winLo uint64) []Training
+type Family struct {
+	Name        string // the table key, e.g. "branch-mispredict"
+	Description string // a one-line summary
+	// Trigger is the family's Table 3 trigger class. Findings report it as
+	// their window class, SpecDoctor keys its generator on it, and its
+	// Squash is the squash the family's windows must end in.
+	Trigger     TriggerType
+	WindowClass string // the Table 3 transient-window class
+	Caps        Capabilities
+
+	setup     func(dst []isa.Item, p Params, T uint64) []isa.Item
+	window    func(dst []isa.Item, p Params, body []isa.Item) (items []isa.Item, winOff, winLen int)
+	access    func(dst []isa.Item, p Params) []isa.Item
+	encode    func(dst []isa.Item, p Params) []isa.Item
+	trainings func(dst []Training, p Params, winLo uint64) []Training
 }
 
-// regState is one immutable registry snapshot. Readers load it through an
-// atomic pointer and index read-only maps, so the campaign hot path — which
-// resolves a seed's family several times per iteration across all workers —
-// takes no locks and shares no contended cache line; writers (init-time
-// registration) copy-on-write under regMu.
-type regState struct {
-	byName    map[string]Scenario
-	canonical map[TriggerType]Scenario
-	names     []string // sorted
-}
-
-var regMu sync.Mutex // serialises writers only
-
-// reg seeds through a variable initializer — not an init() function — so
-// the empty snapshot exists before any file's init() registers families
-// (package-level variables initialize ahead of all init functions).
-var reg = func() *atomic.Pointer[regState] {
-	p := new(atomic.Pointer[regState])
-	p.Store(&regState{byName: map[string]Scenario{}, canonical: map[TriggerType]Scenario{}})
-	return p
-}()
-
-// mutate applies one registration under the writer lock, installing a fresh
-// snapshot for lock-free readers.
-func mutate(f func(st *regState)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	old := reg.Load()
-	st := &regState{
-		byName:    make(map[string]Scenario, len(old.byName)+1),
-		canonical: make(map[TriggerType]Scenario, len(old.canonical)+1),
-		names:     append([]string(nil), old.names...),
+// Setup appends the architecturally-executed entry setup (none by
+// default); T is the trigger PC (some setups compute addresses relative to
+// it).
+func (f *Family) Setup(dst []isa.Item, p Params, T uint64) []isa.Item {
+	if f.setup == nil {
+		return dst
 	}
-	for k, v := range old.byName {
-		st.byName[k] = v
-	}
-	for k, v := range old.canonical {
-		st.canonical[k] = v
-	}
-	f(st)
-	sort.Strings(st.names)
-	reg.Store(st)
+	return f.setup(dst, p, T)
 }
 
-// Register adds a family to the registry. It panics on an empty or
-// duplicate name (families are wired at init time; a collision is a
-// programming error). Registration order never matters: every enumeration
-// the package exposes is sorted by name.
-func Register(s Scenario) {
-	name := s.Name()
-	if name == "" {
-		panic("scenario: Register with empty name")
+// Window appends the trigger-and-window layout emitted after the "trig"
+// label and returns the window's offset from the trigger PC and its length
+// (the body contributes len(body)).
+func (f *Family) Window(dst []isa.Item, p Params, body []isa.Item) ([]isa.Item, int, int) {
+	return f.window(dst, p, body)
+}
+
+// Access appends the secret-access block Phase 2 prepends to the encode
+// block when completing the window (defaultAccess by default).
+func (f *Family) Access(dst []isa.Item, p Params) []isa.Item {
+	if f.access == nil {
+		return defaultAccess(dst, p)
 	}
-	mutate(func(st *regState) {
-		if _, dup := st.byName[name]; dup {
-			panic(fmt.Sprintf("scenario: family %q registered twice", name))
-		}
-		st.byName[name] = s
-		st.names = append(st.names, name)
-	})
+	return f.access(dst, p)
 }
 
-// registerCanonical registers a family as the canonical implementation of
-// its legacy trigger class (the ByTrigger mapping).
-func registerCanonical(s Scenario) {
-	Register(s)
-	mutate(func(st *regState) {
-		if prev, dup := st.canonical[s.Legacy()]; dup {
-			panic(fmt.Sprintf("scenario: trigger %v already canonical to %q", s.Legacy(), prev.Name()))
-		}
-		st.canonical[s.Legacy()] = s
-	})
+// Encode appends the secret-encoding block: the family's dedicated one, or
+// by default the shared gadget table's (sharedEncode, which draws from rng).
+func (f *Family) Encode(dst []isa.Item, p Params, rng *rand.Rand) []isa.Item {
+	if f.encode == nil {
+		return sharedEncode(dst, p, rng)
+	}
+	return f.encode(dst, p)
 }
 
-// Lookup resolves a registered family by name (lock-free).
-func Lookup(name string) (Scenario, error) {
-	s, ok := reg.Load().byName[name]
+// Trainings appends the derived trigger-training blocks (none by default);
+// winLo is the resolved transient-window start address.
+func (f *Family) Trainings(dst []Training, p Params, winLo uint64) []Training {
+	if f.trainings == nil {
+		return dst
+	}
+	return f.trainings(dst, p, winLo)
+}
+
+// The table's indexes, built once at package init: every row by name, and
+// the rows and their names sorted by name. The canonical row of trigger
+// class t is table[t].
+var (
+	byName = make(map[string]*Family, len(table))
+	sorted = make([]*Family, 0, len(table))
+	names  = make([]string, 0, len(table))
+)
+
+func init() {
+	for i := range table {
+		byName[table[i].Name] = &table[i]
+		sorted = append(sorted, &table[i])
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	for _, f := range sorted {
+		names = append(names, f.Name)
+	}
+}
+
+// Lookup resolves a family by name.
+func Lookup(name string) (*Family, error) {
+	f, ok := byName[name]
 	if !ok {
-		return nil, fmt.Errorf("scenario: unknown family %q (registered: %v)", name, Names())
+		return nil, fmt.Errorf("scenario: unknown family %q (families: %v)", name, names)
 	}
-	return s, nil
+	return f, nil
 }
 
-// Names returns the sorted names of every registered family.
+// Names returns the sorted names of every family.
 func Names() []string {
-	return append([]string(nil), reg.Load().names...)
+	return append([]string(nil), names...)
 }
 
-// All returns every registered family, sorted by name.
-func All() []Scenario {
-	st := reg.Load()
-	out := make([]Scenario, 0, len(st.names))
-	for _, n := range st.names {
-		out = append(out, st.byName[n])
-	}
-	return out
+// All returns every family, sorted by name.
+func All() []*Family {
+	return append([]*Family(nil), sorted...)
 }
 
-// ByTrigger returns the canonical family for a legacy trigger class — the
-// seam for TriggerType-era callers (seed draws by trigger class,
-// SpecDoctor's per-trigger generator).
-// Lock-free, like Lookup.
-func ByTrigger(t TriggerType) Scenario {
-	s, ok := reg.Load().canonical[t]
-	if !ok {
+// ByTrigger returns the canonical family of a trigger class — the seam for
+// callers that draw by class (uniform seed draws, SpecDoctor's per-class
+// generator).
+func ByTrigger(t TriggerType) *Family {
+	if t < 0 || t >= NumTriggerTypes {
 		panic(fmt.Sprintf("scenario: no canonical family for trigger %v", t))
 	}
-	return s
+	return &table[t]
 }

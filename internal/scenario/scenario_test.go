@@ -1,9 +1,12 @@
 package scenario_test
 
 import (
+	"encoding/json"
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,22 +17,28 @@ import (
 	"dejavuzz/internal/uarch"
 )
 
-// The test lives in scenario_test (external) so it can drive the registry
-// through internal/gen's builder exactly as campaigns do.
+// The test lives in scenario_test (external) so it can drive the family
+// table through internal/gen's builder exactly as campaigns do.
+
+var update = flag.Bool("update", false, "rewrite testdata/catalog.golden")
 
 func TestRegistryOrderIndependence(t *testing.T) {
 	names := scenario.Names()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
+	// Strictly increasing: sorted, and no name twice (Lookup's index would
+	// keep only one row of a repeated name).
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("Names() not strictly increasing at %d: %v", i, names)
+		}
 	}
 	if len(names) < 11 {
-		t.Fatalf("expected at least 11 registered families (8 canonical + 3 extended), got %d: %v", len(names), names)
+		t.Fatalf("expected at least 11 families (8 canonical + 3 extended), got %d: %v", len(names), names)
 	}
 	// All() must enumerate in exactly the same (sorted) order, and repeated
-	// enumerations must agree — the registry exposes no registration order.
+	// enumerations must agree — the table exposes no row order.
 	var fromAll []string
 	for _, s := range scenario.All() {
-		fromAll = append(fromAll, s.Name())
+		fromAll = append(fromAll, s.Name)
 	}
 	if !reflect.DeepEqual(names, fromAll) {
 		t.Fatalf("All() order %v != Names() order %v", fromAll, names)
@@ -39,49 +48,90 @@ func TestRegistryOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestRegistryDuplicateRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+// TestFamilySquashes lists the squash each family's transient window must
+// end in for the trigger criterion to hold.
+func TestFamilySquashes(t *testing.T) {
+	want := map[string]uarch.SquashReason{
+		"access-fault":           uarch.SquashException,
+		"branch-mispredict":      uarch.SquashBranchMispredict,
+		"cache-occupancy":        uarch.SquashException,
+		"illegal-inst":           uarch.SquashException,
+		"jump-mispredict":        uarch.SquashJumpMispredict,
+		"mem-disambig":           uarch.SquashMemOrdering,
+		"misalign":               uarch.SquashException,
+		"nested-fault-in-branch": uarch.SquashBranchMispredict,
+		"page-fault":             uarch.SquashException,
+		"return-mispredict":      uarch.SquashReturnMispredict,
+		"stl-forward-chain":      uarch.SquashMemOrdering,
+	}
+	all := scenario.All()
+	if len(all) != len(want) {
+		t.Errorf("%d families, want %d", len(all), len(want))
+	}
+	for _, fam := range all {
+		if got, ok := want[fam.Name]; !ok {
+			t.Errorf("family %q is not listed", fam.Name)
+		} else if sq := fam.Trigger.Squash(); sq != got {
+			t.Errorf("family %q ends in %v, want %v", fam.Name, sq, got)
 		}
-	}()
-	// page-fault is registered at init; a second registration must panic.
-	fam, err := scenario.Lookup("page-fault")
+	}
+}
+
+// TestCatalogGolden pins the catalog byte for byte: the markdown table
+// `dejavuzz -list-scenarios` prints, then json.Marshal(Catalog()), the list
+// the server's GET /scenarios body carries. Regenerate with
+// `go test ./internal/scenario -run TestCatalogGolden -update` only after an
+// intentional catalog change.
+func TestCatalogGolden(t *testing.T) {
+	body, err := json.Marshal(scenario.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenario.Register(fam)
+	got := scenario.CatalogTable() + string(body) + "\n"
+	path := filepath.Join("testdata", "catalog.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("catalog drifted from %s (run with -update if intentional)\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
 }
 
 func TestCanonicalCoversAllTriggers(t *testing.T) {
 	seen := map[string]bool{}
 	for _, tr := range scenario.AllTriggerTypes() {
 		fam := scenario.ByTrigger(tr)
-		if fam.Legacy() != tr {
-			t.Errorf("canonical family %q for %v reports legacy %v", fam.Name(), tr, fam.Legacy())
+		if fam.Trigger != tr {
+			t.Errorf("canonical family %q for %v has class %v", fam.Name, tr, fam.Trigger)
 		}
-		if seen[fam.Name()] {
-			t.Errorf("family %q canonical for two triggers", fam.Name())
+		if seen[fam.Name] {
+			t.Errorf("family %q canonical for two triggers", fam.Name)
 		}
-		seen[fam.Name()] = true
+		seen[fam.Name] = true
 	}
 }
 
-// TestEveryFamilyBuildsQuick is the testing/quick property: for every
-// registered family and random generator entropy, the full stimulus
-// construction pipeline (phase-1 build, window completion, sanitisation)
-// assembles without error for both core configurations, the images fit the
-// swappable region, and the window sits behind the trigger.
+// TestEveryFamilyBuildsQuick is the testing/quick property: for every family
+// and random generator entropy, the full stimulus construction pipeline
+// (phase-1 build, window completion, sanitisation) assembles without error
+// for both core configurations, the images fit the swappable region, and
+// the window sits behind the trigger.
 func TestEveryFamilyBuildsQuick(t *testing.T) {
 	for _, fam := range scenario.All() {
 		fam := fam
-		t.Run(fam.Name(), func(t *testing.T) {
+		t.Run(fam.Name, func(t *testing.T) {
 			prop := func(entropy int64, variantBit bool) bool {
 				g := gen.New(entropy)
 				for _, kind := range []uarch.CoreKind{uarch.KindBOOM, uarch.KindXiangShan} {
-					seed, err := g.SeedScenario(kind, fam.Name())
+					seed, err := g.SeedScenario(kind, fam.Name)
 					if err != nil {
-						t.Logf("%v/%s: seed: %v", kind, fam.Name(), err)
+						t.Logf("%v/%s: seed: %v", kind, fam.Name, err)
 						return false
 					}
 					if variantBit {
@@ -89,33 +139,33 @@ func TestEveryFamilyBuildsQuick(t *testing.T) {
 					}
 					st, err := g.BuildStimulus(seed)
 					if err != nil {
-						t.Logf("%v/%s: build: %v", kind, fam.Name(), err)
+						t.Logf("%v/%s: build: %v", kind, fam.Name, err)
 						return false
 					}
 					if st.Transient == nil || st.Transient.Image.Size() > swapmem.SwapSize {
-						t.Logf("%v/%s: transient image missing or oversized", kind, fam.Name())
+						t.Logf("%v/%s: transient image missing or oversized", kind, fam.Name)
 						return false
 					}
 					if st.WindowLo <= st.TriggerPC || st.WindowHi <= st.WindowLo {
 						t.Logf("%v/%s: window [%#x,%#x) vs trigger %#x",
-							kind, fam.Name(), st.WindowLo, st.WindowHi, st.TriggerPC)
+							kind, fam.Name, st.WindowLo, st.WindowHi, st.TriggerPC)
 						return false
 					}
 					cst, err := g.CompleteWindow(st)
 					if err != nil {
-						t.Logf("%v/%s: complete: %v", kind, fam.Name(), err)
+						t.Logf("%v/%s: complete: %v", kind, fam.Name, err)
 						return false
 					}
 					if !cst.Completed || len(cst.EncodeBlock) == 0 {
-						t.Logf("%v/%s: window not completed", kind, fam.Name())
+						t.Logf("%v/%s: window not completed", kind, fam.Name)
 						return false
 					}
 					if cst.Transient.Image.Size() > swapmem.SwapSize {
-						t.Logf("%v/%s: completed image oversized", kind, fam.Name())
+						t.Logf("%v/%s: completed image oversized", kind, fam.Name)
 						return false
 					}
 					if _, err := g.Sanitized(cst); err != nil {
-						t.Logf("%v/%s: sanitise: %v", kind, fam.Name(), err)
+						t.Logf("%v/%s: sanitise: %v", kind, fam.Name, err)
 						return false
 					}
 				}
@@ -147,7 +197,9 @@ func TestSchedulerPickDistributionFollowsYield(t *testing.T) {
 					"c": {Picks: 10},
 				})
 			}
-			if wb, wa := sch.WeightOf("b"), sch.WeightOf("a"); wb <= wa {
+			wb, _, _ := sch.Probe("b")
+			wa, _, _ := sch.Probe("a")
+			if wb <= wa {
 				t.Fatalf("yielding family not upweighted: b=%v a=%v", wb, wa)
 			}
 			rng := rand.New(rand.NewSource(1))

@@ -128,7 +128,7 @@ type Scheduler struct {
 // policy (empty selects DefaultPolicy). It errors on an empty or duplicated
 // family set and on an unknown policy — an empty set has nothing to pick
 // and previously panicked inside Pick instead of failing at construction.
-// Names are sorted internally; registration or option order never matters.
+// Names are sorted internally; table or option order never matters.
 func NewScheduler(families []string, policy Policy) (*Scheduler, error) {
 	if _, err := ParsePolicy(string(policy)); err != nil {
 		return nil, err
@@ -263,13 +263,6 @@ func (s *Scheduler) Pick(rng *rand.Rand) string {
 		}
 	}
 	return s.names[len(s.names)-1]
-}
-
-// WeightOf returns the current sampling weight of one family (0 if the
-// family is not scheduled).
-func (s *Scheduler) WeightOf(name string) float64 {
-	w, _, _ := s.Probe(name)
-	return w
 }
 
 // Probe returns one family's current sampling weight, posterior mean yield

@@ -177,12 +177,12 @@ func TestUCBNeverDecaysWithoutEvidence(t *testing.T) {
 		"busy": {Picks: 1, Points: 8},
 		"idle": {Picks: 1},
 	})
-	prev := sch.WeightOf("idle")
+	prev, _, _ := sch.Probe("idle")
 	for barrier := 0; barrier < 20; barrier++ {
 		// Only busy gets picked, at a constant points-per-pick, barrier
 		// after barrier; idle sees zero evidence.
 		sch.Update(map[string]scenario.Yield{"busy": {Picks: 4, Points: 32}})
-		w := sch.WeightOf("idle")
+		w, _, _ := sch.Probe("idle")
 		if w < prev {
 			t.Fatalf("barrier %d: idle family's weight decayed with no evidence: %v -> %v", barrier, prev, w)
 		}

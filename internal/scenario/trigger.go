@@ -1,12 +1,15 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"dejavuzz/internal/uarch"
+)
 
 // TriggerType enumerates the transient-window trigger classes of Table 3.
-// It predates the scenario registry: every registered scenario family maps
-// onto one of these classes (Scenario.Legacy) so findings, experiments and
-// the SpecDoctor baseline keep a stable taxonomy, while the family name is
-// the finer-grained identity new workloads register under.
+// Every scenario family belongs to one (Family.Trigger), so findings,
+// experiments and the SpecDoctor baseline keep a stable taxonomy while the
+// family name is the finer-grained identity.
 type TriggerType int
 
 const (
@@ -22,41 +25,40 @@ const (
 	NumTriggerTypes
 )
 
-var triggerNames = [...]string{
-	"load/store-access-fault",
-	"load/store-page-fault",
-	"load/store-misalign",
-	"illegal-instruction",
-	"memory-disambiguation",
-	"branch-misprediction",
-	"indirect-jump-misprediction",
-	"return-address-misprediction",
+// triggerClasses states each trigger class once: its name, its spelling in
+// the scenario catalog, and the squash a window of the class must end in
+// for the trigger criterion (Step 1.1) to hold. Exceptions end in an
+// exception squash, memory disambiguation in a memory-ordering replay, and
+// each misprediction in its own misprediction squash.
+var triggerClasses = [NumTriggerTypes]struct {
+	name, title string
+	squash      uarch.SquashReason
+}{
+	TrigAccessFault:   {"load/store-access-fault", "load/store access fault", uarch.SquashException},
+	TrigPageFault:     {"load/store-page-fault", "load/store page fault", uarch.SquashException},
+	TrigMisalign:      {"load/store-misalign", "load/store misalign", uarch.SquashException},
+	TrigIllegal:       {"illegal-instruction", "illegal instruction", uarch.SquashException},
+	TrigMemDisambig:   {"memory-disambiguation", "memory disambiguation", uarch.SquashMemOrdering},
+	TrigBranchMispred: {"branch-misprediction", "branch misprediction", uarch.SquashBranchMispredict},
+	TrigJumpMispred:   {"indirect-jump-misprediction", "indirect-jump misprediction", uarch.SquashJumpMispredict},
+	TrigReturnMispred: {"return-address-misprediction", "return-address misprediction", uarch.SquashReturnMispredict},
 }
 
 func (t TriggerType) String() string {
-	if t >= 0 && int(t) < len(triggerNames) {
-		return triggerNames[t]
+	if t < 0 || t >= NumTriggerTypes {
+		return fmt.Sprintf("trigger(%d)", int(t))
 	}
-	return fmt.Sprintf("trigger(%d)", int(t))
+	return triggerClasses[t].name
 }
 
-// IsException reports whether the trigger is an architectural-exception type
-// (zero training expected).
-func (t TriggerType) IsException() bool {
-	switch t {
-	case TrigAccessFault, TrigPageFault, TrigMisalign, TrigIllegal:
-		return true
+// Squash is the squash class a transient window of trigger class t must be
+// terminated by. An unknown class has uarch.SquashNone, which no squash
+// carries.
+func (t TriggerType) Squash() uarch.SquashReason {
+	if t < 0 || t >= NumTriggerTypes {
+		return uarch.SquashNone
 	}
-	return false
-}
-
-// IsMispredict reports whether the trigger is a control-flow misprediction.
-func (t TriggerType) IsMispredict() bool {
-	switch t {
-	case TrigBranchMispred, TrigJumpMispred, TrigReturnMispred:
-		return true
-	}
-	return false
+	return triggerClasses[t].squash
 }
 
 // AllTriggerTypes lists every trigger class.

@@ -367,8 +367,8 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, diff)
 }
 
-// handleScenarios serves the scenario-family catalog: every registered
-// family with its Table-3 classes, capability flags and supporting targets.
+// handleScenarios serves the scenario-family catalog: every family with its
+// Table-3 classes, capability flags and supporting targets.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Scenarios []dejavuzz.ScenarioInfo `json:"scenarios"`

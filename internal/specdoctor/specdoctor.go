@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"dejavuzz/internal/core"
 	"dejavuzz/internal/gen"
 	"dejavuzz/internal/isa"
 	"dejavuzz/internal/scenario"
@@ -32,11 +33,11 @@ import (
 	"dejavuzz/internal/uarch"
 )
 
-// Options configures the baseline fuzzer.
+// Options configures the baseline fuzzer. Every run gets
+// core.DefaultMaxCycles cycles.
 type Options struct {
-	Core      uarch.CoreKind
-	Seed      int64
-	MaxCycles int
+	Core uarch.CoreKind
+	Seed int64
 }
 
 // Case is one generated linear test program.
@@ -71,21 +72,16 @@ type Fuzzer struct {
 
 // New builds the baseline for a core.
 func New(opts Options) *Fuzzer {
-	if opts.MaxCycles == 0 {
-		opts.MaxCycles = 20000
-	}
 	return &Fuzzer{opts: opts, cfg: uarch.ConfigFor(opts.Core), rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
 // SupportedTriggers lists the window types SpecDoctor's generator reaches,
-// derived from the scenario registry's capability flags instead of a
-// hardcoded list: a canonical family is reachable iff it needs no swapMem
-// training isolation (SpecDoctor's programs are linear), contains no
-// backward jumps in its window (discarded by its generator) and emits only
-// valid accesses and legal instructions. With the shipped families this
-// resolves to page-fault, memory-disambiguation, branch and indirect-jump
-// windows — exactly the documented Table 3 support set — and stays correct
-// as new families register.
+// derived from the scenario table's capability flags instead of a hardcoded
+// list: a canonical family is reachable iff its window contains no backward
+// jumps (discarded by its generator) and it emits only valid accesses and
+// legal instructions. With the shipped families this resolves to
+// page-fault, memory-disambiguation, branch and indirect-jump windows —
+// exactly the documented Table 3 support set.
 func (f *Fuzzer) SupportedTriggers() []gen.TriggerType {
 	var out []gen.TriggerType
 	for _, t := range gen.AllTriggerTypes() {
@@ -97,9 +93,8 @@ func (f *Fuzzer) SupportedTriggers() []gen.TriggerType {
 }
 
 // supportsScenario is the capability filter behind SupportedTriggers.
-func supportsScenario(s scenario.Scenario) bool {
-	c := s.Caps()
-	return !c.NeedsSwapMem && !c.BackwardJumps && !c.InvalidCode
+func supportsScenario(f *scenario.Family) bool {
+	return !f.Caps.BackwardJumps && !f.Caps.InvalidCode
 }
 
 // Supports reports generator reachability for a trigger type.
@@ -311,11 +306,11 @@ func (f *Fuzzer) RunCase(c *Case, secret []byte) *CaseResult {
 		coreInst := uarch.NewCore(f.cfg, space, uarch.IFTOff)
 		rt := swapmem.NewRuntime(coreInst, space, c.schedule())
 		rt.Start()
-		coreInst.Run(f.opts.MaxCycles)
+		coreInst.Run(core.DefaultMaxCycles)
 		hashes[i] = coreInst.TimingHash(true)
 		if i == 0 {
 			res.CyclesA = coreInst.Cycle
-			want := expectedReason(c.Trigger)
+			want := c.Trigger.Squash()
 			for _, s := range coreInst.Trace.Squashes {
 				if s.Reason == want && s.AtPC == c.TriggerPC {
 					res.Triggered = true
@@ -327,19 +322,6 @@ func (f *Fuzzer) RunCase(c *Case, secret []byte) *CaseResult {
 	}
 	res.HashDiffer = hashes[0] != hashes[1]
 	return res
-}
-
-func expectedReason(t gen.TriggerType) uarch.SquashReason {
-	switch t {
-	case gen.TrigMemDisambig:
-		return uarch.SquashMemOrdering
-	case gen.TrigBranchMispred:
-		return uarch.SquashBranchMispredict
-	case gen.TrigJumpMispred:
-		return uarch.SquashJumpMispredict
-	default:
-		return uarch.SquashException
-	}
 }
 
 // CampaignResult summarises a SpecDoctor fuzzing campaign.

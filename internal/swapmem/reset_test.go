@@ -63,7 +63,6 @@ func TestRuntimeRebindEquivalence(t *testing.T) {
 	rt.Traps = 7
 	rt.ExcTraps = 3
 	rt.idx = 2
-	rt.started = true
 	rt.LoadCycles = append(rt.LoadCycles, 10, 20)
 
 	sp2 := NewSpace([]byte{8, 7, 6, 5, 4, 3, 2, 1})
@@ -76,7 +75,7 @@ func TestRuntimeRebindEquivalence(t *testing.T) {
 	if c2.TrapHook == nil {
 		t.Fatal("rebind did not attach the trap hook")
 	}
-	if rt.Traps != 0 || rt.ExcTraps != 0 || rt.idx != 0 || rt.started || len(rt.LoadCycles) != 0 {
+	if rt.Traps != 0 || rt.ExcTraps != 0 || rt.idx != 0 || len(rt.LoadCycles) != 0 {
 		t.Fatalf("rebind left stale state: %+v", rt)
 	}
 }

@@ -212,8 +212,7 @@ type Runtime struct {
 	Sched *Schedule
 	Core  *uarch.Core
 
-	idx     int
-	started bool
+	idx int
 	// Traps counts handled swap traps; ExcTraps counts non-ecall exceptions
 	// (useful when diagnosing stimulus bugs).
 	Traps    int
@@ -230,14 +229,13 @@ type Runtime struct {
 // taken at the same cycle, it continues the run exactly.
 type RuntimeImage struct {
 	idx             int
-	started         bool
 	traps, excTraps int
 	loadCycles      []int
 }
 
 // Save copies the runtime's swap progress into img, reusing img's storage.
 func (rt *Runtime) Save(img *RuntimeImage) {
-	img.idx, img.started = rt.idx, rt.started
+	img.idx = rt.idx
 	img.traps, img.excTraps = rt.Traps, rt.ExcTraps
 	img.loadCycles = append(img.loadCycles[:0], rt.LoadCycles...)
 }
@@ -245,7 +243,7 @@ func (rt *Runtime) Save(img *RuntimeImage) {
 // Restore replaces the runtime's swap progress with img's, keeping its
 // bindings.
 func (rt *Runtime) Restore(img *RuntimeImage) {
-	rt.idx, rt.started = img.idx, img.started
+	rt.idx = img.idx
 	rt.Traps, rt.ExcTraps = img.traps, img.excTraps
 	rt.LoadCycles = append(rt.LoadCycles[:0], img.loadCycles...)
 }
@@ -322,7 +320,6 @@ func (rt *Runtime) Start() {
 	}
 	entry := rt.loadPacket(rt.Sched.Steps[0])
 	rt.idx = 1
-	rt.started = true
 	rt.Core.Restart(entry)
 }
 
@@ -340,6 +337,3 @@ func (rt *Runtime) onTrap(t isasim.Trap) isasim.TrapAction {
 	rt.idx++
 	return isasim.TrapAction{NewPC: entry}
 }
-
-// Exhausted reports whether all packets have been scheduled.
-func (rt *Runtime) Exhausted() bool { return rt.idx >= len(rt.Sched.Steps) }

@@ -94,8 +94,8 @@ func TestRuntimeSwapsPackets(t *testing.T) {
 	if len(rt.LoadCycles) != 2 {
 		t.Fatalf("load cycles = %v", rt.LoadCycles)
 	}
-	if !rt.Exhausted() {
-		t.Fatal("schedule not exhausted")
+	if rt.idx != len(sched.Steps) {
+		t.Fatalf("%d of %d packets scheduled", rt.idx, len(sched.Steps))
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // finding builds a finding whose seed names the canonical family of its
 // window class.
 func finding(iter int, kind core.FindingKind, attack string, window gen.TriggerType, comps, bugs []string, seedRand int64) core.Finding {
-	fam := scenario.ByTrigger(window).Name()
+	fam := scenario.ByTrigger(window).Name
 	return core.Finding{
 		Kind:       kind,
 		AttackType: attack,

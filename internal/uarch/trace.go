@@ -54,6 +54,12 @@ func (r SquashReason) String() string {
 	return "none"
 }
 
+// Mispredict reports whether the squash corrects a control-flow prediction
+// (branch, jump or return): the squashes that can carry PredTaken.
+func (r SquashReason) Mispredict() bool {
+	return r == SquashBranchMispredict || r == SquashJumpMispredict || r == SquashReturnMispredict
+}
+
 // SquashEvent records one pipeline flush.
 type SquashEvent struct {
 	Cycle    int

@@ -47,8 +47,8 @@ func WithMergeEvery(n int) Option {
 }
 
 // WithScenarios restricts the campaign to the named scenario families (see
-// Scenarios for the registry). Names are validated by New; an empty call
-// keeps the default of every registered family. Like WithShards — and
+// Scenarios for the catalog). Names are validated by New; an empty call
+// keeps the default of every family. Like WithShards — and
 // unlike WithWorkers — the scenario set is determinism-relevant: it
 // reshapes the stimulus streams, is recorded in checkpoints, and resuming a
 // checkpoint under a different set fails with an option-mismatch error.

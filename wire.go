@@ -52,7 +52,7 @@ type Options struct {
 	// DejaVuzz* ablation).
 	Variant string `json:"variant,omitempty"`
 	// Scenarios restricts the campaign to the named scenario families;
-	// empty means every registered family. Names are validated at decode
+	// empty means every family. Names are validated at decode
 	// time, so a misspelled family is rejected at the API boundary instead
 	// of silently running a different campaign.
 	Scenarios []string `json:"scenarios,omitempty"`
