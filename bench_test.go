@@ -1,4 +1,4 @@
-package dejavuzz
+package dejavuzz_test
 
 // One benchmark per evaluation artifact (Tables 2-5, Figures 6-7, the §6.3
 // liveness evaluation) plus ablation benches for the design choices called

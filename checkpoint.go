@@ -67,8 +67,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("dejavuzz: parse checkpoint %s: %w", path, err)
 	}
 	// Engine states always carry a resolved target; its absence means the
-	// file is some other JSON artifact (e.g. a campaign-matrix checkpoint,
-	// which shares the version field).
+	// file is some other JSON artifact, not a session checkpoint.
 	if ck.state.Options.Target == "" {
 		return nil, fmt.Errorf("dejavuzz: %s is not a session checkpoint (no target)", path)
 	}

@@ -10,26 +10,30 @@
 //	         [-checkpoint state.json] [-progress] [-v]
 //
 // Campaigns are deterministic: the same -seed/-n/-shards produce identical
-// findings and coverage for any -workers value. Single campaigns run as a
-// streaming session: -progress streams per-barrier events, -checkpoint
-// autosaves a resumable checkpoint at every merge barrier, and Ctrl-C stops
-// at the next barrier — re-running the same command resumes from the saved
-// checkpoint. -list-targets prints the target registry; -list-scenarios
-// prints the scenario-family catalog; -scenarios restricts a campaign to
-// the named families (a determinism-relevant option: resuming a checkpoint
-// under a different set fails with an option-mismatch error).
+// findings and coverage for any -workers value. The flags build one set of
+// wire options (dejavuzz.Options, the form dvz-server accepts), and a
+// campaign runs as a streaming session: -progress streams per-barrier
+// events, -checkpoint autosaves a resumable checkpoint at the merge
+// barriers, and Ctrl-C stops at the next barrier (exit 130) — re-running
+// the same command resumes from the saved checkpoint. -list-targets prints
+// the target registry; -list-scenarios prints the scenario-family catalog;
+// -scenarios restricts a campaign to the named families (a
+// determinism-relevant option: resuming a checkpoint under a different set
+// fails with an option-mismatch error).
 //
 // Matrix mode runs a grid of campaigns (cores × variants × ablations ×
-// seeds) over a shared worker pool with optional whole-campaign
-// checkpoint/resume:
+// seeds) over a shared pool of -workers campaigns at a time:
 //
 //	dejavuzz -matrix "cores=boom,xiangshan;variants=derived,random;ablations=base,no-feedback;seeds=1,2,3" \
-//	         [-n iterations] [-workers N] [-checkpoint state.json] [-progress]
+//	         [-n iterations] [-workers N] [-checkpoint DIR] [-progress]
 //
-// The single-campaign flags remain meaningful in matrix mode: -seed,
-// -target, -variant, -shards, -scenarios and the -no-*/-bugless ablation
-// flags supply the base options, which matrix dimensions override per axis
-// when present.
+// The flag-built options are the grid's base, which each axis overrides
+// per cell: cores set the target, variants the variant, ablations
+// (base, no-feedback, no-liveness, no-reduction, bugless) one toggle, and
+// seeds the seed. Cells are named after them, e.g. boom/random/no-feedback/s2.
+// Each cell runs as its own session; with -checkpoint DIR it autosaves its
+// session checkpoint in DIR, and a re-run resumes every cell from its last
+// barrier. Ctrl-C stops the grid with exit 130.
 package main
 
 import (
@@ -48,7 +52,6 @@ import (
 	"dejavuzz"
 	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/gen"
 )
 
 func main() { os.Exit(realMain()) }
@@ -61,7 +64,7 @@ func realMain() int {
 	target := flag.String("target", "", "design under test (see -list-targets; default boom)")
 	n := flag.Int("n", 200, "fuzzing iterations")
 	seed := flag.Int64("seed", 1, "campaign RNG seed")
-	workers := flag.Int("workers", 1, "parallel simulation workers (wall-time only; never changes results)")
+	workers := flag.Int("workers", 1, "parallel simulation workers, or in matrix mode campaigns run at once (wall-time only; never changes results)")
 	shards := flag.Int("shards", 0, "deterministic logical shards (0 = default 8; changes stimulus streams)")
 	variant := flag.String("variant", "derived", "training strategy: derived (DejaVuzz) or random (DejaVuzz*)")
 	scenarios := flag.String("scenarios", "", "comma-separated scenario families to fuzz (see -list-scenarios; default all)")
@@ -72,7 +75,7 @@ func realMain() int {
 	verbose := flag.Bool("v", false, "print per-iteration statistics")
 	repro := flag.String("repro", "", "replay a serialised finding seed (JSON) instead of fuzzing")
 	matrix := flag.String("matrix", "", "campaign grid spec: cores=..;variants=..;ablations=..;seeds=..")
-	checkpoint := flag.String("checkpoint", "", "resumable checkpoint file (per-barrier in single mode, per-campaign in matrix mode)")
+	checkpoint := flag.String("checkpoint", "", "resumable checkpoint: a file in single mode, a directory of per-cell files in matrix mode")
 	progress := flag.Bool("progress", false, "stream per-barrier progress to stderr")
 	listTargets := flag.Bool("list-targets", false, "list registered targets and exit")
 	listScenarios := flag.Bool("list-scenarios", false, "print the scenario catalog (markdown table) and exit")
@@ -126,24 +129,20 @@ func realMain() int {
 		return 0
 	}
 
-	targetName := *target
-	if targetName == "" {
-		targetName = dejavuzz.DefaultTarget
-	}
-	tgt, err := dejavuzz.LookupTarget(targetName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	trainVariant, err := parseVariant(*variant)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	scenarioSet, err := parseScenarios(*scenarios)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	opts := dejavuzz.Options{
+		Target:             *target,
+		Seed:               *seed,
+		SeedSet:            true,
+		Iterations:         *n,
+		IterationsSet:      true,
+		Workers:            *workers,
+		Shards:             *shards,
+		Variant:            *variant,
+		Scenarios:          parseScenarios(*scenarios),
+		NoCoverageFeedback: *noFeedback,
+		NoLiveness:         *noLiveness,
+		NoReduction:        *noReduction,
+		Bugless:            *bugless,
 	}
 
 	// Ctrl-C cancels the session/matrix at the next merge barrier, where a
@@ -152,46 +151,19 @@ func realMain() int {
 	defer stop()
 
 	if *matrix != "" {
-		base := core.DefaultOptionsFor(tgt)
-		base.Seed = *seed
-		base.Iterations = *n
-		base.Variant = trainVariant
-		if *shards > 0 {
-			base.Shards = *shards
-		}
-		base.UseCoverageFeedback = !*noFeedback
-		base.UseLiveness = !*noLiveness
-		base.UseReduction = !*noReduction
-		base.Bugless = *bugless
-		base.Scenarios = scenarioSet
-		return runMatrix(ctx, *matrix, base, *workers, *checkpoint, *progress)
+		return runMatrix(ctx, *matrix, opts, *checkpoint, *progress)
 	}
 
+	targetName := opts.EffectiveTarget()
 	if *repro != "" {
 		return runRepro(targetName, *target != "", *repro, *bugless)
 	}
 
-	opts := []dejavuzz.Option{
-		dejavuzz.WithSeed(*seed),
-		dejavuzz.WithIterations(*n),
-		dejavuzz.WithWorkers(*workers),
-		dejavuzz.WithVariant(trainVariant),
-		dejavuzz.WithCoverageFeedback(!*noFeedback),
-		dejavuzz.WithLiveness(!*noLiveness),
-		dejavuzz.WithReduction(!*noReduction),
-		dejavuzz.WithInjectedBugs(!*bugless),
-	}
-	if *shards > 0 {
-		opts = append(opts, dejavuzz.WithShards(*shards))
-	}
-	if len(scenarioSet) > 0 {
-		opts = append(opts, dejavuzz.WithScenarios(scenarioSet...))
-	}
+	var extra []dejavuzz.Option
 	if *checkpoint != "" {
-		opts = append(opts, dejavuzz.WithCheckpointFile(*checkpoint))
+		extra = append(extra, dejavuzz.WithCheckpointFile(*checkpoint))
 	}
-
-	c, err := dejavuzz.New(targetName, opts...)
+	c, err := opts.Campaign(extra...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -347,40 +319,22 @@ func runRepro(targetName string, explicit bool, reproJSON string, bugless bool) 
 	return 0
 }
 
-// parseScenarios splits and validates the -scenarios list against the
-// registry, so a typo fails up front with the registered names.
-func parseScenarios(list string) ([]string, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
+// parseScenarios splits the -scenarios list; New validates the names, so
+// a typo fails up front with the known families.
+func parseScenarios(list string) []string {
 	var out []string
 	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
 		}
-		out = append(out, name)
 	}
-	if err := core.ValidateScenarios(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func parseVariant(name string) (gen.Variant, error) {
-	switch strings.ToLower(name) {
-	case "derived":
-		return gen.VariantDerived, nil
-	case "random":
-		return gen.VariantRandom, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q", name)
+	return out
 }
 
 // parseMatrix turns "cores=boom,xiangshan;variants=derived;ablations=base,
-// no-feedback;seeds=1,2" into a campaign matrix over the flag-derived base
+// no-feedback;seeds=1,2" into a campaign grid over the flag-built base
 // options. Omitted dimensions collapse to the base's value (one cell).
-func parseMatrix(spec string, base core.Options) (campaign.Matrix, error) {
+func parseMatrix(spec string, base dejavuzz.Options) (campaign.Matrix, error) {
 	m := campaign.Matrix{Base: base}
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
@@ -398,24 +352,11 @@ func parseMatrix(spec string, base core.Options) (campaign.Matrix, error) {
 			}
 			switch strings.TrimSpace(key) {
 			case "cores":
-				// The cores axis names the built-in uarch targets only.
-				tgt, err := dejavuzz.LookupTarget(v)
-				if err != nil || core.BuiltinTargetName(tgt.Kind()) != v {
-					return m, fmt.Errorf("matrix: unknown core %q (want boom or xiangshan)", v)
-				}
-				m.Cores = append(m.Cores, tgt.Kind())
+				m.Cores = append(m.Cores, v)
 			case "variants":
-				tv, err := parseVariant(v)
-				if err != nil {
-					return m, fmt.Errorf("matrix: %w", err)
-				}
-				m.Variants = append(m.Variants, tv)
+				m.Variants = append(m.Variants, v)
 			case "ablations":
-				ab, err := campaign.AblationByName(v)
-				if err != nil {
-					return m, fmt.Errorf("matrix: %w", err)
-				}
-				m.Ablations = append(m.Ablations, ab)
+				m.Ablations = append(m.Ablations, v)
 			case "seeds":
 				s, err := strconv.ParseInt(v, 10, 64)
 				if err != nil {
@@ -430,33 +371,50 @@ func parseMatrix(spec string, base core.Options) (campaign.Matrix, error) {
 	return m, nil
 }
 
-func runMatrix(ctx context.Context, spec string, base core.Options, workers int, checkpoint string, progress bool) int {
+// runMatrix expands the grid over base and runs its cells, -workers at a
+// time; each cell leaves Workers unset, so it runs its shards on one.
+func runMatrix(ctx context.Context, spec string, base dejavuzz.Options, dir string, progress bool) int {
+	pool := base.Workers
+	base.Workers = 0
 	m, err := parseMatrix(spec, base)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	runner := campaign.Runner{Workers: workers, Checkpoint: checkpoint}
+	specs, err := m.Expand()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	runner := campaign.Runner{Workers: pool, Checkpoint: dir}
 	if progress {
 		runner.Progress = os.Stderr
 	}
-	results, err := runner.RunMatrixContext(ctx, m)
+	results, err := runner.Run(ctx, specs)
 	if results == nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Printf("%-40s %-10s %-10s %-10s %-10s\n", "campaign", "findings", "coverage", "sims", "cached")
+	fmt.Printf("%-40s %-10s %-10s %-10s %-10s\n", "campaign", "findings", "coverage", "sims", "resumed")
 	for _, res := range results {
 		if res.Report == nil {
 			continue // interrupted before this campaign finished
 		}
 		rep := res.Report
-		fmt.Printf("%-40s %-10d %-10d %-10d %-10v\n",
-			res.Name, len(rep.Findings), rep.Coverage, rep.Sims, res.Cached)
+		fmt.Printf("%-40s %-10d %-10d %-10d %-10d\n",
+			res.Name, len(rep.Findings), rep.Coverage, rep.Sims, res.Resumed)
+	}
+	if ctx.Err() != nil {
+		where := "progress was not saved (use -checkpoint DIR to make runs resumable)"
+		if dir != "" {
+			where = fmt.Sprintf("re-run the same command to resume from %s", dir)
+		}
+		fmt.Fprintf(os.Stderr, "interrupted; %s\n", where)
+		return 130
 	}
 	if err != nil {
-		// Interrupted, or checkpoint-save failure: completed campaigns above
-		// are still valid (and saved, when -checkpoint was given).
+		// A failed autosave or resume: the campaigns listed above are
+		// still valid.
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}

@@ -16,8 +16,9 @@
 // shared-pool flags:
 //
 //	-workers N        campaigns/rows to run concurrently (default 1)
-//	-checkpoint FILE  JSON checkpoint for table5/figure7: finished campaigns
-//	                  are saved as they complete and restored on the next run
+//	-checkpoint DIR   checkpoint directory for table5/figure7: each campaign
+//	                  autosaves its session checkpoint there, and the next
+//	                  run resumes every campaign from its last barrier
 //	-progress         stream progress to stderr (also honoured by table4)
 package main
 
@@ -48,12 +49,12 @@ func main() {
 	positives := fs.Int("positives", 75, "SpecDoctor phase-3 positives to collect")
 	csv := fs.Bool("csv", false, "emit raw CSV series")
 	workers := fs.Int("workers", 1, "campaigns to run concurrently (shared pool width)")
-	checkpoint := fs.String("checkpoint", "", "JSON checkpoint file for campaign resume")
+	checkpoint := fs.String("checkpoint", "", "checkpoint directory for campaign resume")
 	progress := fs.Bool("progress", false, "stream per-campaign progress to stderr")
 	fs.Parse(os.Args[2:])
 
-	// Ctrl-C stops campaign-backed experiments at their next merge barrier;
-	// finished campaigns stay in the checkpoint, so re-running resumes.
+	// Ctrl-C stops campaign-backed experiments at their next merge barrier,
+	// where each saves its checkpoint, so re-running resumes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

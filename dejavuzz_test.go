@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
 )
 
@@ -313,40 +312,6 @@ func TestSessionCheckpointAutosave(t *testing.T) {
 	}
 	if !bytes.Equal(reportFingerprint(t, rep), reportFingerprint(t, rep2)) {
 		t.Error("final-barrier checkpoint resume differs from completed report")
-	}
-}
-
-// TestCheckpointFormatDiscrimination pins that the two '-checkpoint' file
-// formats (single-session engine state vs campaign-matrix results) reject
-// each other instead of silently misloading — both carry version 3.
-func TestCheckpointFormatDiscrimination(t *testing.T) {
-	dir := t.TempDir()
-
-	sessionPath := filepath.Join(dir, "session.json")
-	ck := midCampaignCheckpoint(t, func() *Campaign {
-		c, err := New("boom", WithSeed(1), WithIterations(16), WithMergeEvery(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}(), 8)
-	if err := ck.Save(sessionPath); err != nil {
-		t.Fatal(err)
-	}
-	m := campaign.Matrix{Base: core.DefaultOptions(BOOM)}
-	m.Base.Iterations = 4
-	if _, err := (&campaign.Runner{Checkpoint: sessionPath}).RunMatrix(m); err == nil {
-		t.Error("matrix runner accepted (and would overwrite) a session checkpoint")
-	}
-
-	// The matrix fixture is one the matrix runner writes, so it is at the
-	// current matrix version and the runner itself would resume from it.
-	matrixPath := filepath.Join(dir, "matrix.json")
-	if _, err := (&campaign.Runner{Checkpoint: matrixPath}).RunMatrix(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(matrixPath); err == nil {
-		t.Error("LoadCheckpoint accepted a campaign-matrix checkpoint")
 	}
 }
 

@@ -2,149 +2,156 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
+	"time"
 
+	"dejavuzz"
 	"dejavuzz/internal/core"
 )
 
-// Result is one finished (or checkpoint-restored) campaign cell.
+// Result is one grid cell's outcome.
 type Result struct {
-	Name   string       `json:"name"`
-	Report *core.Report `json:"report"`
-	// Cached marks results restored from the checkpoint instead of re-run.
-	Cached bool `json:"-"`
+	Name string
+	// Report is nil when the cell did not finish: it was interrupted,
+	// skipped or failed.
+	Report *dejavuzz.Report
+	// Resumed is the iteration the cell resumed from its checkpoint file
+	// (0 when it started fresh).
+	Resumed int
 }
 
-// Runner executes campaign specs over one shared worker pool.
+// Runner runs grid cells over one shared worker pool.
 //
-// Workers bounds how many campaigns run concurrently; each campaign's own
-// Opts.Workers additionally parallelises its shards, so total parallelism is
-// the product. Campaign results are deterministic per spec (the engine
-// guarantees worker-independence), so the pool width only affects wall time.
+// Workers bounds how many cells run at once; each cell's own Opts.Workers
+// additionally parallelises its shards. Reports depend on neither, so the
+// pool width only changes wall time.
 type Runner struct {
 	// Workers is the pool width (default 1).
 	Workers int
-	// Checkpoint, when non-empty, is a JSON file campaigns are saved to as
-	// they finish; on the next Run, specs whose names it contains are
-	// restored instead of re-run.
+	// Checkpoint, when non-empty, is a directory holding one session
+	// checkpoint per cell, named after the cell with "/" replaced by "_"
+	// plus ".json". Cells autosave there at their merge barriers, and the
+	// next Run resumes each from its file.
 	Checkpoint string
-	// Progress, when non-nil, receives streaming per-campaign progress lines
-	// (one per merge barrier, plus start/done markers).
+	// Progress, when non-nil, receives per-cell progress lines: start or
+	// resume, one per merge barrier, and done.
 	Progress io.Writer
 }
 
-// Run executes every spec not already in the checkpoint and returns results
-// in spec order. An error loading the checkpoint aborts the run (nil
-// results); an error saving it is returned alongside the fully-populated
-// results, since the campaigns themselves completed (the engine has no
-// error path).
-func (r *Runner) Run(specs []Spec) ([]Result, error) {
-	return r.RunContext(context.Background(), specs)
+// cell is one spec ready to launch.
+type cell struct {
+	spec     Spec
+	campaign *dejavuzz.Campaign
+	path     string               // checkpoint file; empty without a directory
+	ck       *dejavuzz.Checkpoint // the file's state; nil starts fresh
 }
 
-// RunContext is Run with cancellation: a cancelled context stops every
-// in-flight campaign at its next merge barrier and skips campaigns not yet
-// started. Interrupted campaigns report nil in the result slice and the
-// context's error is returned; campaigns already finished (or restored)
-// keep their results, and finished-and-saved checkpoint entries survive, so
-// re-running the same specs resumes where the cancellation landed.
-func (r *Runner) RunContext(ctx context.Context, specs []Spec) ([]Result, error) {
-	ckpt, err := loadCheckpoint(r.Checkpoint)
-	if err != nil {
-		return nil, err
-	}
-	progress := NewProgressLog(r.Progress)
-
-	var mu sync.Mutex // guards ckpt map mutation and firstErr from jobs
-	var saveMu sync.Mutex
-	var firstErr error
-	results := make([]Result, len(specs))
-	var jobs []func()
-	for i, spec := range specs {
-		rep, ok := ckpt.Results[spec.Name]
-		if ok {
-			// Same key, different determinism-relevant options: the stale
-			// entry must not masquerade as this spec's result. The diff
-			// names what changed (e.g. a different -scenarios set), so the
-			// invalidation is auditable instead of a bare mismatch.
-			if diffs := spec.Opts.DiffFrom(rep.Options); len(diffs) > 0 {
-				progress.Logf("[%s] checkpoint entry has mismatched options (%s); re-running",
-					spec.Name, strings.Join(diffs, "; "))
-				ok = false
-			}
+// Run launches every spec as a session and returns the results in spec
+// order. Before any cell runs, it builds every cell's campaign and loads
+// every existing cell file; a failure there returns nil results and
+// leaves every file as it was. A cell whose file holds different options
+// logs the mismatched fields and starts fresh. Cancelling ctx stops the
+// running cells at their next merge barrier, where they save their
+// checkpoints, and skips the cells not yet started. The context's error,
+// a failed autosave and a failed resume are returned alongside the
+// results, which keep every cell that finished.
+func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
+	if r.Checkpoint != "" {
+		if err := os.MkdirAll(r.Checkpoint, 0o755); err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
 		}
-		if ok {
-			results[i] = Result{Name: spec.Name, Report: rep, Cached: true}
-			progress.Logf("[%s] restored from checkpoint (%d findings, coverage=%d)",
-				spec.Name, len(rep.Findings), rep.Coverage)
+	}
+	cells := make([]cell, len(specs))
+	for i, spec := range specs {
+		c := &cells[i]
+		c.spec = spec
+		var extra []dejavuzz.Option
+		if r.Checkpoint != "" {
+			c.path = filepath.Join(r.Checkpoint, strings.ReplaceAll(spec.Name, "/", "_")+".json")
+			extra = append(extra, dejavuzz.WithCheckpointFile(c.path))
+		}
+		var err error
+		if c.campaign, err = spec.Opts.Campaign(extra...); err != nil {
+			return nil, fmt.Errorf("campaign: cell %s: %w", spec.Name, err)
+		}
+		if c.path == "" {
 			continue
 		}
-		jobs = append(jobs, func() {
-			if ctx.Err() != nil {
-				progress.Logf("[%s] skipped: %v", spec.Name, ctx.Err())
-				return
-			}
-			progress.Logf("[%s] start: %d iterations on %s", spec.Name, spec.Opts.Iterations, spec.Opts.Normalized().Target)
-			opts := spec.Opts
-			prev := opts.OnBarrier
-			opts.OnBarrier = func(b *core.Barrier) {
-				if prev != nil {
-					prev(b)
-				}
-				progress.Logf("[%s] %d/%d iterations, coverage=%d", spec.Name, b.Done, b.Total, b.Coverage)
-			}
-			rep, _ := core.NewFuzzer(opts).RunContext(ctx)
-			if rep == nil {
-				progress.Logf("[%s] interrupted: %v", spec.Name, ctx.Err())
-				return
-			}
-			results[i] = Result{Name: spec.Name, Report: rep}
-			progress.Logf("[%s] done: %d findings, coverage=%d in %v",
-				spec.Name, len(rep.Findings), rep.Coverage, rep.Duration.Round(1e6))
+		if _, err := os.Stat(c.path); errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if c.ck, err = dejavuzz.LoadCheckpoint(c.path); err != nil {
+			return nil, err
+		}
+	}
 
-			// Record the result under mu, but marshal and write the file
-			// under saveMu so progress lines from running campaigns never
-			// block behind checkpoint I/O. Each writer re-snapshots under
-			// mu, so the last rename always carries every completed
-			// campaign.
-			mu.Lock()
-			ckpt.Results[spec.Name] = rep
-			mu.Unlock()
-			if r.Checkpoint != "" {
-				saveMu.Lock()
-				mu.Lock()
-				snap := &checkpoint{Version: ckpt.Version, Results: make(map[string]*core.Report, len(ckpt.Results))}
-				for k, v := range ckpt.Results {
-					snap.Results[k] = v
-				}
-				mu.Unlock()
-				err := saveCheckpoint(r.Checkpoint, snap)
-				saveMu.Unlock()
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		})
+	progress := NewProgressLog(r.Progress)
+	results := make([]Result, len(cells))
+	errs := make([]error, len(cells))
+	jobs := make([]func(), len(cells))
+	for i := range cells {
+		jobs[i] = func() { results[i], errs[i] = cells[i].run(ctx, progress) }
 	}
 	RunJobs(r.Workers, jobs)
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
+	return results, errors.Join(append(errs, ctx.Err())...)
+}
+
+// run launches one cell, resuming it from its file when the options
+// match, and drains its session into progress lines.
+func (c *cell) run(ctx context.Context, progress *ProgressLog) (Result, error) {
+	res := Result{Name: c.spec.Name}
+	if err := ctx.Err(); err != nil {
+		progress.Logf("[%s] skipped: %v", res.Name, err)
+		return res, nil
 	}
-	return results, firstErr
-}
+	total, target := c.spec.Opts.EffectiveIterations(), c.spec.Opts.EffectiveTarget()
+	var s *dejavuzz.Session
+	var err error
+	if c.ck != nil {
+		s, err = c.campaign.Resume(ctx, c.ck)
+		var mismatch *core.OptionMismatchError
+		switch {
+		case errors.As(err, &mismatch):
+			progress.Logf("[%s] %s has mismatched options (%s); starting fresh",
+				res.Name, c.path, strings.Join(mismatch.Diffs, "; "))
+		case err != nil:
+			return res, fmt.Errorf("campaign: cell %s: resume from %s: %w", res.Name, c.path, err)
+		default:
+			res.Resumed, _ = c.ck.Progress()
+			progress.Logf("[%s] resumed at %d/%d iterations on %s", res.Name, res.Resumed, total, target)
+		}
+	}
+	if s == nil {
+		progress.Logf("[%s] start: %d iterations on %s", res.Name, total, target)
+		if s, err = c.campaign.Start(ctx); err != nil {
+			return res, fmt.Errorf("campaign: cell %s: %w", res.Name, err)
+		}
+	}
 
-// RunMatrix expands and runs a matrix in one call.
-func (r *Runner) RunMatrix(m Matrix) ([]Result, error) {
-	return r.Run(m.Expand())
-}
-
-// RunMatrixContext expands and runs a matrix with cancellation.
-func (r *Runner) RunMatrixContext(ctx context.Context, m Matrix) ([]Result, error) {
-	return r.RunContext(ctx, m.Expand())
+	var saveErr error
+	for ev := range s.Events() {
+		switch ev.Kind {
+		case dejavuzz.EventEpoch:
+			progress.Logf("[%s] %d/%d iterations, coverage=%d", res.Name, ev.Done, ev.Total, ev.Coverage)
+		case dejavuzz.EventCheckpointSaved:
+			if ev.Err != nil && saveErr == nil {
+				saveErr = fmt.Errorf("campaign: cell %s: %w", res.Name, ev.Err)
+			}
+		}
+	}
+	rep, err := s.Wait()
+	if err != nil {
+		progress.Logf("[%s] interrupted: %v", res.Name, ctx.Err())
+		return res, saveErr
+	}
+	res.Report = rep
+	progress.Logf("[%s] done: %d findings, coverage=%d in %v",
+		res.Name, len(rep.Findings), rep.Coverage, rep.Duration.Round(time.Millisecond))
+	return res, saveErr
 }

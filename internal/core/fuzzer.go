@@ -651,6 +651,18 @@ func (f *Fuzzer) seqShard() *uarchShard {
 	return f.seq
 }
 
+// OptionMismatchError is NewFuzzerFromState's refusal of a snapshot whose
+// options are not determinism-equivalent to the campaign's; Diffs is
+// DiffFrom's list (campaign vs checkpoint).
+type OptionMismatchError struct {
+	Diffs []string
+}
+
+func (e *OptionMismatchError) Error() string {
+	return "core: option mismatch between campaign and checkpoint (campaign vs checkpoint): " +
+		strings.Join(e.Diffs, "; ")
+}
+
 // NewFuzzerFromState rebuilds a fuzzer from a barrier snapshot. The
 // supplied options must be determinism-equivalent to the snapshot's (they
 // may differ in Workers and hooks); the resumed campaign finishes with
@@ -664,8 +676,7 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		return nil, err
 	}
 	if diffs := opts.DiffFrom(st.Options); len(diffs) > 0 {
-		return nil, fmt.Errorf("core: option mismatch between campaign and checkpoint (campaign vs checkpoint): %s",
-			strings.Join(diffs, "; "))
+		return nil, &OptionMismatchError{Diffs: diffs}
 	}
 	norm := st.Options.Normalized()
 	norm.Workers = opts.Normalized().Workers

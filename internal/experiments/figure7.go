@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"dejavuzz"
 	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/specdoctor"
@@ -46,12 +47,11 @@ func (s Figure7Series) Final() float64 {
 // Figure7 compares taint-coverage growth for DejaVuzz, DejaVuzz− (no
 // coverage feedback) and SpecDoctor (phase-3 test cases replayed through the
 // diffIFT environment, as the paper does) over `iterations` per trial. The
-// DejaVuzz campaigns run as one campaign matrix (ablations × trial seeds)
+// DejaVuzz campaigns run as one campaign grid (ablations × trial seeds)
 // over the shared worker pool configured by opts. The error is non-nil only
-// for checkpoint I/O failures.
+// for checkpoint I/O failures and cancellation.
 func Figure7(w io.Writer, iterations, trials int, seed int64, opts ...Option) ([]Figure7Series, error) {
 	kind := uarch.KindBOOM
-	cfg := runConfig(opts)
 	series := []Figure7Series{{Name: "DejaVuzz"}, {Name: "DejaVuzz-"}, {Name: "SpecDoctor"}}
 	var runErr error
 
@@ -60,17 +60,12 @@ func Figure7(w io.Writer, iterations, trials int, seed int64, opts ...Option) ([
 		seeds[trial] = seed + int64(trial)*7919
 	}
 	if trials > 0 {
-		base := core.DefaultOptions(kind)
-		base.Iterations = iterations
-		noFeedback, _ := campaign.AblationByName("no-feedback")
-		m := campaign.Matrix{
+		results, rerr := runGrid(campaign.Matrix{
 			Prefix:    fmt.Sprintf("figure7/i%d", iterations),
-			Base:      base,
-			Ablations: []campaign.Ablation{campaign.Baseline(), noFeedback},
+			Base:      dejavuzz.Options{Target: "boom", Iterations: iterations},
+			Ablations: []string{"base", "no-feedback"},
 			Seeds:     seeds,
-		}
-		runner := campaign.Runner{Workers: cfg.Workers, Checkpoint: cfg.Checkpoint, Progress: cfg.Progress}
-		results, rerr := runner.RunMatrixContext(cfg.context(), m)
+		}, opts)
 		if results == nil {
 			return nil, rerr
 		}

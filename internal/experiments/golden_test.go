@@ -122,3 +122,35 @@ func TestTable3DeterministicOutput(t *testing.T) {
 			seq.String(), par.String())
 	}
 }
+
+// TestCampaignGridGolden pins the exact output of the two campaign-grid
+// experiments: Table 5 at 40 iterations, then Figure 7 at 20 iterations
+// over 2 trials, then Figure 7's CSV series. How the grid's cells are
+// launched must not move a byte of either. Regenerate with
+// `go test ./internal/experiments -run TestCampaignGridGolden -update`
+// only after an intentional change to the campaigns themselves.
+func TestCampaignGridGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Table5(&buf, 40, 1); err != nil {
+		t.Fatal(err)
+	}
+	series, err := Figure7(&buf, 20, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Figure7CSV(&buf, series)
+	path := filepath.Join("testdata", "grid.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Errorf("Table 5 / Figure 7 output drifted from golden file (run with -update if intentional)\n--- got ---\n%s--- want ---\n%s",
+			buf.String(), want)
+	}
+}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"io"
+
+	"dejavuzz/internal/campaign"
 )
 
 // RunConfig tunes how campaign-backed experiments (Table 5, Figure 7)
@@ -20,8 +22,8 @@ type RunConfig struct {
 type Option func(*RunConfig)
 
 // WithContext makes campaign-backed experiments cancellable: cancellation
-// stops in-flight campaigns at their next merge barrier, and finished
-// campaigns stay in the checkpoint (re-run to resume).
+// stops in-flight campaigns at their next merge barrier, where each saves
+// its checkpoint (re-run to resume).
 func WithContext(ctx context.Context) Option {
 	return func(c *RunConfig) { c.Ctx = ctx }
 }
@@ -37,8 +39,9 @@ func (c RunConfig) context() context.Context {
 // WithWorkers sets the shared campaign pool width.
 func WithWorkers(n int) Option { return func(c *RunConfig) { c.Workers = n } }
 
-// WithCheckpoint enables JSON checkpoint/resume at path.
-func WithCheckpoint(path string) Option { return func(c *RunConfig) { c.Checkpoint = path } }
+// WithCheckpoint enables checkpoint/resume in dir: each campaign keeps its
+// session checkpoint there and resumes from its last barrier.
+func WithCheckpoint(dir string) Option { return func(c *RunConfig) { c.Checkpoint = dir } }
 
 // WithProgress streams per-campaign progress lines to w.
 func WithProgress(w io.Writer) Option { return func(c *RunConfig) { c.Progress = w } }
@@ -49,4 +52,15 @@ func runConfig(opts []Option) RunConfig {
 		o(&c)
 	}
 	return c
+}
+
+// runGrid expands m and runs its cells as configured by opts.
+func runGrid(m campaign.Matrix, opts []Option) ([]campaign.Result, error) {
+	specs, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
+	cfg := runConfig(opts)
+	runner := campaign.Runner{Workers: cfg.Workers, Checkpoint: cfg.Checkpoint, Progress: cfg.Progress}
+	return runner.Run(cfg.context(), specs)
 }

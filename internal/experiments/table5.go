@@ -5,8 +5,8 @@ import (
 	"io"
 	"sort"
 
+	"dejavuzz"
 	"dejavuzz/internal/campaign"
-	"dejavuzz/internal/core"
 	"dejavuzz/internal/gen"
 	"dejavuzz/internal/uarch"
 )
@@ -49,20 +49,15 @@ type Table5Result struct {
 // classifies the discovered leaks by attack type, transient-window class and
 // encoded/contended timing component — the paper's Table 5 matrix — along
 // with mechanism witnesses for the five published bugs. The two per-core
-// campaigns run as a campaign matrix over the shared pool configured by
-// opts. The error is non-nil only for checkpoint I/O failures.
+// campaigns run as a campaign grid over the shared pool configured by
+// opts. The error is non-nil only for checkpoint I/O failures and
+// cancellation.
 func Table5(w io.Writer, iterations int, seed int64, opts ...Option) ([]Table5Result, error) {
-	cfg := runConfig(opts)
-	base := core.DefaultOptions(uarch.KindBOOM)
-	base.Seed = seed
-	base.Iterations = iterations
-	m := campaign.Matrix{
+	results, runErr := runGrid(campaign.Matrix{
 		Prefix: fmt.Sprintf("table5/i%d", iterations),
-		Base:   base,
-		Cores:  []uarch.CoreKind{uarch.KindBOOM, uarch.KindXiangShan},
-	}
-	runner := campaign.Runner{Workers: cfg.Workers, Checkpoint: cfg.Checkpoint, Progress: cfg.Progress}
-	results, runErr := runner.RunMatrixContext(cfg.context(), m)
+		Base:   dejavuzz.Options{Seed: seed, SeedSet: true, Iterations: iterations},
+		Cores:  []string{"boom", "xiangshan"},
+	}, opts)
 	if results == nil {
 		return nil, runErr
 	}

@@ -334,6 +334,10 @@ func TestServerPauseResumeCancel(t *testing.T) {
 	decodeBody[errorBody](t, resp, http.StatusBadRequest)
 	resp = postJSON(t, ts.URL+"/campaigns", `{"options":{"variant":"quantum"}}`)
 	decodeBody[errorBody](t, resp, http.StatusBadRequest)
+	resp = postJSON(t, ts.URL+"/campaigns", `{"options":{"target":"isasim","iterations":-5}}`)
+	if body := decodeBody[errorBody](t, resp, http.StatusBadRequest); !strings.Contains(body.Error, "iterations") {
+		t.Fatalf("negative iterations refusal does not name the key: %q", body.Error)
+	}
 
 	// Health and metrics answer.
 	resp, err = http.Get(ts.URL + "/healthz")

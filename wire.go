@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/gen"
 )
 
 // Options is the declarative, JSON-serialisable form of a campaign
@@ -27,7 +26,9 @@ import (
 // The remaining knobs have no zero ambiguity on the wire: numeric fields
 // treat 0 as "use the default" (none accepts an explicit zero), the
 // boolean toggles are phrased so false is the default, and Variant's empty
-// string means Derived.
+// string means Derived. Seed is the only signed knob: a negative
+// iterations, workers, shards, merge_every, max_cycles or secret_retries
+// is refused, naming the key, both when decoding and by Functional.
 type Options struct {
 	// Target names the registered design under test; empty means
 	// DefaultTarget.
@@ -104,9 +105,10 @@ func (o Options) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes wire-form options, deriving the explicit-zero
-// markers from key presence and validating the variant name. Unknown keys
-// are rejected: a misspelled option silently decoding to a default-value
-// campaign is exactly the failure mode a fuzzing service must not have.
+// markers from key presence and validating the result (see validate).
+// Unknown keys are rejected: a misspelled option silently decoding to a
+// default-value campaign is exactly the failure mode a fuzzing service
+// must not have.
 func (o *Options) UnmarshalJSON(data []byte) error {
 	var w jsonOptions
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -114,31 +116,44 @@ func (o *Options) UnmarshalJSON(data []byte) error {
 	if err := dec.Decode(&w); err != nil {
 		return err
 	}
-	if _, err := parseVariant(w.Variant); err != nil {
-		return err
-	}
-	if err := core.ValidateScenarios(w.Scenarios); err != nil {
-		return fmt.Errorf("dejavuzz: %w", err)
-	}
-	*o = Options(w.optionFields)
+	opts := Options(w.optionFields)
 	if w.Seed != nil {
-		o.Seed, o.SeedSet = *w.Seed, true
+		opts.Seed, opts.SeedSet = *w.Seed, true
 	}
 	if w.Iterations != nil {
-		o.Iterations, o.IterationsSet = *w.Iterations, true
+		opts.Iterations, opts.IterationsSet = *w.Iterations, true
 	}
+	if err := opts.validate(); err != nil {
+		return err
+	}
+	*o = opts
 	return nil
 }
 
-func parseVariant(name string) (gen.Variant, error) {
-	switch name {
-	case "", VariantNameDerived:
-		return gen.VariantDerived, nil
-	case VariantNameRandom:
-		return gen.VariantRandom, nil
+// validate refuses options no campaign can run: an unknown variant or
+// scenario family, or a negative numeric knob (named by its wire key).
+func (o Options) validate() error {
+	for _, knob := range []struct {
+		key string
+		val int
+	}{
+		{"iterations", o.Iterations}, {"workers", o.Workers}, {"shards", o.Shards},
+		{"merge_every", o.MergeEvery}, {"max_cycles", o.MaxCycles}, {"secret_retries", o.SecretRetries},
+	} {
+		if knob.val < 0 {
+			return fmt.Errorf("dejavuzz: %s is %d; want a non-negative value", knob.key, knob.val)
+		}
 	}
-	return 0, fmt.Errorf("dejavuzz: unknown variant %q (want %q or %q)",
-		name, VariantNameDerived, VariantNameRandom)
+	switch o.Variant {
+	case "", VariantNameDerived, VariantNameRandom:
+	default:
+		return fmt.Errorf("dejavuzz: unknown variant %q (want %q or %q)",
+			o.Variant, VariantNameDerived, VariantNameRandom)
+	}
+	if err := core.ValidateScenarios(o.Scenarios); err != nil {
+		return fmt.Errorf("dejavuzz: %w", err)
+	}
+	return nil
 }
 
 // EffectiveTarget returns the target name the options select (DefaultTarget
@@ -170,10 +185,9 @@ func (o Options) EffectiveSeed() int64 {
 
 // Functional lowers the wire options onto the equivalent functional-option
 // list (everything left at its default contributes nothing). It errors on
-// an invalid variant name; target validation happens in New.
+// the options validate refuses; target validation happens in New.
 func (o Options) Functional() ([]Option, error) {
-	variant, err := parseVariant(o.Variant)
-	if err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	var opts []Option
@@ -198,8 +212,8 @@ func (o Options) Functional() ([]Option, error) {
 	if o.SecretRetries > 0 {
 		opts = append(opts, WithSecretRetries(o.SecretRetries))
 	}
-	if variant != gen.VariantDerived {
-		opts = append(opts, WithVariant(variant))
+	if o.Variant == VariantNameRandom {
+		opts = append(opts, WithVariant(RandomTraining))
 	}
 	if len(o.Scenarios) > 0 {
 		opts = append(opts, WithScenarios(o.Scenarios...))

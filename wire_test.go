@@ -130,6 +130,39 @@ func TestOptionsJSONBadVariant(t *testing.T) {
 	}
 }
 
+// TestOptionsNegativeKnobs: a negative numeric knob is refused, naming its
+// wire key, both when decoding and when a Go caller builds the campaign;
+// it never runs as an empty or default-sized campaign. Seed is signed.
+func TestOptionsNegativeKnobs(t *testing.T) {
+	set := map[string]func(*Options){
+		"iterations":     func(o *Options) { o.Iterations, o.IterationsSet = -5, true },
+		"workers":        func(o *Options) { o.Workers = -2 },
+		"shards":         func(o *Options) { o.Shards = -3 },
+		"merge_every":    func(o *Options) { o.MergeEvery = -8 },
+		"max_cycles":     func(o *Options) { o.MaxCycles = -1 },
+		"secret_retries": func(o *Options) { o.SecretRetries = -1 },
+	}
+	for key, apply := range set {
+		var o Options
+		err := json.Unmarshal([]byte(`{"target":"isasim","`+key+`":-1}`), &o)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("decode of negative %s: err = %v, want a refusal naming the key", key, err)
+		}
+		o = Options{Target: "isasim"}
+		apply(&o)
+		if c, err := o.Campaign(); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("Campaign() with negative %s = %v, %v; want a refusal naming the key", key, c, err)
+		}
+	}
+	var o Options
+	if err := json.Unmarshal([]byte(`{"target":"isasim","seed":-3}`), &o); err != nil {
+		t.Fatalf("negative seed refused: %v", err)
+	}
+	if c, err := o.Campaign(); err != nil || c.opts.Seed != -3 {
+		t.Fatalf("negative seed campaign = %v, %v; want seed -3", c, err)
+	}
+}
+
 // TestOptionsJSONBadScenario checks decode-time validation of the scenario
 // filter: an unregistered family never reaches campaign construction.
 func TestOptionsJSONBadScenario(t *testing.T) {
@@ -305,6 +338,8 @@ func FuzzOptionsJSON(f *testing.F) {
 		`{"scheduler":"thompson"}`,
 		`{"no_feedback":true}`,
 		`{"seeds":[1,2]}`,
+		`{"target":"isasim","iterations":-5,"shards":-3,"workers":-2}`,
+		`{"seed":-3}`,
 	} {
 		f.Add([]byte(s))
 	}
