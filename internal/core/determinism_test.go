@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/uarch"
@@ -203,6 +204,28 @@ func TestResumeStateValidation(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("shard-counter refusal does not name %s: %v", tc.field, err)
 		}
+	}
+}
+
+// TestResumeCarriesElapsed: a resumed campaign's Duration counts the wall
+// time its snapshot carries, not only the last segment's, and a negative
+// carried time is refused naming the field.
+func TestResumeCarriesElapsed(t *testing.T) {
+	state := midCampaignSnapshot(t)
+	if state.Elapsed <= 0 {
+		t.Fatalf("snapshot carries elapsed %v, want > 0", state.Elapsed)
+	}
+	state.Elapsed = time.Hour
+	f, err := NewFuzzerFromState(state, campaignOpts(1, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := f.Run(); rep.Duration < time.Hour {
+		t.Fatalf("resumed campaign reports Duration %v, want at least the carried hour", rep.Duration)
+	}
+	state.Elapsed = -time.Second
+	if _, err := NewFuzzerFromState(state, campaignOpts(1, 32)); err == nil || !strings.Contains(err.Error(), "elapsed_ns") {
+		t.Fatalf("negative elapsed: err=%v, want a refusal naming elapsed_ns", err)
 	}
 }
 

@@ -477,6 +477,11 @@ type EngineState struct {
 	SchedState []scenario.FamilyState `json:"sched_state,omitempty"`
 	// Scenarios are the cumulative per-family statistics.
 	Scenarios []ScenarioStat `json:"scenario_stats"`
+	// Elapsed is the campaign's wall time up to the barrier, so a resumed
+	// campaign's Report.Duration covers every segment. Like Duration it is
+	// measurement only: no result reads it, and it is left out of every
+	// byte-identity comparison.
+	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 }
 
 // Migrate checks a decoded engine state's version: any version but
@@ -496,10 +501,9 @@ func (st *EngineState) Migrate() error {
 // corpus service can persist interesting seeds across campaigns without
 // the engine knowing the store exists.
 type HarvestedSeed struct {
-	// Iteration is the campaign iteration that produced the observation.
-	// Barriers deliver each campaign's harvest in iteration order, so a
-	// store that keeps the highest iteration it absorbed per campaign can
-	// skip a barrier replayed after an unclean restart.
+	// Iteration is the campaign iteration that produced the observation;
+	// with the campaign it locates the observation (the corpus keeps the
+	// earliest of equally good ones).
 	Iteration int      `json:"iteration"`
 	Seed      gen.Seed `json:"seed"`
 	// NewPoints is the iteration's shard-local coverage gain.
@@ -566,6 +570,10 @@ type Fuzzer struct {
 	findings   []Finding
 	deadSinks  int
 	started    bool
+	// start is when this run began, and elapsedBefore the wall time of the
+	// segments before it (EngineState.Elapsed); see elapsed.
+	start         time.Time
+	elapsedBefore time.Duration
 }
 
 // NewFuzzer builds a fuzzer for the options. The options' Target (empty
@@ -710,7 +718,11 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 			return nil, fmt.Errorf("core: engine state finding %d seed: %w", i, err)
 		}
 	}
+	if st.Elapsed < 0 {
+		return nil, fmt.Errorf("core: engine state elapsed_ns %d is negative", st.Elapsed)
+	}
 	f := NewFuzzer(norm)
+	f.elapsedBefore = st.Elapsed
 	f.startIter = st.NextIter
 	f.startEpoch = st.Epoch
 	f.corpus = append([]gen.Seed(nil), st.Corpus...)
@@ -779,6 +791,7 @@ func (f *Fuzzer) snapshot(nextIter, nextEpoch int) *EngineState {
 		// forward.
 		SchedState: f.sched.State(),
 		Scenarios:  f.scenarioStats(),
+		Elapsed:    f.elapsed(),
 	}
 	st.Options.OnBarrier = nil
 	for i, s := range f.shards {
@@ -967,7 +980,7 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		panic("core: Fuzzer.Run called twice (a Fuzzer executes at most one campaign; build a fresh one)")
 	}
 	f.started = true
-	start := time.Now() //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
+	f.start = time.Now() //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
 	n := f.opts.Iterations
 	mergeEvery := f.opts.MergeEvery
 	numShards := f.opts.Shards
@@ -1102,11 +1115,18 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		}
 	}
 
-	return f.finalize(start), nil
+	return f.finalize(), nil
+}
+
+// elapsed is the campaign's wall time so far: the segments before this run
+// plus this run's. Snapshots carry it and the report's Duration is its
+// final value.
+func (f *Fuzzer) elapsed() time.Duration {
+	return f.elapsedBefore + time.Since(f.start) //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
 }
 
 // finalize reconciles iteration statistics into the campaign report.
-func (f *Fuzzer) finalize(start time.Time) *Report {
+func (f *Fuzzer) finalize() *Report {
 	rep := &Report{Options: f.opts}
 	n := f.opts.Iterations
 
@@ -1138,6 +1158,6 @@ func (f *Fuzzer) finalize(start time.Time) *Report {
 	rep.Iters = f.iters
 	rep.Scenarios = f.scenarioStats()
 	rep.Coverage = f.coverage.Count()
-	rep.Duration = time.Since(start) //dvz:wallclock Report.Duration is measurement-only and documented as excluded from byte-identity
+	rep.Duration = f.elapsed()
 	return rep
 }

@@ -4,20 +4,26 @@
 // fingerprint, and resolves deterministic warm-start sets for future
 // campaigns on the same target.
 //
+// Each entry holds one fact besides its seed: its best observation under
+// one total order (a finding first, then the larger coverage gain, then
+// the earlier origin; see Observation). Folding in an observation keeps the
+// better of the two, and each (target, fingerprint) class then keeps the
+// classCap entries with the most evidence. An entry the cap evicts has
+// classCap entries ranked above it, and ranks only rise, so re-delivering
+// an observation it already absorbed cannot bring it back. Applying an
+// observation is therefore idempotent and commutative: the store is a
+// function of the set of observations it has absorbed, whatever order
+// concurrent campaigns' barriers arrive in, and a barrier re-drained after
+// an unclean restart changes nothing.
+//
 // Persistence is a compacted snapshot (corpus.json, replaced atomically)
 // plus an append-only redo journal (journal.ndjson) holding one record per
-// harvest: the post-harvest state of every entry it touched, the entries it
-// evicted and its campaign's new watermark. Harvest appends the record
-// before it changes the store, then applies it through the same function
-// Open uses to replay the journal over the snapshot. A crash mid-append
-// leaves at most one torn trailing line, which replay discards whole; the
-// server re-drains that barrier.
-//
-// Replays are recognised by one watermark per campaign: the highest
-// iteration the store has absorbed from it. Barriers deliver a campaign's
-// harvests in iteration order, and a resumed campaign re-emits a
-// byte-identical prefix of what it delivered before, so an observation at
-// or below its campaign's watermark is exactly a replay.
+// harvest that changed the store: the harvested batch itself. Harvest
+// appends the record before it changes the store, through the same apply
+// function Open uses to replay the journal over the snapshot. A crash
+// mid-append leaves at most one torn trailing line, which replay discards
+// whole; the server re-drains that barrier. A record a compaction already
+// folded into the snapshot replays as a no-op.
 //
 // The store itself is deliberately outside the engine's determinism
 // boundary — it may observe wall-clock time and use maps freely — but
@@ -45,20 +51,19 @@ import (
 )
 
 const (
-	// storeVersion guards the corpus.json format. Version 2 replaced each
-	// entry's observation keys with per-campaign watermarks.
-	storeVersion = 2
+	// storeVersion guards the corpus.json format. Version 3 replaced each
+	// entry's running sums and first-arrival provenance, and the store's
+	// per-campaign watermarks and frontier history, with one best
+	// observation per entry.
+	storeVersion = 3
 	snapshotFile = "corpus.json"
 	journalFile  = "journal.ndjson"
 	// compactAfter bounds journal growth: once this many harvest records
 	// accumulate the journal folds into a fresh corpus.json and truncates.
 	compactAfter = 512
-	// classCap bounds entries per (target, fingerprint) class; the worst
-	// entries (fewest findings, least coverage gain) are evicted first.
+	// classCap bounds entries per (target, fingerprint) class; the entries
+	// with the worst best observations are evicted first.
 	classCap = 1024
-	// historyCap bounds the retained frontier history used by the
-	// /corpus/frontier?since= diff endpoint.
-	historyCap = 64
 )
 
 // DefaultWarmStartMax is the default warm-start set size. It is well under
@@ -66,28 +71,84 @@ const (
 // campaign's own discoveries.
 const DefaultWarmStartMax = 32
 
-// Entry is one persisted corpus seed with its provenance and accumulated
-// evidence. The ID is a content hash of (target, seed), so the same
-// stimulus harvested by different campaigns folds into one entry.
+// Origin locates an observation: the campaign that made it and the
+// iteration it was made at.
+type Origin struct {
+	Campaign  string `json:"campaign"`
+	Iteration int    `json:"iteration"`
+}
+
+// Before reports whether o comes before p in the corpus's campaign order:
+// by campaign ID, shorter first and then bytewise, so the server's c<N> IDs
+// sort by N; then by iteration. The triage store picks a bug's example by
+// the same order.
+func (o Origin) Before(p Origin) bool {
+	if len(o.Campaign) != len(p.Campaign) {
+		return len(o.Campaign) < len(p.Campaign)
+	}
+	if o.Campaign != p.Campaign {
+		return o.Campaign < p.Campaign
+	}
+	return o.Iteration < p.Iteration
+}
+
+// Observation is one harvest of a seed: whether its iteration produced a
+// finding, the coverage points it gained, and where it was made.
+type Observation struct {
+	Finding bool `json:"finding"`
+	Points  int  `json:"points"`
+	Origin
+}
+
+// better reports whether o ranks above p: a finding first, then the larger
+// coverage gain, then the earlier origin. The order is total, so the best
+// of a set of observations does not depend on the order they arrive in.
+func (o Observation) better(p Observation) bool {
+	if o.Finding != p.Finding {
+		return o.Finding
+	}
+	if o.Points != p.Points {
+		return o.Points > p.Points
+	}
+	return o.Origin.Before(p.Origin)
+}
+
+// check refuses an observation no harvest could have made.
+func (o Observation) check() error {
+	switch {
+	case o.Campaign == "":
+		return errors.New("campaign is empty")
+	case o.Iteration < 0:
+		return fmt.Errorf("iteration is %d, want >= 0", o.Iteration)
+	case o.Points < 0:
+		return fmt.Errorf("points is %d, want >= 0", o.Points)
+	}
+	return nil
+}
+
+// Entry is one persisted corpus seed with its best observation. The ID is
+// a content hash of (target, seed), so the same stimulus harvested by
+// different campaigns folds into one entry of its class.
 type Entry struct {
-	ID          string   `json:"id"`
-	Target      string   `json:"target"`
-	Scenario    string   `json:"scenario"`
-	Fingerprint string   `json:"fingerprint"`
-	Seed        gen.Seed `json:"seed"`
+	ID          string      `json:"id"`
+	Target      string      `json:"target"`
+	Scenario    string      `json:"scenario"`
+	Fingerprint string      `json:"fingerprint"`
+	Seed        gen.Seed    `json:"seed"`
+	Best        Observation `json:"best"`
+}
 
-	// BestPoints is the largest single-iteration coverage gain observed;
-	// Points accumulates gain across all observations. Harvests counts
-	// observations and Findings those that produced a finding.
-	BestPoints int `json:"best_points"`
-	Points     int `json:"points"`
-	Harvests   int `json:"harvests"`
-	Findings   int `json:"findings"`
-
-	// FirstCampaign/FirstIteration locate the harvest that created the
-	// entry — the provenance link the triage store records on bugs.
-	FirstCampaign  string `json:"first_campaign"`
-	FirstIteration int    `json:"first_iteration"`
+// outranks orders entries for the class cap and warm-start selection: by
+// their best observation's evidence, then by ID. Provenance plays no part,
+// so the campaign IDs a server happened to hand out cannot move a warm
+// start.
+func (e *Entry) outranks(f *Entry) bool {
+	a, b := e.Best, f.Best
+	a.Origin, b.Origin = Origin{}, Origin{}
+	if a != b {
+		return a.better(b)
+	}
+	return e.ID < f.ID
 }
 
 // EntryID is the content hash identifying a (target, seed) pair in the
@@ -106,39 +167,33 @@ func EntryID(target string, seed gen.Seed) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
-// storeFile is the corpus.json serialisation: the per-campaign watermarks,
-// entries sorted by ID and the bounded frontier history, so a compacted
-// store round-trips byte-identically.
+// storeFile is the corpus.json serialisation, entries sorted (see
+// sortEntries) so a compacted store round-trips byte-identically.
 type storeFile struct {
-	Version    int            `json:"version"`
-	Watermarks map[string]int `json:"watermarks"`
-	Entries    []Entry        `json:"entries"`
-	History    []Frontier     `json:"history,omitempty"`
+	Version int     `json:"version"`
+	Entries []Entry `json:"entries"`
 }
 
-// journalRec is one redo-journal line: the whole effect of one harvest.
-// Put holds the post-harvest state of every entry the harvest touched, Del
-// the entries it then evicted (applied after Put), and Through the
-// campaign's new watermark. Full entry states make applying a record a
-// plain upsert.
+// journalRec is one redo-journal line: one harvested batch, as Harvest
+// received it.
 type journalRec struct {
-	Campaign string   `json:"campaign"`
-	Through  int      `json:"through"`
-	Put      []Entry  `json:"put,omitempty"`
-	Del      []string `json:"del,omitempty"`
+	Campaign    string               `json:"campaign"`
+	Target      string               `json:"target"`
+	Fingerprint string               `json:"fingerprint"`
+	Batch       []core.HarvestedSeed `json:"batch"`
 }
+
+// class names one (target, fingerprint) corpus class.
+type class struct{ target, fingerprint string }
 
 // Store is a corpus database rooted at one directory. All methods are safe
 // for concurrent use.
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	entries map[string]*Entry
-	// watermarks maps each campaign to the highest iteration the store has
-	// absorbed from it; observations at or below it are replays.
-	watermarks map[string]int
-	history    []Frontier
+	mu sync.Mutex
+	// classes holds each class's entries by ID.
+	classes    map[class]map[string]*Entry
 	journal    *os.File
 	journalLen int // records appended since the last compaction
 	// journalSize is the journal's length in bytes. A failed append
@@ -161,8 +216,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
-	st := &Store{dir: dir, entries: make(map[string]*Entry), watermarks: make(map[string]int),
-		writeJournal: (*os.File).Write}
+	st := &Store{dir: dir, classes: make(map[class]map[string]*Entry), writeJournal: (*os.File).Write}
 	if err := st.loadSnapshot(); err != nil {
 		return nil, err
 	}
@@ -196,6 +250,16 @@ func (st *Store) journalPath() string  { return filepath.Join(st.dir, journalFil
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
+// classLocked returns a class's entry map, creating it if needed.
+func (st *Store) classLocked(c class) map[string]*Entry {
+	m := st.classes[c]
+	if m == nil {
+		m = make(map[string]*Entry)
+		st.classes[c] = m
+	}
+	return m
+}
+
 func (st *Store) loadSnapshot() error {
 	data, err := os.ReadFile(st.snapshotPath())
 	if os.IsNotExist(err) {
@@ -211,12 +275,6 @@ func (st *Store) loadSnapshot() error {
 	if f.Version != storeVersion {
 		return fmt.Errorf("corpus: %s has version %d, want %d", snapshotFile, f.Version, storeVersion)
 	}
-	for c, w := range f.Watermarks {
-		if w < 0 {
-			return fmt.Errorf("corpus: %s: watermarks[%q] is %d, want >= 0", snapshotFile, c, w)
-		}
-		st.watermarks[c] = w
-	}
 	for i := range f.Entries {
 		e := f.Entries[i]
 		// Warm-start sets are built from these seeds: refuse a malformed one
@@ -224,19 +282,24 @@ func (st *Store) loadSnapshot() error {
 		if err := e.Seed.Validate(); err != nil {
 			return fmt.Errorf("corpus: %s: entry %q: %w", snapshotFile, e.ID, err)
 		}
-		st.entries[e.ID] = &e
+		if err := e.Best.check(); err != nil {
+			return fmt.Errorf("corpus: %s: entry %q: best: %w", snapshotFile, e.ID, err)
+		}
+		m := st.classLocked(class{e.Target, e.Fingerprint})
+		if m[e.ID] != nil {
+			return fmt.Errorf("corpus: %s: entry %q is listed twice in its class", snapshotFile, e.ID)
+		}
+		m[e.ID] = &e
 	}
-	st.history = f.History
 	return nil
 }
 
 // replayJournal applies the redo journal over the loaded snapshot and
 // returns how many records it read, and whether it dropped a torn final
-// line — the only debris a crashed append can leave; an undecodable line anywhere
-// else, or a decodable record that no harvest could have written, means
-// real corruption and is an error. Records at or below their campaign's
-// snapshot watermark were folded into the snapshot by a compaction that
-// crashed before truncating the journal, and are skipped.
+// line — the only debris a crashed append can leave; an undecodable line
+// anywhere else, or a decodable record that no harvest could have written,
+// means real corruption and is an error. Records a compaction folded into
+// the snapshot before crashing ahead of the truncate apply as no-ops.
 func (st *Store) replayJournal() (read int, torn bool, err error) {
 	f, err := os.Open(st.journalPath())
 	if os.IsNotExist(err) {
@@ -267,10 +330,7 @@ func (st *Store) replayJournal() (read int, torn bool, err error) {
 			return 0, false, fmt.Errorf("corpus: %s corrupt: %w", journalFile, err)
 		}
 		read++
-		if w, ok := st.watermarks[rec.Campaign]; ok && rec.Through <= w {
-			continue
-		}
-		st.applyLocked(&rec)
+		st.applyLocked(&rec, nil) // without a persist step, applying cannot fail
 	}
 	if err := sc.Err(); err != nil {
 		return 0, false, fmt.Errorf("corpus: %w", err)
@@ -278,56 +338,139 @@ func (st *Store) replayJournal() (read int, torn bool, err error) {
 	return read, pendingErr != nil, nil
 }
 
-// validate refuses a record no harvest could have written.
+// validate refuses a record no harvest could have written. Harvest journals
+// only a batch that changes the store, so every record names a target and
+// holds at least one seed; a version-2 put/del line decodes to a record with
+// neither and is refused here rather than replayed as a no-op.
 func (rec *journalRec) validate() error {
-	if rec.Campaign == "" {
-		return fmt.Errorf("record has an empty campaign")
+	switch {
+	case rec.Campaign == "":
+		return errors.New("record has an empty campaign")
+	case rec.Target == "":
+		return fmt.Errorf("campaign %q: record has an empty target", rec.Campaign)
+	case len(rec.Batch) == 0:
+		return fmt.Errorf("campaign %q: record has an empty batch", rec.Campaign)
 	}
-	if rec.Through < 0 {
-		return fmt.Errorf("campaign %q: through is %d, want >= 0", rec.Campaign, rec.Through)
-	}
-	for i := range rec.Put {
-		if rec.Put[i].ID == "" {
-			return fmt.Errorf("campaign %q: put entry has an empty id", rec.Campaign)
+	for i := range rec.Batch {
+		h := &rec.Batch[i]
+		if err := rec.observation(h).check(); err != nil {
+			return fmt.Errorf("campaign %q: batch[%d]: %w", rec.Campaign, i, err)
 		}
-		if err := rec.Put[i].Seed.Validate(); err != nil {
-			return fmt.Errorf("campaign %q: put entry %q: %w", rec.Campaign, rec.Put[i].ID, err)
+		if err := h.Seed.Validate(); err != nil {
+			return fmt.Errorf("campaign %q: batch[%d] (entry %q): %w", rec.Campaign, i, EntryID(rec.Target, h.Seed), err)
 		}
 	}
 	return nil
 }
 
-// applyLocked folds one harvest record into the store. Harvest and journal
-// replay both go through it, so a replayed record has exactly the effect
-// the live harvest had, frontier history included.
-func (st *Store) applyLocked(rec *journalRec) {
-	for i := range rec.Put {
-		e := rec.Put[i]
-		st.entries[e.ID] = &e
-	}
-	for _, id := range rec.Del {
-		delete(st.entries, id)
-	}
-	st.watermarks[rec.Campaign] = rec.Through
-	st.recordFrontierLocked()
+// observation is what one harvested seed of the record tells the store.
+func (rec *journalRec) observation(h *core.HarvestedSeed) Observation {
+	return Observation{Finding: h.Finding, Points: h.NewPoints, Origin: Origin{Campaign: rec.Campaign, Iteration: h.Iteration}}
 }
 
-// sortedEntries returns copies of all entries, sorted by ID.
-func (st *Store) sortedEntriesLocked() []Entry {
-	out := make([]Entry, 0, len(st.entries))
-	for _, e := range st.entries {
-		out = append(out, *e)
+// applyLocked folds one harvested batch into the store and returns how many
+// entries it created or improved and kept. Harvest and journal replay both
+// go through it. When the batch changes the store, persist (Harvest's
+// journal append; nil on replay) runs first, and if it fails the store is
+// left as it was.
+func (st *Store) applyLocked(rec *journalRec, persist func() error) (int, error) {
+	c := class{rec.Target, rec.Fingerprint}
+	cur := st.classes[c]
+	staged := make(map[string]*Entry)
+	size := len(cur) // the class's size with the staged entries in
+	for i := range rec.Batch {
+		h := &rec.Batch[i]
+		obs := rec.observation(h)
+		id := EntryID(rec.Target, h.Seed)
+		e := staged[id]
+		if e == nil {
+			e = cur[id]
+		}
+		switch {
+		case e == nil:
+			staged[id] = &Entry{ID: id, Target: rec.Target, Scenario: gen.ScenarioName(h.Seed),
+				Fingerprint: rec.Fingerprint, Seed: h.Seed, Best: obs}
+			size++
+		case obs.better(e.Best):
+			cp := *e
+			cp.Best = obs
+			staged[id] = &cp
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	// Hold the class to classCap: rank it with the staged entries in and
+	// evict everything past the cap. A staged entry evicted here changes
+	// nothing.
+	var del []string
+	if size > classCap {
+		ranked := make([]*Entry, 0, size)
+		for id, e := range cur {
+			if staged[id] == nil {
+				ranked = append(ranked, e)
+			}
+		}
+		for _, e := range staged {
+			ranked = append(ranked, e)
+		}
+		sort.Slice(ranked, func(i, j int) bool { return ranked[i].outranks(ranked[j]) })
+		for _, e := range ranked[classCap:] {
+			delete(staged, e.ID)
+			if cur[e.ID] != nil {
+				del = append(del, e.ID)
+			}
+		}
+	}
+	if len(staged) == 0 {
+		// Nothing was kept, so nothing was evicted either: each eviction
+		// makes room for a staged entry that outranks it.
+		return 0, nil
+	}
+	if persist != nil {
+		if err := persist(); err != nil {
+			return 0, err
+		}
+	}
+	m := st.classLocked(c)
+	for id, e := range staged {
+		m[id] = e
+	}
+	for _, id := range del {
+		delete(m, id)
+	}
+	return len(staged), nil
+}
+
+// sortEntries orders entries by ID, then target and fingerprint: the one
+// order listings and corpus.json use.
+func sortEntries(es []Entry) {
+	sort.Slice(es, func(i, j int) bool {
+		a, b := &es[i], &es[j]
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		if a.Target != b.Target {
+			return a.Target < b.Target
+		}
+		return a.Fingerprint < b.Fingerprint
+	})
+}
+
+// sortedEntriesLocked returns copies of all entries, sorted.
+func (st *Store) sortedEntriesLocked() []Entry {
+	out := []Entry{}
+	for _, m := range st.classes {
+		for _, e := range m {
+			out = append(out, *e)
+		}
+	}
+	sortEntries(out)
 	return out
 }
 
 // compactLocked folds the current state into corpus.json atomically and
 // truncates the journal. Crash windows are safe at every point: over the
-// new snapshot, the old journal's records all fall at or below their
-// campaigns' watermarks and replay skips them.
+// new snapshot, the old journal's records replay as no-ops.
 func (st *Store) compactLocked() error {
-	f := storeFile{Version: storeVersion, Watermarks: st.watermarks, Entries: st.sortedEntriesLocked(), History: st.history}
+	f := storeFile{Version: storeVersion, Entries: st.sortedEntriesLocked()}
 	data, err := json.MarshalIndent(&f, "", " ")
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
@@ -350,155 +493,55 @@ func (st *Store) compactLocked() error {
 }
 
 // Harvest folds one barrier's worth of interesting seeds from a campaign
-// into the store and returns how many observations were new. Observations
-// at or below the campaign's watermark are replays — a barrier re-drained
-// after an unclean restart — and are skipped. The harvest becomes one
-// journal record, appended before the store changes: if the append fails,
-// Harvest returns 0 with the error and the store is as it was. A partial
-// append (a full disk) is truncated away so the next harvest appends a
-// clean record; if even the truncate fails, Harvest returns both errors and
-// refuses every further harvest until the store is reopened.
+// into the store and returns how many entries it created or improved and
+// kept. A batch that changes nothing — a barrier re-drained after an
+// unclean restart included — returns 0 and leaves the journal alone. A
+// batch that changes the store becomes one journal record, appended before
+// the store changes: if the append fails, Harvest returns 0 with the error
+// and the store is as it was. A partial append (a full disk) is truncated
+// away so the next harvest appends a clean record; if even the truncate
+// fails, Harvest returns both errors and refuses every further harvest
+// until the store is reopened. An empty batch changes nothing; any other
+// batch Open could not replay is refused.
 func (st *Store) Harvest(campaign, target, fingerprint string, batch []core.HarvestedSeed) (int, error) {
+	if len(batch) == 0 {
+		return 0, nil
+	}
+	rec := &journalRec{Campaign: campaign, Target: target, Fingerprint: fingerprint, Batch: batch}
+	if err := rec.validate(); err != nil {
+		return 0, fmt.Errorf("corpus: harvest refused: %w", err)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.journalErr != nil {
 		return 0, st.journalErr
 	}
-	rec, added := st.harvestRecordLocked(campaign, target, fingerprint, batch)
-	if added == 0 {
-		return 0, nil
+	n, err := st.applyLocked(rec, func() error { return st.appendLocked(rec) })
+	if err != nil || st.journalLen < compactAfter {
+		return n, err
 	}
+	return n, st.compactLocked()
+}
+
+// appendLocked appends one record to the journal, truncating a partial
+// append away.
+func (st *Store) appendLocked(rec *journalRec) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return 0, fmt.Errorf("corpus: %w", err)
+		return fmt.Errorf("corpus: %w", err)
 	}
 	n, err := st.writeJournal(st.journal, append(line, '\n'))
 	if err != nil {
 		if terr := st.journal.Truncate(st.journalSize); terr != nil {
 			st.journalErr = fmt.Errorf("corpus: journal append failed and its partial record could not be removed (reopen the store): %w",
 				errors.Join(err, terr))
-			return 0, st.journalErr
+			return st.journalErr
 		}
-		return 0, fmt.Errorf("corpus: %w", err)
+		return fmt.Errorf("corpus: %w", err)
 	}
 	st.journalSize += int64(n)
 	st.journalLen++
-	st.applyLocked(rec)
-	if st.journalLen >= compactAfter {
-		return added, st.compactLocked()
-	}
-	return added, nil
-}
-
-// harvestRecordLocked builds the journal record for one harvest without
-// changing the store, and counts the new observations it absorbs.
-func (st *Store) harvestRecordLocked(campaign, target, fingerprint string, batch []core.HarvestedSeed) (*journalRec, int) {
-	wm, seen := st.watermarks[campaign]
-	rec := &journalRec{Campaign: campaign}
-	touched := make(map[string]*Entry)
-	added := 0
-	for _, h := range batch {
-		if seen && h.Iteration <= wm {
-			continue // replayed barrier
-		}
-		id := EntryID(target, h.Seed)
-		e := touched[id]
-		if e == nil {
-			if cur := st.entries[id]; cur != nil {
-				cp := *cur
-				e = &cp
-			} else {
-				e = &Entry{
-					ID:             id,
-					Target:         target,
-					Scenario:       gen.ScenarioName(h.Seed),
-					Fingerprint:    fingerprint,
-					Seed:           h.Seed,
-					FirstCampaign:  campaign,
-					FirstIteration: h.Iteration,
-				}
-			}
-			touched[id] = e
-		}
-		e.Harvests++
-		e.Points += h.NewPoints
-		if h.NewPoints > e.BestPoints {
-			e.BestPoints = h.NewPoints
-		}
-		if h.Finding {
-			e.Findings++
-		}
-		if added == 0 || h.Iteration > rec.Through {
-			rec.Through = h.Iteration
-		}
-		added++
-	}
-	if added == 0 {
-		return nil, 0
-	}
-	for _, e := range touched {
-		rec.Put = append(rec.Put, *e)
-	}
-	sort.Slice(rec.Put, func(i, j int) bool { return rec.Put[i].ID < rec.Put[j].ID })
-	rec.Del = st.evictionsLocked(target, fingerprint, touched)
-	return rec, added
-}
-
-// evictionsLocked returns the IDs a harvest evicts to hold its (target,
-// fingerprint) class to classCap once the touched entries are in, lowest
-// evidence first.
-func (st *Store) evictionsLocked(target, fingerprint string, touched map[string]*Entry) []string {
-	inClass := func(e *Entry) bool { return e.Target == target && e.Fingerprint == fingerprint }
-	var class []*Entry
-	for id, e := range st.entries {
-		if touched[id] == nil && inClass(e) {
-			class = append(class, e)
-		}
-	}
-	for _, e := range touched {
-		if inClass(e) {
-			class = append(class, e)
-		}
-	}
-	if len(class) <= classCap {
-		return nil
-	}
-	sort.Slice(class, func(i, j int) bool { return entryWorse(class[i], class[j]) })
-	var del []string
-	for _, e := range class[:len(class)-classCap] {
-		del = append(del, e.ID)
-	}
-	return del
-}
-
-// entryWorse orders entries by ascending evidence (for eviction).
-func entryWorse(a, b *Entry) bool {
-	if a.Findings != b.Findings {
-		return a.Findings < b.Findings
-	}
-	if a.BestPoints != b.BestPoints {
-		return a.BestPoints < b.BestPoints
-	}
-	if a.Points != b.Points {
-		return a.Points < b.Points
-	}
-	return a.ID > b.ID
-}
-
-// entryBetter orders entries by descending evidence (for warm-start
-// selection); it is the strict inverse of entryWorse, with ID ascending as
-// the final tiebreak so the order is total and deterministic.
-func entryBetter(a, b *Entry) bool {
-	if a.Findings != b.Findings {
-		return a.Findings > b.Findings
-	}
-	if a.BestPoints != b.BestPoints {
-		return a.BestPoints > b.BestPoints
-	}
-	if a.Points != b.Points {
-		return a.Points > b.Points
-	}
-	return a.ID < b.ID
+	return nil
 }
 
 // List returns entry copies sorted by ID, optionally filtered by target
@@ -527,7 +570,11 @@ func (st *Store) List(target, scenarioFamily string) []Entry {
 func (st *Store) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.entries)
+	n := 0
+	for _, m := range st.classes {
+		n += len(m)
+	}
+	return n
 }
 
 // Close releases the journal handle after a final compaction.

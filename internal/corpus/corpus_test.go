@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +56,7 @@ func TestHarvestIdempotent(t *testing.T) {
 	if added != 5 {
 		t.Fatalf("first harvest added %d, want 5", added)
 	}
+	want := st.List("", "")
 	// Replaying the exact same batch from the same campaign — the unclean-
 	// restart re-drain case — must be a complete no-op.
 	added, err = st.Harvest("c1", "boom", "fp-test", batch)
@@ -63,35 +66,72 @@ func TestHarvestIdempotent(t *testing.T) {
 	if added != 0 {
 		t.Fatalf("replayed harvest added %d, want 0", added)
 	}
-	entries := st.List("boom", "")
-	if len(entries) != 5 {
-		t.Fatalf("store has %d entries, want 5", len(entries))
+	if !reflect.DeepEqual(st.List("", ""), want) {
+		t.Fatal("replayed harvest changed the entries")
 	}
-	for _, e := range entries {
-		if e.Harvests != 1 {
-			t.Errorf("entry %s: Harvests = %d after replay, want 1", e.ID, e.Harvests)
-		}
+	// The same observations from a later campaign are new observations of
+	// the same entries, not new entries, and no better than c1's: c2 sorts
+	// after c1.
+	if added, err = st.Harvest("c2", "boom", "fp-test", batch); err != nil || added != 0 {
+		t.Fatalf("second-campaign harvest of equal observations: added=%d err=%v, want 0", added, err)
 	}
-	// A same-campaign batch whose iterations all sit at or below the
-	// campaign's watermark is a replay too, whatever seeds it carries.
-	added, err = st.Harvest("c1", "boom", "fp-test", testBatch(3, 2))
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(st.List("", ""), want) {
+		t.Fatal("equal observations from a later campaign changed the entries")
 	}
-	if added != 0 || st.Len() != 5 {
-		t.Fatalf("below-watermark batch added %d (store has %d entries), want 0 (5)", added, st.Len())
-	}
-	// The same seeds from a different campaign are new observations of the
-	// same entries, not new entries.
-	added, err = st.Harvest("c2", "boom", "fp-test", batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 5 {
-		t.Fatalf("second-campaign harvest added %d, want 5", added)
+	// A larger gain improves the entry, whichever campaign makes it.
+	better := append([]core.HarvestedSeed(nil), batch[:1]...)
+	better[0].NewPoints += 10
+	if added, err = st.Harvest("c2", "boom", "fp-test", better); err != nil || added != 1 {
+		t.Fatalf("better observation: added=%d err=%v, want 1", added, err)
 	}
 	if n := st.Len(); n != 5 {
 		t.Fatalf("store has %d entries after cross-campaign fold, want 5", n)
+	}
+	e := st.List("", "")
+	for i := range e {
+		if e[i].ID == EntryID("boom", better[0].Seed) && e[i].Best != (Observation{Points: better[0].NewPoints, Finding: true, Origin: Origin{"c2", 0}}) {
+			t.Fatalf("improved entry holds %+v", e[i].Best)
+		}
+	}
+}
+
+// TestBestObservationNotAJoin: an entry keeps its single best observation —
+// a finding outranks any coverage gain — not a componentwise join of the
+// largest gain and a separate found-a-bug flag.
+func TestBestObservationNotAJoin(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	seed := testSeed(7, 4)
+	for _, h := range []struct {
+		campaign string
+		obs      core.HarvestedSeed
+	}{
+		{"c1", core.HarvestedSeed{Iteration: 40, Seed: seed, NewPoints: 9}},
+		{"c2", core.HarvestedSeed{Iteration: 3, Seed: seed, NewPoints: 1, Finding: true}},
+		{"c3", core.HarvestedSeed{Iteration: 1, Seed: seed, NewPoints: 1, Finding: true}},
+	} {
+		if _, err := st.Harvest(h.campaign, "boom", "fp-test", []core.HarvestedSeed{h.obs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Observation{Finding: true, Points: 1, Origin: Origin{Campaign: "c2", Iteration: 3}}
+	if got := st.List("", ""); len(got) != 1 || got[0].Best != want {
+		t.Fatalf("entries %+v, want one whose best observation is %+v", got, want)
+	}
+}
+
+// TestOriginOrder pins the campaign order: c<N> IDs by N, then iteration.
+func TestOriginOrder(t *testing.T) {
+	ordered := []Origin{{"c2", 5}, {"c2", 7}, {"c10", 0}, {"c11", 3}, {"c100", 1}}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			if a.Before(b) != (i < j) {
+				t.Errorf("%v.Before(%v) = %t, want %t", a, b, a.Before(b), i < j)
+			}
+		}
 	}
 }
 
@@ -117,7 +157,7 @@ func TestOpenRecoversTornJournal(t *testing.T) {
 		t.Fatal("expected a non-empty journal before compaction")
 	}
 	crashDir := t.TempDir()
-	torn := append(append([]byte(nil), journal...), []byte(`{"campaign":"c1","through":9,"put":[{"id":"dead`)...)
+	torn := append(append([]byte(nil), journal...), []byte(`{"campaign":"c1","target":"boom","fingerprint":"fp-test","batch":[{"iter`)...)
 	if err := os.WriteFile(filepath.Join(crashDir, journalFile), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +218,8 @@ func TestOpenRejectsMidJournalCorruption(t *testing.T) {
 
 // TestOpenSkipsRecordsInSnapshot: a crash between a compaction's snapshot
 // write and its journal truncation leaves records whose effect the
-// snapshot already holds. Their campaigns' watermarks cover them, so Open
-// skips them and the store comes back byte-identical.
+// snapshot already holds. Applying a record is idempotent, so Open
+// replays them as no-ops and the store comes back byte-identical.
 func TestOpenSkipsRecordsInSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -225,23 +265,45 @@ func TestOpenSkipsRecordsInSnapshot(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownVersion pins the store's one accepted format. A
-// version-1 corpus.json (per-entry "seen" keys, no watermarks) and any
-// other version are refused naming the version; a negative watermark, and
-// a journal record no harvest could have written, are refused naming the
-// field. A decodable record is never a torn append, so it is refused even
-// as the journal's last line.
+// TestOpenRejectsUnknownVersion pins the store's one accepted format.
+// Version 1 (per-entry "seen" keys), version 2 (per-campaign watermarks,
+// running sums and frontier history) and any other version are refused
+// naming the version; an entry or a journal record no harvest could have
+// written is refused naming the field. A decodable record is never a torn
+// append, so it is refused even as the journal's last line.
 func TestOpenRejectsUnknownVersion(t *testing.T) {
+	enc, err := json.Marshal(testSeed(7, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := `"seed":` + string(enc)
+	entry := `{"id":"0011223344556677","target":"boom","scenario":"` + testFamily + `","fingerprint":"fp-test",` + seed + `,`
+	batch := func(obs string) string {
+		return `{"campaign":"c1","target":"boom","fingerprint":"fp-test","batch":[` + obs + `]}` + "\n"
+	}
 	for _, tc := range []struct {
 		name, file, data, want string
 	}{
 		{"version-1", snapshotFile, `{"version":1,"entries":[{"id":"0011223344556677","target":"boom","seen":["c1#3"]}]}`, "version 1"},
+		{"version-2", snapshotFile, `{"version":2,"watermarks":{"c1":3},"entries":[{"id":"0011223344556677","target":"boom","points":4,"harvests":2}]}`, "version 2"},
 		{"version-99", snapshotFile, `{"version":99,"entries":[]}`, "version 99"},
-		{"negative-watermark", snapshotFile, `{"version":2,"watermarks":{"c1":-2},"entries":[]}`, "watermarks"},
-		{"empty-campaign", journalFile, `{"campaign":"","through":4,"put":[{"id":"00"}]}` + "\n", "campaign"},
-		{"no-campaign", journalFile, `{"through":4,"put":[{"id":"00"}]}` + "\n", "campaign"},
-		{"negative-through", journalFile, `{"campaign":"c1","through":-1,"put":[{"id":"00"}]}` + "\n", "through"},
-		{"put-without-id", journalFile, `{"campaign":"c1","through":4,"put":[{"target":"boom"}]}` + "\n", "id"},
+		{"negative-best-iteration", snapshotFile, `{"version":3,"entries":[` + entry + `"best":{"finding":false,"points":1,"campaign":"c1","iteration":-2}}]}`, "iteration"},
+		{"negative-best-points", snapshotFile, `{"version":3,"entries":[` + entry + `"best":{"finding":false,"points":-1,"campaign":"c1","iteration":2}}]}`, "points"},
+		{"best-without-campaign", snapshotFile, `{"version":3,"entries":[` + entry + `"best":{"finding":false,"points":1,"iteration":2}}]}`, "campaign"},
+		{"entry-listed-twice", snapshotFile, `{"version":3,"entries":[` + entry + `"best":{"points":1,"campaign":"c1","iteration":2}},` +
+			entry + `"best":{"points":2,"campaign":"c1","iteration":3}}]}`, "twice"},
+		{"empty-campaign", journalFile, `{"campaign":"","target":"boom","batch":[{"iteration":4,` + seed + `}]}` + "\n", "campaign"},
+		{"no-campaign", journalFile, `{"target":"boom","batch":[{"iteration":4,` + seed + `}]}` + "\n", "campaign"},
+		{"negative-iteration", journalFile, batch(`{"iteration":-1,` + seed + `}`), "iteration"},
+		{"negative-points", journalFile, batch(`{"iteration":1,"new_points":-3,` + seed + `}`), "points"},
+		{"batch-without-seed", journalFile, batch(`{"iteration":4}`), "Scenario"},
+		{"empty-batch", journalFile, batch(``), "empty batch"},
+		// A version-2 store killed before its first restart has a journal of
+		// post-state records and no corpus.json; they must not replay as
+		// no-ops and compact the corpus away.
+		{"version-2-put", journalFile, `{"campaign":"c1","through":3,"put":[` + entry +
+			`"best_points":4,"points":4,"harvests":1,"findings":0,"first_campaign":"c1","first_iteration":3}]}` + "\n", "empty target"},
+		{"version-2-del", journalFile, `{"campaign":"c1","through":5,"del":["0011223344556677"]}` + "\n", "empty target"},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.data), 0o644); err != nil {
@@ -261,14 +323,15 @@ func TestOpenRejectsUnknownVersion(t *testing.T) {
 // field, before a warm start can hand it to a campaign.
 func TestOpenRefusesInvalidSeed(t *testing.T) {
 	e := Entry{Target: "boom", Scenario: testFamily, Fingerprint: "fp-test", Seed: testSeed(7, 4),
-		BestPoints: 1, Points: 1, Harvests: 1, FirstCampaign: "c1", FirstIteration: 3}
+		Best: Observation{Points: 1, Origin: Origin{Campaign: "c1", Iteration: 3}}}
 	e.Seed.WindowLen = -4
 	e.ID = EntryID(e.Target, e.Seed)
-	snapshot, err := json.Marshal(storeFile{Version: storeVersion, Watermarks: map[string]int{}, Entries: []Entry{e}})
+	snapshot, err := json.Marshal(storeFile{Version: storeVersion, Entries: []Entry{e}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	record, err := json.Marshal(journalRec{Campaign: "c1", Through: 3, Put: []Entry{e}})
+	record, err := json.Marshal(journalRec{Campaign: "c1", Target: e.Target, Fingerprint: e.Fingerprint,
+		Batch: []core.HarvestedSeed{{Iteration: 3, Seed: e.Seed, NewPoints: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,42 +357,88 @@ func TestOpenRefusesInvalidSeed(t *testing.T) {
 			}
 		}
 	}
+	// Harvest refuses the same seed rather than journal a record Open would
+	// refuse.
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if added, err := st.Harvest("c1", e.Target, e.Fingerprint, []core.HarvestedSeed{{Iteration: 3, Seed: e.Seed}}); err == nil || added != 0 {
+		t.Fatalf("harvest of a negative WindowLen: added=%d err=%v, want a refusal", added, err)
+	}
+	if st.journalSize != 0 {
+		t.Fatalf("refused harvest wrote %d journal bytes", st.journalSize)
+	}
 }
 
-// TestReplayAboveClassCap: replaying a barrier whose harvest pushed the
-// class over its cap must not re-add the seed that harvest evicted.
+// TestReplayAboveClassCap: re-draining a barrier whose harvest pushed the
+// class over its cap — as a whole, or just the seed the cap evicted — adds
+// nothing, leaves the journal alone and compacts to the same corpus.json.
 func TestReplayAboveClassCap(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	batch := testBatch(classCap+1, 0)
-	if added, err := st.Harvest("c1", "boom", "fp-test", batch); err != nil || added != classCap+1 {
-		t.Fatalf("harvest: added=%d err=%v, want %d", added, err, classCap+1)
+	if added, err := st.Harvest("c1", "boom", "fp-test", batch); err != nil || added != classCap {
+		t.Fatalf("harvest: added=%d err=%v, want %d", added, err, classCap)
 	}
 	if n := st.Len(); n != classCap {
 		t.Fatalf("class holds %d entries, want the cap %d", n, classCap)
 	}
 	wantList := st.List("", "")
-	wantJournal := journalSize(t, dir)
-
-	added, err := st.Harvest("c1", "boom", "fp-test", batch)
+	kept := map[string]bool{}
+	for _, e := range wantList {
+		kept[e.ID] = true
+	}
+	var evicted []core.HarvestedSeed
+	for _, h := range batch {
+		if !kept[EntryID("boom", h.Seed)] {
+			evicted = append(evicted, h)
+		}
+	}
+	// testBatch's second observation has the smallest gain without a
+	// finding.
+	if len(evicted) != 1 || evicted[0].Iteration != 1 {
+		t.Fatalf("the cap evicted %+v, want the observation at iteration 1", evicted)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 0 {
-		t.Fatalf("replay above the class cap added %d observations, want 0", added)
+	if st, err = Open(dir); err != nil {
+		t.Fatal(err)
 	}
-	if n := st.Len(); n != classCap {
-		t.Fatalf("replay moved Len to %d, want %d", n, classCap)
+	wantJournal := journalSize(t, dir)
+
+	for _, redrain := range [][]core.HarvestedSeed{batch, evicted} {
+		added, err := st.Harvest("c1", "boom", "fp-test", redrain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if added != 0 {
+			t.Fatalf("re-drain of %d observations above the class cap added %d, want 0", len(redrain), added)
+		}
+		if n := st.Len(); n != classCap {
+			t.Fatalf("re-drain moved Len to %d, want %d", n, classCap)
+		}
+		if !reflect.DeepEqual(st.List("", ""), wantList) {
+			t.Fatal("re-drain changed the listed entries")
+		}
+		if got := journalSize(t, dir); got != wantJournal {
+			t.Fatalf("re-drain grew the journal from %d to %d bytes", wantJournal, got)
+		}
 	}
-	if !reflect.DeepEqual(st.List("", ""), wantList) {
-		t.Fatal("replay changed the listed entries")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := journalSize(t, dir); got != wantJournal {
-		t.Fatalf("replay grew the journal from %d to %d bytes", wantJournal, got)
+	if got, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-drains changed the compacted %s (err %v)", snapshotFile, err)
 	}
 }
 
@@ -501,8 +610,7 @@ func TestShortJournalWriteUnrecoverable(t *testing.T) {
 
 // TestStoreSizeBoundedByCampaigns: one campaign observing one seed at 100
 // and then at 1000 increasing iterations leaves snapshots that differ only
-// in counter digits — the store grows with campaigns, not observations.
-// Both counts are past historyCap, so the frontier history is full in both.
+// in counter digits — the store grows with entries, not observations.
 func TestStoreSizeBoundedByCampaigns(t *testing.T) {
 	size := func(n int) int64 {
 		dir := t.TempDir()
@@ -585,7 +693,9 @@ func TestConcurrentHarvest(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// All campaigns harvested the same 32 distinct seeds.
+	// All campaigns harvested the same 32 distinct seeds with the same
+	// evidence, so each entry's best observation is c0's, however the
+	// goroutines interleaved.
 	re, err := Open(st.Dir())
 	if err != nil {
 		t.Fatal(err)
@@ -595,8 +705,8 @@ func TestConcurrentHarvest(t *testing.T) {
 		t.Fatalf("store has %d entries, want 32", n)
 	}
 	for _, e := range re.List("", "") {
-		if e.Harvests != campaigns {
-			t.Errorf("entry %s: Harvests = %d, want %d", e.ID, e.Harvests, campaigns)
+		if e.Best.Campaign != "c0" {
+			t.Errorf("entry %s: best observation from %s, want c0", e.ID, e.Best.Campaign)
 		}
 	}
 }
@@ -618,9 +728,9 @@ func TestWarmStartPureFunctionOfSnapshot(t *testing.T) {
 	if _, err := stA.Harvest("c1", "boom", "fp-test", batch); err != nil {
 		t.Fatal(err)
 	}
-	// Store B absorbs the same seeds from two other campaigns in a
-	// different batch split: same content, different history. (One
-	// campaign delivering batch[:5] after batch[5:] would be a replay.)
+	// Store B absorbs the same observations from two other campaigns in a
+	// different batch split and order: same evidence, different provenance
+	// and history.
 	if _, err := stB.Harvest("other-a", "boom", "fp-test", batch[5:]); err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +763,10 @@ func TestWarmStartPureFunctionOfSnapshot(t *testing.T) {
 	}
 }
 
-func TestFrontierDiff(t *testing.T) {
+// TestFrontierRows: the frontier is a pure function of the kept entries —
+// per (target, family), the entries, their summed and largest best gain and
+// how many best observations found a bug — and its ID moves with them.
+func TestFrontierRows(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -664,33 +777,19 @@ func TestFrontierDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Frontier()
-
-	// No change yet: diffing against the current frontier is empty.
-	d, err := st.Diff(before.ID)
-	if err != nil {
+	want := []FrontierFamily{{Target: "boom", Scenario: testFamily, Entries: 3, Points: 1 + 2 + 3, BestPoints: 3, Findings: 1}}
+	if before.Entries != 3 || !reflect.DeepEqual(before.Families, want) {
+		t.Fatalf("frontier %+v, want 3 entries in rows %+v", before, want)
+	}
+	if again := st.Frontier(); again.ID != before.ID {
+		t.Fatal("frontier ID moved without a harvest")
+	}
+	if _, err := st.Harvest("c2", "xiangshan", "fp-test", testBatch(2, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Changed) != 0 || d.Current != before.ID {
-		t.Fatalf("self-diff not empty: %+v", d)
-	}
-
-	if _, err := st.Harvest("c2", "boom", "fp-test", testBatch(5, 100)); err != nil {
-		t.Fatal(err)
-	}
-	d, err = st.Diff(before.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Current == before.ID || len(d.Changed) != 1 {
-		t.Fatalf("diff after growth: current=%s changed=%+v", d.Current, d.Changed)
-	}
-	row := d.Changed[0]
-	if row.Target != "boom" || row.Scenario != testFamily || row.Entries != 5 || row.Harvests != 5 {
-		t.Fatalf("unexpected delta row: %+v", row)
-	}
-
-	if _, err := st.Diff("fr-0000000000000000"); err == nil {
-		t.Fatal("Diff accepted an unknown frontier ID")
+	after := st.Frontier()
+	if after.ID == before.ID || len(after.Families) != 2 || after.Families[1].Target != "xiangshan" {
+		t.Fatalf("frontier after growth: %+v", after)
 	}
 }
 
@@ -706,5 +805,163 @@ func TestEntryIDStable(t *testing.T) {
 	s.Rand = 8
 	if EntryID("boom", s) == a {
 		t.Fatal("EntryID ignores the seed")
+	}
+}
+
+// TestSnapshotIDHashesBestObservation: two stores whose entries have the
+// same IDs but different best observations resolve different snapshot IDs.
+func TestSnapshotIDHashesBestObservation(t *testing.T) {
+	ids := map[string]bool{}
+	for _, points := range []int{1, 2} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Harvest("c1", "boom", "fp-test", []core.HarvestedSeed{{Iteration: 3, Seed: testSeed(7, 4), NewPoints: points}}); err != nil {
+			t.Fatal(err)
+		}
+		ids[st.WarmStart("boom", "fp-test", nil, 42, 0).Snapshot] = true
+		st.Close()
+	}
+	if len(ids) != 2 {
+		t.Fatalf("entries with different best observations share a snapshot ID: %v", ids)
+	}
+}
+
+// TestHarvestOrderFree: a harvest set above the class cap, with seeds
+// shared by three campaigns, delivered in shuffled orders with random
+// re-deliveries of earlier batches, always compacts to the same corpus.json
+// bytes, one frontier ID and one warm start: the classCap seeds with the
+// best observations, each holding its best.
+func TestHarvestOrderFree(t *testing.T) {
+	const seeds, batchLen, orders = classCap + 176, 48, 100
+	rng := rand.New(rand.NewSource(1))
+	type delivery struct {
+		campaign string
+		batch    []core.HarvestedSeed
+	}
+	var set []delivery
+	best := map[string]Observation{}
+	for _, campaign := range []string{"c9", "c10", "c11"} {
+		var obs []core.HarvestedSeed
+		for i := 0; i < seeds; i++ {
+			if rng.Intn(3) == 0 {
+				continue // each campaign sees about two thirds of the seeds
+			}
+			h := core.HarvestedSeed{Iteration: len(obs), Seed: testSeed(int64(i), 4+i%8), NewPoints: rng.Intn(6), Finding: rng.Intn(10) == 0}
+			obs = append(obs, h)
+			o := Observation{Finding: h.Finding, Points: h.NewPoints, Origin: Origin{Campaign: campaign, Iteration: h.Iteration}}
+			if b, ok := best[EntryID("boom", h.Seed)]; !ok || o.better(b) {
+				best[EntryID("boom", h.Seed)] = o
+			}
+		}
+		for lo := 0; lo < len(obs); lo += batchLen {
+			set = append(set, delivery{campaign, obs[lo:min(lo+batchLen, len(obs))]})
+		}
+	}
+	// The kept set is the classCap best seeds, whatever the order.
+	var want []Entry
+	for id, b := range best {
+		want = append(want, Entry{ID: id, Best: b})
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].outranks(&want[j]) })
+	want = want[:classCap]
+	sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+
+	var wantFile []byte
+	var wantFrontier string
+	var wantWarm WarmSet
+	for k := 0; k < orders; k++ {
+		dir := filepath.Join(t.TempDir(), "corpus")
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := rng.Perm(len(set))
+		for n, i := range order {
+			deliveries := []int{i}
+			if rng.Intn(5) == 0 {
+				deliveries = append(deliveries, order[rng.Intn(n+1)]) // re-deliver an earlier batch
+			}
+			for _, j := range deliveries {
+				if _, err := st.Harvest(set[j].campaign, "boom", "fp-test", set[j].batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		frontier, warm := st.Frontier().ID, st.WarmStart("boom", "fp-test", nil, 42, 0)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			wantFile, wantFrontier, wantWarm = file, frontier, warm
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := re.List("", "")
+			re.Close()
+			if len(got) != len(want) {
+				t.Fatalf("store keeps %d entries, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || got[i].Best != want[i].Best {
+					t.Fatalf("entry %d is %s with %+v, want %s with %+v", i, got[i].ID, got[i].Best, want[i].ID, want[i].Best)
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(file, wantFile) {
+			t.Fatalf("order %d compacted to a different %s", k, snapshotFile)
+		}
+		if frontier != wantFrontier {
+			t.Fatalf("order %d: frontier %s, want %s", k, frontier, wantFrontier)
+		}
+		if !reflect.DeepEqual(warm, wantWarm) {
+			t.Fatalf("order %d resolved a different warm start", k)
+		}
+	}
+}
+
+// TestClassesKeepTheirOwnEntries: a seed harvested under two fingerprints
+// (campaigns with one campaign seed and different fingerprints can draw the
+// same seeds) is an entry of each class, and the store is the same in
+// either harvest order.
+func TestClassesKeepTheirOwnEntries(t *testing.T) {
+	obs := []core.HarvestedSeed{{Iteration: 3, Seed: testSeed(7, 4), NewPoints: 2}}
+	campaign := map[string]string{"fp-a": "c1", "fp-b": "c2"}
+	var want []byte
+	for _, order := range [][]string{{"fp-a", "fp-b"}, {"fp-b", "fp-a"}} {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fp := range order {
+			if added, err := st.Harvest(campaign[fp], "boom", fp, obs); err != nil || added != 1 {
+				t.Fatalf("harvest under %s: added=%d err=%v, want 1", fp, added, err)
+			}
+		}
+		for _, fp := range order {
+			if n := len(st.View("boom", fp, nil).Entries); n != 1 {
+				t.Fatalf("class %s holds %d entries, want 1", fp, n)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("harvest order changed %s:\n got %s\nwant %s", snapshotFile, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,10 +39,14 @@ func FuzzCorpusOpen(f *testing.F) {
 	f.Add(snapshot, journal)
 	f.Add(snapshot, []byte{})
 	f.Add([]byte{}, journal)
-	f.Add(snapshot, append(journal, `{"campaign":"c3","thr`...)) // torn tail
-	f.Add([]byte(`{"version":2,"watermarks":{"c1":-1},"entries":[]}`), []byte{})
-	f.Add([]byte(`{"version":1}`), []byte{})
-	f.Add([]byte{}, []byte(`{"campaign":"","through":1}`+"\n"))
+	f.Add(snapshot, append(journal, `{"campaign":"c3","target":"boom","fingerprint":"fp-test","batch":[{"iter`...)) // torn tail
+	seed, err := json.Marshal(testSeed(7, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"version":3,"entries":[{"id":"00","target":"boom","seed":`+string(seed)+`,"best":{"campaign":"c1","iteration":-1}}]}`), []byte{})
+	f.Add([]byte(`{"version":2,"watermarks":{"c1":1},"entries":[]}`), []byte{})
+	f.Add([]byte{}, []byte(`{"campaign":"","target":"boom","fingerprint":"fp-test","batch":[{"iteration":1}]}`+"\n"))
 
 	f.Fuzz(func(t *testing.T, snapshot, journal []byte) {
 		dir := t.TempDir()

@@ -26,10 +26,11 @@ import (
 //	POST /campaigns/{id}/cancel    terminally stop
 //	GET  /findings[?target=t][&scenario=s]  aggregated triage view (deduped
 //	                               bugs; the bug list is paginated)
-//	GET  /corpus[?target=t][&scenario=s]    persistent corpus entries
+//	GET  /corpus[?target=t][&scenario=s]    persistent corpus entries,
+//	                               each with its best observation
 //	                               (paginated)
-//	GET  /corpus/frontier[?since=fr-...]    coverage frontier, or the diff
-//	                               against an earlier frontier ID
+//	GET  /corpus/frontier          coverage frontier: per-family rows of
+//	                               the kept entries under a content ID
 //	GET  /scenarios                scenario-family catalog
 //	GET  /healthz                  liveness + campaign counts; 503
 //	                               "degraded" once a write of durable
@@ -346,25 +347,16 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, corpusResponse{Total: len(entries), Entries: page})
 }
 
-// handleFrontier serves the corpus coverage frontier. Without a query it
-// returns the current frontier (whose ID a client can hold on to); with
-// ?since=fr-... it returns the per-family deltas accumulated since that
-// frontier. An ID outside the retained history is a 404.
+// handleFrontier serves the corpus coverage frontier: one row per (target,
+// scenario family) under a content-hashed ID. The store keeps no frontier
+// history, so a ?since= diff is refused rather than answered with a
+// frontier its client would read as a diff.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	since := r.URL.Query().Get("since")
-	if since == "" {
-		writeJSON(w, http.StatusOK, s.corpus.Frontier())
+	if r.URL.Query().Has("since") {
+		writeErr(w, errors.New("since: the server keeps no frontier history; compare two /corpus/frontier responses instead"))
 		return
 	}
-	diff, err := s.corpus.Diff(since)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	if diff.Changed == nil {
-		diff.Changed = []corpus.FamilyDelta{}
-	}
-	writeJSON(w, http.StatusOK, diff)
+	writeJSON(w, http.StatusOK, s.corpus.Frontier())
 }
 
 // handleScenarios serves the scenario-family catalog: every family with its

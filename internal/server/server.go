@@ -88,7 +88,7 @@ type Record struct {
 	Warm *corpus.WarmSet `json:"warm,omitempty"`
 }
 
-// Stop intents (Record.Stopping / campaign.stop).
+// Stop intents (Record.Stopping).
 const (
 	stopPause    = "pause"
 	stopCancel   = "cancel"
@@ -120,8 +120,10 @@ type campaign struct {
 	rec     Record
 	sess    *dejavuzz.Session
 	cancel  context.CancelFunc
-	stop    string // pending stop intent, "" when none
-	workers int    // budget slots held while running
+	workers int // budget slots held while running
+	// pending holds the findings of the barrier being absorbed until its
+	// epoch event; only the run goroutine touches it.
+	pending []dejavuzz.Finding
 
 	// runStarted/startDone anchor the current run's throughput gauge:
 	// iterations completed since the session (re)started over the wall
@@ -450,7 +452,7 @@ func (s *Server) run(cs *campaign) {
 	if err := s.persistLocked(); err != nil {
 		s.log.Printf("campaign %s: persist: %v", id, err)
 	}
-	stopRequested := cs.stop != ""
+	stopRequested := cs.rec.Stopping != ""
 	s.mu.Unlock()
 	if stopRequested {
 		// A pause/cancel/shutdown raced launch: honour it now that cancel
@@ -461,45 +463,62 @@ func (s *Server) run(cs *campaign) {
 	for ev := range sess.Events() {
 		s.absorb(cs, ev)
 	}
+	// A stopping session may drop a barrier's epoch event after its
+	// findings (Session.emit): absorb them all the same.
+	if added := s.triagePending(cs); added > 0 {
+		s.mu.Lock()
+		cs.rec.Findings += added
+		s.mu.Unlock()
+	}
 	rep, _ := sess.Wait()
 	s.finish(cs, rep, nil)
 }
 
 // absorb folds one session event into the campaign record and the
-// persistent stores. A campaign resumed from a checkpoint older than the
-// stores — after an unclean restart — re-delivers barriers they already
-// absorbed; both stores skip findings and harvests at or below the
-// campaign's watermark, so the re-drain cannot double-count.
+// persistent stores. A barrier's findings arrive before its epoch event and
+// are held until it, so the triage store takes each barrier in one Add and
+// rewrites findings.json once per barrier. A campaign resumed from a
+// checkpoint older than the stores — after an unclean restart — re-delivers
+// barriers they already absorbed: the triage store skips findings at or
+// below the campaign's watermark, and the corpus finds nothing new in a
+// harvest it absorbed, so the re-drain cannot double-count.
 func (s *Server) absorb(cs *campaign, ev dejavuzz.Event) {
 	id := cs.rec.ID
 	switch ev.Kind {
+	case dejavuzz.EventFinding:
+		cs.pending = append(cs.pending, *ev.Finding)
 	case dejavuzz.EventEpoch:
+		added := s.triagePending(cs)
 		if len(ev.Harvest) > 0 {
 			if _, err := s.corpus.Harvest(id, cs.rec.Target, fingerprintFor(cs.rec.Options), ev.Harvest); err != nil {
 				s.persistFailed(id, "corpus harvest", err)
 			}
 		}
+		// The record's raw-finding count follows what the store absorbed, so
+		// a re-drained barrier cannot inflate it either.
 		s.mu.Lock()
 		cs.rec.Done, cs.rec.Total, cs.rec.Coverage = ev.Done, ev.Total, ev.Coverage
+		cs.rec.Findings += added
 		if err := s.persistLocked(); err != nil {
 			s.log.Printf("campaign %s: persist: %v", id, err)
 		}
-		s.mu.Unlock()
-	case dejavuzz.EventFinding:
-		// The record's raw-finding count follows what the store absorbed, so
-		// a re-drained barrier cannot inflate it either.
-		added, _, err := s.store.Add(id, cs.rec.Target, cs.rec.Options.EffectiveSeed(), *ev.Finding)
-		if err != nil {
-			s.persistFailed(id, "triage store", err)
-		}
-		s.mu.Lock()
-		cs.rec.Findings += added
 		s.mu.Unlock()
 	case dejavuzz.EventCheckpointSaved:
 		if ev.Err != nil {
 			s.persistFailed(id, "checkpoint autosave", ev.Err)
 		}
 	}
+}
+
+// triagePending adds the findings held since the last epoch event to the
+// triage store in one call and returns how many it absorbed.
+func (s *Server) triagePending(cs *campaign) int {
+	added, _, err := s.store.Add(cs.rec.ID, cs.rec.Target, cs.rec.Options.EffectiveSeed(), cs.pending...)
+	if err != nil {
+		s.persistFailed(cs.rec.ID, "triage store", err)
+	}
+	cs.pending = cs.pending[:0]
+	return added
 }
 
 // fingerprintFor derives the corpus compatibility fingerprint a campaign's
@@ -570,8 +589,7 @@ func (s *Server) finish(cs *campaign, rep *dejavuzz.Report, launchErr error) {
 	}
 	cs.sess = nil
 	cs.cancel = nil
-	stop := cs.stop
-	cs.stop = ""
+	stop := cs.rec.Stopping
 	cs.rec.Stopping = ""
 	switch {
 	case launchErr != nil:
@@ -642,8 +660,7 @@ func (s *Server) Pause(id string) (Record, error) {
 	}
 	switch cs.rec.State {
 	case StateRunning:
-		if cs.stop == "" {
-			cs.stop = stopPause
+		if cs.rec.Stopping == "" {
 			cs.rec.Stopping = stopPause
 		}
 		cancel := cs.cancel
@@ -702,7 +719,6 @@ func (s *Server) Cancel(id string) (Record, error) {
 	switch cs.rec.State {
 	case StateRunning:
 		// Overrides a pending pause: cancel is the stronger intent.
-		cs.stop = stopCancel
 		cs.rec.Stopping = stopCancel
 		cancel := cs.cancel
 		rec := cs.rec
@@ -878,8 +894,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Mark every running campaign, including ones still mid-launch
 		// (cancel not wired yet) — their run goroutine checks the intent
 		// right after wiring and cancels itself.
-		if cs.rec.State == StateRunning && cs.stop == "" {
-			cs.stop = stopShutdown
+		if cs.rec.State == StateRunning && cs.rec.Stopping == "" {
 			cs.rec.Stopping = stopShutdown
 		}
 		if cs.cancel != nil {

@@ -338,6 +338,14 @@ func TestServerPauseResumeCancel(t *testing.T) {
 	if body := decodeBody[errorBody](t, resp, http.StatusBadRequest); !strings.Contains(body.Error, "iterations") {
 		t.Fatalf("negative iterations refusal does not name the key: %q", body.Error)
 	}
+	// The frontier diff is gone: ?since= is refused, naming it.
+	resp, err = http.Get(ts.URL + "/corpus/frontier?since=fr-0000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := decodeBody[errorBody](t, resp, http.StatusBadRequest); !strings.Contains(body.Error, "since") {
+		t.Fatalf("?since= refusal does not name it: %q", body.Error)
+	}
 
 	// Health and metrics answer.
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -496,5 +504,76 @@ func TestRedrainIsByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s differs after re-draining barriers [%d,%d) of %d", name, j, k, n)
 		}
+	}
+}
+
+// TestStoresIndependentOfBudget: the same list of cold campaigns run at
+// worker budget 1 (one after another) and at budget 2 (interleaved) leaves
+// byte-identical findings.json and compacted corpus.json and one frontier
+// ID. The first two campaigns share a seed, so their barriers carry the
+// same findings and harvests and race each other to the stores at budget 2.
+func TestStoresIndependentOfBudget(t *testing.T) {
+	opts := func(target string, seed int64, iterations, mergeEvery int) dejavuzz.Options {
+		return dejavuzz.Options{Target: target, Seed: seed, SeedSet: true, Iterations: iterations, IterationsSet: true, MergeEvery: mergeEvery}
+	}
+	campaigns := []dejavuzz.Options{
+		opts("boom", 1, 96, 8),
+		opts("boom", 1, 64, 8),
+		opts("isasim", 2, 512, 64),
+		opts("boom", 2, 64, 8),
+	}
+	files := []string{"findings.json", filepath.Join("corpus", "corpus.json")}
+	run := func(budget int) (map[string][]byte, string) {
+		dir := t.TempDir()
+		srv, err := Open(Config{StateDir: dir, Workers: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range campaigns {
+			if _, err := srv.Create("", o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(120 * time.Second)
+		for {
+			done := 0
+			for _, rec := range srv.List() {
+				if rec.State == StateDone {
+					done++
+				} else if rec.State.Terminal() {
+					t.Fatalf("budget %d: campaign %s ended %s: %s", budget, rec.ID, rec.State, rec.Error)
+				}
+			}
+			if done == len(campaigns) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("budget %d: campaigns did not finish: %+v", budget, srv.List())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		frontier := srv.corpus.Frontier().ID
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, name := range files {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = data
+		}
+		return out, frontier
+	}
+	serial, serialFrontier := run(1)
+	interleaved, interleavedFrontier := run(2)
+	for _, name := range files {
+		if !bytes.Equal(serial[name], interleaved[name]) {
+			t.Errorf("%s differs between worker budgets 1 and 2", name)
+		}
+	}
+	if serialFrontier != interleavedFrontier {
+		t.Errorf("frontier %s at budget 1, %s at budget 2", serialFrontier, interleavedFrontier)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"dejavuzz/internal/atomicfile"
 	"dejavuzz/internal/core"
+	"dejavuzz/internal/corpus"
 )
 
 // StoreVersion guards the findings-store file format against drift.
@@ -121,6 +122,10 @@ func (s *Store) Add(campaignID, target string, campaignSeed int64, findings ...c
 			b = newBug(sig, target, f)
 			s.bugs[sig] = b
 			newBugs++
+		}
+		if !ok || (corpus.Origin{Campaign: campaignID, Iteration: f.Iteration}).Before(
+			corpus.Origin{Campaign: b.ExampleCampaign, Iteration: b.Example.Iteration}) {
+			b.Example, b.ExampleCampaign, b.CorpusEntry = *f, campaignID, corpus.EntryID(target, f.Seed)
 		}
 		b.Count++
 		b.Campaigns = insertString(b.Campaigns, campaignID)

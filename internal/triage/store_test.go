@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -174,5 +175,50 @@ func TestStoreSizeBoundedByCampaigns(t *testing.T) {
 	small, large := size(100), size(1000)
 	if large-small >= 512 {
 		t.Fatalf("findings.json grew from %d to %d bytes between 100 and 1000 findings, want < 512", small, large)
+	}
+}
+
+// TestStoreOrderFree: one bug's findings from three campaigns, added in
+// every campaign order, give byte-identical findings.json files, whose
+// example is the finding with the least (campaign, iteration) under the
+// corpus's campaign order, not the first to arrive.
+func TestStoreOrderFree(t *testing.T) {
+	bug := func(iter int, seedRand int64) core.Finding {
+		return finding(iter, core.FindingEncoded, "Spectre", gen.TrigBranchMispred, []string{"dcache"}, nil, seedRand)
+	}
+	campaigns := []struct {
+		id       string
+		findings []core.Finding
+	}{
+		{"c10", []core.Finding{bug(1, 101), bug(4, 102)}},
+		{"c2", []core.Finding{bug(9, 21), bug(12, 22)}},
+		{"c9", []core.Finding{bug(2, 91)}},
+	}
+	var want []byte
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		path := filepath.Join(t.TempDir(), "findings.json")
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range order {
+			c := campaigns[i]
+			if _, _, err := s.Add(c.id, "boom", int64(i), c.findings...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			b := s.Bugs()
+			if len(b) != 1 || b[0].ExampleCampaign != "c2" || b[0].Example.Iteration != 9 || b[0].Count != 5 {
+				t.Fatalf("bugs %+v, want one bug of count 5 whose example is c2's iteration 9", b)
+			}
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("campaign order %v wrote a different findings.json:\n got %s\nwant %s", order, got, want)
+		}
 	}
 }

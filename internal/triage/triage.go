@@ -15,7 +15,9 @@
 // campaign delivers at most one finding per iteration, in iteration order,
 // and a resumed campaign re-delivers a byte-identical prefix, so replaying
 // its event stream — e.g. after an unclean shutdown re-runs barriers the
-// store already absorbed — never inflates counts.
+// store already absorbed — never inflates counts. A bug's other fields are
+// counts, sets and a least example, so the store does not depend on the
+// order in which concurrent campaigns' barriers arrive.
 package triage
 
 import (
@@ -23,7 +25,6 @@ import (
 	"strings"
 
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/corpus"
 )
 
 // Signature identifies a triaged bug: the target name joined with the
@@ -56,9 +57,15 @@ type Bug struct {
 	// seeds the bug was observed under — the cross-seed dedup evidence.
 	Campaigns []string `json:"campaigns"`
 	Seeds     []int64  `json:"seeds"`
-	// Example is the first finding observed for this signature (a concrete
-	// reproducer: its Seed regenerates the stimulus).
+	// Example is the signature's finding with the least (campaign,
+	// iteration) under the corpus's campaign order (corpus.Origin.Before),
+	// so it does not depend on which campaign reached its barrier first. It
+	// is a concrete reproducer: its Seed regenerates the stimulus.
 	Example core.Finding `json:"example"`
+	// ExampleCampaign is the campaign the example came from. A store
+	// written before the field existed leaves it empty, which sorts first,
+	// so such an example is kept.
+	ExampleCampaign string `json:"example_campaign"`
 	// CorpusEntry is the persistent-corpus entry ID of the example's
 	// (target, seed) pair — the provenance link into dvz-server's
 	// GET /corpus listing. The ID is a pure content hash, so it is valid
@@ -88,20 +95,19 @@ func insertInt64(s []int64, v int64) []int64 {
 	return s
 }
 
-// newBug builds the cluster head for a signature from its first finding.
+// newBug builds the cluster head for a signature from its first finding;
+// the caller sets the example.
 func newBug(sig Signature, target string, f *core.Finding) *Bug {
 	in := f.SignatureInputs()
 	return &Bug{
-		Signature:   sig,
-		Target:      target,
-		Kind:        in[0],
-		AttackType:  in[1],
-		Window:      in[2],
-		Scenario:    in[3],
-		Components:  splitPlus(in[4]),
-		BugLabels:   splitPlus(in[5]),
-		Example:     *f,
-		CorpusEntry: corpus.EntryID(target, f.Seed),
+		Signature:  sig,
+		Target:     target,
+		Kind:       in[0],
+		AttackType: in[1],
+		Window:     in[2],
+		Scenario:   in[3],
+		Components: splitPlus(in[4]),
+		BugLabels:  splitPlus(in[5]),
 	}
 }
 

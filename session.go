@@ -152,9 +152,9 @@ type Event struct {
 	// Harvest carries the barrier's corpus-worthy seeds — coverage-feedback
 	// keepers and finding producers, with their evidence — in iteration
 	// order (EventEpoch only). dvz-server's corpus store persists them
-	// across campaigns, skipping a resumed campaign's re-emitted barriers
-	// by a per-campaign iteration watermark; other consumers may ignore the
-	// field.
+	// across campaigns, keeping each seed's best observation, so a resumed
+	// campaign's re-emitted barriers change nothing there; other consumers
+	// may ignore the field.
 	Harvest []HarvestedSeed
 
 	// Finding is the merged finding (EventFinding).
