@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"dejavuzz/internal/gen"
 	"dejavuzz/internal/scenario"
 	"dejavuzz/internal/uarch"
 )
@@ -131,15 +133,14 @@ func TestCampaignCancelResumeDeterministic(t *testing.T) {
 	}
 }
 
-// midCampaignSnapshot stops a 32-iteration, single-worker campaign at its
-// iteration-16 barrier and returns the snapshot.
-func midCampaignSnapshot(t *testing.T) *EngineState {
+// snapshotAt runs a campaign until its barrier at iteration done and
+// returns the snapshot taken there.
+func snapshotAt(t *testing.T, opts Options, done int) *EngineState {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := campaignOpts(1, 32)
 	opts.OnBarrier = func(b *Barrier) {
-		if b.Done == 16 {
+		if b.Done == done {
 			cancel()
 		}
 	}
@@ -150,16 +151,28 @@ func midCampaignSnapshot(t *testing.T) *EngineState {
 	return state
 }
 
+// midCampaignSnapshot stops a 32-iteration, single-worker campaign at its
+// iteration-16 barrier and returns the snapshot.
+func midCampaignSnapshot(t *testing.T) *EngineState {
+	t.Helper()
+	return snapshotAt(t, campaignOpts(1, 32), 16)
+}
+
 // TestResumeStateValidation checks NewFuzzerFromState rejects snapshots
 // that cannot have come from the supplied options.
 func TestResumeStateValidation(t *testing.T) {
-	state := midCampaignSnapshot(t)
-	mismatched := campaignOpts(1, 32)
+	// Merge every 8: the iteration-16 snapshot carries two marks, and each
+	// shard has picked twice.
+	opts := campaignOpts(1, 32)
+	opts.MergeEvery = 8
+	state := snapshotAt(t, opts, 16)
+	mismatched := opts
 	mismatched.Seed = 999
 	if _, err := NewFuzzerFromState(state, mismatched); err == nil {
 		t.Error("accepted snapshot under mismatched seed")
 	}
-	workersOnly := campaignOpts(16, 32)
+	workersOnly := opts
+	workersOnly.Workers = 16
 	if _, err := NewFuzzerFromState(state, workersOnly); err != nil {
 		t.Errorf("rejected workers-only difference: %v", err)
 	}
@@ -169,41 +182,97 @@ func TestResumeStateValidation(t *testing.T) {
 	for _, v := range []int{2, EngineStateVersion + 1} {
 		bad := *state
 		bad.Version = v
-		if _, err := NewFuzzerFromState(&bad, campaignOpts(1, 32)); err == nil {
+		if _, err := NewFuzzerFromState(&bad, opts); err == nil {
 			t.Errorf("accepted snapshot with version %d", v)
 		} else if want := fmt.Sprintf("version %d", v); !strings.Contains(err.Error(), want) {
 			t.Errorf("version-%d refusal does not name the version: %v", v, err)
 		}
 	}
-	// A negative scheduler count is refused, naming the family.
-	neg := *state
-	neg.SchedState = append([]scenario.FamilyState(nil), state.SchedState...)
-	neg.SchedState[1].Picks = -2
-	if _, err := NewFuzzerFromState(&neg, campaignOpts(1, 32)); err == nil {
-		t.Error("accepted snapshot with a negative scheduler pick count")
-	} else if !strings.Contains(err.Error(), neg.SchedState[1].Name) {
-		t.Errorf("negative-count refusal does not name the family: %v", err)
+	// Edits no barrier could have written are refused, naming the field and,
+	// in scenario_stats, the family. Resume rebuilds the scheduler from
+	// scenario_stats and pins the coverage history to marks, so an accepted
+	// edit would silently change both.
+	rows := state.Scenarios
+	last := len(rows) - 1
+	if len(rows) < 3 || len(state.Marks) != 2 {
+		t.Fatalf("snapshot has %d scenario_stats rows and %d marks; the edits below need at least 3 and exactly 2", len(rows), len(state.Marks))
 	}
-	// Shard counters outside 0 <= gain_count <= pick_count <= next_iter are
-	// refused, naming the field: a negative pick count would otherwise
-	// index the corpus below zero in the resumed shard.
 	for _, tc := range []struct {
-		field       string
-		gain, picks int
+		name string
+		want []string
+		edit func(st *EngineState)
 	}{
-		{"pick_count", 0, -4},
-		{"pick_count", 0, state.NextIter + 1},
-		{"gain_count", -1, 2},
-		{"gain_count", 3, 2},
+		{"missing row", []string{"scenario_stats", rows[last].Name},
+			func(st *EngineState) { st.Scenarios = st.Scenarios[:last] }},
+		{"extra row", []string{"scenario_stats", "warp-drive"},
+			func(st *EngineState) { st.Scenarios = append(st.Scenarios, ScenarioStat{Name: "warp-drive"}) }},
+		{"rows out of order", []string{"scenario_stats", rows[1].Name},
+			func(st *EngineState) { st.Scenarios[0], st.Scenarios[1] = st.Scenarios[1], st.Scenarios[0] }},
+		{"unknown family", []string{"scenario_stats", "warp-drive"},
+			func(st *EngineState) { st.Scenarios[2].Name = "warp-drive" }},
+		{"negative picks", []string{"scenario_stats", rows[1].Name},
+			func(st *EngineState) { st.Scenarios[1].Picks = -5 }},
+		{"negative points", []string{"scenario_stats", rows[1].Name},
+			func(st *EngineState) { st.Scenarios[1].Points = -1 }},
+		{"negative findings", []string{"scenario_stats", rows[1].Name},
+			func(st *EngineState) { st.Scenarios[1].Findings = -1 }},
+		{"picks off by 3", []string{"scenario_stats", "next_iter"},
+			func(st *EngineState) { st.Scenarios[1].Picks += 3 }},
+		{"findings off by 1", []string{"scenario_stats", "findings"},
+			func(st *EngineState) { st.Scenarios[1].Findings++ }},
+		{"negative gain_count", []string{"gain_count"},
+			func(st *EngineState) { st.Shards[0].GainCount = -1 }},
+		{"gain_count above picks", []string{"gain_count"},
+			func(st *EngineState) { st.Shards[0].GainCount = 3 }},
+		{"next_iter off a barrier", []string{"next_iter"},
+			func(st *EngineState) { st.NextIter, st.Iters = 12, st.Iters[:12] }},
+		{"mark count 0", []string{"marks"},
+			func(st *EngineState) { st.Marks[1].Count = 0 }},
+		{"negative mark count", []string{"marks"},
+			func(st *EngineState) { st.Marks[0].Count = -7 }},
+		{"last mark above coverage", []string{"marks", "coverage"},
+			func(st *EngineState) { st.Marks[1].Count += 5 }},
+		{"decreasing mark counts", []string{"marks"},
+			func(st *EngineState) { st.Marks[0].Count = st.Marks[1].Count + 1 }},
+		{"mark off its barrier", []string{"marks"},
+			func(st *EngineState) { st.Marks[0].End = 7 }},
+		{"extra mark", []string{"marks"},
+			func(st *EngineState) { st.Marks = append(st.Marks, EpochMark{End: 24, Count: st.Marks[1].Count}) }},
 	} {
 		bad := *state
-		bad.Shards = append([]ShardState(nil), state.Shards...)
-		bad.Shards[0].GainCount, bad.Shards[0].PickCount = tc.gain, tc.picks
-		if _, err := NewFuzzerFromState(&bad, campaignOpts(1, 32)); err == nil {
-			t.Errorf("accepted shard gain_count %d, pick_count %d", tc.gain, tc.picks)
-		} else if !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("shard-counter refusal does not name %s: %v", tc.field, err)
+		bad.Scenarios = slices.Clone(state.Scenarios)
+		bad.Shards = slices.Clone(state.Shards)
+		bad.Marks = slices.Clone(state.Marks)
+		tc.edit(&bad)
+		if _, err := NewFuzzerFromState(&bad, opts); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else {
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s: refusal does not name %s: %v", tc.name, w, err)
+				}
+			}
 		}
+	}
+	// Most mutations keep a seed's family, so a corpus seed from a family
+	// the campaign does not run is refused, naming the family.
+	filtered := opts
+	filtered.Scenarios = []string{rows[0].Name, rows[1].Name}
+	foreign, err := scenario.Lookup(rows[2].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst := snapshotAt(t, filtered, 8)
+	fst.Corpus = append(fst.Corpus, gen.Seed{Scenario: foreign.Name, Trigger: foreign.Trigger, TriggerOff: 70, WindowLen: 5, EncodeOps: 1})
+	if _, err := NewFuzzerFromState(fst, filtered); err == nil || !strings.Contains(err.Error(), foreign.Name) {
+		t.Errorf("corpus seed from disabled family %s: err=%v, want a refusal naming it", foreign.Name, err)
+	}
+	// The bounds are tight: a shard may have measured every pick it made.
+	full := *state
+	full.Shards = slices.Clone(state.Shards)
+	full.Shards[0].GainCount = 2
+	if _, err := NewFuzzerFromState(&full, opts); err != nil {
+		t.Errorf("refused gain_count equal to the shard's picks: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -431,21 +432,18 @@ type EpochMark struct {
 }
 
 // ShardState is the persistent (cross-epoch) feedback state of one shard.
+// How many seeds the shard has picked, and so how far its warm replay got,
+// is not stored: both follow from the iteration (see picksBefore).
 type ShardState struct {
 	AvgGain   float64 `json:"avg_gain"`
 	GainCount int     `json:"gain_count"`
-	PickCount int     `json:"pick_count"`
-	// WarmConsumed counts how many of the shard's warm-start replay seeds
-	// have been consumed (0 on cold campaigns). Warm replay can straddle a
-	// merge barrier when seeds outnumber the shard's picks per epoch, so
-	// the cursor is part of the resumable state.
-	WarmConsumed int `json:"warm_consumed,omitempty"`
 }
 
-// EngineStateVersion guards the checkpoint format against drift. Version 3
-// carries the bandit scheduler's posterior (per-family cumulative
-// picks/points/findings plus weight) in SchedState; any other version is
-// refused (see Migrate).
+// EngineStateVersion guards the checkpoint format against drift; any other
+// version is refused (see Migrate). Version-3 files that still carry
+// "epoch", "sched_state" or a shard's "pick_count" and "warm_consumed"
+// load too: decoding ignores those keys, since resume derives each of
+// them.
 const EngineStateVersion = 3
 
 // EngineState is a resumable mid-campaign snapshot, taken at a merge
@@ -453,16 +451,16 @@ const EngineStateVersion = 3
 // shard, epoch) at every epoch and all cross-shard state merges at barriers,
 // this struct is the campaign's complete determinism-relevant state: a
 // fuzzer rebuilt from it finishes with results byte-identical (modulo
-// wall-clock fields) to an uninterrupted run. It round-trips through JSON.
+// wall-clock fields) to an uninterrupted run. It stores each fact once; the
+// epoch ordinal (NextIter / MergeEvery), each shard's pick count and the
+// scheduler posterior are derived on resume. It round-trips through JSON.
 type EngineState struct {
 	Version int `json:"version"`
 	// Options are the campaign's normalized options (hooks are not
 	// serialised; the resuming caller re-attaches its own).
 	Options Options `json:"options"`
 	// NextIter is the first iteration of the next epoch to run.
-	NextIter int `json:"next_iter"`
-	// Epoch is the next epoch ordinal (shard generator seeding input).
-	Epoch     int          `json:"epoch"`
+	NextIter  int          `json:"next_iter"`
 	Corpus    []gen.Seed   `json:"corpus"`
 	Coverage  []CovPoint   `json:"coverage"`
 	Shards    []ShardState `json:"shards"`
@@ -470,12 +468,10 @@ type EngineState struct {
 	Iters     []IterStat   `json:"iters"`
 	Marks     []EpochMark  `json:"marks"`
 	DeadSinks int          `json:"dead_sinks"`
-	// SchedState is the scenario scheduler's serialised state at the
-	// barrier: each family's cumulative bandit posterior (picks, points,
-	// findings) and sampling weight. It is determinism-relevant: the next
-	// epoch's family picks depend on it, so resume must restore it exactly.
-	SchedState []scenario.FamilyState `json:"sched_state,omitempty"`
-	// Scenarios are the cumulative per-family statistics.
+	// Scenarios are the cumulative per-family statistics, one row per
+	// enabled family in name order. Their picks, points and findings, on
+	// top of the options' frontier prior, are the scheduler's whole
+	// posterior, so resume rebuilds the scheduler from them.
 	Scenarios []ScenarioStat `json:"scenario_stats"`
 	// Elapsed is the campaign's wall time up to the barrier, so a resumed
 	// campaign's Report.Duration covers every segment. Like Duration it is
@@ -514,8 +510,8 @@ type HarvestedSeed struct {
 
 // Barrier is the payload of one merge-barrier event.
 type Barrier struct {
-	// Epoch is the barrier's ordinal since campaign start (resume keeps
-	// counting from the checkpoint, so ordinals are campaign-absolute).
+	// Epoch is the barrier's ordinal since campaign start (a resumed run
+	// starts at NextIter / MergeEvery, so ordinals are campaign-absolute).
 	Epoch int
 	// Done/Total are completed and total campaign iterations.
 	Done, Total int
@@ -562,14 +558,13 @@ type Fuzzer struct {
 	seq *uarchShard
 
 	// resume state (zero on a fresh campaign)
-	startIter  int
-	startEpoch int
-	shards     []*shard
-	iters      []IterStat
-	marks      []EpochMark
-	findings   []Finding
-	deadSinks  int
-	started    bool
+	startIter int
+	shards    []*shard
+	iters     []IterStat
+	marks     []EpochMark
+	findings  []Finding
+	deadSinks int
+	started   bool
 	// start is when this run began, and elapsedBefore the wall time of the
 	// segments before it (EngineState.Elapsed); see elapsed.
 	start         time.Time
@@ -603,9 +598,8 @@ func NewFuzzer(opts Options) *Fuzzer {
 	if err := ValidateWarmStart(opts.WarmSeeds, opts.FrontierPrior, families); err != nil {
 		panic(fmt.Sprintf("core: NewFuzzer: %v", err))
 	}
-	// A frontier prior seeds a fresh scheduler's posterior; checkpoint
-	// resume overwrites the scheduler wholesale (the checkpointed posterior
-	// already contains the prior), so this only shapes campaign starts.
+	// A frontier prior seeds the scheduler's posterior; checkpoint resume
+	// adds the campaign's cumulative yield on top (NewFuzzerFromState).
 	sched, err := scenario.NewSchedulerWithPrior(families, policy, opts.FrontierPrior)
 	if err != nil {
 		panic(fmt.Sprintf("core: NewFuzzer: %v", err))
@@ -696,21 +690,28 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		return nil, fmt.Errorf("core: engine state iteration bounds corrupt (next=%d, iters=%d, total=%d)",
 			st.NextIter, len(st.Iters), norm.Iterations)
 	}
-	// Snapshots are only taken at barriers, where NextIter and the epoch
-	// ordinal are locked together; a mismatch would replay already-consumed
-	// shard streams and silently break the byte-identical-resume guarantee,
-	// so fail fast instead.
-	if wantNext := st.Epoch * norm.MergeEvery; st.NextIter != wantNext &&
-		!(st.NextIter == norm.Iterations && wantNext > norm.Iterations) {
-		return nil, fmt.Errorf("core: engine state epoch %d inconsistent with next iteration %d (merge every %d)",
-			st.Epoch, st.NextIter, norm.MergeEvery)
+	// Snapshots are only taken at barriers; resuming anywhere else would
+	// re-run part of an epoch under the next epoch's generator seeds and
+	// silently break the byte-identical-resume guarantee.
+	if st.NextIter%norm.MergeEvery != 0 && st.NextIter != norm.Iterations {
+		return nil, fmt.Errorf("core: engine state next_iter %d is not a barrier (merge every %d, %d iterations)",
+			st.NextIter, norm.MergeEvery, norm.Iterations)
 	}
+	if st.Elapsed < 0 {
+		return nil, fmt.Errorf("core: engine state elapsed_ns %d is negative", st.Elapsed)
+	}
+	f := NewFuzzer(norm)
 	// Corpus seeds are mutated and rebuilt, and finding seeds replayed, by
 	// the resumed campaign: refuse a malformed one here, where there is an
-	// error path, instead of letting it reach a shard.
+	// error path, instead of letting it reach a shard. Most mutations keep
+	// a seed's family, so a corpus seed must belong to the enabled set, or
+	// its offspring would be picks that scenario_stats cannot count.
 	for i, sd := range st.Corpus {
 		if err := sd.Validate(); err != nil {
 			return nil, fmt.Errorf("core: engine state corpus seed %d: %w", i, err)
+		}
+		if fam := gen.ScenarioName(sd); !slices.Contains(f.families, fam) {
+			return nil, fmt.Errorf("core: engine state corpus seed %d has scenario family %q outside the campaign's enabled set", i, fam)
 		}
 	}
 	for i := range st.Findings {
@@ -718,67 +719,103 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 			return nil, fmt.Errorf("core: engine state finding %d seed: %w", i, err)
 		}
 	}
-	if st.Elapsed < 0 {
-		return nil, fmt.Errorf("core: engine state elapsed_ns %d is negative", st.Elapsed)
-	}
-	f := NewFuzzer(norm)
 	f.elapsedBefore = st.Elapsed
 	f.startIter = st.NextIter
-	f.startEpoch = st.Epoch
 	f.corpus = append([]gen.Seed(nil), st.Corpus...)
 	f.coverage.AddPoints(st.Coverage)
 	copy(f.iters, st.Iters)
 	f.marks = append([]EpochMark(nil), st.Marks...)
 	f.findings = append([]Finding(nil), st.Findings...)
 	f.deadSinks = st.DeadSinks
+	if err := f.checkMarks(); err != nil {
+		return nil, err
+	}
 	for i, s := range f.shards {
-		// A shard picks one seed per iteration it runs and measures each
-		// pick at most once, so 0 <= gain_count <= pick_count <= next_iter.
-		// A negative pick count would index the corpus below zero.
+		// A shard measures each of its picks at most once.
 		ss := st.Shards[i]
-		if ss.PickCount < 0 || ss.PickCount > st.NextIter {
-			return nil, fmt.Errorf("core: engine state shard %d pick_count %d outside [0, %d]", i, ss.PickCount, st.NextIter)
-		}
-		if ss.GainCount < 0 || ss.GainCount > ss.PickCount {
-			return nil, fmt.Errorf("core: engine state shard %d gain_count %d outside [0, %d]", i, ss.GainCount, ss.PickCount)
+		if picks := picksBefore(st.NextIter, i, norm.Shards); ss.GainCount < 0 || ss.GainCount > picks {
+			return nil, fmt.Errorf("core: engine state shard %d gain_count %d outside [0, %d]", i, ss.GainCount, picks)
 		}
 		s.avgGain = ss.AvgGain
 		s.gainCount = ss.GainCount
-		s.pickCount = ss.PickCount
-		if wc := ss.WarmConsumed; wc < 0 || wc > len(s.warm) {
-			return nil, fmt.Errorf("core: engine state shard %d consumed %d of %d warm seeds",
-				i, wc, len(s.warm))
-		}
-		s.warmNext = ss.WarmConsumed
 	}
-	// Restore the scheduler exactly as it was at the barrier: the next
-	// epoch's family picks depend on its posterior, so a lossy restore
-	// would silently break byte-identical resume.
-	policy, err := scenario.ParsePolicy(norm.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := f.checkScenarioStats(st.Scenarios); err != nil {
+		return nil, err
 	}
-	sched, err := scenario.NewSchedulerFromState(f.families, policy, st.SchedState)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	f.sched = sched
+	// The scheduler's posterior is the frontier prior NewFuzzer seeded plus
+	// the campaign's cumulative per-family yield, and its weights are a pure
+	// function of that posterior, so one Update of the totals leaves it
+	// exactly as the barrier-by-barrier Updates did.
+	yield := make(map[string]scenario.Yield, len(st.Scenarios))
 	for i := range st.Scenarios {
 		cs := st.Scenarios[i]
 		f.scnStats[cs.Name] = &cs
+		yield[cs.Name] = scenario.Yield{Picks: cs.Picks, Points: cs.Points, Findings: cs.Findings}
 	}
+	f.sched.Update(yield)
 	return f, nil
+}
+
+// checkMarks checks restored barrier marks, which finalize pins the
+// coverage history to (Figure 7's series): one mark per barrier before the
+// resume point, each at its barrier's end, with merged counts that never
+// decrease and that end at the restored coverage.
+func (f *Fuzzer) checkMarks() error {
+	every, n := f.opts.MergeEvery, f.opts.Iterations
+	if want := (f.startIter + every - 1) / every; len(f.marks) != want {
+		return fmt.Errorf("core: engine state has %d marks, want %d (one per barrier before next_iter %d)",
+			len(f.marks), want, f.startIter)
+	}
+	count := 0
+	for k, m := range f.marks {
+		if end := min((k+1)*every, n); m.End != end || m.Count < count {
+			return fmt.Errorf("core: engine state marks[%d] is {end %d, count %d}, want end %d and count at least %d",
+				k, m.End, m.Count, end, count)
+		}
+		count = m.Count
+	}
+	if cov := f.coverage.Count(); count != cov {
+		return fmt.Errorf("core: engine state marks end at count %d, but coverage holds %d points", count, cov)
+	}
+	return nil
+}
+
+// checkScenarioStats checks the per-family statistics resume rebuilds the
+// scheduler from: one row per enabled family in name order, as the engine
+// writes them, with no negative count, one pick per iteration run, and
+// every finding carried counted once.
+func (f *Fuzzer) checkScenarioStats(rows []ScenarioStat) error {
+	picks, findings := 0, 0
+	for i, r := range rows {
+		if i >= len(f.families) || r.Name != f.families[i] {
+			return fmt.Errorf("core: engine state scenario_stats row %d is family %q; want one row per enabled family, in name order",
+				i, r.Name)
+		}
+		if r.Picks < 0 || r.Points < 0 || r.Findings < 0 {
+			return fmt.Errorf("core: engine state scenario_stats family %q has negative counts (picks %d, points %d, findings %d)",
+				r.Name, r.Picks, r.Points, r.Findings)
+		}
+		picks += r.Picks
+		findings += r.Findings
+	}
+	if len(rows) < len(f.families) {
+		return fmt.Errorf("core: engine state scenario_stats has no row for family %q", f.families[len(rows)])
+	}
+	if picks != f.startIter || findings != len(f.findings) {
+		return fmt.Errorf("core: engine state scenario_stats count %d picks and %d findings, want next_iter %d and %d findings",
+			picks, findings, f.startIter, len(f.findings))
+	}
+	return nil
 }
 
 // snapshot captures the engine state between epochs. Only called from the
 // engine goroutine at a barrier (or before the first epoch), when all shard
 // state is merged and quiescent.
-func (f *Fuzzer) snapshot(nextIter, nextEpoch int) *EngineState {
+func (f *Fuzzer) snapshot(nextIter int) *EngineState {
 	st := &EngineState{
 		Version:   EngineStateVersion,
 		Options:   f.opts,
 		NextIter:  nextIter,
-		Epoch:     nextEpoch,
 		Corpus:    append([]gen.Seed(nil), f.corpus...),
 		Coverage:  f.coverage.Points(),
 		Shards:    make([]ShardState, len(f.shards)),
@@ -786,21 +823,12 @@ func (f *Fuzzer) snapshot(nextIter, nextEpoch int) *EngineState {
 		Iters:     append([]IterStat(nil), f.iters[:nextIter]...),
 		Marks:     append([]EpochMark(nil), f.marks...),
 		DeadSinks: f.deadSinks,
-		// Scheduler state at the barrier: the posterior drives the next
-		// epoch's family picks, stats carry the per-family observables
-		// forward.
-		SchedState: f.sched.State(),
-		Scenarios:  f.scenarioStats(),
-		Elapsed:    f.elapsed(),
+		Scenarios: f.scenarioStats(),
+		Elapsed:   f.elapsed(),
 	}
 	st.Options.OnBarrier = nil
 	for i, s := range f.shards {
-		st.Shards[i] = ShardState{
-			AvgGain:      s.avgGain,
-			GainCount:    s.gainCount,
-			PickCount:    s.pickCount,
-			WarmConsumed: s.warmNext,
-		}
+		st.Shards[i] = ShardState{AvgGain: s.avgGain, GainCount: s.gainCount}
 	}
 	return st
 }
@@ -861,38 +889,38 @@ type shard struct {
 	cov      *Delta
 
 	// warm is the shard's slice of the campaign's warm-start seeds, each
-	// replayed verbatim once before the shard draws fresh stimuli; warmNext
-	// is the replay cursor (checkpointed as ShardState.WarmConsumed).
-	warm     []gen.Seed
-	warmNext int
+	// replayed verbatim, in order, by the shard's first picks.
+	warm []gen.Seed
 
 	avgGain   float64
 	gainCount int
-	pickCount int
 	findings  []Finding       // this epoch's findings, merged at the barrier
 	deadSinks int             // this epoch's dead-sink count, merged at the barrier
 	harvest   []HarvestedSeed // this epoch's corpus-worthy seeds, merged at the barrier
 }
 
-// nextSeed picks the next seed: replay a pending warm-start seed
+// picksBefore is how many seeds shard id has picked before iteration
+// iter: the shard runs iterations id, id+shards, id+2·shards and so on,
+// one pick each.
+func picksBefore(iter, id, shards int) int {
+	return (iter - id + shards - 1) / shards
+}
+
+// nextSeed picks iteration iter's seed: replay a pending warm-start seed
 // verbatim, mutate a corpus member (coverage feedback) or draw a fresh
 // one.
-func (s *shard) nextSeed() gen.Seed {
-	if s.warmNext < len(s.warm) {
-		sd := s.warm[s.warmNext]
-		s.warmNext++
-		s.pickCount++
+func (s *shard) nextSeed(iter int) gen.Seed {
+	k := picksBefore(iter, s.id, s.f.opts.Shards)
+	if k < len(s.warm) {
+		sd := s.warm[k]
 		// Replay under the campaign's own variant; the compatibility
 		// fingerprint makes this a no-op for store-resolved warm sets.
 		sd.Variant = s.f.opts.Variant
 		return sd
 	}
-	if s.f.opts.UseCoverageFeedback && len(s.corpus) > 0 && s.pickCount%2 == 0 {
-		s.pickCount++
-		base := s.corpus[s.pickCount/2%len(s.corpus)]
-		return s.gen.Mutate(base)
+	if s.f.opts.UseCoverageFeedback && len(s.corpus) > 0 && k%2 == 0 {
+		return s.gen.Mutate(s.corpus[k/2%len(s.corpus)])
 	}
-	s.pickCount++
 	// Fresh seeds draw their family through the campaign's coverage-adaptive
 	// scheduler (read-only during the epoch; the shard's own RNG supplies
 	// the randomness, so streams stay worker-independent).
@@ -922,7 +950,7 @@ func (s *shard) feedback(seed gen.Seed, newPoints int, taintGain bool) bool {
 // runIteration executes one fuzzing iteration through the target pipeline
 // against the shard's private state.
 func (s *shard) runIteration(iter int) IterStat {
-	seed := s.nextSeed()
+	seed := s.nextSeed(iter)
 	stat := IterStat{Iteration: iter, Scenario: gen.ScenarioName(seed), Trigger: seed.Trigger}
 
 	out := s.pipe.RunIteration(iter, seed, s.cov)
@@ -989,10 +1017,9 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		workers = numShards
 	}
 
-	epoch := f.startEpoch
-	for lo := f.startIter; lo < n; lo, epoch = lo+mergeEvery, epoch+1 {
+	for lo, epoch := f.startIter, f.startIter/mergeEvery; lo < n; lo, epoch = lo+mergeEvery, epoch+1 {
 		if ctx.Err() != nil {
-			return nil, f.snapshot(lo, epoch)
+			return nil, f.snapshot(lo)
 		}
 		hi := lo + mergeEvery
 		if hi > n {
@@ -1101,7 +1128,6 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		f.sched.Update(epochYield)
 
 		if f.opts.OnBarrier != nil {
-			nextIter, nextEpoch := hi, epoch+1
 			f.opts.OnBarrier(&Barrier{
 				Epoch:     epoch,
 				Done:      hi,
@@ -1110,7 +1136,7 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 				Findings:  epochFindings,
 				Scenarios: f.scenarioStats(),
 				Harvest:   epochHarvest,
-				snapshot:  func() *EngineState { return f.snapshot(nextIter, nextEpoch) },
+				snapshot:  func() *EngineState { return f.snapshot(hi) },
 			})
 		}
 	}

@@ -184,30 +184,6 @@ func TestWarmStartCancelResumeDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmConsumedValidation checks resume rejects a snapshot whose warm
-// replay cursor is impossible for the supplied options.
-func TestWarmConsumedValidation(t *testing.T) {
-	seeds, prior := harvestWarmSet(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	opts := warmOpts(1, 48, seeds, prior)
-	opts.OnBarrier = func(b *Barrier) {
-		if b.Done == 16 {
-			cancel()
-		}
-	}
-	_, state := NewFuzzer(opts).RunContext(ctx)
-	cancel()
-	if state == nil {
-		t.Fatal("no snapshot produced")
-	}
-	bad := *state
-	bad.Shards = append([]ShardState(nil), state.Shards...)
-	bad.Shards[0].WarmConsumed = len(seeds) + 100
-	if _, err := NewFuzzerFromState(&bad, warmOpts(1, 48, seeds, prior)); err == nil {
-		t.Error("accepted snapshot with out-of-range warm replay cursor")
-	}
-}
-
 // TestValidateWarmStart checks the family-membership validation both ways,
 // and that a malformed warm seed is refused by field.
 func TestValidateWarmStart(t *testing.T) {

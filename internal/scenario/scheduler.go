@@ -75,20 +75,6 @@ type Prior struct {
 // prior an informed starting point the campaign can override quickly.
 const priorPickCap = 16
 
-// FamilyState is one family's cumulative scheduler posterior — picks,
-// coverage points and findings since campaign start — plus its current
-// sampling weight. It is the serialisation unit of the scheduler state
-// (version-3 engine checkpoints embed it). The weight is a pure function of
-// the posterior: checkpoints carry it for readers, and restore recomputes
-// it.
-type FamilyState struct {
-	Name     string  `json:"name"`
-	Picks    int     `json:"picks"`
-	Points   int     `json:"points"`
-	Findings int     `json:"findings"`
-	Weight   float64 `json:"weight"`
-}
-
 // Scheduler is the adaptive scenario sampler one campaign shares across its
 // shards. During an epoch it is read-only (Pick draws from frozen state
 // using the caller's RNG, so shard streams stay deterministic and
@@ -164,9 +150,8 @@ func NewScheduler(families []string, policy Policy) (*Scheduler, error) {
 // epochs. Prior entries naming families outside the scheduler set are an
 // error: the caller (the warm-start resolver) filters the frontier to the
 // campaign's enabled families first, so a leftover name means the options
-// and the prior drifted apart. Checkpoint restore never goes through this
-// constructor — the checkpointed posterior already contains the prior's
-// contribution — so resume byte-identity is unaffected.
+// and the prior drifted apart. Checkpoint resume builds the scheduler here
+// too, then applies the campaign's cumulative yield in one Update.
 func NewSchedulerWithPrior(families []string, policy Policy, prior []Prior) (*Scheduler, error) {
 	s, err := NewScheduler(families, policy)
 	if err != nil {
@@ -197,41 +182,6 @@ func NewSchedulerWithPrior(families []string, policy Policy, prior []Prior) (*Sc
 		s.points[idx] += points
 		s.findings[idx] += findings
 		s.total += picks
-	}
-	s.refresh()
-	return s, nil
-}
-
-// NewSchedulerFromState restores a scheduler from checkpointed per-family
-// state. The state must cover exactly the given families, with no negative
-// count: a negative pick count would read as untried and hand the family
-// every forced-exploration pick. The weights are recomputed from the
-// restored posterior (they are a pure function of it, so resume is
-// byte-identical by construction).
-func NewSchedulerFromState(families []string, policy Policy, st []FamilyState) (*Scheduler, error) {
-	s, err := NewScheduler(families, policy)
-	if err != nil {
-		return nil, err
-	}
-	if len(st) != len(s.names) {
-		return nil, fmt.Errorf("scenario: checkpoint has %d scheduler families, campaign has %d", len(st), len(s.names))
-	}
-	byName := make(map[string]FamilyState, len(st))
-	for _, fs := range st {
-		byName[fs.Name] = fs
-	}
-	s.total = 0
-	for i, n := range s.names {
-		fs, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("scenario: checkpoint carries no scheduler state for family %q", n)
-		}
-		if fs.Picks < 0 || fs.Points < 0 || fs.Findings < 0 {
-			return nil, fmt.Errorf("scenario: checkpoint scheduler state for family %q has negative counts (picks %d, points %d, findings %d)",
-				n, fs.Picks, fs.Points, fs.Findings)
-		}
-		s.picks[i], s.points[i], s.findings[i] = fs.Picks, fs.Points, fs.Findings
-		s.total += fs.Picks
 	}
 	s.refresh()
 	return s, nil
@@ -281,7 +231,10 @@ func (s *Scheduler) Probe(name string) (weight, mean, bonus float64) {
 // posterior, then recomputes the UCB scores from it. A family absent from
 // the epoch's yield keeps its posterior untouched — no evidence, no change
 // (its score can only grow, via the bonus), so it cannot starve. Update
-// must only be called at merge barriers (no Pick concurrently).
+// must only be called at merge barriers (no Pick concurrently). Updates
+// compose: one Update of several epochs' summed yield leaves the scheduler
+// exactly as one Update per epoch does, which is how checkpoint resume
+// rebuilds it.
 func (s *Scheduler) Update(yield map[string]Yield) {
 	for i, n := range s.names {
 		y := yield[n]
@@ -294,8 +247,8 @@ func (s *Scheduler) Update(yield map[string]Yield) {
 }
 
 // refresh derives means, bonuses, UCB weights and the untried set from the
-// cumulative posterior. It is a pure function of the posterior, which is
-// what makes checkpoint restore byte-identical.
+// cumulative posterior. It is a pure function of the posterior's integers,
+// which is what makes Updates compose.
 func (s *Scheduler) refresh() {
 	scale := 1.0
 	for i := range s.names {
@@ -323,20 +276,4 @@ func (s *Scheduler) refresh() {
 		}
 		s.weights[i] = s.means[i] + s.bonuses[i]
 	}
-}
-
-// State exports the scheduler state, sorted by family name (the engine
-// checkpoint form).
-func (s *Scheduler) State() []FamilyState {
-	out := make([]FamilyState, len(s.names))
-	for i, n := range s.names {
-		out[i] = FamilyState{
-			Name:     n,
-			Picks:    s.picks[i],
-			Points:   s.points[i],
-			Findings: s.findings[i],
-			Weight:   s.weights[i],
-		}
-	}
-	return out
 }
