@@ -7,10 +7,12 @@ package dejavuzz_test
 // regenerates every result. cmd/dvz-experiments runs them at full scale.
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
 
+	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/experiments"
 	"dejavuzz/internal/gen"
@@ -31,7 +33,7 @@ func BenchmarkTable2CoreSummary(b *testing.B) {
 // cores.
 func BenchmarkTable3TrainingOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := experiments.Table3(io.Discard, 2, int64(i)+1)
+		results := experiments.Table3(io.Discard, 2, int64(i)+1, campaign.Runner{})
 		if len(results) != 2 {
 			b.Fatal("expected results for both cores")
 		}
@@ -42,7 +44,7 @@ func BenchmarkTable3TrainingOverhead(b *testing.B) {
 // overhead comparison (base vs CellIFT vs diffIFT).
 func BenchmarkTable4IFTOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table4(io.Discard, 2*time.Second, 3000)
+		experiments.Table4(io.Discard, 2*time.Second, 3000, nil)
 	}
 }
 
@@ -61,14 +63,14 @@ func BenchmarkFigure6TaintTraces(b *testing.B) {
 // (DejaVuzz vs DejaVuzz− vs SpecDoctor replay).
 func BenchmarkFigure7Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Figure7(io.Discard, 30, 1, int64(i)+1)
+		experiments.Figure7(context.Background(), io.Discard, 30, 1, int64(i)+1, campaign.Runner{})
 	}
 }
 
 // BenchmarkTable5BugHunt regenerates the bug-discovery matrix on both cores.
 func BenchmarkTable5BugHunt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table5(io.Discard, 60, int64(i)+1)
+		experiments.Table5(context.Background(), io.Discard, 60, int64(i)+1, campaign.Runner{})
 	}
 }
 

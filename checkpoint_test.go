@@ -126,11 +126,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
-// TestParentCheckpointResumes pins that version-3 files which still store
-// the epoch ordinal, each shard's pick_count and warm_consumed, and the
-// scheduler posterior in sched_state resume byte-identically: decoding
-// ignores those keys and resume derives each value. The file was written
-// at commit 13bbcf2, the last engine that stored them, by
+// parentCheckpoint is a version-3 file written at commit 13bbcf2, whose
+// engine stored the epoch ordinal, each shard's pick_count and
+// warm_consumed, the scheduler posterior in sched_state, scenario_stats and
+// each mark's end, all of which resume now derives. It was written by
 //
 //	c, _ := New("boom", WithSeed(3), WithIterations(48), WithShards(4),
 //		WithMergeEvery(4), WithWarmStart(harvestWarmStart(t)))
@@ -138,17 +137,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 //
 // At that iteration-4 barrier each shard has replayed one of its two warm
 // seeds, so the stored replay cursor is mid-replay.
-func TestParentCheckpointResumes(t *testing.T) {
-	path := filepath.Join("testdata", "checkpoint-v3-parent.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"epoch":1`, `"sched_state":`, `"pick_count":1`, `"warm_consumed":1`} {
-		if !bytes.Contains(raw, []byte(key)) {
-			t.Fatalf("%s lacks %s; this test needs a file that stores the derived values", path, key)
-		}
-	}
+var parentCheckpoint = filepath.Join("testdata", "checkpoint-v3-parent.json")
+
+// resumeParentCheckpoint resumes the checkpoint at path into the parent
+// file's campaign and requires the uninterrupted run's report.
+func resumeParentCheckpoint(t *testing.T, path string) {
+	t.Helper()
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -168,4 +162,66 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if !bytes.Equal(reportFingerprint(t, c.Run()), reportFingerprint(t, rep)) {
 		t.Error("resumed parent-format checkpoint diverges from the uninterrupted run")
 	}
+}
+
+// TestParentCheckpointResumes pins that version-3 files which still store
+// values resume derives resume byte-identically: decoding ignores those
+// keys.
+func TestParentCheckpointResumes(t *testing.T) {
+	raw, err := os.ReadFile(parentCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"epoch":1`, `"sched_state":`, `"pick_count":1`, `"warm_consumed":1`,
+		`"scenario_stats":`, `"marks":[{"end":4,`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("%s lacks %s; this test needs a file that stores the derived values", parentCheckpoint, key)
+		}
+	}
+	resumeParentCheckpoint(t, parentCheckpoint)
+}
+
+// TestParentCheckpointEditedCopiesIgnored: resume reads none of the parent
+// file's copies of what it recomputes (scenario_stats, each mark's end, and
+// each iters record's Iteration, Trigger and Finding), so the file edited
+// in all of them still resumes to the uninterrupted run. It is decoded with
+// UseNumber: through float64 the seeds' int64 Rand would lose precision
+// and the warm seeds' digest would stop matching.
+func TestParentCheckpointEditedCopiesIgnored(t *testing.T) {
+	raw, err := os.ReadFile(parentCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	edited := 0
+	for _, row := range doc["scenario_stats"].([]any) {
+		if r := row.(map[string]any); r["name"] == "cache-occupancy" {
+			r["picks"], r["first_finding_iter"] = -5, 9999
+			edited++
+		}
+	}
+	iters := doc["iters"].([]any)
+	rec := func(i int) map[string]any { return iters[i].(map[string]any) }
+	// The file's one finding is at iteration 1; flag iteration 2 instead.
+	if edited != 1 || rec(1)["Finding"] != true || rec(2)["Finding"] != false {
+		t.Fatalf("%s is not the file this test edits", parentCheckpoint)
+	}
+	rec(1)["Finding"], rec(2)["Finding"] = false, true
+	rec(0)["Iteration"] = 9
+	rec(3)["Trigger"] = 0
+	doc["marks"].([]any)[0].(map[string]any)["end"] = 7
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "edited.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumeParentCheckpoint(t, path)
 }

@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/experiments"
 )
 
@@ -58,15 +59,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ropts := []experiments.Option{experiments.WithContext(ctx)}
-	if *workers > 1 {
-		ropts = append(ropts, experiments.WithWorkers(*workers))
-	}
-	if *checkpoint != "" {
-		ropts = append(ropts, experiments.WithCheckpoint(*checkpoint))
-	}
+	runner := campaign.Runner{Workers: *workers, Checkpoint: *checkpoint}
 	if *progress {
-		ropts = append(ropts, experiments.WithProgress(os.Stderr))
+		runner.Progress = os.Stderr
 	}
 
 	w := os.Stdout
@@ -74,16 +69,16 @@ func main() {
 	case "table2":
 		experiments.Table2(w)
 	case "table3":
-		experiments.Table3(w, *samples, *seed, ropts...)
+		experiments.Table3(w, *samples, *seed, runner)
 	case "table4":
-		experiments.Table4(w, *budget, *cycles, ropts...)
+		experiments.Table4(w, *budget, *cycles, runner.Progress)
 	case "figure6":
 		series := experiments.Figure6(w, *cycles)
 		if *csv {
 			experiments.Figure6CSV(w, series)
 		}
 	case "figure7":
-		series, err := experiments.Figure7(w, *iters, *trials, *seed, ropts...)
+		series, err := experiments.Figure7(ctx, w, *iters, *trials, *seed, runner)
 		if *csv && series != nil {
 			experiments.Figure7CSV(w, series)
 		}
@@ -91,7 +86,7 @@ func main() {
 			fatal(err)
 		}
 	case "table5":
-		if _, err := experiments.Table5(w, *iters, *seed, ropts...); err != nil {
+		if _, err := experiments.Table5(ctx, w, *iters, *seed, runner); err != nil {
 			fatal(err)
 		}
 	case "liveness":
@@ -99,17 +94,17 @@ func main() {
 	case "all":
 		experiments.Table2(w)
 		fmt.Fprintln(w)
-		experiments.Table3(w, 5, *seed, ropts...)
+		experiments.Table3(w, 5, *seed, runner)
 		fmt.Fprintln(w)
-		experiments.Table4(w, *budget, 4000, ropts...)
+		experiments.Table4(w, *budget, 4000, runner.Progress)
 		fmt.Fprintln(w)
 		experiments.Figure6(w, 4000)
 		fmt.Fprintln(w)
-		if _, err := experiments.Figure7(w, 60, 2, *seed, ropts...); err != nil {
+		if _, err := experiments.Figure7(ctx, w, 60, 2, *seed, runner); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(w)
-		if _, err := experiments.Table5(w, 120, *seed, ropts...); err != nil {
+		if _, err := experiments.Table5(ctx, w, 120, *seed, runner); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(w)

@@ -189,37 +189,32 @@ func TestResumeStateValidation(t *testing.T) {
 		}
 	}
 	// Edits no barrier could have written are refused, naming the field and,
-	// in scenario_stats, the family. Resume rebuilds the scheduler from
-	// scenario_stats and pins the coverage history to marks, so an accepted
-	// edit would silently change both.
-	rows := state.Scenarios
-	last := len(rows) - 1
-	if len(rows) < 3 || len(state.Marks) != 2 {
-		t.Fatalf("snapshot has %d scenario_stats rows and %d marks; the edits below need at least 3 and exactly 2", len(rows), len(state.Marks))
+	// in iters and findings, the index. Resume folds the scheduler and the
+	// per-family statistics from iters and pins the coverage history to
+	// marks, so an accepted edit would silently change them.
+	if len(state.Findings) < 2 || len(state.Marks) != 2 {
+		t.Fatalf("snapshot has %d findings and %d marks; the edits below need at least 2 and exactly 2", len(state.Findings), len(state.Marks))
 	}
+	deadSinkBound := state.NextIter - len(state.Findings)
 	for _, tc := range []struct {
 		name string
 		want []string
 		edit func(st *EngineState)
 	}{
-		{"missing row", []string{"scenario_stats", rows[last].Name},
-			func(st *EngineState) { st.Scenarios = st.Scenarios[:last] }},
-		{"extra row", []string{"scenario_stats", "warp-drive"},
-			func(st *EngineState) { st.Scenarios = append(st.Scenarios, ScenarioStat{Name: "warp-drive"}) }},
-		{"rows out of order", []string{"scenario_stats", rows[1].Name},
-			func(st *EngineState) { st.Scenarios[0], st.Scenarios[1] = st.Scenarios[1], st.Scenarios[0] }},
-		{"unknown family", []string{"scenario_stats", "warp-drive"},
-			func(st *EngineState) { st.Scenarios[2].Name = "warp-drive" }},
-		{"negative picks", []string{"scenario_stats", rows[1].Name},
-			func(st *EngineState) { st.Scenarios[1].Picks = -5 }},
-		{"negative points", []string{"scenario_stats", rows[1].Name},
-			func(st *EngineState) { st.Scenarios[1].Points = -1 }},
-		{"negative findings", []string{"scenario_stats", rows[1].Name},
-			func(st *EngineState) { st.Scenarios[1].Findings = -1 }},
-		{"picks off by 3", []string{"scenario_stats", "next_iter"},
-			func(st *EngineState) { st.Scenarios[1].Picks += 3 }},
-		{"findings off by 1", []string{"scenario_stats", "findings"},
-			func(st *EngineState) { st.Scenarios[1].Findings++ }},
+		{"unknown family", []string{"iters[3]", "warp-drive"},
+			func(st *EngineState) { st.Iters[3].Scenario = "warp-drive" }},
+		{"negative new_points", []string{"iters[5]", "NewPoints"},
+			func(st *EngineState) { st.Iters[5].NewPoints = -1 }},
+		{"negative sims", []string{"iters[6]", "Sims"},
+			func(st *EngineState) { st.Iters[6].Sims = -2 }},
+		{"finding at next_iter", []string{"findings[" + fmt.Sprint(len(state.Findings)-1) + "]", "next_iter"},
+			func(st *EngineState) { st.Findings[len(st.Findings)-1].Iteration = st.NextIter }},
+		{"findings swapped", []string{"findings[1]"},
+			func(st *EngineState) { st.Findings[0], st.Findings[1] = st.Findings[1], st.Findings[0] }},
+		{"negative dead_sinks", []string{"dead_sinks"},
+			func(st *EngineState) { st.DeadSinks = -3 }},
+		{"dead_sinks above bound", []string{"dead_sinks"},
+			func(st *EngineState) { st.DeadSinks = deadSinkBound + 1 }},
 		{"negative gain_count", []string{"gain_count"},
 			func(st *EngineState) { st.Shards[0].GainCount = -1 }},
 		{"gain_count above picks", []string{"gain_count"},
@@ -234,13 +229,12 @@ func TestResumeStateValidation(t *testing.T) {
 			func(st *EngineState) { st.Marks[1].Count += 5 }},
 		{"decreasing mark counts", []string{"marks"},
 			func(st *EngineState) { st.Marks[0].Count = st.Marks[1].Count + 1 }},
-		{"mark off its barrier", []string{"marks"},
-			func(st *EngineState) { st.Marks[0].End = 7 }},
 		{"extra mark", []string{"marks"},
-			func(st *EngineState) { st.Marks = append(st.Marks, EpochMark{End: 24, Count: st.Marks[1].Count}) }},
+			func(st *EngineState) { st.Marks = append(st.Marks, EpochMark{Count: st.Marks[1].Count}) }},
 	} {
 		bad := *state
-		bad.Scenarios = slices.Clone(state.Scenarios)
+		bad.Iters = slices.Clone(state.Iters)
+		bad.Findings = slices.Clone(state.Findings)
 		bad.Shards = slices.Clone(state.Shards)
 		bad.Marks = slices.Clone(state.Marks)
 		tc.edit(&bad)
@@ -256,9 +250,10 @@ func TestResumeStateValidation(t *testing.T) {
 	}
 	// Most mutations keep a seed's family, so a corpus seed from a family
 	// the campaign does not run is refused, naming the family.
+	fams := scenario.Names()
 	filtered := opts
-	filtered.Scenarios = []string{rows[0].Name, rows[1].Name}
-	foreign, err := scenario.Lookup(rows[2].Name)
+	filtered.Scenarios = fams[:2]
+	foreign, err := scenario.Lookup(fams[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +262,14 @@ func TestResumeStateValidation(t *testing.T) {
 	if _, err := NewFuzzerFromState(fst, filtered); err == nil || !strings.Contains(err.Error(), foreign.Name) {
 		t.Errorf("corpus seed from disabled family %s: err=%v, want a refusal naming it", foreign.Name, err)
 	}
-	// The bounds are tight: a shard may have measured every pick it made.
-	full := *state
-	full.Shards = slices.Clone(state.Shards)
-	full.Shards[0].GainCount = 2
-	if _, err := NewFuzzerFromState(&full, opts); err != nil {
-		t.Errorf("refused gain_count equal to the shard's picks: %v", err)
+	// The bounds are tight: a shard may have measured every pick it made,
+	// and every iteration without a finding may have yielded a dead sink.
+	tight := *state
+	tight.Shards = slices.Clone(state.Shards)
+	tight.Shards[0].GainCount = 2
+	tight.DeadSinks = deadSinkBound
+	if _, err := NewFuzzerFromState(&tight, opts); err != nil {
+		t.Errorf("refused gain_count and dead_sinks at their bounds: %v", err)
 	}
 }
 

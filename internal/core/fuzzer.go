@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -424,10 +423,10 @@ func (r *Report) CoverageHistory() []int {
 	return out
 }
 
-// EpochMark is one merge barrier's (end iteration, merged coverage) pair,
-// used for coverage-history reconciliation and checkpoint resume.
+// EpochMark is one merge barrier's merged coverage count, used for
+// coverage-history reconciliation and checkpoint resume. Mark k is the
+// barrier ending at iteration min((k+1)·MergeEvery, Iterations).
 type EpochMark struct {
-	End   int `json:"end"`
 	Count int `json:"count"`
 }
 
@@ -441,9 +440,9 @@ type ShardState struct {
 
 // EngineStateVersion guards the checkpoint format against drift; any other
 // version is refused (see Migrate). Version-3 files that still carry
-// "epoch", "sched_state" or a shard's "pick_count" and "warm_consumed"
-// load too: decoding ignores those keys, since resume derives each of
-// them.
+// "epoch", "sched_state", "scenario_stats", a shard's "pick_count" and
+// "warm_consumed" or a mark's "end" load too: decoding ignores those keys,
+// since resume derives each of them.
 const EngineStateVersion = 3
 
 // EngineState is a resumable mid-campaign snapshot, taken at a merge
@@ -452,8 +451,10 @@ const EngineStateVersion = 3
 // this struct is the campaign's complete determinism-relevant state: a
 // fuzzer rebuilt from it finishes with results byte-identical (modulo
 // wall-clock fields) to an uninterrupted run. It stores each fact once; the
-// epoch ordinal (NextIter / MergeEvery), each shard's pick count and the
-// scheduler posterior are derived on resume. It round-trips through JSON.
+// epoch ordinal (NextIter / MergeEvery), each shard's pick count, each
+// mark's end iteration and the per-family statistics and scheduler
+// posterior (folded from Iters) are derived on resume. It round-trips
+// through JSON.
 type EngineState struct {
 	Version int `json:"version"`
 	// Options are the campaign's normalized options (hooks are not
@@ -468,11 +469,6 @@ type EngineState struct {
 	Iters     []IterStat   `json:"iters"`
 	Marks     []EpochMark  `json:"marks"`
 	DeadSinks int          `json:"dead_sinks"`
-	// Scenarios are the cumulative per-family statistics, one row per
-	// enabled family in name order. Their picks, points and findings, on
-	// top of the options' frontier prior, are the scheduler's whole
-	// posterior, so resume rebuilds the scheduler from them.
-	Scenarios []ScenarioStat `json:"scenario_stats"`
 	// Elapsed is the campaign's wall time up to the barrier, so a resumed
 	// campaign's Report.Duration covers every segment. Like Duration it is
 	// measurement only: no result reads it, and it is left out of every
@@ -701,29 +697,67 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		return nil, fmt.Errorf("core: engine state elapsed_ns %d is negative", st.Elapsed)
 	}
 	f := NewFuzzer(norm)
+	// Each enabled family's trigger class: the checks below look a seed's or
+	// a record's family up once, and a family outside the set is refused.
+	classes := make(map[string]gen.TriggerType, len(f.families))
+	for _, name := range f.families {
+		fam, err := scenario.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		classes[name] = fam.Trigger
+	}
 	// Corpus seeds are mutated and rebuilt, and finding seeds replayed, by
 	// the resumed campaign: refuse a malformed one here, where there is an
 	// error path, instead of letting it reach a shard. Most mutations keep
 	// a seed's family, so a corpus seed must belong to the enabled set, or
-	// its offspring would be picks that scenario_stats cannot count.
+	// its offspring would be records of a family the scheduler does not run.
 	for i, sd := range st.Corpus {
 		if err := sd.Validate(); err != nil {
 			return nil, fmt.Errorf("core: engine state corpus seed %d: %w", i, err)
 		}
-		if fam := gen.ScenarioName(sd); !slices.Contains(f.families, fam) {
-			return nil, fmt.Errorf("core: engine state corpus seed %d has scenario family %q outside the campaign's enabled set", i, fam)
+		if _, ok := classes[sd.Scenario]; !ok {
+			return nil, fmt.Errorf("core: engine state corpus seed %d has scenario family %q outside the campaign's enabled set", i, sd.Scenario)
 		}
 	}
+	// Barriers merge findings in iteration order, at most one per
+	// iteration, and an iteration yields a finding or a dead sink, not both.
 	for i := range st.Findings {
 		if err := st.Findings[i].Seed.Validate(); err != nil {
 			return nil, fmt.Errorf("core: engine state finding %d seed: %w", i, err)
 		}
+		if it := st.Findings[i].Iteration; it >= st.NextIter || i > 0 && it <= st.Findings[i-1].Iteration {
+			return nil, fmt.Errorf("core: engine state findings[%d] is at iteration %d; want strictly increasing iterations below next_iter %d",
+				i, it, st.NextIter)
+		}
+	}
+	if most := st.NextIter - len(st.Findings); st.DeadSinks < 0 || st.DeadSinks > most {
+		return nil, fmt.Errorf("core: engine state dead_sinks %d outside [0, %d]", st.DeadSinks, most)
+	}
+	// A record's Iteration, Trigger and Finding restate its index, its
+	// family's class and the findings, so they are recomputed (and its
+	// Coverage is finalize's); what the fold reads and nothing recomputes,
+	// its family and counts, is checked.
+	found := 0
+	for i, it := range st.Iters {
+		class, ok := classes[it.Scenario]
+		if !ok {
+			return nil, fmt.Errorf("core: engine state iters[%d] has scenario family %q outside the campaign's enabled set", i, it.Scenario)
+		}
+		if it.NewPoints < 0 || it.Sims < 0 {
+			return nil, fmt.Errorf("core: engine state iters[%d] has negative counts (NewPoints %d, Sims %d)", i, it.NewPoints, it.Sims)
+		}
+		finding := found < len(st.Findings) && st.Findings[found].Iteration == i
+		if finding {
+			found++
+		}
+		f.iters[i] = IterStat{Iteration: i, Scenario: it.Scenario, Trigger: class, Triggered: it.Triggered,
+			TaintGain: it.TaintGain, NewPoints: it.NewPoints, Sims: it.Sims, Finding: finding}
 	}
 	f.elapsedBefore = st.Elapsed
 	f.startIter = st.NextIter
 	f.corpus = append([]gen.Seed(nil), st.Corpus...)
 	f.coverage.AddPoints(st.Coverage)
-	copy(f.iters, st.Iters)
 	f.marks = append([]EpochMark(nil), st.Marks...)
 	f.findings = append([]Finding(nil), st.Findings...)
 	f.deadSinks = st.DeadSinks
@@ -739,38 +773,28 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		s.avgGain = ss.AvgGain
 		s.gainCount = ss.GainCount
 	}
-	if err := f.checkScenarioStats(st.Scenarios); err != nil {
-		return nil, err
-	}
 	// The scheduler's posterior is the frontier prior NewFuzzer seeded plus
-	// the campaign's cumulative per-family yield, and its weights are a pure
-	// function of that posterior, so one Update of the totals leaves it
-	// exactly as the barrier-by-barrier Updates did.
-	yield := make(map[string]scenario.Yield, len(st.Scenarios))
-	for i := range st.Scenarios {
-		cs := st.Scenarios[i]
-		f.scnStats[cs.Name] = &cs
-		yield[cs.Name] = scenario.Yield{Picks: cs.Picks, Points: cs.Points, Findings: cs.Findings}
-	}
-	f.sched.Update(yield)
+	// the campaign's per-family yield, and its weights are a pure function
+	// of that posterior, so one fold of every restored record leaves it,
+	// and the per-family statistics, exactly as the barriers' folds did.
+	f.sched.Update(f.fold(0, st.NextIter))
 	return f, nil
 }
 
 // checkMarks checks restored barrier marks, which finalize pins the
 // coverage history to (Figure 7's series): one mark per barrier before the
-// resume point, each at its barrier's end, with merged counts that never
-// decrease and that end at the restored coverage.
+// resume point, with merged counts that never decrease and that end at the
+// restored coverage.
 func (f *Fuzzer) checkMarks() error {
-	every, n := f.opts.MergeEvery, f.opts.Iterations
+	every := f.opts.MergeEvery
 	if want := (f.startIter + every - 1) / every; len(f.marks) != want {
 		return fmt.Errorf("core: engine state has %d marks, want %d (one per barrier before next_iter %d)",
 			len(f.marks), want, f.startIter)
 	}
 	count := 0
 	for k, m := range f.marks {
-		if end := min((k+1)*every, n); m.End != end || m.Count < count {
-			return fmt.Errorf("core: engine state marks[%d] is {end %d, count %d}, want end %d and count at least %d",
-				k, m.End, m.Count, end, count)
+		if m.Count < count {
+			return fmt.Errorf("core: engine state marks[%d] has count %d, want at least %d", k, m.Count, count)
 		}
 		count = m.Count
 	}
@@ -780,32 +804,34 @@ func (f *Fuzzer) checkMarks() error {
 	return nil
 }
 
-// checkScenarioStats checks the per-family statistics resume rebuilds the
-// scheduler from: one row per enabled family in name order, as the engine
-// writes them, with no negative count, one pick per iteration run, and
-// every finding carried counted once.
-func (f *Fuzzer) checkScenarioStats(rows []ScenarioStat) error {
-	picks, findings := 0, 0
-	for i, r := range rows {
-		if i >= len(f.families) || r.Name != f.families[i] {
-			return fmt.Errorf("core: engine state scenario_stats row %d is family %q; want one row per enabled family, in name order",
-				i, r.Name)
+// fold adds iterations [lo, hi) to the per-family statistics and returns
+// their per-family yield for the scheduler's Update, reading the records
+// in iteration order. A barrier folds its epoch; resume folds every
+// restored record at once.
+func (f *Fuzzer) fold(lo, hi int) map[string]scenario.Yield {
+	yield := make(map[string]scenario.Yield, len(f.families))
+	for i := lo; i < hi; i++ {
+		it := &f.iters[i]
+		cs := f.scnStats[it.Scenario]
+		if cs == nil {
+			cs = &ScenarioStat{Name: it.Scenario, FirstFindingIter: -1}
+			f.scnStats[it.Scenario] = cs
 		}
-		if r.Picks < 0 || r.Points < 0 || r.Findings < 0 {
-			return fmt.Errorf("core: engine state scenario_stats family %q has negative counts (picks %d, points %d, findings %d)",
-				r.Name, r.Picks, r.Points, r.Findings)
+		y := yield[it.Scenario]
+		y.Picks++
+		y.Points += it.NewPoints
+		cs.Picks++
+		cs.Points += it.NewPoints
+		if it.Finding {
+			y.Findings++
+			cs.Findings++
+			if cs.FirstFindingIter < 0 {
+				cs.FirstFindingIter = i
+			}
 		}
-		picks += r.Picks
-		findings += r.Findings
+		yield[it.Scenario] = y
 	}
-	if len(rows) < len(f.families) {
-		return fmt.Errorf("core: engine state scenario_stats has no row for family %q", f.families[len(rows)])
-	}
-	if picks != f.startIter || findings != len(f.findings) {
-		return fmt.Errorf("core: engine state scenario_stats count %d picks and %d findings, want next_iter %d and %d findings",
-			picks, findings, f.startIter, len(f.findings))
-	}
-	return nil
+	return yield
 }
 
 // snapshot captures the engine state between epochs. Only called from the
@@ -823,7 +849,6 @@ func (f *Fuzzer) snapshot(nextIter int) *EngineState {
 		Iters:     append([]IterStat(nil), f.iters[:nextIter]...),
 		Marks:     append([]EpochMark(nil), f.marks...),
 		DeadSinks: f.deadSinks,
-		Scenarios: f.scenarioStats(),
 		Elapsed:   f.elapsed(),
 	}
 	st.Options.OnBarrier = nil
@@ -1094,38 +1119,13 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Report, *EngineState) {
 		})
 		f.findings = append(f.findings, epochFindings...)
 		merged := f.coverage.Count()
-		f.marks = append(f.marks, EpochMark{End: hi, Count: merged})
+		f.marks = append(f.marks, EpochMark{Count: merged})
 
-		// Adaptive scenario scheduling: fold the epoch's per-family yield —
-		// read from the iteration records in deterministic iteration order —
+		// Adaptive scenario scheduling: fold the epoch's per-family yield
 		// into the cumulative stats and the scheduler weights. This happens
 		// before snapshots and events, so both observe the post-update state
 		// the next epoch will sample from.
-		epochYield := make(map[string]scenario.Yield, len(f.families))
-		for i := lo; i < hi; i++ {
-			it := &f.iters[i]
-			y := epochYield[it.Scenario]
-			y.Picks++
-			y.Points += it.NewPoints
-			if it.Finding {
-				y.Findings++
-			}
-			epochYield[it.Scenario] = y
-			cs := f.scnStats[it.Scenario]
-			if cs == nil {
-				cs = &ScenarioStat{Name: it.Scenario, FirstFindingIter: -1}
-				f.scnStats[it.Scenario] = cs
-			}
-			cs.Picks++
-			cs.Points += it.NewPoints
-			if it.Finding {
-				cs.Findings++
-				if cs.FirstFindingIter < 0 {
-					cs.FirstFindingIter = i
-				}
-			}
-		}
-		f.sched.Update(epochYield)
+		f.sched.Update(f.fold(lo, hi))
 
 		if f.opts.OnBarrier != nil {
 			f.opts.OnBarrier(&Barrier{
@@ -1165,7 +1165,7 @@ func (f *Fuzzer) finalize() *Report {
 	for i := 0; i < n; i++ {
 		cum += f.iters[i].NewPoints
 		if epoch < len(f.marks) {
-			if i+1 == f.marks[epoch].End {
+			if i+1 == min((epoch+1)*f.opts.MergeEvery, n) {
 				// Exact at the barrier, whatever the shard-local sums said.
 				cum = f.marks[epoch].Count
 				epoch++

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/gen"
 	"dejavuzz/internal/uarch"
@@ -82,7 +83,7 @@ func TestTable3Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var buf bytes.Buffer
-	results := Table3(&buf, 3, 99)
+	results := Table3(&buf, 3, 99, campaign.Runner{})
 	for _, res := range results {
 		dv := res.Rows["DejaVuzz"]
 		for _, tr := range gen.AllTriggerTypes() {
@@ -110,7 +111,7 @@ func TestTable4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := Table4(io.Discard, 2*time.Second, 6000)
+	res := Table4(io.Discard, 2*time.Second, 6000, nil)
 	for _, r := range res {
 		if !r.CellIFTTimeout && r.CompileCellIFT < r.CompileDiffIFT {
 			t.Errorf("%v: CellIFT compile %v faster than diffIFT %v", r.Core, r.CompileCellIFT, r.CompileDiffIFT)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -47,10 +48,10 @@ func (s Figure7Series) Final() float64 {
 // Figure7 compares taint-coverage growth for DejaVuzz, DejaVuzz− (no
 // coverage feedback) and SpecDoctor (phase-3 test cases replayed through the
 // diffIFT environment, as the paper does) over `iterations` per trial. The
-// DejaVuzz campaigns run as one campaign grid (ablations × trial seeds)
-// over the shared worker pool configured by opts. The error is non-nil only
-// for checkpoint I/O failures and cancellation.
-func Figure7(w io.Writer, iterations, trials int, seed int64, opts ...Option) ([]Figure7Series, error) {
+// DejaVuzz campaigns run as one campaign grid (ablations × trial seeds) on
+// r until ctx is cancelled. The error is non-nil only for checkpoint I/O
+// failures and cancellation.
+func Figure7(ctx context.Context, w io.Writer, iterations, trials int, seed int64, r campaign.Runner) ([]Figure7Series, error) {
 	kind := uarch.KindBOOM
 	series := []Figure7Series{{Name: "DejaVuzz"}, {Name: "DejaVuzz-"}, {Name: "SpecDoctor"}}
 	var runErr error
@@ -60,12 +61,12 @@ func Figure7(w io.Writer, iterations, trials int, seed int64, opts ...Option) ([
 		seeds[trial] = seed + int64(trial)*7919
 	}
 	if trials > 0 {
-		results, rerr := runGrid(campaign.Matrix{
+		results, rerr := runGrid(ctx, r, campaign.Matrix{
 			Prefix:    fmt.Sprintf("figure7/i%d", iterations),
 			Base:      dejavuzz.Options{Target: "boom", Iterations: iterations},
 			Ablations: []string{"base", "no-feedback"},
 			Seeds:     seeds,
-		}, opts)
+		})
 		if results == nil {
 			return nil, rerr
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"dejavuzz/internal/campaign"
 	"dejavuzz/internal/gen"
 )
 
@@ -49,7 +51,7 @@ func TestTable3RowShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var buf bytes.Buffer
-	Table3(&buf, 2, 123)
+	Table3(&buf, 2, 123, campaign.Runner{})
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if lines[0] != "Table 3: Training overhead for different types of transient windows" {
 		t.Fatalf("unexpected title %q", lines[0])
@@ -115,8 +117,8 @@ func TestTable3DeterministicOutput(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var seq, par bytes.Buffer
-	Table3(&seq, 2, 77)
-	Table3(&par, 2, 77, WithWorkers(5))
+	Table3(&seq, 2, 77, campaign.Runner{})
+	Table3(&par, 2, 77, campaign.Runner{Workers: 5})
 	if seq.String() != par.String() {
 		t.Errorf("Table 3 output differs across pool widths\n--- workers=1 ---\n%s--- workers=5 ---\n%s",
 			seq.String(), par.String())
@@ -131,10 +133,10 @@ func TestTable3DeterministicOutput(t *testing.T) {
 // only after an intentional change to the campaigns themselves.
 func TestCampaignGridGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Table5(&buf, 40, 1); err != nil {
+	if _, err := Table5(context.Background(), &buf, 40, 1, campaign.Runner{}); err != nil {
 		t.Fatal(err)
 	}
-	series, err := Figure7(&buf, 20, 2, 1)
+	series, err := Figure7(context.Background(), &buf, 20, 2, 1, campaign.Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}

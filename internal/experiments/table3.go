@@ -39,10 +39,9 @@ type Table3Result struct {
 // Table3 measures training overhead per transient-window type for DejaVuzz,
 // DejaVuzz* (random training) and — on BOOM — SpecDoctor, over `samples`
 // Phase-1 attempts per cell. Each (fuzzer, core) row owns a private
-// deterministic fuzzer, so rows run concurrently on the shared pool (sized
-// by WithWorkers) without changing any cell.
-func Table3(w io.Writer, samples int, seed int64, ropts ...Option) []Table3Result {
-	cfg := runConfig(ropts)
+// deterministic fuzzer, so rows run concurrently on r's pool (r.Workers
+// wide, progress to r.Progress) without changing any cell.
+func Table3(w io.Writer, samples int, seed int64, r campaign.Runner) []Table3Result {
 	cores := []uarch.CoreKind{uarch.KindBOOM, uarch.KindXiangShan}
 	out := make([]Table3Result, len(cores))
 	type rowJob struct {
@@ -92,7 +91,7 @@ func Table3(w io.Writer, samples int, seed int64, ropts ...Option) []Table3Resul
 
 	// Each job fills its own slot; row maps are installed sequentially
 	// afterwards, so only the progress writer needs synchronisation.
-	progress := campaign.NewProgressLog(cfg.Progress)
+	progress := campaign.NewProgressLog(r.Progress)
 	cells := make([]map[gen.TriggerType]Table3Cell, len(jobs))
 	var pool []func()
 	for ji, j := range jobs {
@@ -102,7 +101,7 @@ func Table3(w io.Writer, samples int, seed int64, ropts ...Option) []Table3Resul
 			progress.Logf("[table3/%v/%s] done", cores[j.core], j.name)
 		})
 	}
-	campaign.RunJobs(cfg.Workers, pool)
+	campaign.RunJobs(r.Workers, pool)
 	for ji, j := range jobs {
 		out[j.core].Rows[j.name] = cells[ji]
 	}

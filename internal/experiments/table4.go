@@ -30,14 +30,13 @@ type Table4Result struct {
 // instance) and diffIFT (word-level shadow co-simulation, two instances).
 // compileBudget bounds the CellIFT flattening+instrumentation time; the
 // XiangShan-scale model is expected to blow past it (the paper's 8h timeout).
-// Measurements are wall-clock, so the cells always run sequentially; ropts
-// only adds progress streaming here.
-func Table4(w io.Writer, compileBudget time.Duration, simCycles int, ropts ...Option) []Table4Result {
-	cfg2 := runConfig(ropts)
-	progress := campaign.NewProgressLog(cfg2.Progress).Logf
+// Measurements are wall-clock, so the cells always run sequentially;
+// progress, when non-nil, receives a line per step.
+func Table4(w io.Writer, compileBudget time.Duration, simCycles int, progress io.Writer) []Table4Result {
+	logf := campaign.NewProgressLog(progress).Logf
 	var out []Table4Result
 	for _, kind := range []uarch.CoreKind{uarch.KindBOOM, uarch.KindXiangShan} {
-		progress("[table4/%v] compiling", kind)
+		logf("[table4/%v] compiling", kind)
 		cfg := uarch.ConfigFor(kind)
 		res := Table4Result{Core: kind, SimTimes: map[string][3]time.Duration{}}
 
@@ -82,7 +81,7 @@ func Table4(w io.Writer, compileBudget time.Duration, simCycles int, ropts ...Op
 		// the work VCS performs on the instrumented netlist.
 		flatModel := rtl.FlattenMemories(model)
 		for _, poc := range AllPoCs() {
-			progress("[table4/%v] simulating %s", kind, poc.Name)
+			logf("[table4/%v] simulating %s", kind, poc.Name)
 			var times [3]time.Duration
 			opts := core.RunOpts{Cfg: cfg, MaxCycles: simCycles}
 

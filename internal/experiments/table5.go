@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -49,15 +50,14 @@ type Table5Result struct {
 // classifies the discovered leaks by attack type, transient-window class and
 // encoded/contended timing component — the paper's Table 5 matrix — along
 // with mechanism witnesses for the five published bugs. The two per-core
-// campaigns run as a campaign grid over the shared pool configured by
-// opts. The error is non-nil only for checkpoint I/O failures and
-// cancellation.
-func Table5(w io.Writer, iterations int, seed int64, opts ...Option) ([]Table5Result, error) {
-	results, runErr := runGrid(campaign.Matrix{
+// campaigns run as a campaign grid on r until ctx is cancelled. The error
+// is non-nil only for checkpoint I/O failures and cancellation.
+func Table5(ctx context.Context, w io.Writer, iterations int, seed int64, r campaign.Runner) ([]Table5Result, error) {
+	results, runErr := runGrid(ctx, r, campaign.Matrix{
 		Prefix: fmt.Sprintf("table5/i%d", iterations),
 		Base:   dejavuzz.Options{Seed: seed, SeedSet: true, Iterations: iterations},
 		Cores:  []string{"boom", "xiangshan"},
-	}, opts)
+	})
 	if results == nil {
 		return nil, runErr
 	}
@@ -122,4 +122,13 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// runGrid expands m and runs its cells on r.
+func runGrid(ctx context.Context, r campaign.Runner, m campaign.Matrix) ([]campaign.Result, error) {
+	specs, err := m.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(ctx, specs)
 }

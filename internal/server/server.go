@@ -108,10 +108,11 @@ var (
 // registryVersion guards campaigns.json against format drift.
 const registryVersion = 1
 
-// registryFile is the on-disk campaign registry.
+// registryFile is the on-disk campaign registry. It stores no next ID (an
+// older file's "next_id" is ignored): Create hands IDs out in order and
+// nothing deletes a record, so the next one follows the highest listed.
 type registryFile struct {
 	Version   int      `json:"version"`
-	NextID    int      `json:"next_id"`
 	Campaigns []Record `json:"campaigns"`
 }
 
@@ -161,7 +162,7 @@ type Server struct {
 	mu        sync.Mutex
 	campaigns map[string]*campaign
 	order     []string // creation order, for stable listings
-	nextID    int
+	nextID    int      // the highest c<N> listed; Create hands out the next
 	queue     []string // FIFO admission queue of campaign IDs
 	inUse     int      // worker slots held by running campaigns
 	dropped   int64    // best-effort subscriber drops from finished sessions
@@ -236,11 +237,15 @@ func (s *Server) loadRegistry() error {
 	if reg.Version != registryVersion {
 		return fmt.Errorf("server: registry %s has version %d, want %d", path, reg.Version, registryVersion)
 	}
-	s.nextID = reg.NextID
 	for i, rec := range reg.Campaigns {
-		if err := s.checkRecord(rec); err != nil {
+		n, err := s.checkRecord(rec)
+		if err != nil {
 			return fmt.Errorf("server: registry %s: campaign %d (id %q): %w", path, i, rec.ID, err)
 		}
+		s.nextID = max(s.nextID, n)
+		// Target and Total restate the options; recomputing them keeps a
+		// record from keying triage and the corpus apart from its target.
+		rec.Target, rec.Total = rec.Options.EffectiveTarget(), rec.Options.EffectiveIterations()
 		rec.Stopping = ""
 		if rec.State == StateRunning || rec.State == StateQueued {
 			// Interrupted by the previous shutdown (or crash): resume from
@@ -257,25 +262,20 @@ func (s *Server) loadRegistry() error {
 
 // checkRecord refuses a loaded record the server could not have written:
 // an ID other than the c<N> that Create hands out (an empty one included),
-// an N above next_id (a later Create would hand it out again and overwrite
-// the campaign's checkpoint and report), an ID already loaded, or an
-// unknown state.
-func (s *Server) checkRecord(rec Record) error {
+// an ID already loaded, or an unknown state. It returns the ID's N.
+func (s *Server) checkRecord(rec Record) (int, error) {
 	n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "c"))
 	if err != nil || rec.ID != fmt.Sprintf("c%d", n) || n < 1 {
-		return errors.New("id is not of the form c<N>")
-	}
-	if n > s.nextID {
-		return fmt.Errorf("id is above next_id %d", s.nextID)
+		return 0, errors.New("id is not of the form c<N>")
 	}
 	if _, dup := s.campaigns[rec.ID]; dup {
-		return errors.New("id is listed twice")
+		return 0, errors.New("id is listed twice")
 	}
 	switch rec.State {
 	case StateQueued, StateRunning, StatePaused, StateDone, StateCancelled, StateFailed:
-		return nil
+		return n, nil
 	}
-	return fmt.Errorf("state %q is not a campaign state", rec.State)
+	return 0, fmt.Errorf("state %q is not a campaign state", rec.State)
 }
 
 func (s *Server) registryPath() string { return filepath.Join(s.stateDir, "campaigns.json") }
@@ -289,7 +289,7 @@ func (s *Server) reportPath(id string) string {
 // persistLocked atomically rewrites campaigns.json and counts a failure
 // toward persistErrors; callers log or return the error. Callers hold s.mu.
 func (s *Server) persistLocked() error {
-	reg := registryFile{Version: registryVersion, NextID: s.nextID}
+	reg := registryFile{Version: registryVersion}
 	for _, id := range s.order {
 		reg.Campaigns = append(reg.Campaigns, s.campaigns[id].rec)
 	}
