@@ -131,8 +131,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // warm_consumed, the scheduler posterior in sched_state, scenario_stats and
 // each mark's end, all of which resume now derives. It was written by
 //
-//	c, _ := New("boom", WithSeed(3), WithIterations(48), WithShards(4),
-//		WithMergeEvery(4), WithWarmStart(harvestWarmStart(t)))
+//	c, _ := Options{Target: "boom", Seed: 3, Iterations: 48, Shards: 4,
+//		MergeEvery: 4}.Campaign(WithWarmStart(harvestWarmStart(t)))
 //	midCampaignCheckpoint(t, c, 4).Save("testdata/checkpoint-v3-parent.json")
 //
 // At that iteration-4 barrier each shard has replayed one of its two warm
@@ -147,8 +147,11 @@ func resumeParentCheckpoint(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mustCampaign(t, "boom", WithSeed(3), WithIterations(48), WithShards(4), WithMergeEvery(4),
+	c, err := Options{Target: "boom", Seed: 3, Iterations: 48, Shards: 4, MergeEvery: 4}.Campaign(
 		WithWarmStart(harvestWarmStart(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := c.Resume(context.Background(), ck)
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +185,10 @@ func TestParentCheckpointResumes(t *testing.T) {
 }
 
 // TestParentCheckpointEditedCopiesIgnored: resume reads none of the parent
-// file's copies of what it recomputes (scenario_stats, each mark's end, and
-// each iters record's Iteration, Trigger and Finding), so the file edited
-// in all of them still resumes to the uninterrupted run. It is decoded with
+// file's copies of what it recomputes (scenario_stats, each mark's end,
+// each iters record's Iteration, Trigger and Finding, and each finding's
+// Scenario and Window), so the file edited in all of them still resumes to
+// the uninterrupted run. It is decoded with
 // UseNumber: through float64 the seeds' int64 Rand would lose precision
 // and the warm seeds' digest would stop matching.
 func TestParentCheckpointEditedCopiesIgnored(t *testing.T) {
@@ -214,6 +218,13 @@ func TestParentCheckpointEditedCopiesIgnored(t *testing.T) {
 	rec(1)["Finding"], rec(2)["Finding"] = false, true
 	rec(0)["Iteration"] = 9
 	rec(3)["Trigger"] = 0
+	// The finding is a cache-occupancy seed's; claim another family and
+	// class for it.
+	finding := doc["findings"].([]any)[0].(map[string]any)
+	if finding["Scenario"] != "cache-occupancy" {
+		t.Fatalf("%s's finding has scenario %v; this test edits a cache-occupancy one", parentCheckpoint, finding["Scenario"])
+	}
+	finding["Scenario"], finding["Window"] = "page-fault", 7
 	doc["marks"].([]any)[0].(map[string]any)["end"] = 7
 	data, err := json.Marshal(doc)
 	if err != nil {

@@ -14,12 +14,17 @@
 // # Campaigns, sessions and targets
 //
 // A campaign is constructed with New from a registered target name and
-// functional options:
+// functional options, shorthands for the most-used knobs:
 //
 //	c, err := dejavuzz.New("boom",
 //		dejavuzz.WithSeed(1),
 //		dejavuzz.WithIterations(500),
 //	)
+//
+// Every knob is a field of Options, the wire form dvz-server accepts, and
+// Options.Campaign builds the same campaign from it:
+//
+//	c, err := dejavuzz.Options{Target: "boom", NoLiveness: true}.Campaign()
 //
 // Run executes it to completion and returns the Report. For long-running
 // campaigns, Start returns a streaming Session instead: an event channel
@@ -39,29 +44,9 @@ import (
 	"dejavuzz/internal/core"
 	"dejavuzz/internal/gen"
 	"dejavuzz/internal/scenario"
-	"dejavuzz/internal/uarch"
 
 	// Register the "isasim" architectural differential target.
 	_ "dejavuzz/internal/isadiff"
-)
-
-// CoreKind selects a built-in core model.
-type CoreKind = uarch.CoreKind
-
-// The two evaluated cores.
-const (
-	BOOM      = uarch.KindBOOM
-	XiangShan = uarch.KindXiangShan
-)
-
-// Variant selects the training strategy.
-type Variant = gen.Variant
-
-// Training strategies: Derived is DejaVuzz proper, RandomTraining is the
-// DejaVuzz* ablation.
-const (
-	Derived        = gen.VariantDerived
-	RandomTraining = gen.VariantRandom
 )
 
 // Finding is a reported potential transient-execution vulnerability.
@@ -84,11 +69,6 @@ type FamilyPrior = scenario.Prior
 
 // Report is the result of a fuzzing campaign.
 type Report = core.Report
-
-// TriggerType enumerates the Table 3 transient-window trigger classes.
-// Scenario families (see Scenarios) are the finer-grained identity; every
-// family belongs to one trigger class.
-type TriggerType = gen.TriggerType
 
 // ScenarioStat is one scenario family's cumulative campaign statistics
 // (picks, coverage yield, findings, adaptive sampling weight), reported on

@@ -51,17 +51,21 @@ func reportFingerprint(t *testing.T, rep *Report) []byte {
 }
 
 func TestNewRejectsUnknownScenario(t *testing.T) {
-	if _, err := New("boom", WithScenarios("warp-drive")); err == nil {
-		t.Fatal("New accepted an unregistered scenario family")
+	if _, err := (Options{Target: "boom", Scenarios: []string{"warp-drive"}}).Campaign(); err == nil {
+		t.Fatal("Campaign accepted an unregistered scenario family")
 	}
-	if _, err := New("boom", WithScenarios("cache-occupancy")); err != nil {
-		t.Fatalf("New rejected a registered family: %v", err)
+	if _, err := (Options{Target: "boom", Scenarios: []string{"cache-occupancy"}}).Campaign(); err != nil {
+		t.Fatalf("Campaign rejected a registered family: %v", err)
 	}
 }
 
+// TestNewUnknownTarget: New names its target, so an unregistered or empty
+// name is refused even though empty wire options select DefaultTarget.
 func TestNewUnknownTarget(t *testing.T) {
-	if _, err := New("not-a-target"); err == nil {
-		t.Fatal("expected error for unknown target")
+	for _, name := range []string{"not-a-target", ""} {
+		if _, err := New(name); err == nil {
+			t.Fatalf("New(%q) built a campaign; want an unknown-target error", name)
+		}
 	}
 }
 
@@ -388,8 +392,7 @@ func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	// A different -scenarios set is an option mismatch too, and the error
 	// must say so by name — never silently diverge into another campaign.
 	mkScn := func(fams ...string) *Campaign {
-		c, err := New("boom", WithSeed(3), WithIterations(16), WithMergeEvery(4),
-			WithScenarios(fams...))
+		c, err := Options{Target: "boom", Seed: 3, Iterations: 16, MergeEvery: 4, Scenarios: fams}.Campaign()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -196,6 +196,20 @@ func TestResumeStateValidation(t *testing.T) {
 		t.Fatalf("snapshot has %d findings and %d marks; the edits below need at least 2 and exactly 2", len(state.Findings), len(state.Marks))
 	}
 	deadSinkBound := state.NextIter - len(state.Findings)
+	// A family other than the first finding's, to move that finding's seed
+	// to.
+	first := state.Findings[0]
+	var moved *scenario.Family
+	for _, name := range scenario.Names() {
+		if name != first.Seed.Scenario {
+			fam, err := scenario.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved = fam
+			break
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		want []string
@@ -211,6 +225,10 @@ func TestResumeStateValidation(t *testing.T) {
 			func(st *EngineState) { st.Findings[len(st.Findings)-1].Iteration = st.NextIter }},
 		{"findings swapped", []string{"findings[1]"},
 			func(st *EngineState) { st.Findings[0], st.Findings[1] = st.Findings[1], st.Findings[0] }},
+		{"finding seed outside its record's family", []string{"findings[0]", fmt.Sprintf("iters[%d]", first.Iteration), moved.Name},
+			func(st *EngineState) {
+				st.Findings[0].Seed.Scenario, st.Findings[0].Seed.Trigger = moved.Name, moved.Trigger
+			}},
 		{"negative dead_sinks", []string{"dead_sinks"},
 			func(st *EngineState) { st.DeadSinks = -3 }},
 		{"dead_sinks above bound", []string{"dead_sinks"},

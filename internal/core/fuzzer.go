@@ -735,9 +735,12 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		return nil, fmt.Errorf("core: engine state dead_sinks %d outside [0, %d]", st.DeadSinks, most)
 	}
 	// A record's Iteration, Trigger and Finding restate its index, its
-	// family's class and the findings, so they are recomputed (and its
-	// Coverage is finalize's); what the fold reads and nothing recomputes,
-	// its family and counts, is checked.
+	// family's class and the findings, and a finding's Scenario and Window
+	// restate its seed's family and that family's class, so they are
+	// recomputed (and a record's Coverage is finalize's); what the fold
+	// reads and nothing recomputes, a record's family and counts, is
+	// checked, and so is a finding's seed against its iteration's record.
+	f.findings = append([]Finding(nil), st.Findings...)
 	found := 0
 	for i, it := range st.Iters {
 		class, ok := classes[it.Scenario]
@@ -747,8 +750,14 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 		if it.NewPoints < 0 || it.Sims < 0 {
 			return nil, fmt.Errorf("core: engine state iters[%d] has negative counts (NewPoints %d, Sims %d)", i, it.NewPoints, it.Sims)
 		}
-		finding := found < len(st.Findings) && st.Findings[found].Iteration == i
+		finding := found < len(f.findings) && f.findings[found].Iteration == i
 		if finding {
+			fd := &f.findings[found]
+			if fam := gen.ScenarioName(fd.Seed); fam != it.Scenario {
+				return nil, fmt.Errorf("core: engine state findings[%d] has a seed of scenario family %q, but iters[%d] holds %q",
+					found, fam, i, it.Scenario)
+			}
+			fd.Scenario, fd.Window = it.Scenario, class
 			found++
 		}
 		f.iters[i] = IterStat{Iteration: i, Scenario: it.Scenario, Trigger: class, Triggered: it.Triggered,
@@ -759,7 +768,6 @@ func NewFuzzerFromState(st *EngineState, opts Options) (*Fuzzer, error) {
 	f.corpus = append([]gen.Seed(nil), st.Corpus...)
 	f.coverage.AddPoints(st.Coverage)
 	f.marks = append([]EpochMark(nil), st.Marks...)
-	f.findings = append([]Finding(nil), st.Findings...)
 	f.deadSinks = st.DeadSinks
 	if err := f.checkMarks(); err != nil {
 		return nil, err
@@ -976,7 +984,7 @@ func (s *shard) feedback(seed gen.Seed, newPoints int, taintGain bool) bool {
 // against the shard's private state.
 func (s *shard) runIteration(iter int) IterStat {
 	seed := s.nextSeed(iter)
-	stat := IterStat{Iteration: iter, Scenario: gen.ScenarioName(seed), Trigger: seed.Trigger}
+	stat := IterStat{Iteration: iter, Scenario: gen.ScenarioName(seed), Trigger: gen.TriggerClass(seed)}
 
 	out := s.pipe.RunIteration(iter, seed, s.cov)
 	stat.Triggered = out.Triggered

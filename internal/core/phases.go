@@ -295,7 +295,7 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 		res.Finding = &Finding{
 			Kind:       FindingTiming,
 			AttackType: attack,
-			Window:     cst.Seed.Trigger,
+			Window:     gen.TriggerClass(cst.Seed),
 			Scenario:   gen.ScenarioName(cst.Seed),
 			Components: timingComponents(pair.A, s.census),
 			BugLabels:  bugLabels(pair.A),
@@ -354,7 +354,7 @@ func (s *uarchShard) Phase3(p1 *Phase1Result, p2 *Phase2Result) (*Phase3Result, 
 	res.Finding = &Finding{
 		Kind:       FindingEncoded,
 		AttackType: attack,
-		Window:     cst.Seed.Trigger,
+		Window:     gen.TriggerClass(cst.Seed),
 		Scenario:   gen.ScenarioName(cst.Seed),
 		Components: liveComponents,
 		BugLabels:  labels,

@@ -147,6 +147,17 @@ func (s Seed) Validate() error {
 // ScenarioName returns the seed's family name.
 func ScenarioName(s Seed) string { return s.Scenario }
 
+// TriggerClass returns the trigger class of the seed's family, the class
+// findings and iteration records carry. A seed that names no known family
+// (Validate refuses one) has class -1, which no squash ends.
+func TriggerClass(s Seed) TriggerType {
+	fam, err := FamilyOf(s)
+	if err != nil {
+		return -1
+	}
+	return fam.Trigger
+}
+
 // Generator produces seeds and stimuli deterministically from its RNG.
 // A Generator also owns the scratch buffers stimulus construction
 // materialises typed fragments into, so one long-lived Generator per shard

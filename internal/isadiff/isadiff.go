@@ -269,7 +269,8 @@ func (p *shardPipeline) RunIteration(iter int, seed gen.Seed, sink core.CovSink)
 	// have an architectural trigger signature; misprediction and
 	// memory-ordering windows have none, so their families honestly report
 	// untriggered on an ISA model.
-	if fam, err := gen.FamilyOf(seed); err == nil && fam.Trigger.Squash() == uarch.SquashException {
+	class := gen.TriggerClass(seed)
+	if class.Squash() == uarch.SquashException {
 		for _, t := range a.traps {
 			if t.EPC == p.st1.TriggerPC {
 				out.Triggered = true
@@ -286,7 +287,7 @@ func (p *shardPipeline) RunIteration(iter int, seed gen.Seed, sink core.CovSink)
 		out.Finding = &core.Finding{
 			Kind:       core.FindingTiming,
 			AttackType: "ArchLeak",
-			Window:     seed.Trigger,
+			Window:     class,
 			Scenario:   gen.ScenarioName(seed),
 			Components: []string{"isasim"},
 			Seed:       seed,

@@ -215,14 +215,7 @@ func (s *Sim) Exec(in isa.Inst) {
 			s.trap(Trap{Cause: CauseForFault(f), EPC: pc, Tval: addr})
 			return
 		}
-		switch in.Op {
-		case isa.OpLb:
-			v = uint64(int64(int8(v)))
-		case isa.OpLh:
-			v = uint64(int64(int16(v)))
-		case isa.OpLw:
-			v = uint64(int64(int32(v)))
-		}
+		v = Extend(in.Op, v)
 		if in.Op == isa.OpFld {
 			s.F[in.Rd] = v
 		} else {
@@ -283,6 +276,22 @@ func (s *Sim) Exec(in isa.Inst) {
 	}
 	s.Instret++
 	s.PC = next
+}
+
+// Extend is the semantics of a load's result: given the load's operation
+// and the bytes it read, zero-extended, it returns the destination value,
+// sign-extending them for lb, lh and lw. Exec and the out-of-order core's
+// load unit both call it.
+func Extend(op isa.Op, v uint64) uint64 {
+	switch op {
+	case isa.OpLb:
+		return uint64(int64(int8(v)))
+	case isa.OpLh:
+		return uint64(int64(int16(v)))
+	case isa.OpLw:
+		return uint64(int64(int32(v)))
+	}
+	return v
 }
 
 // Compute is the semantics of every operation that neither accesses memory

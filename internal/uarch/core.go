@@ -1063,7 +1063,8 @@ func (c *Core) bookLoadWB(cycle int) *int32 {
 	return &c.wbPorts[cycle&(len(c.wbPorts)-1)]
 }
 
-// readMemData reads through the dcache with sign/zero extension.
+// readMemData reads through the dcache; isasim.Extend gives the loaded
+// value its sign or zero extension.
 func (c *Core) readMemData(addr uint64, size int, in isa.Inst) (uint64, uint64) {
 	v64, t64 := c.DCache.Read64(addr &^ 7)
 	sh := uint((addr & 7) * 8)
@@ -1080,15 +1081,7 @@ func (c *Core) readMemData(addr uint64, size int, in isa.Inst) (uint64, uint64) 
 		v &= 0xffffffff
 		t &= 0xffffffff
 	}
-	switch in.Op {
-	case isa.OpLb:
-		v = uint64(int64(int8(v)))
-	case isa.OpLh:
-		v = uint64(int64(int16(v)))
-	case isa.OpLw:
-		v = uint64(int64(int32(v)))
-	}
-	return v, t
+	return isasim.Extend(in.Op, v), t
 }
 
 // applyAddrCtl handles the memory-read control taint (Table 1): a tainted

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sync"
 
-	"dejavuzz/internal/atomicfile"
 	"dejavuzz/internal/core"
-	"dejavuzz/internal/scenario"
 )
 
 // ErrInterrupted is returned by Session.Wait when the session stopped at a
@@ -27,36 +25,13 @@ type Campaign struct {
 
 // New builds a campaign for a registered target name ("boom", "xiangshan",
 // "isasim", or anything added with RegisterTarget) with functional options
-// applied over the target's defaults.
+// applied over the target's defaults: Options{Target: target}.Campaign,
+// except that the name must be registered (an empty one is refused).
 func New(target string, opts ...Option) (*Campaign, error) {
-	t, err := core.LookupTarget(target)
-	if err != nil {
+	if _, err := core.LookupTarget(target); err != nil {
 		return nil, err
 	}
-	s := settings{opts: core.DefaultOptionsFor(t)}
-	for _, o := range opts {
-		o(&s)
-	}
-	s.opts.Target = t.Name() // options never change the target
-	if err := core.ValidateScenarios(s.opts.Scenarios); err != nil {
-		return nil, fmt.Errorf("dejavuzz: %w", err)
-	}
-	fams := s.opts.Scenarios
-	if len(fams) == 0 {
-		fams = scenario.Names()
-	}
-	if err := core.ValidateWarmStart(s.opts.WarmSeeds, s.opts.FrontierPrior, fams); err != nil {
-		return nil, fmt.Errorf("dejavuzz: %w", err)
-	}
-	if s.ckptPath != "" {
-		// Fail the dominant misconfiguration (missing/unwritable checkpoint
-		// directory) here, where there is an error path — autosave failures
-		// during a run are only visible as CheckpointSaved events.
-		if err := atomicfile.ProbeDir(s.ckptPath); err != nil {
-			return nil, fmt.Errorf("dejavuzz: checkpoint path not writable: %w", err)
-		}
-	}
-	return &Campaign{target: t, opts: s.opts, ckptPath: s.ckptPath}, nil
+	return Options{Target: target}.Campaign(opts...)
 }
 
 // Target returns the campaign's design under test.

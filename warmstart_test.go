@@ -173,11 +173,12 @@ func TestNewRejectsWarmSeedOutsideScenarios(t *testing.T) {
 		Snapshot: "cs-0000000000000001",
 		Seeds:    []Seed{seed},
 	}
-	if _, err := New("boom", WithScenarios(fams[1]), WithWarmStart(outside)); err == nil {
-		t.Error("New accepted a warm seed from a family outside the campaign's scenario set")
+	only := func(fam string) Options { return Options{Target: "boom", Scenarios: []string{fam}} }
+	if _, err := only(fams[1]).Campaign(WithWarmStart(outside)); err == nil {
+		t.Error("Campaign accepted a warm seed from a family outside the campaign's scenario set")
 	}
-	if _, err := New("boom", WithScenarios(fams[0]), WithWarmStart(outside)); err != nil {
-		t.Errorf("New rejected a warm seed from an enabled family: %v", err)
+	if _, err := only(fams[0]).Campaign(WithWarmStart(outside)); err != nil {
+		t.Errorf("Campaign rejected a warm seed from an enabled family: %v", err)
 	}
 	badPrior := WarmStart{
 		Snapshot: "cs-0000000000000002",
@@ -189,9 +190,9 @@ func TestNewRejectsWarmSeedOutsideScenarios(t *testing.T) {
 	// A malformed warm seed is refused by name, not left to panic a shard.
 	seed.WindowLen = -4095
 	malformed := WarmStart{Snapshot: "cs-0000000000000003", Seeds: []Seed{seed}}
-	if _, err := New("boom", WithScenarios(fams[0]), WithWarmStart(malformed)); err == nil ||
+	if _, err := only(fams[0]).Campaign(WithWarmStart(malformed)); err == nil ||
 		!strings.Contains(err.Error(), "WindowLen") {
-		t.Errorf("New accepted a warm seed with a negative WindowLen, or did not name the field: %v", err)
+		t.Errorf("Campaign accepted a warm seed with a negative WindowLen, or did not name the field: %v", err)
 	}
 }
 

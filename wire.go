@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dejavuzz/internal/atomicfile"
 	"dejavuzz/internal/core"
+	"dejavuzz/internal/gen"
+	"dejavuzz/internal/scenario"
 )
 
 // Options is the declarative, JSON-serialisable form of a campaign
 // configuration — the wire format dvz-server's create-campaign endpoint
-// accepts, and the bridge between external clients and the functional
-// options New takes. The zero value selects the target's defaults for
-// everything. Each field's tag is its wire key; omitempty elides defaults,
-// so a marshalled default configuration is `{}`.
+// accepts, and what Campaign lowers onto the engine (New is
+// Options{Target: target}.Campaign). The zero value selects the target's
+// defaults for everything. Each field's tag is its wire key; omitempty
+// elides defaults, so a marshalled default configuration is `{}`.
 //
 // Two fields need explicit-zero markers: seed 0 is a valid seed and 0
 // iterations is a valid dry run, but both are also the Go zero value. The
@@ -26,9 +29,9 @@ import (
 // The remaining knobs have no zero ambiguity on the wire: numeric fields
 // treat 0 as "use the default" (none accepts an explicit zero), the
 // boolean toggles are phrased so false is the default, and Variant's empty
-// string means Derived. Seed is the only signed knob: a negative
+// string means "derived". Seed is the only signed knob: a negative
 // iterations, workers, shards, merge_every, max_cycles or secret_retries
-// is refused, naming the key, both when decoding and by Functional.
+// is refused, naming the key, both when decoding and by Campaign.
 type Options struct {
 	// Target names the registered design under test; empty means
 	// DefaultTarget.
@@ -66,9 +69,8 @@ type Options struct {
 	// corpus: the server resolves a deterministic warm-start set (seeds +
 	// scheduler prior) for the campaign's target and records the resolution
 	// with the campaign, so restarts and resumes reuse it. The flag has no
-	// engine-side functional lowering — a corpus store must resolve it —
-	// which is why Functional ignores it; offline embedders use
-	// WithWarmStart directly.
+	// engine-side lowering — a corpus store must resolve it — which is why
+	// Campaign ignores it; offline embedders use WithWarmStart directly.
 	WarmStart bool `json:"warm_start,omitempty"`
 }
 
@@ -183,63 +185,72 @@ func (o Options) EffectiveSeed() int64 {
 	return core.DefaultSeed
 }
 
-// Functional lowers the wire options onto the equivalent functional-option
-// list (everything left at its default contributes nothing). It errors on
-// the options validate refuses; target validation happens in New.
-func (o Options) Functional() ([]Option, error) {
-	if err := o.validate(); err != nil {
+// Campaign builds the campaign the options describe. The extra functional
+// options apply on top: shorthands for wire fields, plus WithWarmStart and
+// WithCheckpointFile, which have no wire form (servers own their
+// checkpoint paths and resolve warm-start sets from their corpus). It
+// refuses what validate refuses, lowers the wire fields onto the target's
+// engine defaults, and checks the warm-start set against the enabled
+// families and the checkpoint path's directory.
+func (o Options) Campaign(extra ...Option) (*Campaign, error) {
+	s := settings{wire: o}
+	for _, opt := range extra {
+		opt(&s)
+	}
+	if err := s.wire.validate(); err != nil {
 		return nil, err
 	}
-	var opts []Option
-	if o.SeedSet || o.Seed != 0 {
-		opts = append(opts, WithSeed(o.Seed))
-	}
-	if o.IterationsSet || o.Iterations != 0 {
-		opts = append(opts, WithIterations(o.Iterations))
-	}
-	if o.Workers > 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.Shards > 0 {
-		opts = append(opts, WithShards(o.Shards))
-	}
-	if o.MergeEvery > 0 {
-		opts = append(opts, WithMergeEvery(o.MergeEvery))
-	}
-	if o.MaxCycles > 0 {
-		opts = append(opts, WithMaxCycles(o.MaxCycles))
-	}
-	if o.SecretRetries > 0 {
-		opts = append(opts, WithSecretRetries(o.SecretRetries))
-	}
-	if o.Variant == VariantNameRandom {
-		opts = append(opts, WithVariant(RandomTraining))
-	}
-	if len(o.Scenarios) > 0 {
-		opts = append(opts, WithScenarios(o.Scenarios...))
-	}
-	if o.NoCoverageFeedback {
-		opts = append(opts, WithCoverageFeedback(false))
-	}
-	if o.NoLiveness {
-		opts = append(opts, WithLiveness(false))
-	}
-	if o.NoReduction {
-		opts = append(opts, WithReduction(false))
-	}
-	if o.Bugless {
-		opts = append(opts, WithInjectedBugs(false))
-	}
-	return opts, nil
-}
-
-// Campaign builds the campaign the options describe, with any extra
-// functional options (e.g. WithCheckpointFile, which has no wire form —
-// servers own their checkpoint paths) applied on top.
-func (o Options) Campaign(extra ...Option) (*Campaign, error) {
-	opts, err := o.Functional()
+	t, err := core.LookupTarget(s.wire.EffectiveTarget())
 	if err != nil {
 		return nil, err
 	}
-	return New(o.EffectiveTarget(), append(opts, extra...)...)
+	opts := s.wire.lower(t)
+	opts.CorpusSnapshot = s.warm.Snapshot
+	opts.WarmSeeds = append([]Seed(nil), s.warm.Seeds...)
+	opts.FrontierPrior = append([]FamilyPrior(nil), s.warm.Prior...)
+	fams := opts.Scenarios
+	if len(fams) == 0 {
+		fams = scenario.Names()
+	}
+	if err := core.ValidateWarmStart(opts.WarmSeeds, opts.FrontierPrior, fams); err != nil {
+		return nil, fmt.Errorf("dejavuzz: %w", err)
+	}
+	if s.ckptPath != "" {
+		// Fail the dominant misconfiguration (missing/unwritable checkpoint
+		// directory) here, where there is an error path — autosave failures
+		// during a run are only visible as CheckpointSaved events.
+		if err := atomicfile.ProbeDir(s.ckptPath); err != nil {
+			return nil, fmt.Errorf("dejavuzz: checkpoint path not writable: %w", err)
+		}
+	}
+	return &Campaign{target: t, opts: opts, ckptPath: s.ckptPath}, nil
+}
+
+// lower maps the wire fields onto the target's engine defaults; a field at
+// its zero value keeps the default. It is the one place a campaign's
+// configuration becomes engine options.
+func (o Options) lower(t core.Target) core.Options {
+	opts := core.DefaultOptionsFor(t)
+	opts.Seed = o.EffectiveSeed()
+	opts.Iterations = o.EffectiveIterations()
+	for _, knob := range []struct {
+		dst *int
+		val int
+	}{
+		{&opts.Workers, o.Workers}, {&opts.Shards, o.Shards}, {&opts.MergeEvery, o.MergeEvery},
+		{&opts.MaxCycles, o.MaxCycles}, {&opts.SecretRetries, o.SecretRetries},
+	} {
+		if knob.val > 0 {
+			*knob.dst = knob.val
+		}
+	}
+	if o.Variant == VariantNameRandom {
+		opts.Variant = gen.VariantRandom
+	}
+	opts.Scenarios = append([]string(nil), o.Scenarios...)
+	opts.UseCoverageFeedback = !o.NoCoverageFeedback
+	opts.UseLiveness = !o.NoLiveness
+	opts.UseReduction = !o.NoReduction
+	opts.Bugless = o.Bugless
+	return opts
 }

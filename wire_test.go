@@ -131,8 +131,9 @@ func TestOptionsJSONBadVariant(t *testing.T) {
 }
 
 // TestOptionsNegativeKnobs: a negative numeric knob is refused, naming its
-// wire key, both when decoding and when a Go caller builds the campaign;
-// it never runs as an empty or default-sized campaign. Seed is signed.
+// wire key, when decoding and when a Go caller builds the campaign from
+// wire options or functional ones; it never runs as an empty or
+// default-sized campaign. Seed is signed.
 func TestOptionsNegativeKnobs(t *testing.T) {
 	set := map[string]func(*Options){
 		"iterations":     func(o *Options) { o.Iterations, o.IterationsSet = -5, true },
@@ -152,6 +153,15 @@ func TestOptionsNegativeKnobs(t *testing.T) {
 		apply(&o)
 		if c, err := o.Campaign(); err == nil || !strings.Contains(err.Error(), key) {
 			t.Errorf("Campaign() with negative %s = %v, %v; want a refusal naming the key", key, c, err)
+		}
+	}
+	for key, opt := range map[string]Option{
+		"iterations":  WithIterations(-1),
+		"workers":     WithWorkers(-1),
+		"merge_every": WithMergeEvery(-1),
+	} {
+		if c, err := New("isasim", opt); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("New with a negative %s = %v, %v; want a refusal naming the key", key, c, err)
 		}
 	}
 	var o Options
@@ -228,35 +238,14 @@ func TestOptionsCampaignEquivalence(t *testing.T) {
 // non-zero value and round-trips it: the field must come back with its
 // value and the options must select the same campaign. The field tags are
 // the wire format, so this is what pins that no field is left off the
-// wire. A field of a kind the switch does not handle fails the test until
-// the switch learns it.
+// wire.
 func TestOptionsJSONEveryField(t *testing.T) {
-	// Valid values for fields whose kind alone does not give one.
-	valid := map[string]any{
-		"Target":    "isasim",
-		"Variant":   VariantNameRandom,
-		"Scenarios": []string{"page-fault", "cache-occupancy"},
-	}
 	rt := reflect.TypeOf(Options{})
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
 		t.Run(name, func(t *testing.T) {
 			var o Options
-			fv := reflect.ValueOf(&o).Elem().Field(i)
-			switch fv.Kind() {
-			case reflect.Bool:
-				fv.SetBool(true)
-			case reflect.Int, reflect.Int64:
-				fv.SetInt(3)
-			case reflect.String, reflect.Slice:
-				v, ok := valid[name]
-				if !ok {
-					t.Fatalf("Options.%s: no valid non-zero %s value; add one to valid", name, fv.Kind())
-				}
-				fv.Set(reflect.ValueOf(v))
-			default:
-				t.Fatalf("Options.%s: unhandled kind %s; extend the switch alongside the new field", name, fv.Kind())
-			}
+			fv := setField(t, &o, i)
 			data, err := json.Marshal(o)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
@@ -273,6 +262,129 @@ func TestOptionsJSONEveryField(t *testing.T) {
 				t.Fatalf("round trip through %s changed the campaign:\n got %+v\nwant %+v", data, gotOpts, want)
 			}
 		})
+	}
+}
+
+// setField sets Options field i of o to a valid non-zero value and returns
+// it. A field of a kind the switch does not handle fails the test until
+// the switch learns it.
+func setField(t *testing.T, o *Options, i int) reflect.Value {
+	t.Helper()
+	// Valid values for fields whose kind alone does not give one.
+	valid := map[string]any{
+		"Target":    "isasim",
+		"Variant":   VariantNameRandom,
+		"Scenarios": []string{"page-fault", "cache-occupancy"},
+	}
+	name := reflect.TypeOf(*o).Field(i).Name
+	fv := reflect.ValueOf(o).Elem().Field(i)
+	switch fv.Kind() {
+	case reflect.Bool:
+		fv.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		fv.SetInt(3)
+	case reflect.String, reflect.Slice:
+		v, ok := valid[name]
+		if !ok {
+			t.Fatalf("Options.%s: no valid non-zero %s value; add one to valid", name, fv.Kind())
+		}
+		fv.Set(reflect.ValueOf(v))
+	default:
+		t.Fatalf("Options.%s: unhandled kind %s; extend the switch alongside the new field", name, fv.Kind())
+	}
+	return fv
+}
+
+// TestOptionsLowering pins how Campaign lowers each wire field onto the
+// engine: set on its own, and with every other field, a field must move
+// exactly its own keys of DiffFrom against the default target's defaults
+// (Workers, which DiffFrom ignores, through Normalized). Each functional
+// option must lower as its wire field does.
+func TestOptionsLowering(t *testing.T) {
+	keys := map[string][]string{
+		"Target":             {"target"},
+		"Seed":               {"seed"},
+		"SeedSet":            {"seed"}, // explicit seed 0, not the default 1
+		"Iterations":         {"iterations"},
+		"IterationsSet":      {"iterations"}, // an explicit 0-iteration dry run
+		"Workers":            nil,
+		"Shards":             {"shards"},
+		"MergeEvery":         {"merge_every"},
+		"MaxCycles":          {"max_cycles"},
+		"SecretRetries":      {"secret_retries"},
+		"Variant":            {"variant"},
+		"Scenarios":          {"scenarios"},
+		"NoCoverageFeedback": {"coverage_feedback"},
+		"NoLiveness":         {"liveness"},
+		"NoReduction":        {"reduction"},
+		"Bugless":            {"bugless"},
+		"WarmStart":          nil, // resolved by a corpus store, not lowered
+	}
+	def, err := LookupTarget(DefaultTarget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := core.DefaultOptionsFor(def)
+	check := func(t *testing.T, o Options, want map[string]bool) {
+		t.Helper()
+		opts := coreOptions(t, o)
+		got := map[string]bool{}
+		for _, d := range opts.DiffFrom(defaults) {
+			got[d[:strings.Index(d, ":")]] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v lowers to engine options differing from the defaults in %v, want %v", o, got, want)
+		}
+		wantWorkers := 1
+		if o.Workers > 0 {
+			wantWorkers = o.Workers
+		}
+		if w := opts.Normalized().Workers; w != wantWorkers {
+			t.Fatalf("%+v lowers to %d workers, want %d", o, w, wantWorkers)
+		}
+	}
+	var all Options
+	allKeys := map[string]bool{}
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		fieldKeys, ok := keys[name]
+		if !ok {
+			t.Fatalf("Options.%s: no expected DiffFrom keys; add its row to keys", name)
+		}
+		want := map[string]bool{}
+		for _, k := range fieldKeys {
+			want[k], allKeys[k] = true, true
+		}
+		t.Run(name, func(t *testing.T) {
+			var o Options
+			setField(t, &o, i)
+			check(t, o, want)
+		})
+		setField(t, &all, i)
+	}
+	t.Run("all", func(t *testing.T) { check(t, all, allKeys) })
+
+	for _, tgt := range Targets() {
+		for _, tc := range []struct {
+			name string
+			fn   Option
+			wire Options
+		}{
+			{"WithSeed(0)", WithSeed(0), Options{SeedSet: true}},
+			{"WithIterations(0)", WithIterations(0), Options{IterationsSet: true}},
+			{"WithWorkers(3)", WithWorkers(3), Options{Workers: 3}},
+			{"WithMergeEvery(8)", WithMergeEvery(8), Options{MergeEvery: 8}},
+		} {
+			c, err := New(tgt, tc.fn)
+			if err != nil {
+				t.Fatalf("New(%q, %s): %v", tgt, tc.name, err)
+			}
+			tc.wire.Target = tgt
+			if want := coreOptions(t, tc.wire); !reflect.DeepEqual(c.opts, want) {
+				t.Errorf("New(%q, %s) lowers to %+v, its wire form %+v to %+v", tgt, tc.name, c.opts, tc.wire, want)
+			}
+		}
 	}
 }
 
