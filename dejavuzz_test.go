@@ -230,10 +230,7 @@ func TestSessionPauseFlow(t *testing.T) {
 			break
 		}
 	}
-	ck, err := session.Pause()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := session.Pause()
 	rep, werr := session.Wait()
 	if ck == nil {
 		// Completed before the barrier: Wait must deliver the full report.
@@ -432,60 +429,5 @@ func TestSessionOnISATarget(t *testing.T) {
 	}
 	if rep.Options.Target != "isasim" {
 		t.Errorf("report target %q", rep.Options.Target)
-	}
-}
-
-// TestSessionSubscribeFanOut proves the multi-subscriber event fan-out:
-// two subscribers and the primary Events channel each observe the
-// session's full deterministic stream, cancel detaches a subscriber, and
-// subscribing after the session ends yields a closed channel.
-func TestSessionSubscribeFanOut(t *testing.T) {
-	c, err := New("isasim", WithSeed(3), WithIterations(32), WithMergeEvery(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generous buffers: subscribers are lossy only past their buffer.
-	sub1, cancel1 := s.Subscribe(1024)
-	sub2, cancel2 := s.Subscribe(1024)
-	defer cancel1()
-	cancel2() // detached before any event: must observe nothing
-
-	var primary, fanned []EventKind
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range sub1 {
-			fanned = append(fanned, ev.Kind)
-		}
-	}()
-	for ev := range s.Events() {
-		primary = append(primary, ev.Kind)
-	}
-	<-done
-
-	if len(primary) == 0 || primary[len(primary)-1] != EventDone {
-		t.Fatalf("primary stream malformed: %v", primary)
-	}
-	if len(fanned) != len(primary) {
-		t.Fatalf("subscriber saw %d events, primary %d", len(fanned), len(primary))
-	}
-	for i := range primary {
-		if fanned[i] != primary[i] {
-			t.Fatalf("event %d: subscriber %v vs primary %v", i, fanned[i], primary[i])
-		}
-	}
-	for range sub2 {
-		t.Fatal("cancelled subscriber received an event")
-	}
-
-	// Late subscription: closed channel, no hang.
-	late, cancelLate := s.Subscribe(0)
-	defer cancelLate()
-	if _, ok := <-late; ok {
-		t.Fatal("post-session subscription delivered an event")
 	}
 }

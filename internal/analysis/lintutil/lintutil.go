@@ -1,11 +1,12 @@
-// Package lintutil carries the two pieces every determinism analyzer
-// shares: the determinism-relevant package scope and the `//dvz:<name>`
-// waiver-directive comments.
+// Package lintutil carries the pieces the determinism analyzers share: the
+// determinism-relevant package scope, the `//dvz:<name>` waiver-directive
+// comments and the *rand.Rand type test.
 package lintutil
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -82,4 +83,22 @@ func (d *Directives) At(pos token.Pos) (justification string, ok bool) {
 		return j, true
 	}
 	return "", false
+}
+
+// IsRandRand reports whether t is math/rand's or math/rand/v2's Rand, or
+// a pointer to one.
+func IsRandRand(t types.Type) bool {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	if obj.Pkg() == nil || obj.Name() != "Rand" {
+		return false
+	}
+	path := obj.Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }

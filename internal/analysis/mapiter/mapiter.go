@@ -102,7 +102,7 @@ func unwaivable(pass *analysis.Pass, body *ast.BlockStmt) string {
 		if !ok {
 			return true
 		}
-		if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal && isRandRand(s.Recv()) {
+		if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal && lintutil.IsRandRand(s.Recv()) {
 			reason = "feeds a *rand.Rand"
 			return false
 		}
@@ -116,22 +116,6 @@ func unwaivable(pass *analysis.Pass, body *ast.BlockStmt) string {
 		return true
 	})
 	return reason
-}
-
-func isRandRand(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Name() != "Rand" {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "math/rand" || path == "math/rand/v2"
 }
 
 // insensitive reports whether the map loop is provably order-insensitive:

@@ -57,7 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			st := n.(*ast.StructType)
 			for _, field := range st.Fields.List {
 				t := pass.TypesInfo.TypeOf(field.Type)
-				if t == nil || !isRandRand(t) {
+				if t == nil || !lintutil.IsRandRand(t) {
 					continue
 				}
 				if just, ok := waivers.At(field.Pos()); ok {
@@ -75,7 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	ins.Preorder([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node) {
 		gs := n.(*ast.GoStmt)
 		for _, arg := range gs.Call.Args {
-			if t := pass.TypesInfo.TypeOf(arg); t != nil && isRandRand(t) {
+			if t := pass.TypesInfo.TypeOf(arg); t != nil && lintutil.IsRandRand(t) {
 				pass.Reportf(arg.Pos(), "*rand.Rand passed to a goroutine; shard RNG streams are single-goroutine — pass a seed and derive a stream instead")
 			}
 		}
@@ -89,7 +89,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return true
 			}
 			obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
-			if !ok || !isRandRand(obj.Type()) || obj.IsField() {
+			if !ok || !lintutil.IsRandRand(obj.Type()) || obj.IsField() {
 				return true
 			}
 			if obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() {
@@ -100,20 +100,4 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		})
 	})
 	return nil, nil
-}
-
-func isRandRand(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Name() != "Rand" {
-		return false
-	}
-	path := obj.Pkg().Path()
-	return path == "math/rand" || path == "math/rand/v2"
 }

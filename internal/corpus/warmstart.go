@@ -71,16 +71,6 @@ func (st *Store) View(target, fingerprint string, families []string) Snapshot {
 	return snap
 }
 
-// splitMix64 is the standard SplitMix64 step — the same deterministic
-// stream primitive the generator's seeding uses — so warm-start selection
-// needs no math/rand state.
-func splitMix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // WarmStart resolves a warm-start set for a campaign: the top max entries
 // of the snapshot by evidence (the order the class cap keeps), in
 // an order shuffled deterministically from (snapshot ID, campaign seed),
@@ -112,7 +102,7 @@ func (st *Store) WarmStart(target, fingerprint string, families []string, campai
 	h.Write([]byte(snap.ID))
 	x := h.Sum64() ^ uint64(campaignSeed)
 	for i := len(ranked) - 1; i > 0; i-- {
-		x = splitMix64(x)
+		x = gen.SplitMix64(x)
 		j := int(x % uint64(i+1))
 		ranked[i], ranked[j] = ranked[j], ranked[i]
 	}

@@ -226,9 +226,10 @@ func (g *Generator) buildRand(seed int64) *rand.Rand {
 	return g.brng
 }
 
-// splitMix64 is the SplitMix64 finaliser, used to derive statistically
-// independent per-shard streams from one campaign seed.
-func splitMix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 finaliser, used to derive statistically
+// independent per-shard streams from one campaign seed and, in the corpus,
+// to shuffle a warm-start set without math/rand state.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -239,7 +240,7 @@ func splitMix64(x uint64) uint64 {
 // same campaign get decorrelated streams, and the mapping depends only on
 // (campaign seed, shard id) — never on worker count or scheduling.
 func ShardSeed(campaignSeed int64, shard int) int64 {
-	return int64(splitMix64(uint64(campaignSeed)*0x9e3779b97f4a7c15 + uint64(shard) + 1))
+	return int64(SplitMix64(uint64(campaignSeed)*0x9e3779b97f4a7c15 + uint64(shard) + 1))
 }
 
 // EpochShardSeed derives the RNG seed for one (shard, epoch) cell of a
@@ -249,7 +250,7 @@ func ShardSeed(campaignSeed int64, shard int) int64 {
 // the barrier-merged state, so a campaign checkpointed at a barrier resumes
 // byte-identically without serialising RNG internals.
 func EpochShardSeed(campaignSeed int64, shard, epoch int) int64 {
-	return int64(splitMix64(uint64(ShardSeed(campaignSeed, shard)) + splitMix64(uint64(epoch)+0x51ed)))
+	return int64(SplitMix64(uint64(ShardSeed(campaignSeed, shard)) + SplitMix64(uint64(epoch)+0x51ed)))
 }
 
 // NewEpochShard returns the deterministic generator for one shard epoch.

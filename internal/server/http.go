@@ -240,13 +240,13 @@ func toWireEvent(ev dejavuzz.Event) wireEvent {
 	return we
 }
 
-// handleEvents streams a campaign's live session events. The default
-// framing is NDJSON (one event object per line); clients sending
-// Accept: text/event-stream get Server-Sent Events instead. Every stream
-// opens with a "status" snapshot, so subscribing to a finished (or queued)
-// campaign yields exactly that one frame. Delivery is best-effort live
-// observation — the server's own triage/status consumption is lossless
-// independently of any stream.
+// handleEvents streams a campaign's live session events, as the server
+// relays them (see Subscribe). The default framing is NDJSON (one event
+// object per line); clients sending Accept: text/event-stream get
+// Server-Sent Events instead. Every stream opens with a "status" snapshot,
+// so subscribing to a finished (or queued) campaign yields exactly that one
+// frame. Delivery is best-effort live observation — the server's own
+// triage/status consumption is lossless independently of any stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	rec, ch, cancelSub, err := s.Subscribe(r.PathValue("id"))
 	if err != nil {
@@ -406,7 +406,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, r := range st.Running {
 			fmt.Fprintf(w, "dvz_campaign_iterations{id=%q} %d\n", r.ID, r.Done)
 		}
-		fmt.Fprintf(w, "# HELP dvz_campaign_events_dropped Per-campaign events dropped on best-effort subscriber buffers.\n")
+		fmt.Fprintf(w, "# HELP dvz_campaign_events_dropped Per-campaign events missed by its event streams over the campaign's lifetime.\n")
 		for _, r := range st.Running {
 			fmt.Fprintf(w, "dvz_campaign_events_dropped{id=%q} %d\n", r.ID, r.Dropped)
 		}
@@ -414,6 +414,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP dvz_findings_raw_total Raw findings before triage.\ndvz_findings_raw_total %d\n", st.RawFindings)
 	fmt.Fprintf(w, "# HELP dvz_findings_bugs Deduplicated triaged bugs.\ndvz_findings_bugs %d\n", st.TriagedBugs)
 	fmt.Fprintf(w, "# HELP dvz_corpus_entries Persistent cross-campaign corpus entries.\ndvz_corpus_entries %d\n", st.CorpusEntries)
-	fmt.Fprintf(w, "# HELP dvz_events_dropped_total Events dropped on best-effort subscriber buffers, all sessions.\ndvz_events_dropped_total %d\n", st.DroppedEvents)
+	fmt.Fprintf(w, "# HELP dvz_events_dropped_total Events missed by event streams, all campaigns.\ndvz_events_dropped_total %d\n", st.DroppedEvents)
 	fmt.Fprintf(w, "# HELP dvz_persist_errors_total Failed writes of findings, corpus, registry, checkpoint autosaves and reports.\ndvz_persist_errors_total %d\n", st.PersistErrors)
 }

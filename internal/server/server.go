@@ -19,9 +19,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,13 +120,18 @@ type registryFile struct {
 
 // campaign is the server-side state of one campaign.
 type campaign struct {
-	rec     Record
-	sess    *dejavuzz.Session
+	rec Record
+	// cancel stops the running session; it is nil while the campaign is
+	// parked, queued or still launching.
 	cancel  context.CancelFunc
 	workers int // budget slots held while running
 	// pending holds the findings of the barrier being absorbed until its
 	// epoch event; only the run goroutine touches it.
 	pending []dejavuzz.Finding
+	// streams are the open event streams relay feeds, and dropped counts
+	// the events they missed over the campaign's lifetime.
+	streams []chan dejavuzz.Event
+	dropped int64
 
 	// runStarted/startDone anchor the current run's throughput gauge:
 	// iterations completed since the session (re)started over the wall
@@ -165,7 +172,7 @@ type Server struct {
 	nextID    int      // the highest c<N> listed; Create hands out the next
 	queue     []string // FIFO admission queue of campaign IDs
 	inUse     int      // worker slots held by running campaigns
-	dropped   int64    // best-effort subscriber drops from finished sessions
+	dropped   int64    // events missed by event streams, all campaigns
 	closed    bool
 	wg        sync.WaitGroup // live campaign goroutines
 }
@@ -187,7 +194,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	logger := cfg.Log
 	if logger == nil {
-		logger = log.New(nullWriter{}, "", 0)
+		logger = log.New(io.Discard, "", 0)
 	}
 	store, err := triage.Open(filepath.Join(cfg.StateDir, "findings.json"))
 	if err != nil {
@@ -215,10 +222,6 @@ func Open(cfg Config) (*Server, error) {
 	s.mu.Unlock()
 	return s, nil
 }
-
-type nullWriter struct{}
-
-func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // loadRegistry restores campaigns.json and re-queues interrupted work.
 func (s *Server) loadRegistry() error {
@@ -389,9 +392,9 @@ func (s *Server) schedule() {
 
 // run executes one campaign from launch to its next terminal or parked
 // state: it builds the session (resuming from the on-disk checkpoint when
-// one exists), drains the authoritative event stream into the record and
-// the triage store, and on exit releases the worker slots and persists the
-// outcome.
+// one exists), relays each session event to the campaign's event streams
+// and absorbs it into the record and the stores, and on exit releases the
+// worker slots and persists the outcome.
 func (s *Server) run(cs *campaign) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -438,7 +441,6 @@ func (s *Server) run(cs *campaign) {
 	}
 
 	s.mu.Lock()
-	cs.sess = sess
 	cs.cancel = cancel
 	cs.runStarted = time.Now()
 	cs.startDone = cs.rec.Done
@@ -461,6 +463,7 @@ func (s *Server) run(cs *campaign) {
 	}
 
 	for ev := range sess.Events() {
+		s.relay(cs, ev)
 		s.absorb(cs, ev)
 	}
 	// A stopping session may drop a barrier's epoch event after its
@@ -472,6 +475,27 @@ func (s *Server) run(cs *campaign) {
 	}
 	rep, _ := sess.Wait()
 	s.finish(cs, rep, nil)
+}
+
+// streamBuffer is each event stream's buffer. A client more than this many
+// events behind misses events rather than holding up the campaign's run
+// goroutine, which relays to every stream under the server lock.
+const streamBuffer = 256
+
+// relay passes one session event to the campaign's open streams. A stream
+// whose buffer is full misses it, and the miss counts for the campaign and
+// the server.
+func (s *Server) relay(cs *campaign, ev dejavuzz.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ch := range cs.streams {
+		select {
+		case ch <- ev:
+		default:
+			cs.dropped++
+			s.dropped++
+		}
+	}
 }
 
 // absorb folds one session event into the campaign record and the
@@ -582,12 +606,10 @@ func (s *Server) finish(cs *campaign, rep *dejavuzz.Report, launchErr error) {
 	defer s.mu.Unlock()
 	s.inUse -= cs.workers
 	cs.workers = 0
-	if cs.sess != nil {
-		// Fold the session's best-effort subscriber drop count into the
-		// server-lifetime total before the session handle goes away.
-		s.dropped += cs.sess.DroppedEvents()
+	for _, ch := range cs.streams {
+		close(ch)
 	}
-	cs.sess = nil
+	cs.streams = nil
 	cs.cancel = nil
 	stop := cs.rec.Stopping
 	cs.rec.Stopping = ""
@@ -751,10 +773,13 @@ func (s *Server) dequeueLocked(id string) {
 	}
 }
 
-// Subscribe attaches a live event observer to a campaign's session (see
-// dejavuzz.Session.Subscribe). The record snapshot is returned alongside;
-// for campaigns that are not running, the channel is nil and the snapshot
-// is all there is to stream.
+// Subscribe opens an event stream on a running campaign: from now on, the
+// campaign's run goroutine relays each session event to it, in session
+// order, unless the stream is more than streamBuffer events behind. The
+// stream closes when the session ends; the returned func closes it sooner
+// (always call it). The record snapshot is returned alongside; for a
+// campaign that is not running, the channel is nil and the snapshot is all
+// there is to stream.
 func (s *Server) Subscribe(id string) (Record, <-chan dejavuzz.Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -762,11 +787,19 @@ func (s *Server) Subscribe(id string) (Record, <-chan dejavuzz.Event, func(), er
 	if !ok {
 		return Record{}, nil, nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if cs.sess == nil {
+	if cs.cancel == nil {
 		return cs.rec, nil, func() {}, nil
 	}
-	ch, cancel := cs.sess.Subscribe(0)
-	return cs.rec, ch, cancel, nil
+	ch := make(chan dejavuzz.Event, streamBuffer)
+	cs.streams = append(cs.streams, ch)
+	return cs.rec, ch, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if i := slices.Index(cs.streams, ch); i >= 0 {
+			cs.streams = slices.Delete(cs.streams, i, i+1)
+			close(ch)
+		}
+	}, nil
 }
 
 // Report loads a completed campaign's report from the state directory.
@@ -814,7 +847,7 @@ func (s *Server) Findings(target, scenario string) (bugs []triage.Bug, raw int) 
 
 // CampaignRate is one running campaign's throughput gauge: iterations
 // completed since its session (re)started over the wall clock since then,
-// plus the session's best-effort subscriber drop count.
+// plus the events missed by its event streams over the campaign's lifetime.
 type CampaignRate struct {
 	ID          string
 	Done        int
@@ -834,8 +867,8 @@ type Stats struct {
 	TriagedBugs   int
 	// CorpusEntries is the persistent cross-campaign corpus size.
 	CorpusEntries int
-	// DroppedEvents counts events dropped across all best-effort session
-	// subscriber buffers, live sessions plus finished ones.
+	// DroppedEvents counts the events missed by event streams, all
+	// campaigns since Open.
 	DroppedEvents int64
 	// PersistErrors counts failed writes of durable state since Open.
 	PersistErrors int64
@@ -863,13 +896,8 @@ func (s *Server) Snapshot() Stats {
 			if elapsed := time.Since(cs.runStarted).Seconds(); elapsed > 0 {
 				rate = float64(cs.rec.Done-cs.startDone) / elapsed
 			}
-			dropped := int64(0)
-			if cs.sess != nil {
-				dropped = cs.sess.DroppedEvents()
-			}
-			st.DroppedEvents += dropped
 			st.Running = append(st.Running, CampaignRate{
-				ID: cs.rec.ID, Done: cs.rec.Done, ItersPerSec: rate, Dropped: dropped,
+				ID: cs.rec.ID, Done: cs.rec.Done, ItersPerSec: rate, Dropped: cs.dropped,
 			})
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,6 +86,26 @@ func getReport(t *testing.T, base, id string) *dejavuzz.Report {
 		t.Fatal(err)
 	}
 	return decodeBody[*dejavuzz.Report](t, resp, http.StatusOK)
+}
+
+// metric reads one unlabelled value from /metrics, returning the page too
+// for failure messages.
+func metric(t *testing.T, base, name string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page bytes.Buffer
+	page.ReadFrom(resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ := strconv.Atoi(v)
+			return n, page.String()
+		}
+	}
+	return 0, page.String()
 }
 
 // reportJSON canonicalises a report for byte comparison, zeroing the
@@ -400,21 +421,8 @@ func TestServerPersistFailureDegradesHealth(t *testing.T) {
 	if health["status"] != "degraded" {
 		t.Fatalf("healthz status %v, want degraded", health["status"])
 	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics bytes.Buffer
-	metrics.ReadFrom(resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	failed := 0
-	for _, line := range strings.Split(metrics.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "dvz_persist_errors_total "); ok {
-			failed, _ = strconv.Atoi(v)
-		}
-	}
-	if failed == 0 {
-		t.Fatalf("dvz_persist_errors_total is not above 0:\n%s", metrics.String())
+	if failed, page := metric(t, ts.URL, "dvz_persist_errors_total"); failed == 0 {
+		t.Fatalf("dvz_persist_errors_total is not above 0:\n%s", page)
 	}
 }
 
@@ -575,5 +583,154 @@ func TestStoresIndependentOfBudget(t *testing.T) {
 	}
 	if serialFrontier != interleavedFrontier {
 		t.Errorf("frontier %s at budget 1, %s at budget 2", serialFrontier, interleavedFrontier)
+	}
+}
+
+// subscribe opens an event stream on a campaign as soon as it runs.
+func subscribe(t *testing.T, srv *Server, id string) (<-chan dejavuzz.Event, func()) {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		rec, ch, cancel, err := srv.Subscribe(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch != nil {
+			return ch, cancel
+		}
+		if rec.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("campaign %s never ran: %+v", id, rec)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// next receives one event from a stream; ok is false once it is closed.
+func next(t *testing.T, ch <-chan dejavuzz.Event) (ev dejavuzz.Event, ok bool) {
+	t.Helper()
+	select {
+	case ev, ok = <-ch:
+		return ev, ok
+	case <-time.After(120 * time.Second):
+		t.Fatal("event stream stalled")
+		return ev, false
+	}
+}
+
+// TestServerEventRelay: the run goroutine relays each session event to the
+// campaign's open streams. A stream cancelled before its first event
+// receives nothing; a drained stream receives a gap-free suffix of the
+// campaign's deterministic stream, ending in done, and then closes; a parked
+// campaign opens no stream.
+func TestServerEventRelay(t *testing.T) {
+	srv, err := Open(Config{StateDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	o := dejavuzz.Options{Target: "boom", Seed: 7, SeedSet: true, Iterations: 256, IterationsSet: true, MergeEvery: 16}
+	rec, err := srv.Create("relay", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := subscribe(t, srv, rec.ID)
+	defer cancel()
+
+	type step struct {
+		kind dejavuzz.EventKind
+		done int
+	}
+	var got []step
+	// Read to the end of a barrier: checkpoint-saved is the last event a
+	// barrier emits, so the next relay is a barrier's simulation away and
+	// a stream opened and cancelled now is sent nothing.
+	for {
+		ev, ok := next(t, ch)
+		if !ok {
+			t.Fatal("stream closed before a barrier's checkpoint-saved")
+		}
+		got = append(got, step{ev.Kind, ev.Done})
+		if ev.Kind == dejavuzz.EventCheckpointSaved {
+			break
+		}
+	}
+	_, early, cancelEarly, err := srv.Subscribe(rec.ID)
+	if err != nil || early == nil {
+		t.Fatalf("second stream on the running campaign: %v, channel %v", err, early)
+	}
+	cancelEarly()
+	for {
+		ev, ok := next(t, ch)
+		if !ok {
+			break
+		}
+		got = append(got, step{ev.Kind, ev.Done})
+	}
+	for ev := range early {
+		t.Errorf("stream cancelled before its first event received %s at %d", ev.Kind, ev.Done)
+	}
+
+	c, err := o.Campaign(dejavuzz.WithCheckpointFile(filepath.Join(t.TempDir(), "ref.ckpt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []step
+	for ev := range sess.Events() {
+		want = append(want, step{ev.Kind, ev.Done})
+	}
+	if len(got) > len(want) {
+		t.Fatalf("stream carried %d events, the in-process session %d", len(got), len(want))
+	}
+	if tail := want[len(want)-len(got):]; !slices.Equal(got, tail) {
+		t.Fatalf("stream is not a suffix of the session's events:\n got %v\nwant %v", got, tail)
+	}
+	if got[len(got)-1].kind != dejavuzz.EventDone {
+		t.Fatalf("stream ended in %s, want done", got[len(got)-1].kind)
+	}
+
+	parked, none, cancelParked, err := srv.Subscribe(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelParked()
+	if parked.State != StateDone || none != nil {
+		t.Fatalf("after its stream closed: campaign %s, Subscribe channel %v; want done and a nil channel", parked.State, none)
+	}
+}
+
+// TestServerRelayDropsCounted: a stream never drained misses what its
+// buffer cannot hold, the misses are counted in Snapshot and /metrics, and
+// the server's own absorption of the campaign loses nothing.
+func TestServerRelayDropsCounted(t *testing.T) {
+	srv, ts := openTestServer(t, t.TempDir(), 1)
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	rec := createCampaign(t, ts.URL, `{"options":{"target":"boom","seed":11,"iterations":512,"merge_every":4}}`)
+	stalled, cancel := subscribe(t, srv, rec.ID)
+	defer cancel()
+	fin := pollRecord(t, ts.URL, rec.ID, "done", func(r Record) bool { return r.State == StateDone })
+
+	if n := len(stalled); n != streamBuffer {
+		t.Errorf("undrained stream holds %d events, want its full buffer of %d", n, streamBuffer)
+	}
+	if d := srv.Snapshot().DroppedEvents; d == 0 {
+		t.Error("Snapshot counts no dropped events")
+	}
+	if dropped, page := metric(t, ts.URL, "dvz_events_dropped_total"); dropped == 0 {
+		t.Errorf("dvz_events_dropped_total is not above 0:\n%s", page)
+	}
+
+	rep := getReport(t, ts.URL, rec.ID)
+	resp, err := http.Get(ts.URL + "/findings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := decodeBody[findingsResponse](t, resp, http.StatusOK)
+	if view.RawFindings != len(rep.Findings) || fin.Findings != len(rep.Findings) {
+		t.Errorf("raw_findings %d and record findings %d, want the report's %d",
+			view.RawFindings, fin.Findings, len(rep.Findings))
 	}
 }

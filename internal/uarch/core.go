@@ -459,13 +459,8 @@ func (c *Core) commitEntry(e *robEntry) {
 			c.writeArch(in.Rd, false, e.val, e.taint)
 		}
 	case isa.ClassSystem:
+		// ecall and ebreak never get here: commitStage drains them as traps.
 		switch in.Op {
-		case isa.OpEcall:
-			c.raiseTrap(isasim.Trap{Cause: isasim.CauseEnvCall, EPC: e.pc})
-			return
-		case isa.OpEbreak:
-			c.raiseTrap(isasim.Trap{Cause: isasim.CauseBreakpoint, EPC: e.pc})
-			return
 		case isa.OpCsrrw, isa.OpCsrrs, isa.OpCsrrc:
 			if in.Rd != 0 {
 				c.writeArch(in.Rd, false, e.val, e.taint)

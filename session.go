@@ -37,26 +37,20 @@ func New(target string, opts ...Option) (*Campaign, error) {
 // Target returns the campaign's design under test.
 func (c *Campaign) Target() Target { return c.target }
 
-// Run executes the campaign to completion and returns its report — the
-// blocking convenience path. Reports are deterministic in the campaign's
-// options: Workers only changes wall time. WithCheckpointFile is honoured
-// here too: Run drives a session internally, so barriers autosave exactly
-// as they do under Start.
+// Run executes the campaign to completion and returns its report: it runs a
+// session (Start), drains its events and waits for it. Reports are
+// deterministic in the campaign's options: Workers only changes wall time.
+// With WithCheckpointFile, barriers autosave as they do under Start.
 func (c *Campaign) Run() *Report {
-	var rep *Report
-	if c.ckptPath != "" {
-		// The context is never cancelled, so the session always completes
-		// and Wait cannot return an error.
-		s, err := c.Start(context.Background())
-		if err != nil {
-			panic(err) // unreachable: launch errors only on resume
-		}
-		for range s.Events() {
-		}
-		rep, _ = s.Wait()
-	} else {
-		rep = core.NewFuzzer(c.opts).Run()
+	// The context is never cancelled, so the session always completes and
+	// Wait cannot return an error.
+	s, err := c.Start(context.Background())
+	if err != nil {
+		panic(err) // unreachable: launch errors only on resume
 	}
+	for range s.Events() {
+	}
+	rep, _ := s.Wait()
 	return rep
 }
 
@@ -167,105 +161,6 @@ type Session struct {
 	report *Report
 	ckpt   *Checkpoint
 	err    error
-
-	// Fan-out observers (Subscribe). Guarded by subMu, not mu: broadcast
-	// runs on the engine goroutine at every event and must never contend
-	// with Wait/Checkpoint holders of mu.
-	subMu      sync.Mutex
-	subs       map[int]chan Event
-	nextSub    int
-	subsClosed bool
-	// dropped counts the events shed across all best-effort subscriber
-	// buffers over the session's lifetime (see Subscribe: the engine never
-	// blocks on an observer), including buffers of subscribers that have
-	// since unsubscribed. Guarded by subMu. /metrics exposes it so silent
-	// SSE loss under load is observable.
-	dropped int64
-}
-
-// defaultSubscriberBuffer is the Subscribe channel buffer when the caller
-// passes a non-positive size.
-const defaultSubscriberBuffer = 256
-
-// Subscribe registers an additional observer of the session's event stream
-// and returns its channel plus a cancel function that unsubscribes (always
-// call it when done, or the subscription lives until the session ends).
-//
-// Subscribers are independent of the primary Events channel and of each
-// other: every event is delivered to the primary stream and to every
-// subscriber, so any number of consumers — a progress bar, an HTTP event
-// stream per client, a findings recorder — can watch one session without
-// splitting events between them. A subscription observes events from the
-// moment it is taken; earlier events are not replayed.
-//
-// Delivery to subscribers is best-effort: the engine never blocks on an
-// observer, so a subscriber that falls more than buf events behind misses
-// the overflow (the primary Events channel keeps the lossless guarantee —
-// use it for authoritative consumption). The channel closes when the
-// session ends or the subscription is cancelled; a Subscribe after the
-// session ended returns an already-closed channel.
-func (s *Session) Subscribe(buf int) (<-chan Event, func()) {
-	if buf <= 0 {
-		buf = defaultSubscriberBuffer
-	}
-	ch := make(chan Event, buf)
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.subsClosed {
-		close(ch)
-		return ch, func() {}
-	}
-	if s.subs == nil {
-		s.subs = make(map[int]chan Event)
-	}
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = ch
-	return ch, func() {
-		s.subMu.Lock()
-		defer s.subMu.Unlock()
-		if c, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(c)
-		}
-	}
-}
-
-// broadcast fans one event out to every subscriber, dropping it for
-// subscribers whose buffers are full (see Subscribe).
-func (s *Session) broadcast(ev Event) {
-	s.subMu.Lock()
-	//dvz:ordered each subscriber's own stream stays in emit order; which subscriber is offered the event first is unobservable (per-channel buffers are independent) and the drop counter is a commutative increment
-	for _, ch := range s.subs {
-		select {
-		case ch <- ev:
-		default:
-			s.dropped++
-		}
-	}
-	s.subMu.Unlock()
-}
-
-// DroppedEvents reports how many events the session has shed across all
-// best-effort subscriber buffers over its lifetime (0 while every
-// subscriber keeps up). The primary Events channel is lossless and never
-// contributes here.
-func (s *Session) DroppedEvents() int64 {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return s.dropped
-}
-
-// closeSubs ends every subscription; later Subscribes get closed channels.
-func (s *Session) closeSubs() {
-	s.subMu.Lock()
-	s.subsClosed = true
-	//dvz:ordered closes and forgets every subscriber channel; close order across independent channels is unobservable
-	for id, ch := range s.subs {
-		delete(s.subs, id)
-		close(ch)
-	}
-	s.subMu.Unlock()
 }
 
 // emit delivers one event from the engine goroutine. The buffer normally
@@ -275,7 +170,6 @@ func (s *Session) closeSubs() {
 // wedging the stopping engine (the channel still closes, so consumers
 // never hang).
 func (s *Session) emit(ctx context.Context, ev Event) {
-	s.broadcast(ev)
 	select {
 	case s.events <- ev:
 		return
@@ -393,18 +287,19 @@ func (c *Campaign) launch(ctx context.Context, state *core.EngineState) (*Sessio
 				Done: done, Total: total, Coverage: len(st.Coverage)})
 		}
 		close(s.events)
-		s.closeSubs()
 		close(s.done)
 	}()
 	return s, nil
 }
 
-// Events returns the session's event stream. Events are emitted at the
-// engine's deterministic merge barriers — the same options always produce
-// the same stream — and the channel closes after EventDone. Consumers may
-// read lazily or not at all: the engine never blocks on the channel while
-// the campaign's event count fits the session buffer (see maxEventBuffer);
-// for longer campaigns, drain the stream (or cancel the context).
+// Events returns the session's event stream, its only one: a caller that
+// wants several observers fans it out itself (dvz-server relays it to each
+// HTTP client). Events are emitted at the engine's deterministic merge
+// barriers — the same options always produce the same stream — and the
+// channel closes after EventDone. Consumers may read lazily or not at all:
+// the engine never blocks on the channel while the campaign's event count
+// fits the session buffer (see maxEventBuffer); for longer campaigns, drain
+// the stream (or cancel the context).
 func (s *Session) Events() <-chan Event { return s.events }
 
 // Done is closed when the session ends (completed or interrupted).
@@ -424,14 +319,12 @@ func (s *Session) Wait() (*Report, error) {
 }
 
 // Pause stops the session at the next merge barrier and returns its
-// resumable checkpoint. A nil checkpoint (and nil error) means the campaign
-// completed before the barrier; its report is available from Wait.
-func (s *Session) Pause() (*Checkpoint, error) {
+// resumable checkpoint. A nil checkpoint means the campaign completed before
+// the barrier; its report is available from Wait.
+func (s *Session) Pause() *Checkpoint {
 	s.cancel()
 	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckpt, nil
+	return s.Checkpoint()
 }
 
 // Checkpoint returns the session's resume state: non-nil only after an

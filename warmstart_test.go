@@ -195,37 +195,3 @@ func TestNewRejectsWarmSeedOutsideScenarios(t *testing.T) {
 		t.Errorf("Campaign accepted a warm seed with a negative WindowLen, or did not name the field: %v", err)
 	}
 }
-
-// TestSessionDroppedEventsCounter: a subscriber that never drains its
-// 1-slot buffer forces best-effort drops, which the session counts; the
-// lossless primary stream is unaffected.
-func TestSessionDroppedEventsCounter(t *testing.T) {
-	c, err := New("boom", WithSeed(11), WithIterations(64), WithMergeEvery(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, err := c.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	laggy, cancelSub := session.Subscribe(1)
-	defer cancelSub()
-
-	events := 0
-	for range session.Events() {
-		events++
-	}
-	if _, err := session.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if dropped := session.DroppedEvents(); dropped == 0 {
-		t.Error("no drops counted despite an undrained 1-slot subscriber")
-	} else if int(dropped) >= events {
-		t.Errorf("counted %d drops but only %d events streamed", dropped, events)
-	}
-	// The one buffered event (plus the drop accounting) is all the laggy
-	// subscriber ever got.
-	if got := len(laggy); got != 1 {
-		t.Errorf("laggy subscriber buffer holds %d events, want 1", got)
-	}
-}
