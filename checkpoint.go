@@ -25,8 +25,9 @@ func (c *Checkpoint) Progress() (done, total int) {
 	return c.state.NextIter, c.state.Options.Iterations
 }
 
-// MarshalJSON serialises the engine snapshot.
-func (c *Checkpoint) MarshalJSON() ([]byte, error) { return json.Marshal(c.state) }
+// MarshalJSON serialises the engine snapshot (core.EngineState.MarshalJSON,
+// already compact).
+func (c *Checkpoint) MarshalJSON() ([]byte, error) { return c.state.MarshalJSON() }
 
 // UnmarshalJSON restores the engine snapshot.
 func (c *Checkpoint) UnmarshalJSON(data []byte) error {
@@ -41,15 +42,16 @@ func (c *Checkpoint) UnmarshalJSON(data []byte) error {
 // Save atomically writes the checkpoint to path (write temp + rename), so
 // an interrupted save never truncates a previously saved checkpoint.
 func (c *Checkpoint) Save(path string) error {
-	// Compact encoding: checkpoints carry the full iteration history, so
-	// indentation would roughly double an already large machine artifact.
-	// MarshalJSON already returns compact JSON; json.Marshal(c) would only
-	// re-scan and copy the megabytes it wrote, yielding the same bytes.
-	data, err := c.MarshalJSON()
+	// The bytes are MarshalJSON's, written as the encoder's pieces without
+	// joining them. A snapshot taken by a campaign encodes only the
+	// iteration and finding records no earlier save of that campaign
+	// encoded, so saving at every barrier costs encoding linear in the
+	// campaign; the file itself still restates the whole history.
+	pieces, err := c.state.JSONPieces()
 	if err != nil {
 		return fmt.Errorf("dejavuzz: encode checkpoint: %w", err)
 	}
-	if err := atomicfile.Write(path, data); err != nil {
+	if err := atomicfile.Write(path, pieces...); err != nil {
 		return fmt.Errorf("dejavuzz: write checkpoint: %w", err)
 	}
 	return nil
@@ -62,8 +64,10 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dejavuzz: read checkpoint: %w", err)
 	}
+	// One pass: UnmarshalJSON validates and decodes, where json.Unmarshal
+	// would validate and skip the bytes before calling it.
 	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
+	if err := ck.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("dejavuzz: parse checkpoint %s: %w", path, err)
 	}
 	// Engine states always carry a resolved target; its absence means the

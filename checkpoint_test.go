@@ -5,9 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"dejavuzz/internal/core"
 )
 
 // fuzzCampaigns are the campaigns FuzzLoadCheckpoint resumes into, keyed
@@ -33,9 +39,24 @@ func mustCampaign(tb testing.TB, target string, opts ...Option) *Campaign {
 	return c
 }
 
-// TestCheckpointSaveMatchesMarshal pins Save's one-pass encode: the file it
-// writes is byte-identical to json.Marshal of the checkpoint, which
-// re-compacts MarshalJSON's output.
+// referenceState is core.EngineState without its methods: json.Marshal of
+// it is the reflection encoding, the reference every checkpoint file must
+// equal byte for byte.
+type referenceState core.EngineState
+
+func referenceJSON(tb testing.TB, ck *Checkpoint) []byte {
+	tb.Helper()
+	data, err := json.Marshal((*referenceState)(ck.state))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointSaveMatchesMarshal pins Save's encoding: the file it writes
+// is byte-identical to json.Marshal of the checkpoint, which compacts
+// MarshalJSON's output, and to the reference encoding. A zero Checkpoint
+// saves null, which LoadCheckpoint refuses.
 func TestCheckpointSaveMatchesMarshal(t *testing.T) {
 	for _, fc := range fuzzCampaigns {
 		ck := midCampaignCheckpoint(t, mustCampaign(t, fc.target, fc.opts...), fc.stop)
@@ -54,36 +75,141 @@ func TestCheckpointSaveMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: Save wrote %d bytes that differ from json.Marshal's %d", fc.target, len(got), len(want))
 		}
+		if ref := referenceJSON(t, ck); !bytes.Equal(got, ref) {
+			t.Errorf("%s: Save wrote %d bytes that differ from the reference encoding's %d", fc.target, len(got), len(ref))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "zero.ckpt")
+	if err := (&Checkpoint{}).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "null" {
+		t.Fatalf("zero Checkpoint saved %q (err %v), want null", got, err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), "not a session checkpoint") {
+		t.Fatalf("loading a saved zero Checkpoint: err=%v, want a refusal", err)
 	}
 }
 
-// BenchmarkCheckpointSave times Save of a real mid-campaign isasim
-// checkpoint: the isasim-resume benchmark workload's campaign (seed 42,
-// 24000 iterations) at its first barrier past the midpoint.
+// TestLoadCheckpointOnePass pins that LoadCheckpoint, which decodes in one
+// pass, refuses malformed files with the messages the two-pass
+// json.Unmarshal(data, ck) gave.
+func TestLoadCheckpointOnePass(t *testing.T) {
+	valid, err := json.Marshal(midCampaignCheckpoint(t, mustCampaign(t, fuzzCampaigns[0].target, fuzzCampaigns[0].opts...), fuzzCampaigns[0].stop))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		data string
+		want string // a refusal after decoding; empty for a parse error
+	}{
+		{data: ""},
+		{data: "{"},
+		{data: string(valid[:len(valid)/2])},
+		{data: string(valid) + "x"},
+		{data: "[1,2]"},
+		{data: `{"options":{"Target":7}}`},
+		{data: `{"iters":[{"Iteration":"one"}]}`},
+		{data: "null", want: "is not a session checkpoint (no target)"},
+		{data: `{"version":2,"options":{"Target":"boom"}}`, want: "engine state version 2, want 3"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("case%d.json", i))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCheckpoint(path)
+		if err == nil {
+			t.Errorf("case %d: accepted", i)
+			continue
+		}
+		twoPass := json.Unmarshal([]byte(tc.data), &Checkpoint{})
+		switch {
+		case tc.want == "" && twoPass == nil:
+			t.Errorf("case %d: the two-pass decode accepted it", i)
+		case tc.want == "" && err.Error() != fmt.Sprintf("dejavuzz: parse checkpoint %s: %v", path, twoPass):
+			t.Errorf("case %d: %v, want the two-pass message %v", i, err, twoPass)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("case %d: %v, want %q", i, err, tc.want)
+		}
+	}
+}
+
+// BenchmarkCheckpointSave times Save of the isasim-resume benchmark
+// workload's campaign (seed 42, 24000 iterations) at its first barrier past
+// the midpoint, 12032 iterations:
+//   - cold: a decoded checkpoint, which encodes its whole history at every
+//     save, as a resumed campaign's first autosave does;
+//   - incremental: one autosave interval (384 iterations) after the
+//     previous save, whose records the fuzzer's memo already holds. Each op
+//     warms a fresh memo with a cold encode first; ns/op, B/op and
+//     allocs/op count the save alone.
 func BenchmarkCheckpointSave(b *testing.B) {
-	ck := midCampaignCheckpoint(b, mustCampaign(b, "isasim", WithSeed(42), WithIterations(24000)), 12032)
+	const mid, interval = 12032, 384
+	c := mustCampaign(b, "isasim", WithSeed(42), WithIterations(24000))
 	path := filepath.Join(b.TempDir(), "isasim.ckpt")
-	if err := ck.Save(path); err != nil {
+	if err := midCampaignCheckpoint(b, c, mid).Save(path); err != nil {
+		b.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
 		b.Fatal(err)
 	}
 	st, err := os.Stat(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(st.Size())
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := ck.Save(path); err != nil {
-			b.Fatal(err)
+	b.Run("cold", func(b *testing.B) {
+		b.SetBytes(st.Size())
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := ck.Save(path); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("incremental", func(b *testing.B) {
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ops, ns, bytes, allocs uint64
+		var before, after runtime.MemStats
+		for b.Loop() {
+			// A fuzzer resumed from the checkpoint and stopped before its
+			// first epoch snapshots the same state; saving the snapshot's
+			// history up to the previous autosave warms its memo.
+			f, err := core.NewFuzzerFromState(ck.state, c.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, snap := f.RunContext(cancelled)
+			prev := *snap
+			prev.Iters = snap.Iters[:mid-interval]
+			if _, err := prev.JSONPieces(); err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			if err := (&Checkpoint{state: snap}).Save(path); err != nil {
+				b.Fatal(err)
+			}
+			ns += uint64(time.Since(start))
+			runtime.ReadMemStats(&after)
+			bytes += after.TotalAlloc - before.TotalAlloc
+			allocs += after.Mallocs - before.Mallocs
+			ops++
+		}
+		b.ReportMetric(float64(ns)/float64(ops), "ns/op")
+		b.ReportMetric(float64(bytes)/float64(ops), "B/op")
+		b.ReportMetric(float64(allocs)/float64(ops), "allocs/op")
+		b.ReportMetric(float64(st.Size())*float64(ops)/float64(ns)*1e3, "MB/s")
+	})
 }
 
 // FuzzLoadCheckpoint feeds arbitrary bytes to LoadCheckpoint. A checkpoint
 // it accepts is resumed into the matching fuzzCampaigns campaign and paused
 // at its first barrier. Every input must end in an error or a run; none
-// may panic or hang. The seeds are real isasim and boom barrier
-// checkpoints.
+// may panic or hang, and an accepted one must save back as the reference
+// encoding. The seeds are real isasim and boom barrier checkpoints.
 func FuzzLoadCheckpoint(f *testing.F) {
 	campaigns := map[string]*Campaign{}
 	for _, fc := range fuzzCampaigns {
@@ -103,6 +229,16 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		ck, err := LoadCheckpoint(path)
 		if err != nil {
 			return
+		}
+		// An accepted checkpoint saves back as the reference encoding of
+		// what was decoded: the cold encode, with no memo, including null
+		// versus empty histories.
+		saved := filepath.Join(t.TempDir(), "saved.json")
+		if err := ck.Save(saved); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(saved); err != nil || !bytes.Equal(got, referenceJSON(t, ck)) {
+			t.Fatalf("saved %d bytes (err %v) that differ from the reference encoding of the decoded state", len(got), err)
 		}
 		c, ok := campaigns[ck.Target()]
 		if !ok {

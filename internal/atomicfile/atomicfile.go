@@ -8,17 +8,25 @@ import (
 	"path/filepath"
 )
 
-// Write atomically replaces path with data (write temp + rename). On error
-// the destination is untouched and the temp file is cleaned up.
-func Write(path string, data []byte) error {
+// write writes one piece to the temp file (os.File.Write; tests inject
+// disk-full and torn writes through it).
+var write = (*os.File).Write
+
+// Write atomically replaces path with the concatenation of pieces (write
+// temp + rename), so a caller holding its content in parts need not join
+// them first. On error the destination is untouched and the temp file is
+// cleaned up.
+func Write(path string, pieces ...[]byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	for _, p := range pieces {
+		if _, err := write(tmp, p); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return err
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())

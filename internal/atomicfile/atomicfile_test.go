@@ -2,11 +2,13 @@ package atomicfile
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 )
 
@@ -165,6 +167,60 @@ func TestWriteErrorLeavesDestination(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("destination should not exist: %v", err)
+	}
+}
+
+// TestWritePiecesFailure fails the third of four pieces, on a full disk
+// (nothing written) or torn (half of it written): Write reports the error,
+// the destination keeps its previous bytes and no temp file is left. With
+// the writer restored, the pieces are written in order.
+func TestWritePiecesFailure(t *testing.T) {
+	pieces := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), []byte("dddd")}
+	for _, tc := range []struct {
+		name string
+		fail func(f *os.File, p []byte) (int, error)
+		want error
+	}{
+		{"disk full", func(*os.File, []byte) (int, error) { return 0, syscall.ENOSPC }, syscall.ENOSPC},
+		{"torn", func(f *os.File, p []byte) (int, error) {
+			n, _ := f.Write(p[:len(p)/2])
+			return n, syscall.EIO
+		}, syscall.EIO},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "ckpt.json")
+			if err := Write(path, []byte("previous")); err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			write = func(f *os.File, p []byte) (int, error) {
+				if calls++; calls == 3 {
+					return tc.fail(f, p)
+				}
+				return f.Write(p)
+			}
+			err := Write(path, pieces...)
+			write = (*os.File).Write
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Write: %v, want %v", err, tc.want)
+			}
+			if calls != 3 {
+				t.Errorf("Write went on to %d pieces after the failure", calls-3)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+				t.Fatalf("destination holds %q (err %v) after the failed write, want its previous bytes", got, err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+				t.Fatalf("failed write left %v", entries)
+			}
+			if err := Write(path, pieces...); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := os.ReadFile(path); string(got) != "abbcccdddd" {
+				t.Fatalf("pieces written as %q", got)
+			}
+		})
 	}
 }
 

@@ -134,7 +134,9 @@ func TestCampaignCancelResumeDeterministic(t *testing.T) {
 }
 
 // snapshotAt runs a campaign until its barrier at iteration done and
-// returns the snapshot taken there.
+// returns the snapshot taken there, decoded from its JSON as a checkpoint
+// file is, so that tests may edit it (a state its fuzzer took must not
+// change; see recordMemo).
 func snapshotAt(t *testing.T, opts Options, done int) *EngineState {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -148,7 +150,15 @@ func snapshotAt(t *testing.T, opts Options, done int) *EngineState {
 	if state == nil {
 		t.Fatal("no snapshot produced")
 	}
-	return state
+	data, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := &EngineState{}
+	if err := json.Unmarshal(data, decoded); err != nil {
+		t.Fatal(err)
+	}
+	return decoded
 }
 
 // midCampaignSnapshot stops a 32-iteration, single-worker campaign at its

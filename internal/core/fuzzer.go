@@ -454,7 +454,7 @@ const EngineStateVersion = 3
 // epoch ordinal (NextIter / MergeEvery), each shard's pick count, each
 // mark's end iteration and the per-family statistics and scheduler
 // posterior (folded from Iters) are derived on resume. It round-trips
-// through JSON.
+// through JSON; JSONPieces is its one encoder.
 type EngineState struct {
 	Version int `json:"version"`
 	// Options are the campaign's normalized options (hooks are not
@@ -474,6 +474,10 @@ type EngineState struct {
 	// measurement only: no result reads it, and it is left out of every
 	// byte-identity comparison.
 	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
+
+	// memo is the taking fuzzer's record encodings (nil when decoded); see
+	// JSONPieces.
+	memo *recordMemo
 }
 
 // Migrate checks a decoded engine state's version: any version but
@@ -565,6 +569,8 @@ type Fuzzer struct {
 	// segments before it (EngineState.Elapsed); see elapsed.
 	start         time.Time
 	elapsedBefore time.Duration
+	// memo is shared by every snapshot the fuzzer takes.
+	memo *recordMemo
 }
 
 // NewFuzzer builds a fuzzer for the options. The options' Target (empty
@@ -609,6 +615,7 @@ func NewFuzzer(opts Options) *Fuzzer {
 		families: families,
 		sched:    sched,
 		scnStats: make(map[string]*ScenarioStat, len(families)),
+		memo:     &recordMemo{},
 	}
 	// The fuzzer-level generator (the Generator() seam experiments and
 	// examples mutate through) honours the campaign's scenario filter just
@@ -858,6 +865,7 @@ func (f *Fuzzer) snapshot(nextIter int) *EngineState {
 		Marks:     append([]EpochMark(nil), f.marks...),
 		DeadSinks: f.deadSinks,
 		Elapsed:   f.elapsed(),
+		memo:      f.memo,
 	}
 	st.Options.OnBarrier = nil
 	for i, s := range f.shards {

@@ -147,8 +147,10 @@ type Event struct {
 const maxEventBuffer = 1 << 15
 
 // maxAutosaves bounds how many barrier autosaves a session performs over
-// its lifetime (WithCheckpointFile), keeping total checkpoint I/O roughly
-// linear in campaign length.
+// its lifetime (WithCheckpointFile). Each save writes the whole checkpoint,
+// so the bound keeps a campaign's total checkpoint write I/O linear in its
+// length; encoding already is, whatever the cadence (each record is
+// encoded once).
 const maxAutosaves = 64
 
 // Session is one streaming execution of a campaign.
@@ -210,11 +212,12 @@ func (c *Campaign) launch(ctx context.Context, state *core.EngineState) (*Sessio
 	}
 	ctx, s.cancel = context.WithCancel(ctx)
 
-	// Autosave cadence: a snapshot serialises the whole campaign history,
-	// so saving every barrier would cost O(n²) encoding/IO over a long
-	// campaign. Throttle to ~maxAutosaves total (deterministic in the
-	// options; the interrupt path below covers the gap since the last
-	// save), every barrier for short campaigns.
+	// Autosave cadence: a save encodes only the records no earlier save
+	// encoded, but it writes the whole campaign history, so saving every
+	// barrier would cost O(n²) write I/O over a long campaign. Throttle to
+	// ~maxAutosaves total (deterministic in the options; the interrupt path
+	// below covers the gap since the last save), every barrier for short
+	// campaigns.
 	totalEpochs := (norm.Iterations + norm.MergeEvery - 1) / norm.MergeEvery
 	saveEvery := 1
 	if totalEpochs > maxAutosaves {
